@@ -1,111 +1,160 @@
 (* Binary min-heap keyed by (time, seq). The sequence number breaks ties in
-   scheduling order so simultaneous events run deterministically. *)
+   scheduling order so simultaneous events run deterministically.
 
-(* Handle-free entries ([post]/[post_at]) are recycled through a free list:
-   they are fire-and-forget, so once fired the record can be reused without
-   any ABA hazard. Handle-carrying entries ([schedule]/[schedule_at]) are
-   never recycled — a caller may hold the handle indefinitely and cancel it
-   late. The write barrier on storing a young action closure into a
-   promoted recycled entry once made this a loss; the packet hot path now
-   posts persistent (old) thunks, for which the barrier takes the cheap
-   same-generation exit. *)
-type entry = {
-  mutable time : Time_ns.t;
-  mutable seq : int;
-  mutable action : unit -> unit;
-  mutable cancelled : bool;
-  recyclable : bool;
-}
+   The heap is a struct of three int arrays (time, seq, slot), and sifting
+   moves a hole instead of swapping, so heap upkeep never stores a pointer
+   and never goes through the write barrier. An event's closure sits in a
+   per-slot [actions] table: written once when the event is posted, cleared
+   once when it fires or is cancelled.
 
-type event = entry
+   Every queued event, with or without a handle, owns one slot until it is
+   popped; slots are recycled through an int free stack. Since only queued
+   events hold slots, the heap and the slot table share one capacity. A
+   handle packs the slot with the slot's generation, which is bumped on
+   every recycle, so cancelling a fired or recycled handle is a no-op.
+   Cancellation is lazy: it disarms the slot, and the heap drops the event
+   when it reaches the root. *)
+
+type event = int
+
+let slot_bits = 30
+let slot_mask = (1 lsl slot_bits) - 1
+
+(* Never a live handle: its slot is beyond any table. *)
+let no_event = -1
 
 type t = {
   mutable clock : Time_ns.t;
-  mutable heap : entry array;
-  mutable size : int;
+  mutable size : int;  (* queued events, cancelled ones included *)
+  (* The heap, by position. *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;
+  (* The slot table, by slot. *)
+  mutable actions : (unit -> unit) array;
+  mutable gens : int array;
+  mutable armed : bool array;  (* queued and neither fired nor cancelled *)
+  mutable free : int array;  (* stack of unused slots *)
+  mutable free_top : int;
   mutable next_seq : int;
   mutable live : int;
   mutable fired : int;
-  mutable free : entry array;  (* stack of fired recyclable entries *)
-  mutable free_top : int;
 }
 
-let dummy =
-  { time = 0; seq = -1; action = ignore; cancelled = true; recyclable = false }
+let initial_capacity = 64
 
-(* Bounds the pool: a burst that briefly inflates the event population must
-   not pin its entries forever. *)
-let max_free = 4096
+(* Fill [free] so that the lowest of slots [lo .. hi - 1] is on top. *)
+let stack_slots free lo hi =
+  for i = 0 to hi - lo - 1 do
+    free.(i) <- hi - 1 - i
+  done
 
 let create () =
+  let cap = initial_capacity in
+  let free = Array.make cap 0 in
+  stack_slots free 0 cap;
   {
     clock = 0;
-    heap = Array.make 64 dummy;
     size = 0;
+    times = Array.make cap 0;
+    seqs = Array.make cap 0;
+    slots = Array.make cap 0;
+    actions = Array.make cap ignore;
+    gens = Array.make cap 0;
+    armed = Array.make cap false;
+    free;
+    free_top = cap;
     next_seq = 0;
     live = 0;
     fired = 0;
-    free = Array.make 64 dummy;
-    free_top = 0;
   }
 
 let now t = t.clock
 let events_fired t = t.fired
+let pending t = t.live
 
-let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+(* Only called with every slot in use, so the free stack is empty. *)
+let grow t =
+  let cap = Array.length t.times in
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.actions <- extend t.actions ignore;
+  t.gens <- extend t.gens 0;
+  t.armed <- extend t.armed false;
+  t.free <- Array.make (2 * cap) 0;
+  stack_slots t.free cap (2 * cap);
+  t.free_top <- cap
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if precedes t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
-    end
+(* Move the hole at [i] up until (time, seq, slot) fits there. A new event's
+   seq exceeds every queued one, so on the way up only time decides. *)
+let rec sift_up (times : int array) (seqs : int array) (slots : int array) i
+    time seq slot =
+  let p = (i - 1) / 2 in
+  if i > 0 && time < times.(p) then begin
+    times.(i) <- times.(p);
+    seqs.(i) <- seqs.(p);
+    slots.(i) <- slots.(p);
+    sift_up times seqs slots p time seq slot
+  end
+  else begin
+    times.(i) <- time;
+    seqs.(i) <- seq;
+    slots.(i) <- slot
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && precedes t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && precedes t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Move the hole at [i] down a heap of [n] until (time, seq, slot) fits. *)
+let rec sift_down (times : int array) (seqs : int array) (slots : int array) n
+    i time seq slot =
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < n
+       && (times.(l + 1) < times.(l)
+          || (times.(l + 1) = times.(l) && seqs.(l + 1) < seqs.(l)))
+    then l + 1
+    else l
+  in
+  if c < n && (times.(c) < time || (times.(c) = time && seqs.(c) < seq))
+  then begin
+    times.(i) <- times.(c);
+    seqs.(i) <- seqs.(c);
+    slots.(i) <- slots.(c);
+    sift_down times seqs slots n c time seq slot
+  end
+  else begin
+    times.(i) <- time;
+    seqs.(i) <- seq;
+    slots.(i) <- slot
   end
 
-let push t entry =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
+(* Queue [action] at [time]; returns its slot. *)
+let insert t time action =
+  if t.free_top = 0 then grow t;
+  let top = t.free_top - 1 in
+  t.free_top <- top;
+  let slot = t.free.(top) in
+  t.actions.(slot) <- action;
+  t.armed.(slot) <- true;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  t.live <- t.live + 1;
+  let i = t.size in
+  t.size <- i + 1;
+  sift_up t.times t.seqs t.slots i time seq slot;
+  slot
 
-let pop t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  if t.size > 0 then sift_down t 0;
-  top
+let handle t slot = (t.gens.(slot) lsl slot_bits) lor slot
 
 let schedule_at t time action =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.schedule_at: time %d is before now %d" time t.clock);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let entry = { time; seq; action; cancelled = false; recyclable = false } in
-  t.live <- t.live + 1;
-  push t entry;
-  entry
+  handle t (insert t time action)
 
 let schedule t dt action =
   if dt < 0 then invalid_arg "Sim.schedule: negative delay";
@@ -115,97 +164,59 @@ let post_at t time action =
   if time < t.clock then
     invalid_arg
       (Printf.sprintf "Sim.post_at: time %d is before now %d" time t.clock);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let entry =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      let e = t.free.(t.free_top) in
-      t.free.(t.free_top) <- dummy;
-      e.time <- time;
-      e.seq <- seq;
-      e.action <- action;
-      e.cancelled <- false;
-      e
-    end
-    else { time; seq; action; cancelled = false; recyclable = true }
-  in
-  t.live <- t.live + 1;
-  push t entry
+  ignore (insert t time action)
 
 let post t dt action =
   if dt < 0 then invalid_arg "Sim.post: negative delay";
   post_at t (t.clock + dt) action
 
 let cancel t ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
+  let slot = ev land slot_mask in
+  if slot < Array.length t.gens && t.armed.(slot) && ev = handle t slot
+  then begin
+    t.armed.(slot) <- false;
+    t.actions.(slot) <- ignore;
     t.live <- t.live - 1
   end
 
-let pending t = t.live
+(* Take the root off the heap, free its slot, and fire it unless it was
+   cancelled. The slot is recycled before the action runs, which may reuse
+   it at once. *)
+let pop t =
+  let time = t.times.(0) and slot = t.slots.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then
+    sift_down t.times t.seqs t.slots n 0 t.times.(n) t.seqs.(n) t.slots.(n);
+  t.gens.(slot) <- t.gens.(slot) + 1;
+  t.free.(t.free_top) <- slot;
+  t.free_top <- t.free_top + 1;
+  if t.armed.(slot) then begin
+    let action = t.actions.(slot) in
+    t.actions.(slot) <- ignore;
+    t.armed.(slot) <- false;
+    t.live <- t.live - 1;
+    t.clock <- time;
+    t.fired <- t.fired + 1;
+    action ();
+    true
+  end
+  else false
 
-let fire t entry =
-  (* Mark fired entries as cancelled so a late [cancel] is a harmless no-op. *)
-  entry.cancelled <- true;
-  t.live <- t.live - 1;
-  t.clock <- entry.time;
-  t.fired <- t.fired + 1;
-  let action = entry.action in
-  if entry.recyclable then begin
-    (* Recycle before running the action: no handle exists, so nothing can
-       observe the entry, and the action itself may immediately reuse it.
-       Dropping the closure reference keeps the pool from pinning it. *)
-    entry.action <- ignore;
-    if t.free_top < max_free then begin
-      if t.free_top = Array.length t.free then begin
-        let bigger = Array.make (2 * t.free_top) dummy in
-        Array.blit t.free 0 bigger 0 t.free_top;
-        t.free <- bigger
-      end;
-      t.free.(t.free_top) <- entry;
-      t.free_top <- t.free_top + 1
-    end
-  end;
-  action ()
-
-let step t =
-  let rec next () =
-    if t.size = 0 then false
-    else
-      let entry = pop t in
-      if entry.cancelled then next ()
-      else begin
-        fire t entry;
-        true
-      end
-  in
-  next ()
+let rec step t = t.size > 0 && (pop t || step t)
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-    let continue = ref true in
-    while !continue do
-      if t.size = 0 then begin
-        t.clock <- max t.clock limit;
-        continue := false
-      end
-      else begin
-        let top = t.heap.(0) in
-        if top.cancelled then ignore (pop t)
-        else if top.time > limit then begin
-          t.clock <- limit;
-          continue := false
-        end
-        else fire t (pop t)
-      end
-    done
+    while t.size > 0 && t.times.(0) <= limit do
+      ignore (pop t)
+    done;
+    t.clock <- max t.clock limit
 
 let periodic t ?start interval f =
   let first = match start with Some s -> s | None -> interval in
-  let handle = ref dummy in
+  let handle = ref no_event in
   let rec occurrence () =
     f ();
     handle := schedule t interval occurrence

@@ -28,14 +28,15 @@ let ring_push r dummy pkt =
   r.r_buf.((r.r_head + r.r_len) mod Array.length r.r_buf) <- pkt;
   r.r_len <- r.r_len + 1
 
+(* Returns [dummy] when empty: an option would allocate on every pop. *)
 let ring_pop r dummy =
-  if r.r_len = 0 then None
+  if r.r_len = 0 then dummy
   else begin
     let pkt = r.r_buf.(r.r_head) in
     r.r_buf.(r.r_head) <- dummy;
     r.r_head <- (r.r_head + 1) mod Array.length r.r_buf;
     r.r_len <- r.r_len - 1;
-    Some pkt
+    pkt
   end
 
 type t = {
@@ -105,9 +106,9 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
   t.deliver_thunk <-
     (fun () ->
       (* Constant propagation delay: deliveries complete in push order. *)
-      match ring_pop t.inflight t.dummy with
-      | Some pkt -> t.deliver pkt
-      | None -> assert false);
+      let pkt = ring_pop t.inflight t.dummy in
+      assert (pkt != t.dummy);
+      t.deliver pkt);
   t
 
 and tx_done t =
@@ -132,17 +133,18 @@ and tx_time_ns t pkt =
   int_of_float (ceil (bits /. t.rate_bps *. 1e9))
 
 and start_transmission t =
-  match ring_pop t.queue t.dummy with
-  | None -> t.transmitting <- false
-  | Some pkt ->
+  let pkt = ring_pop t.queue t.dummy in
+  if pkt == t.dummy then t.transmitting <- false
+  else begin
     t.transmitting <- true;
     t.tx_pkt <- pkt;
     let tx = tx_time_ns t pkt in
     t.busy_ns <- t.busy_ns + tx;
-    (* Fire-and-forget events: [post] recycles the queue entries, and the
-       two per-packet events of every link hop reuse the port's persistent
-       thunks — a packet's full hop allocates nothing. *)
+    (* Fire-and-forget events: the two per-packet events of every link hop
+       reuse the port's persistent thunks — a packet's full hop allocates
+       nothing. *)
     Sim.post t.sim tx t.tx_done_thunk
+  end
 
 let set_deliver t f = t.deliver <- f
 let set_span t span = t.span <- span

@@ -100,6 +100,187 @@ let test_many_events_heap () =
   Sim.run sim;
   Alcotest.(check bool) "events fired in nondecreasing time order" true !monotone
 
+let test_run_until_never_rewinds () =
+  let sim = Sim.create () in
+  ignore (Sim.schedule sim 100 ignore);
+  Sim.run ~until:50 sim;
+  Sim.run ~until:20 sim;
+  Alcotest.(check int) "pending event: clock stays" 50 (Sim.now sim);
+  Sim.run sim;
+  Sim.run ~until:70 sim;
+  Alcotest.(check int) "empty queue: clock stays" 100 (Sim.now sim)
+
+let test_stale_handle () =
+  let sim = Sim.create () in
+  let ev = Sim.schedule sim 10 ignore in
+  Alcotest.(check bool) "first event fires" true (Sim.step sim);
+  (* The fired event's slot is free again; the next event takes it. *)
+  let fired = ref false in
+  Sim.post sim 10 (fun () -> fired := true);
+  Sim.cancel sim ev;
+  Alcotest.(check int) "stale cancel leaves the new event" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check bool) "new event fires" true !fired;
+  Alcotest.(check int) "nothing pending" 0 (Sim.pending sim)
+
+let test_cancel_then_pop () =
+  (* A cancelled event keeps its slot until the heap pops it: an event
+     queued after the cancel must not fire at the cancelled one's time. *)
+  let sim = Sim.create () in
+  let ev = Sim.schedule sim 100 ignore in
+  Sim.cancel sim ev;
+  let fired_at = ref (-1) in
+  Sim.post sim 200 (fun () -> fired_at := Sim.now sim);
+  Alcotest.(check int) "one pending" 1 (Sim.pending sim);
+  Sim.run ~until:150 sim;
+  Alcotest.(check int) "later event not yet fired" (-1) !fired_at;
+  Alcotest.(check int) "still one pending" 1 (Sim.pending sim);
+  Sim.cancel sim ev;
+  Alcotest.(check int) "second cancel is a no-op" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "fires at its own time" 200 !fired_at;
+  Alcotest.(check int) "only it fired" 1 (Sim.events_fired sim)
+
+(* --- Differential property against a sorted-list model ------------------ *)
+
+(* An event's action logs its id and, while its [chain] of delays lasts,
+   posts the next link from inside the firing event. *)
+type op =
+  | Schedule of int * int list
+  | Schedule_at of int * int list
+  | Post of int * int list
+  | Cancel of int
+  | Step
+  | Run_until of int
+
+let show_op =
+  let chain c = String.concat ";" (List.map string_of_int c) in
+  function
+  | Schedule (d, c) -> Printf.sprintf "schedule %d [%s]" d (chain c)
+  | Schedule_at (d, c) -> Printf.sprintf "schedule_at +%d [%s]" d (chain c)
+  | Post (d, c) -> Printf.sprintf "post %d [%s]" d (chain c)
+  | Cancel k -> Printf.sprintf "cancel #%d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run ~until:now%+d" d
+
+let gen_op =
+  let open QCheck.Gen in
+  let delay = int_range 0 40 in
+  let chain = list_size (int_range 0 3) delay in
+  frequency
+    [
+      (4, map2 (fun d c -> Schedule (d, c)) delay chain);
+      (2, map2 (fun d c -> Schedule_at (d, c)) delay chain);
+      (4, map2 (fun d c -> Post (d, c)) delay chain);
+      (3, map (fun k -> Cancel k) (int_range 0 1000));
+      (4, return Step);
+      (2, map (fun d -> Run_until d) (int_range (-20) 60));
+    ]
+
+type model_event = {
+  m_time : int;
+  m_seq : int;
+  m_id : int * int;
+  m_chain : int list;
+  mutable m_live : bool;
+}
+
+let differential ops =
+  let sim = Sim.create () in
+  let sim_log = ref [] in
+  let rec act id chain () =
+    sim_log := id :: !sim_log;
+    match chain with
+    | [] -> ()
+    | d :: rest -> Sim.post sim d (act (fst id, snd id + 1) rest)
+  in
+  let clock = ref 0 and seq = ref 0 and fired = ref 0 and log = ref [] in
+  let queue = ref [] in  (* sorted by (time, seq) *)
+  let insert time id chain =
+    let e = { m_time = time; m_seq = !seq; m_id = id; m_chain = chain; m_live = true } in
+    incr seq;
+    let rec ins = function
+      | x :: rest when (x.m_time, x.m_seq) < (time, e.m_seq) -> x :: ins rest
+      | l -> e :: l
+    in
+    queue := ins !queue;
+    e
+  in
+  let rec next () =
+    match !queue with
+    | e :: rest when not e.m_live ->
+      queue := rest;
+      next ()
+    | e :: _ -> Some e
+    | [] -> None
+  in
+  let fire e =
+    e.m_live <- false;
+    queue := List.tl !queue;
+    clock := e.m_time;
+    incr fired;
+    log := e.m_id :: !log;
+    match e.m_chain with
+    | [] -> ()
+    | d :: rest -> ignore (insert (!clock + d) (fst e.m_id, snd e.m_id + 1) rest)
+  in
+  let live () = List.length (List.filter (fun e -> e.m_live) !queue) in
+  let handles = ref [||] in
+  let apply i op =
+    match op with
+    | Schedule (d, chain) ->
+      let h = Sim.schedule sim d (act (i, 0) chain) in
+      handles := Array.append !handles [| (h, insert (!clock + d) (i, 0) chain) |]
+    | Schedule_at (d, chain) ->
+      let h = Sim.schedule_at sim (Sim.now sim + d) (act (i, 0) chain) in
+      handles := Array.append !handles [| (h, insert (!clock + d) (i, 0) chain) |]
+    | Post (d, chain) ->
+      Sim.post sim d (act (i, 0) chain);
+      ignore (insert (!clock + d) (i, 0) chain)
+    | Cancel k ->
+      let n = Array.length !handles in
+      if n > 0 then begin
+        let h, e = !handles.(k mod n) in
+        Sim.cancel sim h;
+        e.m_live <- false
+      end
+    | Step -> (
+      let more = Sim.step sim in
+      match next () with
+      | None -> if more then failwith "step fired on an empty model"
+      | Some e ->
+        if not more then failwith "step fired nothing";
+        fire e)
+    | Run_until d ->
+      let limit = Sim.now sim + d in
+      Sim.run ~until:limit sim;
+      let rec drain () =
+        match next () with
+        | Some e when e.m_time <= limit ->
+          fire e;
+          drain ()
+        | _ -> ()
+      in
+      drain ();
+      clock := max !clock limit
+  in
+  List.for_all
+    (fun (i, op) ->
+      apply i op;
+      Sim.now sim = !clock
+      && Sim.pending sim = live ()
+      && Sim.events_fired sim = !fired
+      && !sim_log = !log)
+    (List.mapi (fun i op -> (i, op)) ops)
+
+let prop_sim_matches_model =
+  QCheck.Test.make ~name:"sim matches a sorted-list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "\n" (List.map show_op ops))
+        Gen.(list_size (int_range 1 150) gen_op))
+    differential
+
 (* --- Rng ---------------------------------------------------------------- *)
 
 let test_rng_determinism () =
@@ -251,6 +432,12 @@ let suite =
     Alcotest.test_case "periodic" `Quick test_periodic;
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
     Alcotest.test_case "10k random events stay ordered" `Quick test_many_events_heap;
+    Alcotest.test_case "run ~until never rewinds the clock" `Quick
+      test_run_until_never_rewinds;
+    Alcotest.test_case "stale handle after slot reuse" `Quick test_stale_handle;
+    Alcotest.test_case "cancelled slot freed only when popped" `Quick
+      test_cancel_then_pop;
+    QCheck_alcotest.to_alcotest prop_sim_matches_model;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
