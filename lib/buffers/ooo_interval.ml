@@ -31,21 +31,31 @@ let interval t =
 let ranges t = List.map (fun r -> (r.r_start, r.r_len)) t.ranges
 
 let reset t = t.ranges <- []
-
-let sack_blocks t ~limit =
-  (* Most recently updated first (RFC 2018's ordering hint), capped at the
-     option-space limit. *)
-  let by_recency =
-    List.sort (fun a b -> compare b.r_touch a.r_touch) t.ranges
-  in
-  let rec take n = function
-    | r :: rest when n > 0 ->
-      (r.r_start, Seq32.add r.r_start r.r_len) :: take (n - 1) rest
-    | _ -> []
-  in
-  take limit by_recency
-
 let range_end r = Seq32.add r.r_start r.r_len
+
+(* Stamps start at 1, so this never beats a real range. *)
+let no_range = { r_start = 0; r_len = 0; r_touch = 0 }
+
+(* The newest range stamped before [stamp] ([no_range] when none). *)
+let rec newest_before stamp best = function
+  | [] -> best
+  | r :: rest ->
+    newest_before stamp
+      (if r.r_touch < stamp && r.r_touch > best.r_touch then r else best)
+      rest
+
+let rec newest_first ranges n stamp =
+  if n <= 0 then []
+  else
+    let r = newest_before stamp no_range ranges in
+    if r == no_range then []
+    else (r.r_start, range_end r) :: newest_first ranges (n - 1) r.r_touch
+
+(* Most recently updated first (RFC 2018's ordering hint), capped at the
+   option-space limit. Stamps are unique, so picking the newest range
+   older than the previous pick [limit] times gives the same blocks as
+   sorting every range by recency. *)
+let sack_blocks t ~limit = newest_first t.ranges limit max_int
 
 let insert_sorted r ranges =
   let rec go = function

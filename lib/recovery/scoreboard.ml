@@ -1,17 +1,23 @@
 module Seq32 = Tas_proto.Seq32
 module J = Tas_telemetry.Json
 
-type seg = {
-  mutable s_seq : Seq32.t;
-  mutable s_len : int;
-  mutable s_tx_ns : int;
-  mutable s_sacked : bool;
-  mutable s_lost : bool;
-  mutable s_retx : int;
+(* Segment [i] (0 = oldest) lives in slot [(head + i) land mask] of five
+   parallel arrays; capacity is a power of two. *)
+type ring = {
+  seq : int array;
+  len : int array;
+  tx_ns : int array;
+  flags : int array;  (* [sacked] lor [lost] *)
+  retx : int array;
+  mask : int;
+  mutable head : int;
+  mutable n : int;
+  mutable n_sacked : int;  (* live segments marked sacked *)
+  mutable n_lost : int;  (* live segments marked lost *)
 }
 
 type t = {
-  mutable segs : seg list;  (* ascending sequence order, disjoint *)
+  mutable r : ring;
   mutable high_sacked : Seq32.t;  (* end of the highest sacked segment *)
   mutable any_sacked : bool;  (* [high_sacked] is meaningful *)
   mutable c_sacked : int;
@@ -19,9 +25,32 @@ type t = {
   mutable c_retx : int;
 }
 
+let sacked = 1
+let lost = 2
+let initial_capacity = 16
+
+let make_ring cap =
+  {
+    seq = Array.make cap 0;
+    len = Array.make cap 0;
+    tx_ns = Array.make cap 0;
+    flags = Array.make cap 0;
+    retx = Array.make cap 0;
+    mask = cap - 1;
+    head = 0;
+    n = 0;
+    n_sacked = 0;
+    n_lost = 0;
+  }
+
+(* Shared by every scoreboard that never transmitted (every Reno flow), so
+   a flow pays for its arrays only once it tracks a segment. Never written:
+   [on_transmit] replaces it before storing anything. *)
+let empty = make_ring 0
+
 let create () =
   {
-    segs = [];
+    r = empty;
     high_sacked = 0;
     any_sacked = false;
     c_sacked = 0;
@@ -30,150 +59,221 @@ let create () =
   }
 
 let reset t =
-  t.segs <- [];
+  let r = t.r in
+  if r != empty then begin
+    r.head <- 0;
+    r.n <- 0;
+    r.n_sacked <- 0;
+    r.n_lost <- 0
+  end;
   t.any_sacked <- false
 
-let is_empty t = t.segs = []
-let seg_end s = Seq32.add s.s_seq s.s_len
+let is_empty t = t.r.n = 0
+let slot r i = (r.head + i) land r.mask
+let seg_end r k = Seq32.add r.seq.(k) r.len.(k)
 
-(* O(in-flight) append: the list is short (send-window bound) and the sim
-   charges far more per packet elsewhere. *)
+(* Double the capacity, unrolling the live segments to start at slot 0. *)
+let grow t =
+  let r = t.r in
+  let r' = make_ring (max initial_capacity (2 * (r.mask + 1))) in
+  for i = 0 to r.n - 1 do
+    let k = slot r i in
+    r'.seq.(i) <- r.seq.(k);
+    r'.len.(i) <- r.len.(k);
+    r'.tx_ns.(i) <- r.tx_ns.(k);
+    r'.flags.(i) <- r.flags.(k);
+    r'.retx.(i) <- r.retx.(k)
+  done;
+  r'.n <- r.n;
+  r'.n_sacked <- r.n_sacked;
+  r'.n_lost <- r.n_lost;
+  t.r <- r'
+
 let on_transmit t ~seq ~len ~now_ns =
-  t.segs <-
-    t.segs
-    @ [
-        {
-          s_seq = seq;
-          s_len = len;
-          s_tx_ns = now_ns;
-          s_sacked = false;
-          s_lost = false;
-          s_retx = 0;
-        };
-      ]
+  if t.r.n > t.r.mask then grow t;
+  let r = t.r in
+  let k = slot r r.n in
+  r.seq.(k) <- seq;
+  r.len.(k) <- len;
+  r.tx_ns.(k) <- now_ns;
+  r.flags.(k) <- 0;
+  r.retx.(k) <- 0;
+  r.n <- r.n + 1
+
+(* Lowest index whose segment starts at or after [s] ([r.n] when none):
+   starts ascend, so a binary search finds it. *)
+let first_from r s =
+  let lo = ref 0 and hi = ref r.n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if Seq32.lt r.seq.(slot r mid) s then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 let on_retransmit t ~seq ~now_ns =
-  match List.find_opt (fun s -> s.s_seq = seq) t.segs with
-  | Some s ->
-    s.s_tx_ns <- now_ns;
-    s.s_lost <- false;
-    s.s_retx <- s.s_retx + 1;
+  let r = t.r in
+  let i = first_from r seq in
+  if i < r.n && r.seq.(slot r i) = seq then begin
+    let k = slot r i in
+    r.tx_ns.(k) <- now_ns;
+    if r.flags.(k) land lost <> 0 then begin
+      r.flags.(k) <- r.flags.(k) land lnot lost;
+      r.n_lost <- r.n_lost - 1
+    end;
+    r.retx.(k) <- r.retx.(k) + 1;
     t.c_retx <- t.c_retx + 1;
     true
-  | None -> false
+  end
+  else false
 
 let ack_to t ~una =
+  let r = t.r in
   let tx_max = ref (-1) in
-  let rec go = function
-    | s :: rest when Seq32.leq (seg_end s) una ->
-      if s.s_retx = 0 && s.s_tx_ns > !tx_max then tx_max := s.s_tx_ns;
-      go rest
-    | s :: rest when Seq32.lt s.s_seq una ->
-      (* Partially-acked straddler: keep the unacked suffix. *)
-      let cut = Seq32.diff una s.s_seq in
-      s.s_seq <- una;
-      s.s_len <- s.s_len - cut;
-      s :: rest
-    | rest -> rest
-  in
-  t.segs <- go t.segs;
-  if t.segs = [] then t.any_sacked <- false;
+  let popping = ref true in
+  while !popping && r.n > 0 do
+    let k = r.head in
+    if Seq32.leq (seg_end r k) una then begin
+      if r.retx.(k) = 0 && r.tx_ns.(k) > !tx_max then tx_max := r.tx_ns.(k);
+      let f = r.flags.(k) in
+      if f land sacked <> 0 then r.n_sacked <- r.n_sacked - 1;
+      if f land lost <> 0 then r.n_lost <- r.n_lost - 1;
+      r.head <- (k + 1) land r.mask;
+      r.n <- r.n - 1
+    end
+    else begin
+      if Seq32.lt r.seq.(k) una then begin
+        (* Partially-acked straddler: keep the unacked suffix. *)
+        let cut = Seq32.diff una r.seq.(k) in
+        r.seq.(k) <- una;
+        r.len.(k) <- r.len.(k) - cut
+      end;
+      popping := false
+    end
+  done;
+  if r.n = 0 then t.any_sacked <- false;
   !tx_max
 
-let apply_sacks t ~blocks =
-  let newly = ref 0 and tx_max = ref (-1) in
-  List.iter
-    (fun (bs, be) ->
-      if Seq32.lt bs be then
-        List.iter
-          (fun s ->
-            if
-              (not s.s_sacked)
-              && Seq32.geq s.s_seq bs
-              && Seq32.leq (seg_end s) be
-            then begin
-              s.s_sacked <- true;
-              s.s_lost <- false;
-              incr newly;
-              t.c_sacked <- t.c_sacked + 1;
-              if s.s_retx = 0 && s.s_tx_ns > !tx_max then tx_max := s.s_tx_ns;
-              if (not t.any_sacked) || Seq32.gt (seg_end s) t.high_sacked then
-                t.high_sacked <- seg_end s;
-              t.any_sacked <- true
-            end)
-          t.segs)
-    blocks;
-  (!newly, !tx_max)
+(* Segments that can fit in [bs, be) start at or after [bs] and before
+   [be]: visit exactly that index range. *)
+let rec apply_blocks t newly tx_max = function
+  | [] -> (newly, tx_max)
+  | (bs, be) :: rest ->
+    let newly = ref newly and tx_max = ref tx_max in
+    if Seq32.lt bs be then begin
+      let r = t.r in
+      for i = first_from r bs to first_from r be - 1 do
+        let k = slot r i in
+        let f = r.flags.(k) in
+        if f land sacked = 0 then begin
+          let e = seg_end r k in
+          if Seq32.leq e be then begin
+            if f land lost <> 0 then r.n_lost <- r.n_lost - 1;
+            r.flags.(k) <- sacked;
+            r.n_sacked <- r.n_sacked + 1;
+            incr newly;
+            t.c_sacked <- t.c_sacked + 1;
+            if r.retx.(k) = 0 && r.tx_ns.(k) > !tx_max then
+              tx_max := r.tx_ns.(k);
+            if (not t.any_sacked) || Seq32.gt e t.high_sacked then
+              t.high_sacked <- e;
+            t.any_sacked <- true
+          end
+        end
+      done
+    end;
+    apply_blocks t !newly !tx_max rest
+
+let apply_sacks t ~blocks = apply_blocks t 0 (-1) blocks
 
 let mark_lost_dupthresh t ~dupthresh =
-  (* Walk from the highest segment down, counting sacked segments above. *)
-  let newly = ref 0 in
-  let above = ref 0 in
-  List.iter
-    (fun s ->
-      if s.s_sacked then incr above
-      else if !above >= dupthresh && (not s.s_lost) && s.s_retx = 0 then begin
-        s.s_lost <- true;
-        incr newly;
-        t.c_lost <- t.c_lost + 1
-      end)
-    (List.rev t.segs);
-  !newly
+  let r = t.r in
+  (* No segment can have more sacked segments above it than are live. *)
+  if r.n_sacked < dupthresh then 0
+  else begin
+    (* Walk from the highest segment down, counting sacked segments above. *)
+    let newly = ref 0 and above = ref 0 in
+    for i = r.n - 1 downto 0 do
+      let k = slot r i in
+      let f = r.flags.(k) in
+      if f land sacked <> 0 then incr above
+      else if !above >= dupthresh && f = 0 && r.retx.(k) = 0 then begin
+        r.flags.(k) <- lost;
+        incr newly
+      end
+    done;
+    r.n_lost <- r.n_lost + !newly;
+    t.c_lost <- t.c_lost + !newly;
+    !newly
+  end
 
 let mark_front_lost t =
-  match t.segs with
-  | s :: _ when (not s.s_sacked) && (not s.s_lost) && s.s_retx = 0 ->
-    s.s_lost <- true;
+  let r = t.r in
+  if r.n > 0 && r.flags.(r.head) = 0 && r.retx.(r.head) = 0 then begin
+    r.flags.(r.head) <- lost;
+    r.n_lost <- r.n_lost + 1;
     t.c_lost <- t.c_lost + 1;
     1
-  | _ -> 0
+  end
+  else 0
 
 let mark_lost_older_than t ~threshold_ns =
   if not t.any_sacked then 0
   else begin
+    let r = t.r in
     let newly = ref 0 in
-    List.iter
-      (fun s ->
-        if
-          (not s.s_sacked)
-          && (not s.s_lost)
-          && Seq32.lt s.s_seq t.high_sacked
-          && s.s_tx_ns <= threshold_ns
-        then begin
-          s.s_lost <- true;
-          incr newly;
-          t.c_lost <- t.c_lost + 1
-        end)
-      t.segs;
+    for i = 0 to first_from r t.high_sacked - 1 do
+      let k = slot r i in
+      if r.flags.(k) = 0 && r.tx_ns.(k) <= threshold_ns then begin
+        r.flags.(k) <- lost;
+        incr newly
+      end
+    done;
+    r.n_lost <- r.n_lost + !newly;
+    t.c_lost <- t.c_lost + !newly;
     !newly
   end
 
 let next_lost t =
-  match List.find_opt (fun s -> s.s_lost) t.segs with
-  | Some s -> Some (s.s_seq, s.s_len)
-  | None -> None
+  let r = t.r in
+  if r.n_lost = 0 then None
+  else begin
+    let i = ref 0 in
+    while r.flags.(slot r !i) land lost = 0 do
+      incr i
+    done;
+    let k = slot r !i in
+    Some (r.seq.(k), r.len.(k))
+  end
 
 let last_unsacked t =
-  List.fold_left
-    (fun acc s -> if s.s_sacked then acc else Some (s.s_seq, s.s_len))
-    None t.segs
+  let r = t.r in
+  let i = ref (r.n - 1) in
+  while !i >= 0 && r.flags.(slot r !i) land sacked <> 0 do
+    decr i
+  done;
+  if !i < 0 then None
+  else
+    let k = slot r !i in
+    Some (r.seq.(k), r.len.(k))
 
 let oldest_unsacked_tx t =
   if not t.any_sacked then None
-  else
-    List.fold_left
-      (fun acc s ->
-        if (not s.s_sacked) && (not s.s_lost) && Seq32.lt s.s_seq t.high_sacked
-        then
-          match acc with
-          | None -> Some s.s_tx_ns
-          | Some m -> Some (min m s.s_tx_ns)
-        else acc)
-      None t.segs
+  else begin
+    let r = t.r in
+    let oldest = ref max_int and found = ref false in
+    for i = 0 to first_from r t.high_sacked - 1 do
+      let k = slot r i in
+      if r.flags.(k) = 0 then begin
+        found := true;
+        if r.tx_ns.(k) < !oldest then oldest := r.tx_ns.(k)
+      end
+    done;
+    if !found then Some !oldest else None
+  end
 
-let live_segs t = List.length t.segs
-let live_sacked t = List.length (List.filter (fun s -> s.s_sacked) t.segs)
-let live_lost t = List.length (List.filter (fun s -> s.s_lost) t.segs)
+let live_segs t = t.r.n
+let live_sacked t = t.r.n_sacked
+let live_lost t = t.r.n_lost
 let cum_sacked t = t.c_sacked
 let cum_lost t = t.c_lost
 let cum_retx t = t.c_retx

@@ -1,16 +1,39 @@
 (** Sender-side retransmission scoreboard (RFC 6675 / RFC 8985 flavour).
 
-    One record per in-flight segment: sequence range, last transmit
+    One entry per in-flight segment: sequence range, last transmit
     timestamp, and the sacked / lost / retransmitted markings that drive
-    selective retransmission. The segment list spans
-    [[snd_una, snd_nxt)] in transmit order; cumulative ACKs trim it from
-    the front, SACK blocks mark runs inside it.
+    selective retransmission. The tracked segments span
+    [[snd_una, snd_nxt)] in transmit order; cumulative ACKs trim them from
+    the front, SACK blocks mark runs inside them.
 
-    Segments and markings live on the OCaml heap as a companion structure
-    of the flow (like the payload rings and the out-of-order interval),
-    identical for arena-backed and boxed flows — the documented boxed
-    side-table of the recovery subsystem. Operations are O(in-flight
-    segments); the in-flight count is bounded by the send window. *)
+    {b Representation.} A power-of-two ring of parallel [int array]s
+    (start, length, transmit time, sacked/lost flags, retransmit count)
+    with the oldest segment at its head: transmits push at the tail
+    (doubling the ring when full), cumulative ACKs pop from the head.
+    Live sacked and lost counts are kept up to date as markings change.
+    A scoreboard that never transmitted (every Reno flow) shares one
+    empty ring and owns no arrays. The ring is a companion structure of
+    the flow, identical for arena-backed and boxed flows — the documented
+    boxed side-table of the recovery subsystem.
+
+    {b Invariant.} Tracked segments are ascending, disjoint and
+    non-empty, and every sequence number the scoreboard is handed
+    (segment starts, [una], SACK block edges) lies within 2{^31} of the
+    tracked ones — TCP's own window assumption. Callers guarantee it by
+    registering fresh segments in transmit order and forgetting them all
+    on an RTO rewind. The scans below rely on it: the segments at or past
+    a bound form a suffix, so a binary search finds where a scan stops.
+
+    {b Cost} ([n] live segments; no operation allocates except where a
+    result is boxed): {!on_transmit} O(1) amortized; {!ack_to} O(popped);
+    {!on_retransmit} O(log n); {!apply_sacks} O(log n + segments that
+    start inside each block); {!mark_lost_dupthresh} O(1) with fewer than
+    [dupthresh] sacked segments, else O(n); {!mark_front_lost},
+    {!live_sacked}, {!live_lost} O(1); {!mark_lost_older_than} and
+    {!oldest_unsacked_tx} O(log n + segments below the highest sacked
+    edge); {!next_lost} O(1) when nothing is lost, else O(index of the
+    lowest lost segment); {!last_unsacked} O(sacked segments at the
+    top). *)
 
 type t
 
@@ -26,7 +49,8 @@ val is_empty : t -> bool
 (** {2 Transmit-side bookkeeping} *)
 
 val on_transmit : t -> seq:Tas_proto.Seq32.t -> len:int -> now_ns:int -> unit
-(** A fresh segment left the NIC: append it to the tracked tail. *)
+(** A fresh segment left the NIC: push it at the tracked tail. [seq]
+    must be past every tracked segment and [len] positive. *)
 
 val on_retransmit : t -> seq:Tas_proto.Seq32.t -> now_ns:int -> bool
 (** A tracked segment (matched by its start sequence) was retransmitted:

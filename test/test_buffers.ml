@@ -243,6 +243,29 @@ let test_ooo_multi_disjoint_holes () =
   Alcotest.(check int) "sack limit respected" 2
     (List.length (Ooo.sack_blocks o ~limit:2))
 
+let test_ooo_sack_blocks_by_recency () =
+  let o = Ooo.create ~max_ranges:4 () in
+  let store s l =
+    ignore (Ooo.handle o ~exp:0 ~window:65536 ~seg_start:s ~seg_len:l)
+  in
+  List.iter
+    (fun (s, l) -> store s l)
+    [ (5000, 100); (1000, 100); (7000, 100); (3000, 100) ];
+  (* Extending a range makes it the newest, wherever it sits. *)
+  store 1100 100;
+  Alcotest.(check (list (pair int int)))
+    "newest first, not lowest first"
+    [ (1000, 1200); (3000, 3100); (7000, 7100) ]
+    (Ooo.sack_blocks o ~limit:3);
+  Alcotest.(check (list (pair int int)))
+    "limit above the range count"
+    [ (1000, 1200); (3000, 3100); (7000, 7100); (5000, 5100) ]
+    (Ooo.sack_blocks o ~limit:8);
+  Alcotest.(check (list (pair int int))) "limit 0" [] (Ooo.sack_blocks o ~limit:0);
+  Alcotest.(check (list (pair int int)))
+    "no ranges, no blocks" []
+    (Ooo.sack_blocks (Ooo.create ~max_ranges:4 ()) ~limit:3)
+
 let test_ooo_adjacent_coalescing_across_ranges () =
   let o = Ooo.create ~max_ranges:4 () in
   ignore (Ooo.handle o ~exp:0 ~window:65536 ~seg_start:1000 ~seg_len:100);
@@ -358,6 +381,8 @@ let suite =
       test_ooo_partial_overlap_trim;
     Alcotest.test_case "ooo multi-range disjoint holes" `Quick
       test_ooo_multi_disjoint_holes;
+    Alcotest.test_case "ooo sack blocks follow recency" `Quick
+      test_ooo_sack_blocks_by_recency;
     Alcotest.test_case "ooo adjacent coalescing across ranges" `Quick
       test_ooo_adjacent_coalescing_across_ranges;
     Alcotest.test_case "ooo 2^32 sequence wraparound" `Quick

@@ -1,5 +1,6 @@
 (* Tests of the experiment harness itself: registry completeness, report
-   rendering, measurement windows, and wire-format fuzzing. *)
+   rendering, measurement windows, the perf gate's bands, and wire-format
+   fuzzing. *)
 
 module Registry = Tas_experiments.Registry
 module Report = Tas_experiments.Report
@@ -55,6 +56,50 @@ let test_measure_rate () =
     true
     (abs_float (rate -. 1e6) < 1e4)
 
+(* The perf gate holds alloc kinds to the baseline exactly, in both
+   directions, and only against a baseline of the same mode. *)
+let test_perf_gate_bands () =
+  let module P = Tas_experiments.Perf_bench in
+  let module J = Tas_telemetry.Json in
+  let baseline =
+    J.Obj
+      [
+        ("quick", J.Bool true);
+        ( "metrics",
+          J.Obj
+            [
+              ("words", J.Obj [ ("value", J.Float 51.2294865445) ]);
+              ("rate", J.Obj [ ("value", J.Float 1000.0) ]);
+            ] );
+      ]
+  in
+  let gate ?quick words rate =
+    List.map
+      (fun v -> (v.P.metric, v.P.ok))
+      (P.check ?quick ~baseline
+         [
+           { P.name = "words"; value = words; units = "w"; kind = P.Alloc };
+           {
+             P.name = "rate"; value = rate; units = "1/s"; kind = P.Throughput;
+           };
+         ])
+  in
+  let verdicts = Alcotest.(list (pair string bool)) in
+  Alcotest.check verdicts "equal up to printed digits"
+    [ ("words", true); ("rate", true) ]
+    (gate 51.22948654452 300.0);
+  Alcotest.check verdicts "one word more fails"
+    [ ("words", false); ("rate", true) ]
+    (gate 52.2294865445 1000.0);
+  Alcotest.check verdicts "a saving fails too"
+    [ ("words", false); ("rate", true) ]
+    (gate 51.2 1000.0);
+  Alcotest.check verdicts "throughput fails below 25%"
+    [ ("words", true); ("rate", false) ]
+    (gate 51.2294865445 240.0);
+  Alcotest.check verdicts "other mode: alloc not gated" [ ("rate", true) ]
+    (gate ~quick:false 60.0 1000.0)
+
 (* Wire-format fuzzing: random byte buffers must either parse or raise
    Invalid_argument — never crash or loop. *)
 let prop_of_wire_total =
@@ -101,6 +146,7 @@ let suite =
     Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
     Alcotest.test_case "report table renders" `Quick test_report_table_renders;
     Alcotest.test_case "measure_rate windows" `Quick test_measure_rate;
+    Alcotest.test_case "perf gate bands" `Quick test_perf_gate_bands;
     QCheck_alcotest.to_alcotest prop_of_wire_total;
     QCheck_alcotest.to_alcotest prop_truncation_safe;
   ]
