@@ -42,8 +42,8 @@ type scalars = {
 type store = Boxed of scalars | Slot of A.t * int
 
 type t = {
-  rx_buf : Ring.t;
-  tx_buf : Ring.t;
+  mutable rx_buf : Ring.t;
+  mutable tx_buf : Ring.t;
   ooo : Tas_buffers.Ooo_interval.t;
   mutable bucket : Rate_bucket.t;
   mutable store : store;
@@ -56,7 +56,7 @@ type t = {
 
 exception Arena_exhausted
 
-let create ?arena ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
+let create ?arena ~pool ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
     ~opaque ~context ~bucket ~rx_buf_size ~tx_buf_size
     ~local_port ~peer_ip ~peer_port ~peer_mac ~tx_iss ~rx_next ~window
     ~peer_wscale () =
@@ -107,8 +107,8 @@ let create ?arena ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
         Slot (a, i))
   in
   {
-    rx_buf = Ring.create rx_buf_size;
-    tx_buf = Ring.create tx_buf_size;
+    rx_buf = Ring.Pool.take pool rx_buf_size;
+    tx_buf = Ring.Pool.take pool tx_buf_size;
     ooo = Tas_buffers.Ooo_interval.create ~max_ranges:ooo_ranges ();
     bucket;
     store;
@@ -118,11 +118,16 @@ let create ?arena ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
 let is_arena_backed t = match t.store with Slot _ -> true | Boxed _ -> false
 let slot t = match t.store with Slot (_, i) -> Some i | Boxed _ -> None
 
-(* Teardown: materialize the scalar state back onto the heap, then return
-   the slot. Handles retained past teardown (sockets, queued context
-   events) keep reading coherent state and can never alias a recycled
-   slot. *)
-let release t =
+(* Teardown: hand the payload rings back for the next connection and
+   install the closed ring in their place, then materialize the scalar
+   state back onto the heap and return the slot. Handles retained past
+   teardown (sockets, queued context events, pacing timers) keep reading
+   coherent state and can never alias a recycled ring or slot. *)
+let release ~pool t =
+  Ring.Pool.give pool t.rx_buf;
+  Ring.Pool.give pool t.tx_buf;
+  t.rx_buf <- Ring.closed;
+  t.tx_buf <- Ring.closed;
   match t.store with
   | Boxed _ -> ()
   | Slot (a, i) ->

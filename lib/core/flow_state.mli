@@ -14,7 +14,8 @@
     On {!release} the scalar state is copied back onto the heap and the
     slot returned to the arena, so handles retained past teardown (sockets,
     queued context events) keep reading coherent values and can never
-    observe a recycled slot.
+    observe a recycled slot. The payload rings go back to the slow path's
+    ring pool in both backings, replaced by {!Tas_buffers.Ring_buffer.closed}.
 
     Companion structures that are pointers in the paper's record (payload
     rings, the out-of-order interval, the rate bucket) remain OCaml values
@@ -30,6 +31,7 @@ exception Arena_exhausted
 
 val create :
   ?arena:Flow_arena.t ->
+  pool:Tas_buffers.Ring_buffer.Pool.t ->
   ?recovery:Tas_recovery.Policy.kind ->
   ?ooo_ranges:int ->
   opaque:int ->
@@ -50,13 +52,23 @@ val create :
 (** [tx_iss] is the sequence number of the first data byte to send (stream
     offset 0 of [tx_buf]); [rx_next] the first expected data byte. With
     [?arena] the record occupies an arena slot; without, a boxed record.
+    The two payload rings are taken from [pool], fresh only when it has
+    none of that capacity.
     [?recovery] selects the loss-recovery policy (default [Reno], the
     paper's go-back-N); [?ooo_ranges] sizes the receiver's out-of-order
     interval set (default 1, the paper's single interval). *)
 
-val release : t -> unit
-(** Return the arena slot (no-op for boxed flows); the handle transparently
-    degrades to a boxed copy of its final state. *)
+val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
+(** Teardown, for arena and boxed flows alike:
+    - both payload rings are given to [pool], and
+      {!rx_buf} and {!tx_buf} read {!Tas_buffers.Ring_buffer.closed} from
+      then on: [used = free = 0], so a stale handle (a late pacing timer, a
+      queued context event, a socket's [tx_free]) transmits, delivers and
+      accepts nothing, and never reaches a ring a newer flow now owns;
+    - the arena slot is returned, and the handle degrades to a boxed copy
+      of its final scalar state.
+
+    A second [release] is harmless: the closed rings are never pooled. *)
 
 val is_arena_backed : t -> bool
 

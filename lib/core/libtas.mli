@@ -63,7 +63,8 @@ val send : socket -> bytes -> int
     returns bytes accepted. Arms [on_sendable] when short. *)
 
 val tx_free : socket -> int
-(** Free transmit-buffer bytes (0 when not connected). *)
+(** Free transmit-buffer bytes (0 when not connected, and once the flow
+    is torn down). *)
 
 val want_sendable : socket -> unit
 (** Explicitly arm an [on_sendable] notification for the next ACK that frees

@@ -90,6 +90,8 @@ type t = {
   config : Config.t;
   arena : Flow_arena.t option;
       (* off-heap Table-3 records; [None] = boxed reference backing *)
+  rings : Ring.Pool.t;
+      (* payload rings of torn-down flows, handed to the next setups *)
   listeners : (int, Addr.Four_tuple.t -> (int * int * conn_callbacks) option) Hashtbl.t;
   pending : pending Tuple_tbl.t;
   entries : flow_entry Tuple_tbl.t;
@@ -148,6 +150,7 @@ let fin_retry_exhausted t = t.fin_retry_exhausted
 let flows_reaped t = t.flows_reaped
 let arena_refusals t = t.arena_refusals
 let arena t = t.arena
+let ring_pool t = t.rings
 let set_scale_observer t f = t.scale_observer <- f
 let controller t = t.controller
 
@@ -210,6 +213,12 @@ let build t ~tuple ~(flags : Tcp_header.flags) ~seq ~ack_no ~window ~with_mss
     ~src_ip:tuple.Addr.Four_tuple.local_ip
     ~dst_ip:tuple.Addr.Four_tuple.peer_ip ~ecn:Tas_proto.Ipv4_header.Not_ect
     ~tcp ~payload:Bytes.empty ()
+
+(* RFC 7323: the window field of a non-SYN segment is read shifted left by
+   the scale we advertised, so it carries the buffer shifted right (as
+   [Fast_path.build_packet] does); SYN and SYN-ACK windows are unscaled. *)
+let scaled_window t =
+  min 65535 (t.config.Config.rx_buf_size asr t.config.Config.wscale)
 
 let syn_flags = { Tcp_header.no_flags with Tcp_header.syn = true }
 let synack_flags = { Tcp_header.no_flags with Tcp_header.syn = true; ack = true }
@@ -313,7 +322,7 @@ let establish t p =
   else begin
     let bucket, cc = make_bucket t in
     let flow =
-      Flow_state.create ?arena:t.arena
+      Flow_state.create ?arena:t.arena ~pool:t.rings
         ~recovery:t.config.Config.recovery_policy
         ~ooo_ranges:
           (match t.config.Config.recovery_policy with
@@ -377,9 +386,10 @@ let remove_entry t entry =
     lifecycle_ev t "closed" entry.f_tuple;
     Log.debug (fun m -> m "removed %a" Addr.Four_tuple.pp entry.f_tuple);
     entry.f_cb.closed entry.flow;
-    (* Return the flow's arena slot; stale handles (sockets, queued context
-       events) keep a coherent boxed copy of the final state. *)
-    Flow_state.release entry.flow
+    (* Recycle the flow's payload rings and return its arena slot; stale
+       handles (sockets, queued context events, pacing timers) keep a
+       coherent boxed copy of the final state and read closed rings. *)
+    Flow_state.release ~pool:t.rings entry.flow
   end
 
 (* --- Teardown ----------------------------------------------------------- *)
@@ -499,7 +509,7 @@ let handle_synack t pkt tuple =
         (build t ~tuple ~flags:Tcp_header.ack_flags
            ~seq:(Flow_state.seq entry.flow)
            ~ack_no:(Flow_state.ack entry.flow)
-           ~window:(min 65535 t.config.Config.rx_buf_size)
+           ~window:(scaled_window t)
            ~with_mss:false ~ts_ecr:p.p_peer_ts);
       (* Data may already be queued by an eager application. *)
       if Flow_state.tx_available entry.flow > 0 then
@@ -560,7 +570,7 @@ let handle_fin t pkt tuple =
       Fast_path.send_raw t.fp
         (build t ~tuple ~flags:Tcp_header.ack_flags ~seq:(Flow_state.seq flow)
            ~ack_no:(Flow_state.ack flow)
-           ~window:(min 65535 t.config.Config.rx_buf_size)
+           ~window:(scaled_window t)
            ~with_mss:false ~ts_ecr:(Flow_state.ts_recent flow));
       lifecycle_ev t "peer_fin" entry.f_tuple;
       entry.f_cb.peer_closed flow;
@@ -574,7 +584,7 @@ let handle_fin t pkt tuple =
       Fast_path.send_raw t.fp
         (build t ~tuple ~flags:Tcp_header.ack_flags ~seq:(Flow_state.seq flow)
            ~ack_no:(Flow_state.ack flow)
-           ~window:(min 65535 t.config.Config.rx_buf_size)
+           ~window:(scaled_window t)
            ~with_mss:false ~ts_ecr:(Flow_state.ts_recent flow))
 
 let handle_rst t pkt tuple =
@@ -825,6 +835,7 @@ let create sim ~fast_path ~core ~config =
       core;
       config;
       arena;
+      rings = Ring.Pool.create ();
       listeners = Hashtbl.create 16;
       pending = Tuple_tbl.create 64;
       entries = Tuple_tbl.create 1024;

@@ -87,6 +87,11 @@ val arena_refusals : t -> int
 val arena : t -> Flow_arena.t option
 (** The off-heap flow-state arena, when [Config.flow_arena_enabled]. *)
 
+val ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
+(** The payload-ring free list: every established flow takes its rx and tx
+    rings from it, and teardown gives them back, so it never holds more
+    than two rings per flow of the peak number live at once. *)
+
 val lifecycle_json : t -> Tas_telemetry.Json.t
 (** The connection-lifecycle event log as JSON: a bounded FIFO (most recent
     1024 events) of timestamped [syn_sent] / [syn_received] / [established]

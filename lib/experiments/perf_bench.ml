@@ -242,7 +242,8 @@ let burst ~quick =
   in
   let peer_ip = Addr.host_ip 99 and peer_mac = Addr.host_mac 99 in
   let flow =
-    Flow_state.create ~opaque:1 ~context:0 ~bucket ~rx_buf_size:65536
+    Flow_state.create ~pool:(Tas_buffers.Ring_buffer.Pool.create ())
+      ~opaque:1 ~context:0 ~bucket ~rx_buf_size:65536
       ~tx_buf_size:65536 ~local_port:5001 ~peer_ip ~peer_port:9000 ~peer_mac
       ~tx_iss:1000 ~rx_next:100_000 ~window:65535 ~peer_wscale:0 ()
   in
@@ -348,6 +349,75 @@ let rack_ack ~quick =
       "words/op" Alloc;
   ]
 
+(* Connection churn TAS<->TAS: 16 closed-loop clients that connect, echo
+   one 64 B message and close, then reconnect at once — the slow path's
+   handshakes, flow installs and teardowns, plus the per-connection state
+   behind them (payload rings come from the slow path's pool once warm).
+   Major words come from [Gc.quick_stat]: what a connection allocates
+   straight into the major heap (large buffers) or gets promoted, which
+   the minor-word count cannot see. *)
+let conn_churn ~quick =
+  let sim = Sim.create () in
+  let spec = Topology.link_10g ~ecn_threshold:65 () in
+  let net = Topology.point_to_point sim ~spec ~queues_per_nic:8 () in
+  let _tas_a, clients = tas_host sim net.Topology.a in
+  let _tas_b, server = tas_host sim net.Topology.b in
+  Transport.listen server ~port:7 (fun _ ->
+      {
+        Transport.null_handlers with
+        Transport.on_data = (fun conn d -> ignore (Transport.send conn d));
+        Transport.on_peer_closed = Transport.close;
+      });
+  let msg = Bytes.make 64 'c' in
+  let dst_ip = Tas_netsim.Nic.ip net.Topology.b.Topology.nic in
+  let closed = ref 0 in
+  let rec cycle () =
+    let got = ref 0 in
+    Transport.connect clients ~dst_ip ~dst_port:7 (fun _ ->
+        {
+          Transport.null_handlers with
+          Transport.on_connected =
+            (fun conn -> ignore (Transport.send conn msg));
+          Transport.on_data =
+            (fun conn d ->
+              got := !got + Bytes.length d;
+              if !got = Bytes.length msg then Transport.close conn);
+          Transport.on_closed =
+            (fun _ ->
+              incr closed;
+              cycle ());
+        })
+  in
+  for _ = 1 to 16 do
+    cycle ()
+  done;
+  Sim.run ~until:(Time_ns.ms 10) sim;
+  let window = Time_ns.ms (if quick then 4 else 15) in
+  let samples =
+    List.init 3 (fun _ ->
+        let c0 = !closed in
+        let major0 = (Gc.quick_stat ()).Gc.major_words in
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        Sim.run ~until:(Sim.now sim + window) sim;
+        let wall = Unix.gettimeofday () -. t0 in
+        let words = Gc.minor_words () -. w0 in
+        let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+        let n = float_of_int (max 1 (!closed - c0)) in
+        (n /. wall, words /. n, major /. n))
+  in
+  [
+    m "conn_churn_per_sec"
+      (median (List.map (fun (r, _, _) -> r) samples))
+      "conns/s" Throughput;
+    m "conn_churn_minor_words_per_conn"
+      (median (List.map (fun (_, w, _) -> w) samples))
+      "words/op" Alloc;
+    m "conn_churn_major_words_per_conn"
+      (median (List.map (fun (_, _, w) -> w) samples))
+      "words/op" Alloc;
+  ]
+
 (* Event-queue churn: chains of fire-and-forget [post] events, the shape of
    the simulator's per-packet event storm (serialization, propagation, core
    dispatch, pacing). *)
@@ -389,7 +459,7 @@ let measure ~quick =
   Gc.compact ();
   List.concat
     [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
-      burst ~quick; rack_ack ~quick; events ~quick ]
+      burst ~quick; rack_ack ~quick; conn_churn ~quick; events ~quick ]
 
 (* The same suite with buffer pooling disabled: the pre-PR allocation
    behaviour, measured on the same build and machine so the artifact

@@ -5,8 +5,10 @@
     words/packet), pipelined small RPCs (RPCs/sec), wire-format round trips
     (ops/sec and minor words/op), sharded flow lookup, the burst receive
     pass, RACK-TLP ACK digestion over a 90-segment flight with one hole
-    (ACKs/sec and minor words/ACK), and simulator event churn (events/sec
-    and minor words/event).
+    (ACKs/sec and minor words/ACK), TAS<->TAS connection churn
+    (connect + one RPC + close cycles/sec, and minor and major words per
+    connection), and simulator event churn (events/sec and minor
+    words/event).
 
     Each full run also re-measures with the buffer pool disabled
     ({!Tas_buffers.Buf_pool.set_reuse}) — the pre-PR allocation behaviour

@@ -3,7 +3,8 @@
    Three parts:
 
    - A/B differential runs — the same seeded workloads (bulk echo, a
-     chaos-style fault schedule, a sharded scale-down) executed once with
+     chaos-style fault schedule, a sharded scale-down, a connect/close
+     schedule that recycles slots and payload rings) executed once with
      [Config.flow_arena_enabled] and once without must produce
      byte-identical metrics exports, trace streams, cycle breakdowns and
      flow dumps.
@@ -40,6 +41,7 @@ module Fast_path = Tas_core.Fast_path
 module Flow_table = Tas_core.Flow_table
 module Flow_state = Tas_core.Flow_state
 module Flow_arena = Tas_core.Flow_arena
+module Slow_path = Tas_core.Slow_path
 module Rate_bucket = Tas_core.Rate_bucket
 module Scenario = Tas_experiments.Scenario
 module Rpc_echo = Tas_apps.Rpc_echo
@@ -223,6 +225,79 @@ let test_sharded_scale_down_differential () =
     (Flow_table.migrated_flows ft1 > 0);
   Alcotest.(check int) "all flows on shard 0" (Flow_table.count ft1)
     (Flow_table.shard_count ft1 0)
+
+(* Connect/close schedule: eight engine clients each run five
+   connect / 600 B echo / close cycles with staggered pauses, so flows come
+   and go throughout and both backings recycle arena slots and payload
+   rings. *)
+let observe_churn ~arena () =
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~queues_per_nic:8 () in
+  let config =
+    {
+      Config.default with
+      Config.trace_enabled = true;
+      trace_capacity = 4096;
+      flow_arena_enabled = arena;
+    }
+  in
+  let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
+  let app_core = Core.create sim ~id:100 () in
+  let lt = Tas.app tas ~app_cores:[| app_core |] ~api:Libtas.Sockets in
+  Libtas.listen lt ~port:7 ~ctx_of_tuple:(fun _ -> 0) (fun _sock ->
+      {
+        Libtas.null_handlers with
+        Libtas.on_data = (fun sock data -> ignore (Libtas.send sock data));
+        on_peer_closed = Libtas.close;
+      });
+  let client = E.create sim net.Topology.b.Topology.nic E.default_config in
+  E.attach client;
+  let rec cycle i left =
+    if left > 0 then begin
+      let got = ref 0 in
+      ignore
+        (E.connect client
+           ~dst_ip:(Tas_netsim.Nic.ip net.Topology.a.Topology.nic) ~dst_port:7
+           {
+             E.null_callbacks with
+             E.on_connected =
+               (fun c ->
+                 ignore (E.send c (Bytes.make 600 (Char.chr (65 + i)))));
+             E.on_receive =
+               (fun c d ->
+                 got := !got + Bytes.length d;
+                 if !got = 600 then begin
+                   E.close c;
+                   ignore
+                     (Sim.schedule sim
+                        (Time_ns.us (300 + (50 * i)))
+                        (fun () -> cycle i (left - 1)))
+                 end);
+           })
+    end
+  in
+  for i = 0 to 7 do
+    ignore (Sim.schedule sim (Time_ns.us (20 * i)) (fun () -> cycle i 5))
+  done;
+  Sim.run ~until:(Time_ns.ms 40) sim;
+  (snap tas, Tas.slow_path tas)
+
+let test_churn_differential () =
+  let a, sp_a = observe_churn ~arena:true () in
+  let b, sp_b = observe_churn ~arena:false () in
+  check_identical a b;
+  Alcotest.(check bool) "some trace events" true (List.length a.events > 100);
+  List.iter
+    (fun sp ->
+      let pool = Slow_path.ring_pool sp in
+      Alcotest.(check (list int)) "40 connections set up and torn down"
+        [ 40; 40; 0 ]
+        [ Slow_path.conn_setups sp; Slow_path.conn_teardowns sp;
+          Slow_path.flow_count sp ];
+      Alcotest.(check bool) "payload rings recycled" true
+        (Ring.Pool.allocated pool < 80
+        && Ring.Pool.held pool = Ring.Pool.allocated pool))
+    [ sp_a; sp_b ]
 
 (* --- Arena properties ----------------------------------------------------- *)
 
@@ -476,13 +551,14 @@ let test_free_errors () =
 let test_flow_state_exhaustion () =
   let sim = Sim.create () in
   let arena = Flow_arena.create ~capacity:2 () in
+  let pool = Ring.Pool.create () in
   let mk i =
     let bucket =
       Rate_bucket.create sim (Rate_bucket.Rate 10e9) ~burst_bytes:65536
     in
-    Flow_state.create ~arena ~opaque:i ~context:0 ~bucket ~rx_buf_size:4096
-      ~tx_buf_size:4096 ~local_port:(5000 + i) ~peer_ip:(Addr.host_ip 9)
-      ~peer_port:9000 ~peer_mac:(Addr.host_mac 9) ~tx_iss:1000 ~rx_next:2000
+    Flow_state.create ~arena ~pool ~opaque:i ~context:0 ~bucket
+      ~rx_buf_size:4096 ~tx_buf_size:4096 ~local_port:(5000 + i)
+      ~peer_ip:(Addr.host_ip 9) ~peer_port:9000 ~peer_mac:(Addr.host_mac 9) ~tx_iss:1000 ~rx_next:2000
       ~window:65535 ~peer_wscale:0 ()
   in
   let f1 = mk 1 in
@@ -493,7 +569,7 @@ let test_flow_state_exhaustion () =
      ignore (mk 3);
      Alcotest.fail "third create should raise Arena_exhausted"
    with Flow_state.Arena_exhausted -> ());
-  Flow_state.release f1;
+  Flow_state.release ~pool f1;
   Alcotest.(check bool) "handle degrades to boxed" false
     (Flow_state.is_arena_backed f1);
   Alcotest.(check int) "slot returned" 1 (Flow_arena.available arena);
@@ -538,6 +614,7 @@ let prop_sharded_migration =
       in
       let fp = Fast_path.create sim ~nic ~cores ~config in
       let arena = Flow_arena.create ~capacity:32 () in
+      let pool = Ring.Pool.create () in
       let table = Fast_path.flows fp in
       let model : (int, Flow_state.t) Hashtbl.t = Hashtbl.create 32 in
       let tuple i =
@@ -580,7 +657,7 @@ let prop_sharded_migration =
                   ~burst_bytes:65536
               in
               let f =
-                Flow_state.create ~arena ~opaque:i ~context:0 ~bucket
+                Flow_state.create ~arena ~pool ~opaque:i ~context:0 ~bucket
                   ~rx_buf_size:1024 ~tx_buf_size:1024 ~local_port:7
                   ~peer_ip:(Addr.host_ip 50) ~peer_port:(1024 + i)
                   ~peer_mac:(Addr.host_mac 50) ~tx_iss:0 ~rx_next:0
@@ -594,7 +671,7 @@ let prop_sharded_migration =
             | None -> ()
             | Some f ->
               Fast_path.remove_flow fp ~tuple:(tuple i);
-              Flow_state.release f;
+              Flow_state.release ~pool f;
               Hashtbl.remove model i
           end
           | `Lookup i ->
@@ -631,7 +708,8 @@ let install_flow ?arena st ~opaque ~local_port ~rx_next ~tx_iss =
     Rate_bucket.create st.bsim (Rate_bucket.Rate 10e9) ~burst_bytes:65536
   in
   let flow =
-    Flow_state.create ?arena ~opaque ~context:0 ~bucket ~rx_buf_size:65536
+    Flow_state.create ?arena ~pool:(Ring.Pool.create ()) ~opaque ~context:0
+      ~bucket ~rx_buf_size:65536
       ~tx_buf_size:65536 ~local_port ~peer_ip:(Addr.host_ip 99)
       ~peer_port:9000 ~peer_mac:(Addr.host_mac 99) ~tx_iss ~rx_next
       ~window:65535 ~peer_wscale:0 ()
@@ -872,4 +950,6 @@ let suite =
     Alcotest.test_case "empty and oversized bursts" `Quick
       test_burst_empty_and_oversized;
     Alcotest.test_case "flows JSON shape pinned" `Quick test_flows_json_shape;
+    Alcotest.test_case "connect/close churn: arena == boxed" `Quick
+      test_churn_differential;
   ]
