@@ -59,8 +59,9 @@ let microbenchmarks () =
       ~burst_bytes:4096
   in
   let flow =
-    Tas_core.Flow_state.create ~pool:(Tas_buffers.Ring_buffer.Pool.create ())
-      ~opaque:1 ~context:0 ~bucket ~rx_buf_size:4096
+    Tas_core.Flow_state.create
+      ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+      ~pool:(Tas_buffers.Ring_buffer.Pool.create ()) ~opaque:1 ~context:0 ~bucket ~rx_buf_size:4096
       ~tx_buf_size:4096 ~local_port:80 ~peer_ip:(Tas_proto.Addr.host_ip 2)
       ~peer_port:1234 ~peer_mac:(Tas_proto.Addr.host_mac 2) ~tx_iss:1000
       ~rx_next:2000 ~window:65535 ~peer_wscale:4 ()

@@ -635,13 +635,11 @@ let perf_cmd_v =
       `P
         "Measures the packet hot path on the host wall clock: bulk \
          TAS<->TAS packet operations and minor words per packet, pipelined \
-         RPC rate, wire-format round trips, and simulator event churn. \
-         Each run also re-measures with buffer pooling disabled (the \
-         pre-optimization behaviour) and writes both sets to \
-         BENCH_perf.json. With $(b,--check), compares against a saved \
-         baseline: wall-clock throughput gets a generous tolerance band \
-         (machine dependent), allocations per operation a tight one \
-         (machine independent); exits 1 on regression.";
+         RPC rate, wire-format round trips, and simulator event churn, \
+         and writes them to BENCH_perf.json. With $(b,--check), compares \
+         against a saved baseline: wall-clock throughput gets a generous \
+         tolerance band (machine dependent), allocations per operation a \
+         tight one (machine independent); exits 1 on regression.";
     ]
   in
   let perf_main quick check baseline bench_dir =

@@ -10,8 +10,8 @@
 
    Recycled buffers contain stale bytes; every taker must overwrite the full
    buffer (the fast path fills it with [Ring.read_at ~len]). Reuse is
-   therefore invisible to simulation results: pooling on/off, hit or miss,
-   the simulated behaviour is bit-identical.
+   therefore invisible to simulation results: hit or miss, the simulated
+   behaviour is bit-identical.
 
    [local ()] is the per-domain instance: every host of a simulation running
    on one domain shares it, so a receiver recycling a sender's payload
@@ -47,13 +47,6 @@ let create ?(max_per_class = 256) () =
     drops = 0;
   }
 
-(* Global A/B switch for perf measurement: with reuse off, [take] always
-   allocates and [give] always drops, reproducing pre-pool allocation
-   behaviour without a separate build. Toggle only while no simulation is
-   running (the perf harness is serial). *)
-let reuse = ref true
-let set_reuse v = reuse := v
-
 (* Below this size a fresh [Bytes.create] is cheaper than the two hashtable
    operations a pooled round trip costs; small-RPC payloads skip the pool
    entirely. *)
@@ -62,7 +55,6 @@ let min_len = 256
 let take t len =
   t.takes <- t.takes + 1;
   if len < min_len then (if len = 0 then Bytes.empty else Bytes.create len)
-  else if not !reuse then Bytes.create len
   else
     match Hashtbl.find_opt t.classes len with
     | Some ({ contents = buf :: rest } as cell) ->
@@ -77,7 +69,7 @@ let give t buf =
   if len >= min_len then begin
     t.gives <- t.gives + 1;
     let count = Option.value ~default:0 (Hashtbl.find_opt t.counts len) in
-    if (not !reuse) || count >= t.max_per_class then t.drops <- t.drops + 1
+    if count >= t.max_per_class then t.drops <- t.drops + 1
     else begin
       (match Hashtbl.find_opt t.classes len with
       | Some cell -> cell := buf :: !cell

@@ -40,8 +40,3 @@ val reset_stats : t -> unit
 
 val local : unit -> t
 (** The calling domain's pool instance. *)
-
-val set_reuse : bool -> unit
-(** Global A/B switch (default [true]). With reuse off, {!take} always
-    allocates fresh and {!give} drops — the pre-pool allocation behaviour,
-    for perf comparison. Toggle only while no simulation is running. *)

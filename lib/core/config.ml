@@ -30,13 +30,10 @@ type t = {
   fp_rx_cycles : int;
   fp_tx_cycles : int;
   fp_ack_rx_cycles : int;
-  fp_burst_enabled : bool;
   fp_burst_size : int;
-  flow_arena_enabled : bool;
   flow_arena_capacity : int;
   sp_conn_cycles : int;
   sp_flow_control_cycles : int;
-  flow_shards_enabled : bool;
   shard_lock_cycles : int;
   shard_lock_remote_cycles : int;
   trace_enabled : bool;
@@ -89,13 +86,10 @@ let default =
     fp_rx_cycles = 450;
     fp_tx_cycles = 260;
     fp_ack_rx_cycles = 100;
-    fp_burst_enabled = true;
     fp_burst_size = 32;
-    flow_arena_enabled = true;
     flow_arena_capacity = 4096;
     sp_conn_cycles = 3000;
     sp_flow_control_cycles = 80;
-    flow_shards_enabled = true;
     shard_lock_cycles = 24;
     shard_lock_remote_cycles = 96;
     trace_enabled = false;

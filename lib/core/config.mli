@@ -61,29 +61,21 @@ type t = {
   fp_rx_cycles : int;  (** receive data segment, including ACK generation *)
   fp_tx_cycles : int;  (** segmentation + transmit *)
   fp_ack_rx_cycles : int;  (** process incoming ACK, reclaim tx buffer *)
-  fp_burst_enabled : bool;
-      (** batch fast-path receive into vector passes over each core's
-          backlog (DPDK-burst style, default [true]); [false] processes one
-          packet per dispatch event. Per-packet cycle charges are identical
-          either way — batching amortizes event dispatch and flow lookup *)
-  fp_burst_size : int;  (** max packets per vector pass (default 32) *)
-  flow_arena_enabled : bool;
-      (** back per-flow state with the off-heap {!Flow_arena} of 102-byte
-          Table-3 records (default [true]); [false] keeps the boxed OCaml
-          record — the reference backing the differential tests compare
-          against *)
+  fp_burst_size : int;
+      (** max packets per vector pass: fast-path receive batches each
+          core's backlog DPDK-burst style (default 32). Batching amortizes
+          event dispatch and flow lookup; per-packet cycle charges are
+          unchanged by it *)
   flow_arena_capacity : int;
-      (** arena slots; connections beyond this are refused (default 4096) *)
+      (** slots of the off-heap {!Flow_arena} of 102-byte Table-3 records
+          that holds all per-flow state; connections beyond this are
+          refused (default 4096) *)
   sp_conn_cycles : int;  (** slow-path connection setup/teardown handling *)
   sp_flow_control_cycles : int;  (** slow-path CC loop, per flow *)
-  flow_shards_enabled : bool;
-      (** partition the flow table into per-RSS-queue shards that follow
-          the NIC redirection table (default [true], §3.1); [false] keeps
-          one shared table — byte-identical packet behavior, no per-shard
-          occupancy/lock accounting *)
   shard_lock_cycles : int;
-      (** per-flow spinlock cost model: cycles charged for an owner-core
-          (local) acquisition. Accounting only — never posted to a
+      (** per-flow spinlock cost model of the flow table's per-RSS-queue
+          shards (§3.1): cycles charged for an owner-core (local)
+          acquisition. Accounting only — never posted to a
           simulated core (Table 2's lock line) *)
   shard_lock_remote_cycles : int;
       (** cycles charged for a cross-core acquisition (slow-path flow

@@ -140,14 +140,12 @@ let make_dummy_packet () =
 let create ?trace ?span sim ~nic ~cores ~config =
   if Array.length cores = 0 then invalid_arg "Fast_path.create: no cores";
   let flows =
-    (* Sharded by RSS queue (one shard per queue, following the NIC's
-       redirection table) unless explicitly configured as one table. *)
-    if config.Config.flow_shards_enabled then
-      Flow_table.create_sharded
-        ~lock_cycles:config.Config.shard_lock_cycles
-        ~remote_lock_cycles:config.Config.shard_lock_remote_cycles
-        ~rss:(Nic.rss nic) ()
-    else Flow_table.create ()
+    (* Sharded by RSS queue: one shard per queue, following the NIC's
+       redirection table. *)
+    Flow_table.create_sharded
+      ~lock_cycles:config.Config.shard_lock_cycles
+      ~remote_lock_cycles:config.Config.shard_lock_remote_cycles
+      ~rss:(Nic.rss nic) ()
   in
   let dummy_pkt = make_dummy_packet () in
   let n = Array.length cores in
@@ -1044,26 +1042,18 @@ let attach t =
         if Bytes.length pkt.Packet.payload = 0 then Core.Ack_rx
         else Core.Driver_rx
       in
-      if not t.config.Config.fp_burst_enabled then begin
+      (* Enqueue, charge the packet's cycles, and make sure one drain pass
+         is scheduled. Packets charged behind an armed drain are picked up
+         by it — the cost model is per packet while the processing pass is
+         batched. *)
+      backlog_push t.backlogs.(idx) pkt;
+      if t.drain_armed.(idx) then Core.charge core ~cat ~cycles
+      else begin
+        t.drain_armed.(idx) <- true;
         if asleep then
           Core.run_after core ~cat ~delay:t.config.Config.wakeup_ns ~cycles
-            (fun () -> process t pkt core)
-        else Core.run core ~cat ~cycles (fun () -> process t pkt core)
-      end
-      else begin
-        (* Burst mode: enqueue, charge the packet's cycles, and make sure
-           one drain pass is scheduled. Packets charged behind an armed
-           drain are picked up by it — the cost model is unchanged while
-           the processing pass is batched. *)
-        backlog_push t.backlogs.(idx) pkt;
-        if t.drain_armed.(idx) then Core.charge core ~cat ~cycles
-        else begin
-          t.drain_armed.(idx) <- true;
-          if asleep then
-            Core.run_after core ~cat ~delay:t.config.Config.wakeup_ns ~cycles
-              t.drain_thunks.(idx)
-          else Core.run core ~cat ~cycles t.drain_thunks.(idx)
-        end
+            t.drain_thunks.(idx)
+        else Core.run core ~cat ~cycles t.drain_thunks.(idx)
       end)
 
 let reinject t pkt =

@@ -67,8 +67,8 @@ val create :
 
 val attach : t -> unit
 (** Install the NIC receive handler: packets are charged and processed on
-    the core owning their RSS queue. With [Config.fp_burst_enabled] each
-    arrival is charged immediately but queued on a per-core backlog; one
+    the core owning their RSS queue. Each arrival is charged immediately
+    but queued on a per-core backlog; one
     scheduled drain works the backlog off in vector passes of at most
     [Config.fp_burst_size] packets ({!process_burst}). *)
 

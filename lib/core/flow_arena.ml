@@ -173,6 +173,24 @@ let free t slot =
   t.free_list.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
 
+(* A detached record lives alone in a private one-slot arena whose slot is
+   not marked in use: nothing can allocate from it (empty free list) or
+   free it (the shared liveness byte reads free), so every detached
+   record can share the one [used] byte and the empty free list. *)
+let detached_used = Bytes.make 1 '\x00'
+
+let detach t slot =
+  if not (in_use t slot) then invalid_arg "Flow_arena.detach: slot not in use";
+  let data =
+    Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout slot_bytes
+  in
+  let b = base slot in
+  for i = 0 to slot_bytes - 1 do
+    Bigarray.Array1.unsafe_set data i (get8 t (b + i))
+  done;
+  free t slot;
+  { data; capacity = 1; free_list = [||]; free_top = 0; used = detached_used }
+
 (* --- Typed accessors ---------------------------------------------------- *)
 
 let get_opaque t s = get64 t (base s + off_opaque)

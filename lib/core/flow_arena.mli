@@ -41,6 +41,14 @@ val free : t -> int -> unit
 
 val in_use : t -> int -> bool
 
+val detach : t -> int -> t
+(** [detach a slot] copies the slot's 102 bytes (generation included) into
+    a fresh private one-slot arena, frees [slot] in [a] and returns the
+    copy, whose record sits at slot 0. The copy is read and written
+    through the same accessors, but it is closed to allocation and its
+    slot never reads {!in_use}, so it can never be freed or handed out.
+    Raises [Invalid_argument] unless [slot] is in use. *)
+
 val generation : t -> int -> int
 (** Recycling counter of a slot (u16, wraps). *)
 

@@ -1,21 +1,16 @@
 (** Per-flow fast-path state — the 102-byte record of paper Table 3.
 
-    The record itself lives in one of two backings behind this abstract
-    handle:
+    The record lives in a 102-byte slot of a {!Flow_arena} — off-heap,
+    fixed field offsets, free-list reuse. Every getter/setter below
+    reads/writes the slot directly, so a flow's scalar state costs exactly
+    [state_bytes] bytes and is invisible to the GC.
 
-    - {b Arena} (default, [Config.flow_arena_enabled]): a 102-byte slot of
-      a {!Flow_arena} — off-heap, fixed field offsets, free-list reuse.
-      Every getter/setter below reads/writes the slot directly, so a flow's
-      scalar state costs exactly [state_bytes] bytes and is invisible to
-      the GC.
-    - {b Boxed}: the pre-arena OCaml record, kept as the reference
-      implementation for the arena-vs-boxed differential test battery.
-
-    On {!release} the scalar state is copied back onto the heap and the
-    slot returned to the arena, so handles retained past teardown (sockets,
-    queued context events) keep reading coherent values and can never
-    observe a recycled slot. The payload rings go back to the slow path's
-    ring pool in both backings, replaced by {!Tas_buffers.Ring_buffer.closed}.
+    On {!release} the record moves out of the shared arena into a private
+    copy and the slot returns to the free list, so handles retained past
+    teardown (sockets, queued context events, pacing or TLP timers) keep
+    reading and writing their own final state and can never observe a
+    recycled slot. The payload rings go back to the slow path's ring pool,
+    replaced by {!Tas_buffers.Ring_buffer.closed}.
 
     Companion structures that are pointers in the paper's record (payload
     rings, the out-of-order interval, the rate bucket) remain OCaml values
@@ -30,7 +25,7 @@ exception Arena_exhausted
     there is no silent heap fallback. *)
 
 val create :
-  ?arena:Flow_arena.t ->
+  arena:Flow_arena.t ->
   pool:Tas_buffers.Ring_buffer.Pool.t ->
   ?recovery:Tas_recovery.Policy.kind ->
   ?ooo_ranges:int ->
@@ -50,30 +45,30 @@ val create :
   unit ->
   t
 (** [tx_iss] is the sequence number of the first data byte to send (stream
-    offset 0 of [tx_buf]); [rx_next] the first expected data byte. With
-    [?arena] the record occupies an arena slot; without, a boxed record.
-    The two payload rings are taken from [pool], fresh only when it has
+    offset 0 of [tx_buf]); [rx_next] the first expected data byte. The
+    record occupies a slot of [arena]. The two payload rings are taken from [pool], fresh only when it has
     none of that capacity.
     [?recovery] selects the loss-recovery policy (default [Reno], the
     paper's go-back-N); [?ooo_ranges] sizes the receiver's out-of-order
     interval set (default 1, the paper's single interval). *)
 
 val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
-(** Teardown, for arena and boxed flows alike:
+(** Teardown:
     - both payload rings are given to [pool], and
       {!rx_buf} and {!tx_buf} read {!Tas_buffers.Ring_buffer.closed} from
       then on: [used = free = 0], so a stale handle (a late pacing timer, a
       queued context event, a socket's [tx_free]) transmits, delivers and
       accepts nothing, and never reaches a ring a newer flow now owns;
-    - the arena slot is returned, and the handle degrades to a boxed copy
-      of its final scalar state.
+    - the record is copied into a private one-slot arena
+      ({!Flow_arena.detach}) and the shared slot is freed. The handle
+      keeps reading and writing that copy; a flow later allocated into
+      the same slot never sees those writes.
 
-    A second [release] is harmless: the closed rings are never pooled. *)
-
-val is_arena_backed : t -> bool
+    A second [release] is harmless: the closed rings are never pooled and
+    the private copy is never freed. *)
 
 val slot : t -> int option
-(** Arena slot index while arena-backed; [None] for boxed handles. *)
+(** Arena slot index while live; [None] after {!release}. *)
 
 (** {2 Table-3 fields} *)
 
@@ -219,12 +214,11 @@ val state_bytes : int
 
 val sync_shadow : t -> unit
 (** Mirror ring positions and the out-of-order interval into the arena
-    slot's shadow fields (no-op for boxed flows). Called by dump paths so
-    the slot is a complete Table-3 image; never on the packet hot path. *)
+    slot's shadow fields. Called by dump paths so the slot is a complete
+    Table-3 image; never on the packet hot path. *)
 
 val to_json : t -> Tas_telemetry.Json.t
 (** Snapshot of the Table-3 record (sequence/ack state, buffer occupancy,
     rate bucket, dup-ACK and recovery state, out-of-order interval,
     slow-path collection counters, RTT estimate) as a deterministic JSON
-    object, read through the live backing — the arena itself for
-    arena-backed flows. *)
+    object, read straight from the arena record. *)

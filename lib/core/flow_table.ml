@@ -3,9 +3,8 @@ module Flow_shards = Tas_shard.Flow_shards
 
 type t = Flow_state.t Flow_shards.t
 
-(* Single-table mode: one shard behind a private single-queue redirection
-   table (nothing ever migrates). Same code path as the sharded table, so
-   behavior and counters differ only in shard granularity. *)
+(* NIC-less table: one shard behind a private single-queue redirection
+   table (nothing ever migrates). Same code path as the sharded table. *)
 let create () =
   Flow_shards.create ~rss:(Rss_table.create ~num_queues:1 ()) ()
 

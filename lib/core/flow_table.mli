@@ -7,15 +7,13 @@
     shards drain-in-place whenever the table is rewritten (core scaling,
     §3.4). Cross-core touches charge the accounting-only spinlock cost
     model (paper Table 2's lock line); the simulated timeline is never
-    perturbed, so sharded and single-table instances behave
-    packet-for-packet identically. *)
+    perturbed, so shard granularity never changes packet behavior. *)
 
 type t = Flow_state.t Tas_shard.Flow_shards.t
 
 val create : unit -> t
-(** A single-shard table behind a private one-queue redirection table — the
-    pre-sharding behavior; used by components without a NIC (tests,
-    microbenchmarks) and when [Config.flow_shards_enabled] is off. *)
+(** A single-shard table behind a private one-queue redirection table, for
+    components without a NIC (tests, microbenchmarks). *)
 
 val create_sharded :
   ?lock_cycles:int ->

@@ -88,8 +88,8 @@ type t = {
   fp : Fast_path.t;
   core : Core.t;
   config : Config.t;
-  arena : Flow_arena.t option;
-      (* off-heap Table-3 records; [None] = boxed reference backing *)
+  arena : Flow_arena.t;
+      (* off-heap Table-3 records of every established flow *)
   rings : Ring.Pool.t;
       (* payload rings of torn-down flows, handed to the next setups *)
   listeners : (int, Addr.Four_tuple.t -> (int * int * conn_callbacks) option) Hashtbl.t;
@@ -302,12 +302,7 @@ let make_bucket t =
 let establish t p =
   cancel_pending_timer t p;
   Tuple_tbl.remove t.pending p.p_tuple;
-  let exhausted =
-    match t.arena with
-    | Some a -> Flow_arena.available a = 0
-    | None -> false
-  in
-  if exhausted then begin
+  if Flow_arena.available t.arena = 0 then begin
     (* No slot for the flow's state: refuse cleanly rather than fall back
        to heap allocation — exactly what a full C flow-state array does. *)
     t.arena_refusals <- t.arena_refusals + 1;
@@ -322,7 +317,7 @@ let establish t p =
   else begin
     let bucket, cc = make_bucket t in
     let flow =
-      Flow_state.create ?arena:t.arena ~pool:t.rings
+      Flow_state.create ~arena:t.arena ~pool:t.rings
         ~recovery:t.config.Config.recovery_policy
         ~ooo_ranges:
           (match t.config.Config.recovery_policy with
@@ -388,7 +383,7 @@ let remove_entry t entry =
     entry.f_cb.closed entry.flow;
     (* Recycle the flow's payload rings and return its arena slot; stale
        handles (sockets, queued context events, pacing timers) keep a
-       coherent boxed copy of the final state and read closed rings. *)
+       private copy of the final state and read closed rings. *)
     Flow_state.release ~pool:t.rings entry.flow
   end
 
@@ -786,10 +781,8 @@ let scale_tick t ctl =
   done;
   let ft = Fast_path.flows t.fp in
   let arena_occupancy =
-    match t.arena with
-    | Some a when Flow_arena.capacity a > 0 ->
-      float_of_int (Flow_arena.live a) /. float_of_int (Flow_arena.capacity a)
-    | _ -> 0.0
+    float_of_int (Flow_arena.live t.arena)
+    /. float_of_int (Flow_arena.capacity t.arena)
   in
   let flows = Flow_table.count ft in
   let shard_imbalance =
@@ -823,18 +816,13 @@ let scale_tick t ctl =
 (* --- Construction -------------------------------------------------------- *)
 
 let create sim ~fast_path ~core ~config =
-  let arena =
-    if config.Config.flow_arena_enabled then
-      Some (Flow_arena.create ~capacity:config.Config.flow_arena_capacity ())
-    else None
-  in
   let t =
     {
       sim;
       fp = fast_path;
       core;
       config;
-      arena;
+      arena = Flow_arena.create ~capacity:config.Config.flow_arena_capacity ();
       rings = Ring.Pool.create ();
       listeners = Hashtbl.create 16;
       pending = Tuple_tbl.create 64;

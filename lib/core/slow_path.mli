@@ -82,10 +82,10 @@ val flows_reaped : t -> int
 
 val arena_refusals : t -> int
 (** Connections refused (RST + [failed Refused]) because the flow arena had
-    no free slot. Always 0 with the boxed backing. *)
+    no free slot. *)
 
-val arena : t -> Flow_arena.t option
-(** The off-heap flow-state arena, when [Config.flow_arena_enabled]. *)
+val arena : t -> Flow_arena.t
+(** The off-heap flow-state arena ([Config.flow_arena_capacity] slots). *)
 
 val ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
 (** The payload-ring free list: every established flow takes its rx and tx

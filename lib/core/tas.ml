@@ -105,11 +105,9 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
       Timeline.set_shard_probe tl (fun () ->
           Array.init (Flow_table.num_shards ft) (fun i ->
               (Flow_table.shard_stats ft i).Tas_shard.Flow_shards.flows));
-      (match Slow_path.arena sp with
-      | Some arena ->
-        Timeline.set_arena_probe tl (fun () ->
-            Some (Flow_arena.live arena, Flow_arena.capacity arena))
-      | None -> ());
+      let arena = Slow_path.arena sp in
+      Timeline.set_arena_probe tl (fun () ->
+          Some (Flow_arena.live arena, Flow_arena.capacity arena));
       ignore
         (Tas_engine.Sim.periodic sim interval_ns (fun () ->
              Timeline.capture tl ~ts:(Tas_engine.Sim.now sim)));

@@ -8,7 +8,6 @@ module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
 module Transport = Tas_apps.Transport
 module Rpc_echo = Tas_apps.Rpc_echo
-module Buf_pool = Tas_buffers.Buf_pool
 module Packet = Tas_proto.Packet
 module Tcp_header = Tas_proto.Tcp_header
 module Addr = Tas_proto.Addr
@@ -242,7 +241,8 @@ let burst ~quick =
   in
   let peer_ip = Addr.host_ip 99 and peer_mac = Addr.host_mac 99 in
   let flow =
-    Flow_state.create ~pool:(Tas_buffers.Ring_buffer.Pool.create ())
+    Flow_state.create ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+      ~pool:(Tas_buffers.Ring_buffer.Pool.create ())
       ~opaque:1 ~context:0 ~bucket ~rx_buf_size:65536
       ~tx_buf_size:65536 ~local_port:5001 ~peer_ip ~peer_port:9000 ~peer_mac
       ~tx_iss:1000 ~rx_next:100_000 ~window:65535 ~peer_wscale:0 ()
@@ -461,15 +461,6 @@ let measure ~quick =
     [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
       burst ~quick; rack_ack ~quick; conn_churn ~quick; events ~quick ]
 
-(* The same suite with buffer pooling disabled: the pre-PR allocation
-   behaviour, measured on the same build and machine so the artifact
-   carries an honest before/after. *)
-let measure_pre ~quick =
-  Buf_pool.set_reuse false;
-  Fun.protect
-    ~finally:(fun () -> Buf_pool.set_reuse true)
-    (fun () -> measure ~quick)
-
 (* --- Artifact ----------------------------------------------------------- *)
 
 let metrics_json ms =
@@ -485,14 +476,13 @@ let metrics_json ms =
              ] ))
        ms)
 
-let artifact_json ~quick ~current ~pre ~wall =
+let artifact_json ~quick ~current ~wall =
   J.Obj
     [
       ("experiment", J.Str "perf");
       ("title", J.Str "Hot-path microbenchmarks (perf-regression gate)");
       ("quick", J.Bool quick);
       ("metrics", metrics_json current);
-      ("pre_pr", metrics_json pre);
       ("timing", J.Obj [ ("run_wall_s", J.Float wall) ]);
     ]
 
@@ -574,31 +564,15 @@ let run ?(quick = false) ?baseline fmt =
   Report.section fmt "Perf: hot-path microbenchmarks";
   let t0 = Unix.gettimeofday () in
   (* Discarded warmup pass: sizes the GC heap and warms code/data caches so
-     neither measured pass pays cold-start costs. *)
+     the measured pass pays no cold-start costs. *)
   ignore (measure ~quick:true);
-  let pre = measure_pre ~quick in
   let current = measure ~quick in
   let wall = Unix.gettimeofday () -. t0 in
-  let pre_of name =
-    match List.find_opt (fun p -> p.name = name) pre with
-    | Some p -> p.value
-    | None -> nan
-  in
-  Report.table fmt
-    ~header:[ "metric"; "units"; "pre-PR"; "current"; "change" ]
-    ~rows:
-      (List.map
-         (fun mt ->
-           let p = pre_of mt.name in
-           let change =
-             if Float.is_nan p || p = 0.0 then "-"
-             else Printf.sprintf "%+.1f%%" (100.0 *. ((mt.value /. p) -. 1.0))
-           in
-           [ mt.name; mt.units; fnum p; fnum mt.value; change ])
-         current);
+  Report.table fmt ~header:[ "metric"; "units"; "value" ]
+    ~rows:(List.map (fun mt -> [ mt.name; mt.units; fnum mt.value ]) current);
   Format.fprintf fmt "  (%.1fs)@." wall;
   (try
-     let path = write_artifact (artifact_json ~quick ~current ~pre ~wall) in
+     let path = write_artifact (artifact_json ~quick ~current ~wall) in
      Format.fprintf fmt "  # artifact: %s@." path
    with Sys_error msg ->
      Format.fprintf fmt "  # BENCH_perf.json not written: %s@." msg);

@@ -8,12 +8,8 @@
     (ACKs/sec and minor words/ACK), TAS<->TAS connection churn
     (connect + one RPC + close cycles/sec, and minor and major words per
     connection), and simulator event churn (events/sec and minor
-    words/event).
-
-    Each full run also re-measures with the buffer pool disabled
-    ({!Tas_buffers.Buf_pool.set_reuse}) — the pre-PR allocation behaviour
-    on the same build — and records both sets in [BENCH_perf.json] under
-    ["metrics"] and ["pre_pr"].
+    words/event). Each run records them in [BENCH_perf.json] under
+    ["metrics"].
 
     The gate compares a run against a committed baseline artifact
     ([bench/baseline_perf.json], itself a saved [BENCH_perf.json]) with
@@ -28,11 +24,7 @@ type kind = Throughput | Alloc
 type metric = { name : string; value : float; units : string; kind : kind }
 
 val measure : quick:bool -> metric list
-(** Run all benchmark families with the optimizations enabled. *)
-
-val measure_pre : quick:bool -> metric list
-(** The same suite with buffer-pool reuse disabled; always restores the
-    switch. *)
+(** Run all benchmark families. *)
 
 type verdict = {
   metric : string;
@@ -67,6 +59,6 @@ val load_baseline : string -> Tas_telemetry.Json.t
     @raise Tas_telemetry.Json.Parse_error on malformed content. *)
 
 val run : ?quick:bool -> ?baseline:string -> Format.formatter -> bool
-(** Measure (current + pre-PR), print the comparison table, write
+(** Measure after one discarded warmup pass, print the table, write
     [BENCH_perf.json] into the bench dir, and — when [baseline] is given —
     print gate verdicts. Returns [false] iff the gate found a regression. *)

@@ -56,8 +56,6 @@ let all =
       run = Exp_span.run };
     { id = "sh"; title = "Sharding: fast-path core scaling with per-queue shards";
       run = Exp_sharding.run };
-    { id = "ar"; title = "Arena differential: off-heap flow arena vs boxed records";
-      run = (fun ?quick fmt -> Exp_arena.run ?quick fmt) };
     { id = "tl"; title = "Timeline: flight recorder under ramp + flash crowd + chaos";
       run = Exp_timeline.run };
     { id = "el"; title = "Elastic controller: diurnal autoscaling across policies";

@@ -13,8 +13,8 @@
     Live sacked and lost counts are kept up to date as markings change.
     A scoreboard that never transmitted (every Reno flow) shares one
     empty ring and owns no arrays. The ring is a companion structure of
-    the flow, identical for arena-backed and boxed flows — the documented
-    boxed side-table of the recovery subsystem.
+    the flow, outside its arena record — the documented boxed side-table
+    of the recovery subsystem.
 
     {b Invariant.} Tracked segments are ascending, disjoint and
     non-empty, and every sequence number the scoreboard is handed

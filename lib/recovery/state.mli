@@ -2,9 +2,8 @@
     scoreboard and the episode/timer scalars shared by the SACK and
     RACK-TLP engines.
 
-    This is a boxed companion of the flow (see {!Scoreboard}): identical
-    for arena-backed and boxed flows, created once at connection
-    establishment. The [Reno] policy never touches it beyond carrying the
+    This is a boxed companion of the flow's arena record (see
+    {!Scoreboard}), created once at connection establishment. The [Reno] policy never touches it beyond carrying the
     kind — Reno's two scalars stay in the Table-3 record itself. *)
 
 type t = {

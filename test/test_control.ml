@@ -296,7 +296,6 @@ let test_controller_shrink_conserves_flows () =
       Config.default with
       Config.max_fast_path_cores = 4;
       dynamic_scaling = true;
-      flow_shards_enabled = true;
       scale_check_interval_ns = Time_ns.ms 5;
       fp_rx_cycles = 20_000;
       fp_tx_cycles = 10_000;

@@ -237,17 +237,6 @@ let test_buf_pool_small_buffers_bypass () =
   Alcotest.(check bool) "take 0 is the empty buffer" true
     (Buf_pool.take p 0 == Bytes.empty)
 
-let test_buf_pool_reuse_toggle () =
-  let p = Buf_pool.create () in
-  Buf_pool.set_reuse false;
-  Fun.protect
-    ~finally:(fun () -> Buf_pool.set_reuse true)
-    (fun () ->
-      let b = Buf_pool.take p 512 in
-      Buf_pool.give p b;
-      let b' = Buf_pool.take p 512 in
-      Alcotest.(check bool) "no reuse with the switch off" false (b == b'))
-
 (* --- Packet payload refcounting -------------------------------------------- *)
 
 let mk_pkt payload =
@@ -316,7 +305,6 @@ let suite =
       test_buf_pool_exact_length_reuse;
     Alcotest.test_case "buf pool: small-buffer bypass" `Quick
       test_buf_pool_small_buffers_bypass;
-    Alcotest.test_case "buf pool: reuse toggle" `Quick test_buf_pool_reuse_toggle;
     Alcotest.test_case "packet: payload refcount" `Quick test_packet_refcount;
     Alcotest.test_case "sim: post ordering + fired counter" `Quick
       test_sim_post_ordering;

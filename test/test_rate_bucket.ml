@@ -63,7 +63,8 @@ let test_set_control_switches_mode () =
 let mk_flow ~tx_iss ~rx_next =
   let sim = Sim.create () in
   let bucket = RB.create sim (RB.Window 65536) ~burst_bytes:0 in
-  FS.create ~pool:(Tas_buffers.Ring_buffer.Pool.create ()) ~opaque:1
+  FS.create ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+    ~pool:(Tas_buffers.Ring_buffer.Pool.create ()) ~opaque:1
     ~context:0 ~bucket ~rx_buf_size:4096 ~tx_buf_size:4096 ~local_port:80
     ~peer_ip:2 ~peer_port:9 ~peer_mac:3 ~tx_iss ~rx_next ~window:65535
     ~peer_wscale:0 ()

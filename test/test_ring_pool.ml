@@ -342,8 +342,8 @@ let test_stale_handle () =
    teardowns. Sampled every 20 us on both hosts: every ring ever created is
    either pooled or held by one live flow (two per flow), and the pool
    never holds more than two rings per flow of the peak live count. *)
-let test_churn_bound arena () =
-  let config = { Config.default with Config.flow_arena_enabled = arena } in
+let test_churn_bound () =
+  let config = Config.default in
   let sim = Sim.create () in
   let net = Topology.point_to_point sim ~queues_per_nic:2 () in
   let hosts =
@@ -443,10 +443,8 @@ let suite =
       test_sequential_recycling;
     Alcotest.test_case "stale handle reads closed rings, sends nothing" `Quick
       test_stale_handle;
-    Alcotest.test_case "churn: pool bounded by peak live flows (arena)" `Quick
-      (test_churn_bound true);
-    Alcotest.test_case "churn: pool bounded by peak live flows (boxed)" `Quick
-      (test_churn_bound false);
+    Alcotest.test_case "churn: pool bounded by peak live flows" `Quick
+      test_churn_bound;
     Alcotest.test_case "handshake ACK window is scaled" `Quick
       test_handshake_ack_window;
   ]

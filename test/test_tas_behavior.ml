@@ -304,8 +304,9 @@ let test_context_event_coalescing () =
       ~burst_bytes:0
   in
   let flow =
-    Tas_core.Flow_state.create ~pool:(Tas_buffers.Ring_buffer.Pool.create ())
-      ~opaque:1 ~context:0 ~bucket ~rx_buf_size:1024
+    Tas_core.Flow_state.create
+      ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+      ~pool:(Tas_buffers.Ring_buffer.Pool.create ()) ~opaque:1 ~context:0 ~bucket ~rx_buf_size:1024
       ~tx_buf_size:1024 ~local_port:1 ~peer_ip:2 ~peer_port:3 ~peer_mac:4
       ~tx_iss:0 ~rx_next:0 ~window:1000 ~peer_wscale:0 ()
   in
