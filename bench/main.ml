@@ -24,21 +24,9 @@ let microbenchmarks () =
   let open Toolkit in
   let packet =
     let tcp =
-      {
-        Tas_proto.Tcp_header.src_port = 1234;
-        dst_port = 80;
-        seq = 1000;
-        ack = 2000;
-        flags = Tas_proto.Tcp_header.data_flags;
-        window = 65535;
-        options =
-          {
-            Tas_proto.Tcp_header.mss = None;
-            wscale = None;
-            timestamp = Some (42, 41);
-            sack = [];
-          };
-      }
+      (Tas_proto.Tcp_header.make ~ts:(42, 41) ~src_port:1234 ~dst_port:80
+         ~seq:1000 ~ack:2000 ~flags:Tas_proto.Tcp_header.data_flags
+         ~window:65535 ())
     in
     Tas_proto.Packet.make ~src_mac:(Tas_proto.Addr.host_mac 1)
       ~dst_mac:(Tas_proto.Addr.host_mac 2)

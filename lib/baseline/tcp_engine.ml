@@ -156,21 +156,13 @@ let emit c ?(flags = Tcp_header.ack_flags) ?(payload = Bytes.empty)
     else min 65535 (t.config.rx_buf asr t.config.wscale)
   in
   let tcp =
-    {
-      Tcp_header.src_port = c.tuple.Addr.Four_tuple.local_port;
-      dst_port = c.tuple.Addr.Four_tuple.peer_port;
-      seq;
-      ack = (if flags.Tcp_header.ack then c.rcv_nxt else 0);
-      flags;
-      window;
-      options =
-        {
-          Tcp_header.mss = mss_opt;
-          wscale = (if flags.Tcp_header.syn then Some t.config.wscale else None);
-          timestamp = Some (now_us t land 0xFFFF_FFFF, c.ts_recent);
-          sack = [];
-        };
-    }
+    Tcp_header.make ?mss:mss_opt
+      ?wscale:(if flags.Tcp_header.syn then Some t.config.wscale else None)
+      ~ts:(now_us t land 0xFFFF_FFFF, c.ts_recent)
+      ~src_port:c.tuple.Addr.Four_tuple.local_port
+      ~dst_port:c.tuple.Addr.Four_tuple.peer_port ~seq
+      ~ack:(if flags.Tcp_header.ack then c.rcv_nxt else 0)
+      ~flags ~window ()
   in
   let peer_id = Addr.host_id_of_ip c.tuple.Addr.Four_tuple.peer_ip in
   let ecn =
@@ -404,14 +396,14 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
       c.acked_total <- c.acked_total + data_acked;
       c.dupacks <- 0;
       (* RTT sample from the echoed timestamp. *)
-      (match tcp.Tcp_header.options.Tcp_header.timestamp with
-      | Some (_, ecr) when ecr > 0 ->
-        let rtt_ns = (now_us c.stack - ecr) * 1000 in
-        if rtt_ns >= 0 then begin
-          Rtt.sample c.rtt rtt_ns;
-          Rtt.reset_backoff c.rtt
-        end
-      | _ -> ());
+      (let ecr = tcp.Tcp_header.ts_ecr in
+       if tcp.Tcp_header.has_ts && ecr > 0 then begin
+         let rtt_ns = (now_us c.stack - ecr) * 1000 in
+         if rtt_ns >= 0 then begin
+           Rtt.sample c.rtt rtt_ns;
+           Rtt.reset_backoff c.rtt
+         end
+       end);
       if c.in_recovery && Seq32.geq ack c.recover_seq then
         c.in_recovery <- false
       else if c.in_recovery then begin
@@ -457,9 +449,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
 let handle_established c pkt (tcp : Tcp_header.t) =
   let flags = tcp.Tcp_header.flags in
   let ce = pkt.Packet.ip.Ipv4_header.ecn = Ipv4_header.Ce in
-  (match tcp.Tcp_header.options.Tcp_header.timestamp with
-  | Some (ts_val, _) -> c.ts_recent <- ts_val
-  | None -> ());
+  if tcp.Tcp_header.has_ts then c.ts_recent <- tcp.Tcp_header.ts_val;
   (* A retransmitted SYN-ACK means our handshake ACK was lost: re-ack. *)
   if flags.Tcp_header.syn then send_ack c;
   process_ack c tcp ~payload_len:(Bytes.length pkt.Packet.payload);
@@ -510,12 +500,10 @@ let handle_packet t pkt =
           c.rcv_nxt <- Seq32.add tcp.Tcp_header.seq 1;
           c.snd_una <- tcp.Tcp_header.ack;
           c.snd_wnd <- tcp.Tcp_header.window;
-          (match tcp.Tcp_header.options.Tcp_header.wscale with
+          (match tcp.Tcp_header.wscale with
           | Some w -> c.peer_wscale <- w
           | None -> c.peer_wscale <- 0);
-          (match tcp.Tcp_header.options.Tcp_header.timestamp with
-          | Some (ts_val, _) -> c.ts_recent <- ts_val
-          | None -> ());
+          if tcp.Tcp_header.has_ts then c.ts_recent <- tcp.Tcp_header.ts_val;
           cancel_rto c;
           c.state <- Established;
           send_ack c;
@@ -580,11 +568,9 @@ let handle_packet t pkt =
             rcv_nxt = Seq32.add tcp.Tcp_header.seq 1;
             ooo = [];
             ts_recent =
-              (match tcp.Tcp_header.options.Tcp_header.timestamp with
-              | Some (v, _) -> v
-              | None -> 0);
+              (if tcp.Tcp_header.has_ts then tcp.Tcp_header.ts_val else 0);
             peer_wscale =
-              (match tcp.Tcp_header.options.Tcp_header.wscale with
+              (match tcp.Tcp_header.wscale with
               | Some w -> w
               | None -> 0);
             delivered = 0;

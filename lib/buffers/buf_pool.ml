@@ -26,59 +26,80 @@ type stats = {
   drops : int;  (* gives refused because the size class was full *)
 }
 
+(* One LIFO array stack of free buffers per exact length. *)
+type stack = { mutable items : bytes array; mutable n : int }
+
+module Int_tbl = Hashtbl.Make (Int)
+
 type t = {
-  classes : (int, bytes list ref) Hashtbl.t;
+  classes : stack Int_tbl.t;
   max_per_class : int;
-  mutable counts : (int, int) Hashtbl.t;
   mutable takes : int;
   mutable hits : int;
   mutable gives : int;
   mutable drops : int;
+  mutable live : int;  (* poolable-size buffers handed out and not given back *)
 }
 
 let create ?(max_per_class = 256) () =
   {
-    classes = Hashtbl.create 16;
+    classes = Int_tbl.create 16;
     max_per_class;
-    counts = Hashtbl.create 16;
     takes = 0;
     hits = 0;
     gives = 0;
     drops = 0;
+    live = 0;
   }
 
-(* Below this size a fresh [Bytes.create] is cheaper than the two hashtable
-   operations a pooled round trip costs; small-RPC payloads skip the pool
-   entirely. *)
+(* Below this size a fresh [Bytes.create] is cheaper than a pooled round
+   trip; small-RPC payloads skip the pool entirely. *)
 let min_len = 256
+
+(* The stack for [len]; [find] raises rather than allocating an option. *)
+let stack t len =
+  match Int_tbl.find t.classes len with
+  | s -> s
+  | exception Not_found ->
+    let s = { items = [||]; n = 0 } in
+    Int_tbl.replace t.classes len s;
+    s
 
 let take t len =
   t.takes <- t.takes + 1;
   if len < min_len then (if len = 0 then Bytes.empty else Bytes.create len)
-  else
-    match Hashtbl.find_opt t.classes len with
-    | Some ({ contents = buf :: rest } as cell) ->
-      cell := rest;
-      Hashtbl.replace t.counts len (Hashtbl.find t.counts len - 1);
+  else begin
+    t.live <- t.live + 1;
+    let s = stack t len in
+    if s.n = 0 then Bytes.create len
+    else begin
+      s.n <- s.n - 1;
       t.hits <- t.hits + 1;
-      buf
-    | _ -> Bytes.create len
+      s.items.(s.n)
+    end
+  end
 
 let give t buf =
   let len = Bytes.length buf in
   if len >= min_len then begin
     t.gives <- t.gives + 1;
-    let count = Option.value ~default:0 (Hashtbl.find_opt t.counts len) in
-    if count >= t.max_per_class then t.drops <- t.drops + 1
+    t.live <- t.live - 1;
+    let s = stack t len in
+    if s.n >= t.max_per_class then t.drops <- t.drops + 1
     else begin
-      (match Hashtbl.find_opt t.classes len with
-      | Some cell -> cell := buf :: !cell
-      | None -> Hashtbl.replace t.classes len (ref [ buf ]));
-      Hashtbl.replace t.counts len (count + 1)
+      if s.n = Array.length s.items then begin
+        let items = Array.make (min t.max_per_class (max 8 (2 * s.n))) buf in
+        Array.blit s.items 0 items 0 s.n;
+        s.items <- items
+      end;
+      s.items.(s.n) <- buf;
+      s.n <- s.n + 1
     end
   end
 
 let stats t = { takes = t.takes; hits = t.hits; gives = t.gives; drops = t.drops }
+
+let live t = t.live
 
 let reset_stats t =
   t.takes <- 0;

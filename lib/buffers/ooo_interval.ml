@@ -64,6 +64,20 @@ let insert_sorted r ranges =
   in
   go ranges
 
+(* Drop every stored range the delivered edge [e] reaches; returns the new
+   edge (the end of the contiguous run) and stores the remaining ranges. *)
+let rec consume t e =
+  match t.ranges with
+  | r :: rest when Seq32.geq e r.r_start ->
+    t.ranges <- rest;
+    consume t (if Seq32.gt (range_end r) e then range_end r else e)
+  | _ -> e
+
+let in_order t ~exp ~window ~seg_start ~seg_len =
+  match t.ranges with
+  | [] when seg_start = exp -> min seg_len window
+  | _ -> 0
+
 let handle t ~exp ~window ~seg_start ~seg_len =
   (* Trim any prefix that duplicates already-delivered data. *)
   let s, l =
@@ -78,19 +92,11 @@ let handle t ~exp ~window ~seg_start ~seg_len =
     (* In-order: clip to the receive window. *)
     let l = min l window in
     if l = 0 then Drop
-    else begin
+    else
       (* The stream advances through every stored range the new edge
          touches (gap closed): deliver the whole contiguous run. *)
-      let new_exp = ref (Seq32.add exp l) in
-      let rec consume = function
-        | r :: rest when Seq32.geq !new_exp r.r_start ->
-          if Seq32.gt (range_end r) !new_exp then new_exp := range_end r;
-          consume rest
-        | rest -> rest
-      in
-      t.ranges <- consume t.ranges;
-      Deliver { write_at = s; write_len = l; advance = Seq32.diff !new_exp exp }
-    end
+      let new_exp = consume t (Seq32.add exp l) in
+      Deliver { write_at = s; write_len = l; advance = Seq32.diff new_exp exp }
   end
   else begin
     (* Out-of-order: s is beyond exp. Must fit within the window. *)

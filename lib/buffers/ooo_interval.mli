@@ -59,5 +59,14 @@ val handle :
     segment given the next expected sequence number [exp] and [window] free
     receive-buffer bytes starting at [exp]. Updates the interval state. *)
 
+val in_order :
+  t -> exp:Tas_proto.Seq32.t -> window:int -> seg_start:Tas_proto.Seq32.t ->
+  seg_len:int -> int
+(** The common case of {!handle}, without its verdict box: when
+    [seg_start = exp], nothing is stored and [n = min seg_len window] is
+    positive, returns [n], the case where {!handle} would answer
+    [Deliver { write_at = exp; write_len = n; advance = n }] and change
+    nothing. Otherwise 0: the caller asks {!handle}. Allocates nothing. *)
+
 val reset : t -> unit
 (** Forget any stored intervals (connection reset / reassignment). *)

@@ -1,46 +1,69 @@
-module Spsc = Tas_buffers.Spsc_queue
+type kind = Readable | Writable
 
-type event = Readable of Flow_state.t | Writable of Flow_state.t
-
+(* A fixed circular queue of (kind, flow) events in two parallel arrays:
+   posting stores two fields and allocates nothing. Vacated slots hold
+   [Flow_state.absent]. *)
 type t = {
   id : int;
-  queue : event Spsc.t;
+  kinds : kind array;
+  flows : Flow_state.t array;
+  mutable head : int;
+  mutable len : int;
   mutable waker : unit -> unit;
 }
 
-let create ~id ~capacity = { id; queue = Spsc.create capacity; waker = ignore }
+let create ~id ~capacity =
+  if capacity <= 0 then invalid_arg "Context.create: capacity must be positive";
+  {
+    id;
+    kinds = Array.make capacity Readable;
+    flows = Array.make capacity Flow_state.absent;
+    head = 0;
+    len = 0;
+    waker = ignore;
+  }
+
 let id t = t.id
 let set_waker t f = t.waker <- f
 
-let post t event =
-  let was_empty = Spsc.is_empty t.queue in
-  if not (Spsc.try_push t.queue event) then
+let post t kind flow =
+  let cap = Array.length t.flows in
+  if t.len = cap then
     (* Coalescing bounds the queue at two events per flow; hitting capacity
        means the context was sized too small for its flow count. *)
     failwith "Context: queue overflow (capacity < 2 * flows)";
-  if was_empty then t.waker ()
+  let i = (t.head + t.len) mod cap in
+  t.kinds.(i) <- kind;
+  t.flows.(i) <- flow;
+  t.len <- t.len + 1;
+  if t.len = 1 then t.waker ()
 
 let post_readable t flow =
   if not (Flow_state.rx_notified flow) then begin
     Flow_state.set_rx_notified flow true;
-    post t (Readable flow)
+    post t Readable flow
   end
 
 let post_writable t flow =
   if not (Flow_state.tx_notified flow) then begin
     Flow_state.set_tx_notified flow true;
-    post t (Writable flow)
+    post t Writable flow
   end
 
-let pop t =
-  match Spsc.try_pop t.queue with
-  | Some (Readable flow) as e ->
-    Flow_state.set_rx_notified flow false;
-    e
-  | Some (Writable flow) as e ->
-    Flow_state.set_tx_notified flow false;
-    e
-  | None -> None
+let head_kind t =
+  if t.len = 0 then invalid_arg "Context.head_kind: empty queue";
+  t.kinds.(t.head)
 
-let pending t = Spsc.length t.queue
-let is_empty t = Spsc.is_empty t.queue
+let pop t =
+  if t.len = 0 then invalid_arg "Context.pop: empty queue";
+  let flow = t.flows.(t.head) in
+  (match t.kinds.(t.head) with
+  | Readable -> Flow_state.set_rx_notified flow false
+  | Writable -> Flow_state.set_tx_notified flow false);
+  t.flows.(t.head) <- Flow_state.absent;
+  t.head <- (t.head + 1) mod Array.length t.flows;
+  t.len <- t.len - 1;
+  flow
+
+let pending t = t.len
+let is_empty t = t.len = 0

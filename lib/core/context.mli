@@ -9,16 +9,17 @@
     queues only fill when payload is queued for an application that will
     drain them soon. *)
 
-type event =
-  | Readable of Flow_state.t
+type kind =
+  | Readable
       (** New in-order payload (or EOF) is available in the flow's receive
           buffer. *)
-  | Writable of Flow_state.t
-      (** ACKs freed transmit-buffer space. *)
+  | Writable  (** ACKs freed transmit-buffer space. *)
 
 type t
 
 val create : id:int -> capacity:int -> t
+(** A queue of [capacity] events. Posting and popping allocate nothing. *)
+
 val id : t -> int
 
 val post_readable : t -> Flow_state.t -> unit
@@ -31,8 +32,14 @@ val set_waker : t -> (unit -> unit) -> unit
 (** [waker] is invoked whenever an event is posted to an empty queue — the
     kernel eventfd wakeup for a thread blocked in epoll. *)
 
-val pop : t -> event option
-(** Dequeue the next event, clearing its coalescing flag. *)
+val head_kind : t -> kind
+(** Kind of the oldest pending event.
+    @raise Invalid_argument when the queue is empty. *)
+
+val pop : t -> Flow_state.t
+(** Dequeue the oldest event, clearing its coalescing flag, and return its
+    flow.
+    @raise Invalid_argument when the queue is empty. *)
 
 val pending : t -> int
 

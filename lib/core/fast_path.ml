@@ -56,7 +56,7 @@ type backlog = {
    every pass; flow installs/removes are deferred events and cannot land
    mid-pass. *)
 type memo = {
-  mutable m_flow : Flow_state.t option;
+  mutable m_flow : Flow_state.t;  (* [Flow_state.absent]: no memo *)
   mutable m_src_ip : int;
   mutable m_src_port : int;
   mutable m_dst_ip : int;
@@ -70,6 +70,7 @@ type t = {
   config : Config.t;
   flows : Flow_table.t;
   contexts : (int, Context.t) Hashtbl.t;
+  pkt_pool : Packet.Pool.t;  (* the NIC's: where segments are taken from *)
   mutable next_context_id : int;
   mutable active : int;
   (* Whether [set_active_cores] has pushed [active] into the NIC's RSS
@@ -126,15 +127,8 @@ let backlog_shift b dummy =
 let make_dummy_packet () =
   Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
     ~tcp:
-      {
-        Tcp_header.src_port = 0;
-        dst_port = 0;
-        seq = 0;
-        ack = 0;
-        flags = Tcp_header.no_flags;
-        window = 0;
-        options = Tcp_header.no_options;
-      }
+      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
+         ~flags:Tcp_header.no_flags ~window:0 ())
     ~payload:Bytes.empty ()
 
 let create ?trace ?span sim ~nic ~cores ~config =
@@ -157,6 +151,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
     config;
     flows;
     contexts = Hashtbl.create 16;
+    pkt_pool = Nic.packet_pool nic;
     next_context_id = 0;
     active = n;
     rss_synced = false;
@@ -199,7 +194,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
     tx_thunks = [||];
     memo =
       {
-        m_flow = None;
+        m_flow = Flow_state.absent;
         m_src_ip = -1;
         m_src_port = -1;
         m_dst_ip = -1;
@@ -313,6 +308,18 @@ let unregister_context t id = Hashtbl.remove t.contexts id
 
 let find_context t id = Hashtbl.find_opt t.contexts id
 
+(* Per-segment notifications: [Hashtbl.find] allocates no option. A flow
+   whose application exited (teardown in progress) has no context. *)
+let post_readable t flow =
+  match Hashtbl.find t.contexts (Flow_state.context flow) with
+  | ctx -> Context.post_readable ctx flow
+  | exception Not_found -> ()
+
+let post_writable t flow =
+  match Hashtbl.find t.contexts (Flow_state.context flow) with
+  | ctx -> Context.post_writable ctx flow
+  | exception Not_found -> ()
+
 let context t id =
   match Hashtbl.find_opt t.contexts id with
   | Some ctx -> ctx
@@ -330,41 +337,37 @@ let now_us t = Sim.now t.sim / 1000
 
 (* --- Packet construction ---------------------------------------------- *)
 
-let build_packet ?(sack = []) t flow ~(flags : Tcp_header.flags) ~seq ~payload =
-  let tcp =
-    {
-      Tcp_header.src_port = Flow_state.local_port flow;
-      dst_port = Flow_state.peer_port flow;
-      seq;
-      ack = (if flags.Tcp_header.ack then Flow_state.ack flow else 0);
-      flags;
-      window =
-        min 65535 (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale);
-      options =
-        {
-          Tcp_header.mss = None;
-          wscale = None;
-          timestamp =
-            Some (now_us t land 0xFFFF_FFFF, Flow_state.ts_recent flow);
-          sack;
-        };
-    }
-  in
+(* A segment from the NIC's packet pool, headers rewritten in place: no
+   allocation once the pool is warm. *)
+let build_packet t flow ~(flags : Tcp_header.flags) ~seq ~payload ~sack =
+  let pkt = Packet.take t.pkt_pool in
+  Tcp_header.fill pkt.Packet.tcp ~src_port:(Flow_state.local_port flow)
+    ~dst_port:(Flow_state.peer_port flow) ~seq
+    ~ack:(if flags.Tcp_header.ack then Flow_state.ack flow else 0)
+    ~flags
+    ~window:
+      (min 65535
+         (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale))
+    ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:(Flow_state.ts_recent flow)
+    ~sack;
   let ecn =
     if Bytes.length payload > 0 then Ipv4_header.Ect0 else Ipv4_header.Not_ect
   in
-  Packet.make ~src_mac:(Nic.mac t.nic) ~dst_mac:(Flow_state.peer_mac flow)
-    ~src_ip:(Nic.ip t.nic) ~dst_ip:(Flow_state.peer_ip flow) ~ecn ~tcp ~payload
-    ()
+  Packet.fill pkt ~src_mac:(Nic.mac t.nic) ~dst_mac:(Flow_state.peer_mac flow)
+    ~src_ip:(Nic.ip t.nic) ~dst_ip:(Flow_state.peer_ip flow) ~ecn ~payload;
+  pkt
 
 let send_raw t pkt = Nic.transmit t.nic pkt
 
 (* [maybe_send]'s core is always an element of [t.cores] ([core_of_flow] or
    the drain pass's core); the scan is over at most a handful of cores. *)
-let core_index t core =
-  let n = Array.length t.cores in
-  let rec go i = if i >= n - 1 || t.cores.(i) == core then i else go (i + 1) in
-  go 0
+let rec core_index_from t core i =
+  if i >= Array.length t.cores - 1 || t.cores.(i) == core then i
+  else core_index_from t core (i + 1)
+
+(* A top-level loop: a local [let rec] would capture [core] in a fresh
+   closure on every segment. *)
+let core_index t core = core_index_from t core 0
 
 (* Both ACK-flag shapes, precomputed: the per-ACK [{ack_flags with ece}]
    record allocation used to show up in the bulk words/packet profile. *)
@@ -387,8 +390,8 @@ let send_ack t flow ~ece =
       Ooo.sack_blocks (Flow_state.ooo flow) ~limit:3
   in
   Nic.transmit t.nic
-    (build_packet ~sack t flow ~flags ~seq:(Flow_state.seq flow)
-       ~payload:Bytes.empty)
+    (build_packet t flow ~flags ~seq:(Flow_state.seq flow)
+       ~payload:Bytes.empty ~sack)
 
 let fin_ack_flags = { Tcp_header.ack_flags with Tcp_header.fin = true }
 
@@ -396,7 +399,7 @@ let emit_fin t flow =
   Flow_state.set_fin_sent flow true;
   Nic.transmit t.nic
     (build_packet t flow ~flags:fin_ack_flags ~seq:(Flow_state.seq flow)
-       ~payload:Bytes.empty)
+       ~payload:Bytes.empty ~sack:[])
 
 (* --- Transmission ------------------------------------------------------ *)
 
@@ -447,9 +450,9 @@ let rec maybe_send t flow core =
           ~flow:(Flow_state.opaque flow);
         let pkt =
           build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload
+            ~sack:[]
         in
-        (* Small payloads bypassed the pool; marking them would only make
-           the final release allocate a pointless [Some]. *)
+        (* Small payloads bypassed the buffer pool: nothing to recycle. *)
         if granted >= Buf_pool.min_len then Packet.mark_pooled pkt;
         if Flow_state.tx_span flow >= 0 then begin
           let id = Flow_state.tx_span flow in
@@ -467,6 +470,9 @@ let rec maybe_send t flow core =
     end
   end
 
+(* The pacing timer's event is the flow's own persistent thunk, made at
+   its first arm, so re-arming allocates nothing. It runs [maybe_send] on
+   the core the arm captured, as a per-arm closure would. *)
 and arm_pacing_timer t flow core ~want =
   if not (Flow_state.tx_timer_armed flow) then begin
     let delay = Rate_bucket.ns_until_bytes_int (Flow_state.bucket flow) want in
@@ -474,9 +480,12 @@ and arm_pacing_timer t flow core ~want =
     else if delay = max_int then () (* rate is zero; slow path will update *)
     else begin
       Flow_state.set_tx_timer_armed flow true;
-      Sim.post t.sim (max delay 1) (fun () ->
-          Flow_state.set_tx_timer_armed flow false;
-          maybe_send t flow core)
+      Flow_state.set_tx_timer_core flow (core_index t core);
+      if not (Flow_state.has_tx_timer_thunk flow) then
+        Flow_state.set_tx_timer_thunk flow (fun () ->
+            Flow_state.set_tx_timer_armed flow false;
+            maybe_send t flow t.cores.(Flow_state.tx_timer_core flow));
+      Sim.post t.sim (max delay 1) (Flow_state.tx_timer_thunk flow)
     end
   end
 
@@ -498,7 +507,9 @@ let send_segment t flow core ~seq ~len =
     t.stats.tx_data_packets <- t.stats.tx_data_packets + 1;
     trace_ev t Trace.Tx_data ~core:(Core.id core)
       ~flow:(Flow_state.opaque flow);
-    let pkt = build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload in
+    let pkt =
+      build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload ~sack:[]
+    in
     if len >= Buf_pool.min_len then Packet.mark_pooled pkt;
     let idx = core_index t core in
     backlog_push t.tx_queues.(idx) pkt;
@@ -681,14 +692,14 @@ let trigger_retransmit t flow =
 (* --- Receive processing ------------------------------------------------ *)
 
 let sample_rtt t flow (tcp : Tcp_header.t) =
-  match tcp.Tcp_header.options.Tcp_header.timestamp with
-  | Some (_, ecr) when ecr > 0 ->
+  let ecr = tcp.Tcp_header.ts_ecr in
+  if tcp.Tcp_header.has_ts && ecr > 0 then begin
     let rtt = (now_us t - ecr) * 1000 in
     if rtt >= 0 then
       Flow_state.set_rtt_est flow
         (if Flow_state.rtt_est flow = 0 then rtt
          else ((7 * Flow_state.rtt_est flow) + rtt) / 8)
-  | _ -> ()
+  end
 
 (* The seed's ACK processing, verbatim: cumulative advance plus the
    triple-duplicate-ACK go-back-N rewind (§3.1 exception 1). The dup-ACK
@@ -719,9 +730,7 @@ let process_ack_reno t flow pkt core =
       sample_rtt t flow tcp;
       if Flow_state.tx_interest flow then begin
         Flow_state.set_tx_interest flow false;
-        match find_context t (Flow_state.context flow) with
-        | Some ctx -> Context.post_writable ctx flow
-        | None -> () (* application exited; flow teardown in progress *)
+        post_writable t flow
       end;
       maybe_send t flow core
     end
@@ -766,7 +775,7 @@ let process_ack_modern t flow pkt core =
   let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
   Flow_state.set_window flow
     (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
-  let blocks = tcp.Tcp_header.options.Tcp_header.sack in
+  let blocks = tcp.Tcp_header.sack in
   if acked > 0 then begin
     if acked <= Ring.used (Flow_state.tx_buf flow) then begin
       Ring.advance_tail (Flow_state.tx_buf flow) acked;
@@ -786,12 +795,10 @@ let process_ack_modern t flow pkt core =
       st.Rec.State.tlp_armed <- false;
       st.Rec.State.reo_armed <- false;
       recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~blocks ~dup_acks:0;
-      (if Flow_state.tx_interest flow then begin
-         Flow_state.set_tx_interest flow false;
-         match find_context t (Flow_state.context flow) with
-         | Some ctx -> Context.post_writable ctx flow
-         | None -> () (* application exited; flow teardown in progress *)
-       end);
+      if Flow_state.tx_interest flow then begin
+        Flow_state.set_tx_interest flow false;
+        post_writable t flow
+      end;
       maybe_send t flow core;
       arm_tlp t flow core;
       arm_reo t flow core
@@ -819,115 +826,125 @@ let process_ack t flow pkt core =
   | Rec.Policy.Reno -> process_ack_reno t flow pkt core
   | Rec.Policy.Sack | Rec.Policy.Rack_tlp -> process_ack_modern t flow pkt core
 
+(* Deposit [write_len] bytes of the segment at [write_at] and advance the
+   in-order stream by [advance] bytes: the [Ooo.Deliver] verdict. *)
+let deliver_data t flow pkt core ~write_at ~write_len ~advance ~ce =
+  let rx_buf = Flow_state.rx_buf flow in
+  if write_len > 0 then begin
+    let src_off = Seq32.diff write_at pkt.Packet.tcp.Tcp_header.seq in
+    Ring.write_at rx_buf
+      ~pos:(Flow_state.rx_offset_of_seq flow write_at)
+      pkt.Packet.payload ~off:src_off ~len:write_len
+  end;
+  Ring.advance_head rx_buf advance;
+  Flow_state.set_ack flow (Seq32.add (Flow_state.ack flow) advance);
+  if pkt.Packet.span >= 0 then begin
+    Span.record t.span ~ts:(Sim.now t.sim) ~id:pkt.Packet.span
+      ~hop:Span.Ctx_notify ~core:(Core.id core)
+      ~flow:(Flow_state.opaque flow);
+    (* Carry the span across the coalesced context queue to the app's
+       read; first sampled packet wins until delivery clears it. *)
+    if Flow_state.rx_span flow < 0 then
+      Flow_state.set_rx_span flow pkt.Packet.span
+  end;
+  post_readable t flow;
+  send_ack t flow ~ece:ce
+
+(* The receive verdict for a segment the in-order fast case did not take. *)
+let data_verdict t flow ~seq ~seg_len ~window =
+  if t.config.Config.rx_ooo_enabled then
+    Ooo.handle (Flow_state.ooo flow) ~exp:(Flow_state.ack flow) ~window
+      ~seg_start:seq ~seg_len
+  else begin
+    (* Simple go-back-N receive: only the exact next segment is accepted
+       (the Fig. 7 "TAS simple recovery" ablation). *)
+    let exp = Flow_state.ack flow in
+    if Seq32.lt seq exp then begin
+      let dup = Seq32.diff exp seq in
+      if dup >= seg_len then Ooo.Duplicate
+      else
+        Ooo.Deliver
+          {
+            write_at = exp;
+            write_len = min (seg_len - dup) window;
+            advance = min (seg_len - dup) window;
+          }
+    end
+    else if seq = exp then begin
+      let n = min seg_len window in
+      if n = 0 then Ooo.Drop
+      else Ooo.Deliver { write_at = exp; write_len = n; advance = n }
+    end
+    else Ooo.Drop
+  end
+
 let process_data t flow pkt core =
-  let tcp = pkt.Packet.tcp in
   let payload = pkt.Packet.payload in
   let seg_len = Bytes.length payload in
   let ce = pkt.Packet.ip.Ipv4_header.ecn = Ipv4_header.Ce in
   let rx_buf = Flow_state.rx_buf flow in
   let window = Ring.free rx_buf in
-  let verdict =
-    if t.config.Config.rx_ooo_enabled then
-      Ooo.handle (Flow_state.ooo flow) ~exp:(Flow_state.ack flow) ~window
-        ~seg_start:tcp.Tcp_header.seq ~seg_len
-    else begin
-      (* Simple go-back-N receive: only the exact next segment is accepted
-         (the Fig. 7 "TAS simple recovery" ablation). *)
-      let exp = Flow_state.ack flow in
-      if Seq32.lt tcp.Tcp_header.seq exp then begin
-        let dup = Seq32.diff exp tcp.Tcp_header.seq in
-        if dup >= seg_len then Ooo.Duplicate
-        else
-          Ooo.Deliver
-            {
-              write_at = exp;
-              write_len = min (seg_len - dup) window;
-              advance = min (seg_len - dup) window;
-            }
-      end
-      else if tcp.Tcp_header.seq = exp then begin
-        let n = min seg_len window in
-        if n = 0 then Ooo.Drop
-        else Ooo.Deliver { write_at = exp; write_len = n; advance = n }
-      end
-      else Ooo.Drop
-    end
+  let seq = pkt.Packet.tcp.Tcp_header.seq in
+  (* The exact next segment with nothing stored: the verdict both receive
+     modes would reach, without building it. *)
+  let n =
+    Ooo.in_order (Flow_state.ooo flow) ~exp:(Flow_state.ack flow) ~window
+      ~seg_start:seq ~seg_len
   in
-  match verdict with
-  | Ooo.Deliver { write_at; write_len; advance } ->
-    if write_len > 0 then begin
-      let src_off = Seq32.diff write_at tcp.Tcp_header.seq in
+  if n > 0 then
+    deliver_data t flow pkt core ~write_at:seq ~write_len:n ~advance:n ~ce
+  else
+    match data_verdict t flow ~seq ~seg_len ~window with
+    | Ooo.Deliver { write_at; write_len; advance } ->
+      deliver_data t flow pkt core ~write_at ~write_len ~advance ~ce
+    | Ooo.Store { write_at; write_len } ->
+      let src_off = Seq32.diff write_at seq in
       Ring.write_at rx_buf
         ~pos:(Flow_state.rx_offset_of_seq flow write_at)
-        payload ~off:src_off ~len:write_len
-    end;
-    Ring.advance_head rx_buf advance;
-    Flow_state.set_ack flow (Seq32.add (Flow_state.ack flow) advance);
-    if pkt.Packet.span >= 0 then begin
-      Span.record t.span ~ts:(Sim.now t.sim) ~id:pkt.Packet.span
-        ~hop:Span.Ctx_notify ~core:(Core.id core)
+        payload ~off:src_off ~len:write_len;
+      t.stats.ooo_stored <- t.stats.ooo_stored + 1;
+      trace_ev t Trace.Ooo_store ~core:(Core.id core)
         ~flow:(Flow_state.opaque flow);
-      (* Carry the span across the coalesced context queue to the app's
-         read; first sampled packet wins until delivery clears it. *)
-      if Flow_state.rx_span flow < 0 then
-        Flow_state.set_rx_span flow pkt.Packet.span
-    end;
-    (match find_context t (Flow_state.context flow) with
-    | Some ctx -> Context.post_readable ctx flow
-    | None -> () (* application exited; flow teardown in progress *));
-    send_ack t flow ~ece:ce
-  | Ooo.Store { write_at; write_len } ->
-    let src_off = Seq32.diff write_at tcp.Tcp_header.seq in
-    Ring.write_at rx_buf
-      ~pos:(Flow_state.rx_offset_of_seq flow write_at)
-      payload ~off:src_off ~len:write_len;
-    t.stats.ooo_stored <- t.stats.ooo_stored + 1;
-    trace_ev t Trace.Ooo_store ~core:(Core.id core)
-      ~flow:(Flow_state.opaque flow);
-    (* Duplicate ACK tells the sender what we are still waiting for. *)
-    send_ack t flow ~ece:ce
-  | Ooo.Duplicate -> send_ack t flow ~ece:ce
-  | Ooo.Drop ->
-    t.stats.payload_drops <- t.stats.payload_drops + 1;
-    trace_ev t Trace.Payload_drop ~core:(Core.id core)
-      ~flow:(Flow_state.opaque flow);
-    send_ack t flow ~ece:ce
-
-(* Last consumer of an RX packet recycles its pooled payload. Safe only
-   because every delivery path out of [process] — ring writes, exception
-   handling, reinjection — either copies the bytes out or takes its own
-   reference before this runs. *)
-let release_pkt pkt =
-  match Packet.release pkt with
-  | Some buf -> Buf_pool.give (Buf_pool.local ()) buf
-  | None -> ()
+      (* Duplicate ACK tells the sender what we are still waiting for. *)
+      send_ack t flow ~ece:ce
+    | Ooo.Duplicate -> send_ack t flow ~ece:ce
+    | Ooo.Drop ->
+      t.stats.payload_drops <- t.stats.payload_drops + 1;
+      trace_ev t Trace.Payload_drop ~core:(Core.id core)
+        ~flow:(Flow_state.opaque flow);
+      send_ack t flow ~ece:ce
 
 (* Flow lookup with the vector-pass memo: consecutive same-flow segments
    hit the memoized entry and skip the table (and its lock cost) the way a
-   batched DPDK loop keeps the previous flow's state hot. *)
-let memo_reset t = t.memo.m_flow <- None
+   batched DPDK loop keeps the previous flow's state hot. A miss returns
+   [Flow_state.absent]; neither path allocates. *)
+let memo_reset t = t.memo.m_flow <- Flow_state.absent
 
 let lookup_flow t pkt =
   let m = t.memo in
   let ip = pkt.Packet.ip and tcp = pkt.Packet.tcp in
-  match m.m_flow with
-  | Some _ as r
-    when
-      m.m_src_ip = ip.Ipv4_header.src
-      && m.m_src_port = tcp.Tcp_header.src_port
-      && m.m_dst_ip = ip.Ipv4_header.dst
-      && m.m_dst_port = tcp.Tcp_header.dst_port -> r
-  | _ ->
-    let r = Flow_table.find t.flows (Packet.four_tuple_at_receiver pkt) in
-    (match r with
-    | Some _ ->
-      m.m_flow <- r;
+  if
+    m.m_flow != Flow_state.absent
+    && m.m_src_ip = ip.Ipv4_header.src
+    && m.m_src_port = tcp.Tcp_header.src_port
+    && m.m_dst_ip = ip.Ipv4_header.dst
+    && m.m_dst_port = tcp.Tcp_header.dst_port
+  then m.m_flow
+  else begin
+    let flow =
+      Flow_table.find_fields t.flows ~local_ip:ip.Ipv4_header.dst
+        ~local_port:tcp.Tcp_header.dst_port ~peer_ip:ip.Ipv4_header.src
+        ~peer_port:tcp.Tcp_header.src_port
+    in
+    m.m_flow <- flow;
+    if flow != Flow_state.absent then begin
       m.m_src_ip <- ip.Ipv4_header.src;
       m.m_src_port <- tcp.Tcp_header.src_port;
       m.m_dst_ip <- ip.Ipv4_header.dst;
       m.m_dst_port <- tcp.Tcp_header.dst_port
-    | None -> m.m_flow <- None);
-    r
+    end;
+    flow
+  end
 
 let rec process t pkt core =
   (if not (Packet.well_formed pkt) then begin
@@ -937,7 +954,11 @@ let rec process t pkt core =
      trace_ev t Trace.Malformed_drop ~core:(Core.id core) ~flow:(-1)
    end
    else process_valid t pkt core);
-  release_pkt pkt
+  (* The last consumer: back to the packet's home pool. Safe only because
+     every delivery path out of [process] (ring writes, exception
+     handling, reinjection) either copies the bytes out or takes its own
+     reference before this runs. *)
+  Packet.release pkt
 
 and process_valid t pkt core =
   if pkt.Packet.span >= 0 then
@@ -951,15 +972,15 @@ and process_valid t pkt core =
     t.exception_handler pkt
   end
   else begin
-    match lookup_flow t pkt with
-    | None ->
+    let flow = lookup_flow t pkt in
+    if flow == Flow_state.absent then begin
       t.stats.exceptions_forwarded <- t.stats.exceptions_forwarded + 1;
       trace_ev t Trace.Exception_fwd ~core:(Core.id core) ~flow:(-1);
       t.exception_handler pkt
-    | Some flow ->
-      (match tcp.Tcp_header.options.Tcp_header.timestamp with
-      | Some (ts_val, _) -> Flow_state.set_ts_recent flow ts_val
-      | None -> ());
+    end
+    else begin
+      if tcp.Tcp_header.has_ts then
+        Flow_state.set_ts_recent flow tcp.Tcp_header.ts_val;
       if Bytes.length pkt.Packet.payload = 0 then begin
         t.stats.rx_ack_packets <- t.stats.rx_ack_packets + 1;
         trace_ev t Trace.Rx_ack ~core:(Core.id core)
@@ -973,6 +994,7 @@ and process_valid t pkt core =
         process_ack t flow pkt core;
         process_data t flow pkt core
       end
+    end
   end
 
 (* --- Burst (vector) receive -------------------------------------------- *)
@@ -1024,6 +1046,11 @@ let rx_cost t pkt =
     c.Config.fp_driver_cycles + c.Config.fp_ack_rx_cycles
   else c.Config.fp_driver_cycles + c.Config.fp_rx_cycles
 
+(* [Core.run]'s category argument is optional: passing a per-packet [cat]
+   as [~cat] would box a fresh [Some] each time. *)
+let some_ack_rx = Some Core.Ack_rx
+let some_driver_rx = Some Core.Driver_rx
+
 let attach t =
   t.drain_thunks <-
     Array.init (Array.length t.cores) (fun idx ->
@@ -1038,10 +1065,9 @@ let attach t =
       let asleep = now - t.last_rx_time.(idx) > t.config.Config.idle_block_ns in
       t.last_rx_time.(idx) <- now;
       let cycles = rx_cost t pkt in
-      let cat =
-        if Bytes.length pkt.Packet.payload = 0 then Core.Ack_rx
-        else Core.Driver_rx
-      in
+      let ack = Bytes.length pkt.Packet.payload = 0 in
+      let cat = if ack then Core.Ack_rx else Core.Driver_rx in
+      let some_cat = if ack then some_ack_rx else some_driver_rx in
       (* Enqueue, charge the packet's cycles, and make sure one drain pass
          is scheduled. Packets charged behind an armed drain are picked up
          by it — the cost model is per packet while the processing pass is
@@ -1051,9 +1077,9 @@ let attach t =
       else begin
         t.drain_armed.(idx) <- true;
         if asleep then
-          Core.run_after core ~cat ~delay:t.config.Config.wakeup_ns ~cycles
-            t.drain_thunks.(idx)
-        else Core.run core ~cat ~cycles t.drain_thunks.(idx)
+          Core.run_after core ?cat:some_cat ~delay:t.config.Config.wakeup_ns
+            ~cycles t.drain_thunks.(idx)
+        else Core.run core ?cat:some_cat ~cycles t.drain_thunks.(idx)
       end)
 
 let reinject t pkt =

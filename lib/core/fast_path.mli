@@ -86,7 +86,9 @@ val process_burst :
 
 val set_exception_handler : t -> (Tas_proto.Packet.t -> unit) -> unit
 (** Where non-common-case packets go (the slow path). Runs after the fast
-    path classified the packet (classification cost already charged). *)
+    path classified the packet (classification cost already charged). The
+    fast path releases the packet when the handler returns, so a handler
+    that keeps it must {!Tas_proto.Packet.retain} it. *)
 
 val flows : t -> Flow_table.t
 val stats : t -> stats
@@ -140,12 +142,6 @@ val notify_tx : t -> Flow_state.t -> unit
 val trigger_retransmit : t -> Flow_state.t -> unit
 (** Slow-path command after a retransmission timeout: rewind the flow as if
     the unacknowledged segments had never been sent, then transmit. *)
-
-val release_pkt : Tas_proto.Packet.t -> unit
-(** Drop one reference to [pkt], recycling its pooled payload buffer into
-    the domain-local buffer pool when this was the last reference. Callers
-    that keep a packet alive across a scheduling gap pair this with
-    {!Tas_proto.Packet.retain}. *)
 
 val reinject : t -> Tas_proto.Packet.t -> unit
 (** Re-run fast-path processing for a packet that raced connection setup:

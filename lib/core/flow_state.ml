@@ -25,9 +25,17 @@ type t = {
      the rings and the out-of-order interval — the recovery subsystem's
      documented boxed side-table. Reno never grows it beyond the kind tag. *)
   rec_state : Tas_recovery.State.t;
+  (* The pacing timer's event thunk, made by the fast path at the flow's
+     first arm and reused by every later one, and the index of the core
+     the current arm captured. *)
+  mutable tx_timer_thunk : unit -> unit;
+  mutable tx_timer_core : int;
 }
 
 exception Arena_exhausted
+
+(* A flow's pacing thunk before the fast path installs one. *)
+let no_thunk () = ()
 
 let create ~arena ~pool ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
     ~opaque ~context ~bucket ~rx_buf_size ~tx_buf_size
@@ -58,7 +66,23 @@ let create ~arena ~pool ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
       arena;
       slot = i;
       rec_state = Tas_recovery.State.create recovery;
+      tx_timer_thunk = no_thunk;
+      tx_timer_core = 0;
     }
+
+let absent =
+  let sim = Tas_engine.Sim.create () in
+  {
+    rx_buf = Ring.closed;
+    tx_buf = Ring.closed;
+    ooo = Tas_buffers.Ooo_interval.create ();
+    bucket = Rate_bucket.create sim (Rate_bucket.Window 0) ~burst_bytes:0;
+    arena = A.create ~capacity:1 ();
+    slot = 0;
+    rec_state = Tas_recovery.State.create Tas_recovery.Policy.Reno;
+    tx_timer_thunk = no_thunk;
+    tx_timer_core = 0;
+  }
 
 (* A live handle's slot is in use in its arena; a released handle's
    private copy never is. *)
@@ -137,6 +161,11 @@ let set_rx_closed t v = set_flag t bit_rx_closed v
 let rx_buf t = t.rx_buf
 let tx_buf t = t.tx_buf
 let ooo t = t.ooo
+let tx_timer_thunk t = t.tx_timer_thunk
+let has_tx_timer_thunk t = t.tx_timer_thunk != no_thunk
+let set_tx_timer_thunk t f = t.tx_timer_thunk <- f
+let tx_timer_core t = t.tx_timer_core
+let set_tx_timer_core t i = t.tx_timer_core <- i
 let bucket t = t.bucket
 let set_bucket t b = t.bucket <- b
 let recovery t = t.rec_state

@@ -67,6 +67,11 @@ val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
     A second [release] is harmless: the closed rings are never pooled and
     the private copy is never freed. *)
 
+val absent : t
+(** The handle a flow-table miss returns ({!Flow_table.find_fields}):
+    never installed, with closed rings and a private one-slot arena, so it
+    is only ever compared with [==]. *)
+
 val slot : t -> int option
 (** Arena slot index while live; [None] after {!release}. *)
 
@@ -187,6 +192,19 @@ val rx_buf : t -> Tas_buffers.Ring_buffer.t
 
 val tx_buf : t -> Tas_buffers.Ring_buffer.t
 val ooo : t -> Tas_buffers.Ooo_interval.t
+val tx_timer_thunk : t -> unit -> unit
+(** The pacing timer's event thunk: a no-op until the fast path first arms
+    the timer and installs one, which every later arm reuses. *)
+
+val has_tx_timer_thunk : t -> bool
+
+val set_tx_timer_thunk : t -> (unit -> unit) -> unit
+
+val tx_timer_core : t -> int
+(** Index of the fast-path core the pending pacing timer was armed on. *)
+
+val set_tx_timer_core : t -> int -> unit
+
 val bucket : t -> Rate_bucket.t
 val set_bucket : t -> Rate_bucket.t -> unit
 

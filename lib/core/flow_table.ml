@@ -13,6 +13,10 @@ let create_sharded ?lock_cycles ?remote_lock_cycles ~rss () =
 
 let add = Flow_shards.add
 let find = Flow_shards.find
+
+let find_fields t ~local_ip ~local_port ~peer_ip ~peer_port =
+  Flow_shards.find_fields t ~absent:Flow_state.absent ~local_ip ~local_port
+    ~peer_ip ~peer_port
 let remove = Flow_shards.remove
 let count = Flow_shards.count
 let iter t f = Flow_shards.iter t f

@@ -30,6 +30,16 @@ val add : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit
 val find : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t option
 (** Owner-core lookup; charges one local lock acquisition. *)
 
+val find_fields :
+  t ->
+  local_ip:Tas_proto.Addr.ipv4 ->
+  local_port:Tas_proto.Addr.port ->
+  peer_ip:Tas_proto.Addr.ipv4 ->
+  peer_port:Tas_proto.Addr.port ->
+  Flow_state.t
+(** {!find} without a tuple or an option, for the per-packet lookup: a miss
+    returns {!Flow_state.absent}. Allocates nothing. *)
+
 val remove : t -> Tas_proto.Addr.Four_tuple.t -> unit
 val count : t -> int
 val iter : t -> (Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit) -> unit

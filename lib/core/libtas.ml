@@ -101,19 +101,21 @@ let rec drain_context t actx =
   else Core.run actx.core ~cat:Core.Api ~cycles:t.api_cycles actx.step
 
 and drain_step t actx =
-  (match Context.pop actx.ctx with
-  | None -> ()
-  | Some event ->
+  if not (Context.is_empty actx.ctx) then begin
+    let kind = Context.head_kind actx.ctx in
+    let flow = Context.pop actx.ctx in
     t.stats.events_dispatched <- t.stats.events_dispatched + 1;
-    dispatch t event);
+    dispatch t kind flow
+  end;
   drain_context t actx
 
-and dispatch t event =
-  match event with
-  | Context.Readable flow -> begin
-    match Hashtbl.find_opt t.sockets (Flow_state.opaque flow) with
-    | None -> ()
-    | Some sock ->
+and dispatch t kind flow =
+  match kind with
+  | Context.Readable -> begin
+    (* [find] rather than [find_opt]: a hit allocates no option. *)
+    match Hashtbl.find t.sockets (Flow_state.opaque flow) with
+    | exception Not_found -> ()
+    | sock ->
       let rx_buf = Flow_state.rx_buf flow in
       let available = Ring.used rx_buf in
       if available > 0 then begin
@@ -144,10 +146,10 @@ and dispatch t event =
         sock.handlers.on_peer_closed sock
       end
   end
-  | Context.Writable flow -> begin
-    match Hashtbl.find_opt t.sockets (Flow_state.opaque flow) with
-    | None -> ()
-    | Some sock -> sock.handlers.on_sendable sock
+  | Context.Writable -> begin
+    match Hashtbl.find t.sockets (Flow_state.opaque flow) with
+    | exception Not_found -> ()
+    | sock -> sock.handlers.on_sendable sock
   end
 
 let wake t actx =

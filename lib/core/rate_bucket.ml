@@ -37,7 +37,10 @@ let refill t rate_bps =
       Float.Array.get t.tokens 0
       +. (rate_bps /. 8.0 *. (float_of_int dt /. 1e9))
     in
-    Float.Array.set t.tokens 0 (if tok > t.burst then t.burst else tok);
+    (* Two stores rather than one of an [if]: joining the boxed [t.burst]
+       with the unboxed [tok] would box [tok] on every refill. *)
+    if tok > t.burst then Float.Array.set t.tokens 0 t.burst
+    else Float.Array.set t.tokens 0 tok;
     t.last_refill <- now
   end
 

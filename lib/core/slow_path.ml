@@ -105,6 +105,11 @@ type t = {
   mutable fin_retry_exhausted : int;
   mutable flows_reaped : int;
   mutable arena_refusals : int;
+  mutable port_exhaustions : int;
+  (* The registry [register] filled, for the counters that appear only once
+     they first count (so a run that never reaches them exports the same
+     registry as before they existed). *)
+  mutable registry : Metrics.t option;
   mutable scale_observer : Tas_engine.Time_ns.t -> int -> unit;
   mutable controller : Tas_control.Controller.t option;
       (* the elastic core controller; [Some] iff [Config.dynamic_scaling] *)
@@ -149,6 +154,7 @@ let rsts_sent t = t.rsts_sent
 let fin_retry_exhausted t = t.fin_retry_exhausted
 let flows_reaped t = t.flows_reaped
 let arena_refusals t = t.arena_refusals
+let port_exhaustions t = t.port_exhaustions
 let arena t = t.arena
 let ring_pool t = t.rings
 let set_scale_observer t f = t.scale_observer <- f
@@ -162,6 +168,7 @@ let trace_ev t kind ~flow =
     Trace.record tr ~ts:(Sim.now t.sim) ~kind ~core:(Core.id t.core) ~flow
 
 let register t m =
+  t.registry <- Some m;
   let c name help f = Metrics.counter_fn m ~help name f in
   c "sp_conn_setups" "connections established" (fun () -> t.conn_setups);
   c "sp_conn_teardowns" "connections removed" (fun () -> t.conn_teardowns);
@@ -191,22 +198,14 @@ let build t ~tuple ~(flags : Tcp_header.flags) ~seq ~ack_no ~window ~with_mss
     ~ts_ecr =
   let nic = Fast_path.nic t.fp in
   let tcp =
-    {
-      Tcp_header.src_port = tuple.Addr.Four_tuple.local_port;
-      dst_port = tuple.Addr.Four_tuple.peer_port;
-      seq;
-      ack = ack_no;
-      flags;
-      window;
-      options =
-        {
-          Tcp_header.mss = (if with_mss then Some t.config.Config.mss else None);
-          wscale =
-            (if flags.Tcp_header.syn then Some t.config.Config.wscale else None);
-          timestamp = Some (now_us t land 0xFFFF_FFFF, ts_ecr);
-          sack = [];
-        };
-    }
+    Tcp_header.make
+      ?mss:(if with_mss then Some t.config.Config.mss else None)
+      ?wscale:
+        (if flags.Tcp_header.syn then Some t.config.Config.wscale else None)
+      ~ts:(now_us t land 0xFFFF_FFFF, ts_ecr)
+      ~src_port:tuple.Addr.Four_tuple.local_port
+      ~dst_port:tuple.Addr.Four_tuple.peer_port ~seq ~ack:ack_no ~flags ~window
+      ()
   in
   let peer_id = Addr.host_id_of_ip tuple.Addr.Four_tuple.peer_ip in
   Packet.make ~src_mac:(Nic.mac nic) ~dst_mac:(Addr.host_mac peer_id)
@@ -463,13 +462,11 @@ let handle_syn t pkt tuple =
               p_peer_isn = tcp.Tcp_header.seq;
               p_peer_window = tcp.Tcp_header.window;
               p_peer_wscale =
-                (match tcp.Tcp_header.options.Tcp_header.wscale with
+                (match tcp.Tcp_header.wscale with
                 | Some w -> w
                 | None -> 0);
               p_peer_ts =
-                (match tcp.Tcp_header.options.Tcp_header.timestamp with
-                | Some (v, _) -> v
-                | None -> 0);
+                (if tcp.Tcp_header.has_ts then tcp.Tcp_header.ts_val else 0);
               p_state = Syn_received;
               p_retries = 0;
               p_timer = None;
@@ -490,12 +487,10 @@ let handle_synack t pkt tuple =
     when p.p_state = Syn_sent && tcp.Tcp_header.ack = Seq32.add p.p_iss 1 ->
     p.p_peer_isn <- tcp.Tcp_header.seq;
     p.p_peer_window <- tcp.Tcp_header.window;
-    (match tcp.Tcp_header.options.Tcp_header.wscale with
+    (match tcp.Tcp_header.wscale with
     | Some w -> p.p_peer_wscale <- w
     | None -> p.p_peer_wscale <- 0);
-    (match tcp.Tcp_header.options.Tcp_header.timestamp with
-    | Some (v, _) -> p.p_peer_ts <- v
-    | None -> ());
+    if tcp.Tcp_header.has_ts then p.p_peer_ts <- tcp.Tcp_header.ts_val;
     (match establish t p with
     | None -> () (* arena full; the peer got an RST *)
     | Some entry ->
@@ -837,6 +832,8 @@ let create sim ~fast_path ~core ~config =
       fin_retry_exhausted = 0;
       flows_reaped = 0;
       arena_refusals = 0;
+      port_exhaustions = 0;
+      registry = None;
       scale_observer = (fun _ _ -> ());
       controller = None;
     }
@@ -849,7 +846,7 @@ let create sim ~fast_path ~core ~config =
       Core.run t.core ~cat:Core.Conn ~cycles:config.Config.sp_conn_cycles
         (fun () ->
           process_exception t pkt;
-          Fast_path.release_pkt pkt));
+          Packet.release pkt));
   let tick_interval =
     match config.Config.control_interval_fixed_ns with
     | Some fixed -> max fixed 10_000
@@ -880,9 +877,11 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
   Core.run t.core ~cat:Core.Conn ~cycles:t.config.Config.sp_conn_cycles
     (fun () ->
       let nic = Fast_path.nic t.fp in
-      (* Ephemeral port allocation: scan from a rotating base. *)
+      (* Ephemeral port allocation: scan from a rotating base. The stride
+         is coprime with the 63,000-port range, so 65,536 probes visit
+         every port. *)
       let rec pick_port attempt =
-        if attempt > 65535 then invalid_arg "Slow_path.connect: ports exhausted"
+        if attempt > 65535 then None
         else begin
           t.next_iss <- t.next_iss + 1;
           let port = 2048 + ((t.next_iss * 7919) mod 63000) in
@@ -896,30 +895,43 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
           in
           if Tuple_tbl.mem t.pending tuple || Tuple_tbl.mem t.entries tuple
           then pick_port (attempt + 1)
-          else tuple
+          else Some tuple
         end
       in
-      let tuple = pick_port 0 in
-      let p =
-        {
-          p_tuple = tuple;
-          p_opaque = opaque;
-          p_context = context_id;
-          p_iss = fresh_iss t;
-          p_peer_isn = 0;
-          p_peer_window = t.config.Config.mss;
-          p_peer_wscale = 0;
-          p_peer_ts = 0;
-          p_state = Syn_sent;
-          p_retries = 0;
-          p_timer = None;
-          p_cb = cb;
-        }
-      in
-      Tuple_tbl.add t.pending tuple p;
-      lifecycle_ev t "syn_sent" tuple;
-      send_syn t p;
-      arm_pending_timer t p)
+      match pick_port 0 with
+      | None ->
+        (* Every ephemeral port toward this peer is taken: refuse the
+           connect, as a full arena does. *)
+        t.port_exhaustions <- t.port_exhaustions + 1;
+        (match t.registry with
+        | Some m when t.port_exhaustions = 1 ->
+          Metrics.counter_fn m
+            ~help:"connects refused: every ephemeral port toward the peer \
+                   was taken"
+            "sp_port_exhaustions" (fun () -> t.port_exhaustions)
+        | _ -> ());
+        cb.failed Refused
+      | Some tuple ->
+        let p =
+          {
+            p_tuple = tuple;
+            p_opaque = opaque;
+            p_context = context_id;
+            p_iss = fresh_iss t;
+            p_peer_isn = 0;
+            p_peer_window = t.config.Config.mss;
+            p_peer_wscale = 0;
+            p_peer_ts = 0;
+            p_state = Syn_sent;
+            p_retries = 0;
+            p_timer = None;
+            p_cb = cb;
+          }
+        in
+        Tuple_tbl.add t.pending tuple p;
+        lifecycle_ev t "syn_sent" tuple;
+        send_syn t p;
+        arm_pending_timer t p)
 
 let close t flow =
   Core.run t.core ~cat:Core.Conn ~cycles:t.config.Config.sp_conn_cycles

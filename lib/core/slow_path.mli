@@ -59,7 +59,9 @@ val connect :
   dst_port:int ->
   conn_callbacks ->
   unit
-(** Open a connection ([new_flow] command, Fig. 3). *)
+(** Open a connection ([new_flow] command, Fig. 3). When every ephemeral
+    port toward the peer is taken, [failed Refused] fires instead (counted
+    in {!port_exhaustions}). *)
 
 val close : t -> Flow_state.t -> unit
 (** Graceful close: FIN is emitted once the transmit buffer drains. *)
@@ -83,6 +85,12 @@ val flows_reaped : t -> int
 val arena_refusals : t -> int
 (** Connections refused (RST + [failed Refused]) because the flow arena had
     no free slot. *)
+
+val port_exhaustions : t -> int
+(** Connects refused ([failed Refused], nothing sent) because every port of
+    the 63,000-port ephemeral range toward that peer address and port was
+    in use. Exported as [sp_port_exhaustions] from the first refusal on, so
+    a run that never exhausts its ports exports the registry unchanged. *)
 
 val arena : t -> Flow_arena.t
 (** The off-heap flow-state arena ([Config.flow_arena_capacity] slots). *)

@@ -41,17 +41,21 @@ let pkt_ops tas =
   s.Tas.rx_data_packets + s.Tas.rx_ack_packets + s.Tas.tx_data_packets
   + s.Tas.acks_sent
 
-(* Wall-clock + minor-word cost of advancing [sim] by [window] of simulated
-   time, normalized per unit returned by [ops]. *)
+(* Wall-clock, minor-word and major-word cost of advancing [sim] by
+   [window] of simulated time, normalized per unit returned by [ops]. Major
+   words come from [Gc.quick_stat]: what is allocated straight into the
+   major heap or promoted, which the minor-word count cannot see. *)
 let timed_window sim ~window ~ops =
   let o0 = ops () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   Sim.run ~until:(Sim.now sim + window) sim;
   let wall = Unix.gettimeofday () -. t0 in
   let words = Gc.minor_words () -. w0 in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
   let n = max 1 (ops () - o0) in
-  (n, wall, words)
+  (n, wall, words, major)
 
 let median xs =
   let sorted = List.sort compare xs in
@@ -59,14 +63,18 @@ let median xs =
 
 (* Three consecutive measurement windows, median throughput: wall-clock on a
    shared machine is noisy, and the median discards the window that caught a
-   scheduler hiccup. Allocation counts are deterministic across windows. *)
+   scheduler hiccup. Allocation counts are deterministic across windows.
+   Returns (ops/s, minor words/op, major words/op). *)
 let median_windows sim ~window ~ops =
   let samples =
     List.init 3 (fun _ ->
-        let n, wall, words = timed_window sim ~window ~ops in
-        (float_of_int n /. wall, words /. float_of_int n))
+        let n, wall, words, major = timed_window sim ~window ~ops in
+        let n = float_of_int n in
+        (n /. wall, words /. n, major /. n))
   in
-  (median (List.map fst samples), median (List.map snd samples))
+  ( median (List.map (fun (r, _, _) -> r) samples),
+    median (List.map (fun (_, w, _) -> w) samples),
+    median (List.map (fun (_, _, m) -> m) samples) )
 
 (* --- Benchmarks --------------------------------------------------------- *)
 
@@ -96,7 +104,7 @@ let bulk ~quick =
         })
   done;
   Sim.run ~until:(Time_ns.ms 10) sim;
-  let rate, words_per =
+  let rate, words_per, major_per =
     median_windows sim
       ~window:(Time_ns.ms (if quick then 4 else 15))
       ~ops:(fun () -> pkt_ops tas_a + pkt_ops tas_b)
@@ -104,6 +112,7 @@ let bulk ~quick =
   [
     m "bulk_pkt_ops_per_sec" rate "ops/s" Throughput;
     m "bulk_minor_words_per_pkt" words_per "words/op" Alloc;
+    m "bulk_major_words_per_pkt" major_per "words/op" Alloc;
   ]
 
 (* Pipelined small RPCs TAS<->TAS: per-packet fast-path cost dominated by
@@ -120,7 +129,7 @@ let rpc ~quick =
     ~dst_ip:(Tas_netsim.Nic.ip net.Topology.b.Topology.nic) ~dst_port:7
     ~msg_size:64 ~pipeline:8 ~stats ();
   Sim.run ~until:(Time_ns.ms 10) sim;
-  let rate, _words_per =
+  let rate, _, _ =
     median_windows sim
       ~window:(Time_ns.ms (if quick then 4 else 15))
       ~ops:(fun () -> Stats.Counter.value stats.Rpc_echo.completed)
@@ -131,17 +140,8 @@ let rpc ~quick =
 let wire ~quick =
   let payload = Bytes.make 512 'x' in
   let tcp =
-    {
-      Tcp_header.src_port = 1234;
-      dst_port = 80;
-      seq = 7;
-      ack = 9;
-      flags = Tcp_header.data_flags;
-      window = 1024;
-      options =
-        { Tcp_header.mss = None; wscale = None; timestamp = Some (1, 2);
-          sack = [] };
-    }
+    Tcp_header.make ~ts:(1, 2) ~src_port:1234 ~dst_port:80 ~seq:7 ~ack:9
+      ~flags:Tcp_header.data_flags ~window:1024 ()
   in
   let pkt =
     Packet.make ~src_mac:(Addr.host_mac 0) ~dst_mac:(Addr.host_mac 1)
@@ -170,11 +170,12 @@ let wire ~quick =
       "words/op" Alloc;
   ]
 
-(* Sharded flow-table lookup: the per-packet work of hashing a four-tuple,
-   routing through the RSS redirection table to the owning shard, and
-   finding the flow record — over a table populated like a busy server
-   (4096 flows across 8 shards). Payloads are plain ints so the cost
-   measured is the table's, not the record's. *)
+(* Sharded flow-table lookup: the per-packet work of hashing a four-tuple's
+   fields, routing through the RSS redirection table to the owning shard,
+   and finding the flow record ([find_fields], the fast path's lookup) —
+   over a table populated like a busy server (4096 flows across 8 shards).
+   Payloads are plain ints so the cost measured is the table's, not the
+   record's. *)
 let flow_lookup ~quick =
   let module Rss = Tas_shard.Rss_table in
   let module Shards = Tas_shard.Flow_shards in
@@ -202,9 +203,14 @@ let flow_lookup ~quick =
            enjoy, like independent per-packet arrivals do. *)
         let j = ref 0 in
         for _ = 1 to iters do
-          (match Shards.find shards tuples.(!j) with
-          | Some _ -> ()
-          | None -> assert false);
+          let tu = tuples.(!j) in
+          if
+            Shards.find_fields shards ~absent:(-1)
+              ~local_ip:tu.Four_tuple.local_ip
+              ~local_port:tu.Four_tuple.local_port
+              ~peer_ip:tu.Four_tuple.peer_ip ~peer_port:tu.Four_tuple.peer_port
+            < 0
+          then assert false;
           j := (!j + 2049) land (n_flows - 1)
         done;
         let wall = Unix.gettimeofday () -. t0 in
@@ -256,6 +262,9 @@ let burst ~quick =
     }
   in
   Fast_path.install_flow fp ~tuple flow;
+  (* The far end consumes the emitted ACKs. *)
+  Nic.set_rx_handler net.Topology.b.Topology.nic (fun ~queue:_ pkt ->
+      Packet.release pkt);
   (* Stale segments (entirely below [rx_next]): every packet takes the
      duplicate path and answers with an ACK, so the same burst array can be
      replayed indefinitely with stable per-iteration work. *)
@@ -265,23 +274,21 @@ let burst ~quick =
         Packet.make ~src_mac:peer_mac ~dst_mac:(Nic.mac nic) ~src_ip:peer_ip
           ~dst_ip:(Nic.ip nic)
           ~tcp:
-            {
-              Tcp_header.src_port = 9000;
-              dst_port = 5001;
-              seq = 1000;
-              ack = 1000;
-              flags = Tcp_header.data_flags;
-              window = 65535;
-              options =
-                { Tcp_header.mss = None; wscale = None;
-                  timestamp = Some (1, 1); sack = [] };
-            }
+            (Tcp_header.make ~ts:(1, 1) ~src_port:9000 ~dst_port:5001
+               ~seq:1000 ~ack:1000 ~flags:Tcp_header.data_flags ~window:65535
+               ())
           ~payload:(Bytes.create 1448) ())
   in
   let core = cores.(0) in
-  for _ = 1 to 100 do
+  (* [process] releases every packet it is given: take one reference per
+     replay. *)
+  let replay () =
+    Array.iter Packet.retain pkts;
     Fast_path.process_burst fp pkts ~count:burst_len core;
     Sim.run sim
+  in
+  for _ = 1 to 100 do
+    replay ()
   done;
   let iters = if quick then 2_000 else 6_000 in
   let samples =
@@ -289,8 +296,7 @@ let burst ~quick =
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to iters do
-          Fast_path.process_burst fp pkts ~count:burst_len core;
-          Sim.run sim
+          replay ()
         done;
         let wall = Unix.gettimeofday () -. t0 in
         let words = Gc.minor_words () -. w0 in
@@ -301,6 +307,87 @@ let burst ~quick =
     m "burst_rx_pkts_per_sec" (median (List.map fst samples)) "pkts/s"
       Throughput;
     m "burst_minor_words_per_pkt"
+      (median (List.map snd samples))
+      "words/op" Alloc;
+  ]
+
+(* One data segment's full life on a warm pool, driven directly: host A
+   takes a packet from its NIC's pool and a payload from the buffer pool,
+   transmits it through its port to host B, whose fast path delivers it in
+   order into an installed flow, ACKs it from B's pool and releases it back
+   to A's pool; A's NIC releases the ACK back to B's. The receiver consumes
+   the payload each round, so the same work repeats forever. Gated at 0
+   words: the steady-state segment path allocates nothing. *)
+let pkt_cycle ~quick =
+  let module Fast_path = Tas_core.Fast_path in
+  let module Flow_state = Tas_core.Flow_state in
+  let module Rate_bucket = Tas_core.Rate_bucket in
+  let module Nic = Tas_netsim.Nic in
+  let module Buf_pool = Tas_buffers.Buf_pool in
+  let module Ring = Tas_buffers.Ring_buffer in
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~spec:(Topology.link_10g ()) () in
+  let nic_a = net.Topology.a.Topology.nic
+  and nic_b = net.Topology.b.Topology.nic in
+  let fp =
+    Fast_path.create sim ~nic:nic_b ~cores:[| Core.create sim ~id:0 () |]
+      ~config:Config.default
+  in
+  Fast_path.attach fp;
+  Nic.set_rx_handler nic_a (fun ~queue:_ pkt -> Packet.release pkt);
+  let mss = 1448 and port_a = 9000 and port_b = 5001 in
+  let flow =
+    Flow_state.create ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+      ~pool:(Ring.Pool.create ()) ~opaque:1 ~context:0
+      ~bucket:
+        (Rate_bucket.create sim (Rate_bucket.Rate 10e9) ~burst_bytes:65536)
+      ~rx_buf_size:65536 ~tx_buf_size:65536 ~local_port:port_b
+      ~peer_ip:(Nic.ip nic_a) ~peer_port:port_a ~peer_mac:(Nic.mac nic_a)
+      ~tx_iss:1 ~rx_next:0 ~window:65535 ~peer_wscale:0 ()
+  in
+  Fast_path.install_flow fp
+    ~tuple:
+      {
+        Addr.Four_tuple.local_ip = Nic.ip nic_b;
+        local_port = port_b;
+        peer_ip = Nic.ip nic_a;
+        peer_port = port_a;
+      }
+    flow;
+  let seq = ref 0 in
+  let cycle () =
+    let pkt = Packet.take (Nic.packet_pool nic_a) in
+    Tcp_header.fill pkt.Packet.tcp ~src_port:port_a ~dst_port:port_b ~seq:!seq
+      ~ack:1 ~flags:Tcp_header.data_flags ~window:65535 ~ts_val:1 ~ts_ecr:0
+      ~sack:[];
+    Packet.fill pkt ~src_mac:(Nic.mac nic_a) ~dst_mac:(Nic.mac nic_b)
+      ~src_ip:(Nic.ip nic_a) ~dst_ip:(Nic.ip nic_b)
+      ~ecn:Tas_proto.Ipv4_header.Ect0
+      ~payload:(Buf_pool.take (Buf_pool.local ()) mss);
+    Packet.mark_pooled pkt;
+    Nic.transmit nic_a pkt;
+    Sim.run sim;
+    seq := !seq + mss;
+    Ring.advance_tail (Flow_state.rx_buf flow) mss
+  in
+  for _ = 1 to 1000 do
+    cycle ()
+  done;
+  let iters = if quick then 20_000 else 60_000 in
+  let samples =
+    List.init 3 (fun _ ->
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to iters do
+          cycle ()
+        done;
+        let wall = Unix.gettimeofday () -. t0 in
+        let words = Gc.minor_words () -. w0 in
+        (float_of_int iters /. wall, words /. float_of_int iters))
+  in
+  [
+    m "pkt_cycles_per_sec" (median (List.map fst samples)) "pkts/s" Throughput;
+    m "pkt_cycle_minor_words"
       (median (List.map snd samples))
       "words/op" Alloc;
   ]
@@ -459,7 +546,8 @@ let measure ~quick =
   Gc.compact ();
   List.concat
     [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
-      burst ~quick; rack_ack ~quick; conn_churn ~quick; events ~quick ]
+      burst ~quick; pkt_cycle ~quick; rack_ack ~quick; conn_churn ~quick;
+      events ~quick ]
 
 (* --- Artifact ----------------------------------------------------------- *)
 

@@ -130,8 +130,9 @@ let ge_drop t g =
   let p = if t.ge_bad then g.loss_bad else g.loss_good in
   p > 0.0 && Rng.coin t.rng p
 
-(* Damage a functional-update copy so duplicate references to the original
-   packet are not retroactively corrupted. *)
+(* Damage the packet in exchange for its reference: in place when the
+   stage holds the only one, else on a private copy ([Packet.unshare]), so
+   a tapped original is not retroactively corrupted. *)
 let corrupt_pkt t pkt =
   let as_header =
     t.spec.corrupt_header_fraction > 0.0
@@ -139,30 +140,27 @@ let corrupt_pkt t pkt =
   in
   if as_header then begin
     t.c.header_corrupts <- t.c.header_corrupts + 1;
-    let ip =
-      { pkt.Packet.ip with
-        Ipv4_header.total_length =
-          pkt.Packet.ip.Ipv4_header.total_length + 1 + Rng.int t.rng 64 }
-    in
-    (* A fresh single-referent packet; it does not own the (shared) payload
-       buffer, so its eventual release never recycles it under the held
-       original. *)
-    { pkt with Packet.ip; refs = 1; pooled = false }
+    let pkt = Packet.unshare pkt in
+    let ip = pkt.Packet.ip in
+    ip.Ipv4_header.total_length <-
+      ip.Ipv4_header.total_length + 1 + Rng.int t.rng 64;
+    pkt
   end
   else begin
     t.c.payload_corrupts <- t.c.payload_corrupts + 1;
-    let payload =
-      let src = pkt.Packet.payload in
-      if Bytes.length src = 0 then src
-      else begin
-        let b = Bytes.copy src in
-        let i = Rng.int t.rng (Bytes.length b) in
-        let bit = 1 lsl Rng.int t.rng 8 in
-        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
-        b
-      end
-    in
-    { pkt with Packet.payload; corrupt = true; refs = 1; pooled = false }
+    let pkt = Packet.unshare pkt in
+    let src = pkt.Packet.payload in
+    if Bytes.length src > 0 then begin
+      (* Damage a copy: the payload may be a buffer its creator still
+         reads. *)
+      let b = Bytes.copy src in
+      let i = Rng.int t.rng (Bytes.length b) in
+      let bit = 1 lsl Rng.int t.rng 8 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor bit));
+      Packet.set_payload pkt b
+    end;
+    pkt.Packet.corrupt <- true;
+    pkt
   end
 
 let release t h =
@@ -200,7 +198,8 @@ let wrap t deliver pkt =
   t.c.offered <- t.c.offered + 1;
   if in_blackout t then begin
     t.c.blackout_drops <- t.c.blackout_drops + 1;
-    trace_ev t Trace.Fault_drop
+    trace_ev t Trace.Fault_drop;
+    Packet.release pkt
   end
   else
     let dropped =
@@ -216,7 +215,10 @@ let wrap t deliver pkt =
           if d then t.c.uniform_drops <- t.c.uniform_drops + 1;
           d
     in
-    if dropped then trace_ev t Trace.Fault_drop
+    if dropped then begin
+      trace_ev t Trace.Fault_drop;
+      Packet.release pkt
+    end
     else if t.spec.corrupt_rate > 0.0 && Rng.coin t.rng t.spec.corrupt_rate
     then begin
       trace_ev t Trace.Fault_corrupt;

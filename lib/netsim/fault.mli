@@ -13,9 +13,11 @@
     Corrupted packets are delivered mutated, not dropped: payload corruption
     sets {!Tas_proto.Packet.t.corrupt} (caught by the NIC's checksum-offload
     validation), header corruption mangles the IP total length (caught by
-    the TAS fast path's length validation). Everything is driven by one
-    {!Tas_engine.Rng.t}, so equal seeds and equal packet sequences yield
-    identical fault schedules.
+    the TAS fast path's length validation). The damage lands on a packet
+    the stage owns alone ({!Tas_proto.Packet.unshare}), so a tapped
+    original keeps its bytes. A dropped packet is released. Everything is
+    driven by one {!Tas_engine.Rng.t}, so equal seeds and equal packet
+    sequences yield identical fault schedules.
 
     This module subsumes the former [Loss] (uniform drop) and [Reorder]
     (one-shot delay) injectors, with counting that the uncounted

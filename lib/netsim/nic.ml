@@ -11,6 +11,7 @@ type t = {
   num_queues : int;
   tx_port : Port.t;
   rss : Rss_table.t;
+  pkt_pool : Packet.Pool.t;
   mutable rx_handler : queue:int -> Packet.t -> unit;
   mutable rx_packets : int;
   mutable tx_packets : int;
@@ -32,6 +33,11 @@ let create sim ~ip ~mac ~num_queues ~tx_port () =
       num_queues;
       tx_port;
       rss = Rss_table.create ~size:rss_table_size ~num_queues ();
+      pkt_pool =
+        Packet.Pool.create
+          ~recycle:(fun buf ->
+            Tas_buffers.Buf_pool.give (Tas_buffers.Buf_pool.local ()) buf)
+          ();
       rx_handler = (fun ~queue:_ _ -> ());
       rx_packets = 0;
       tx_packets = 0;
@@ -48,6 +54,7 @@ let create sim ~ip ~mac ~num_queues ~tx_port () =
 let ip t = t.ip
 let mac t = t.mac
 let num_queues t = t.num_queues
+let packet_pool t = t.pkt_pool
 let set_rx_handler t f = t.rx_handler <- f
 
 let set_span t ?(origin = false) span =
@@ -77,7 +84,8 @@ let input t pkt =
   if pkt.Packet.corrupt then begin
     t.rx_csum_drops <- t.rx_csum_drops + 1;
     Tas_telemetry.Trace.record t.trace ~ts:(Tas_engine.Sim.now t.sim)
-      ~kind:Tas_telemetry.Trace.Csum_drop ~core:(-1) ~flow:(-1)
+      ~kind:Tas_telemetry.Trace.Csum_drop ~core:(-1) ~flow:(-1);
+    Packet.release pkt
   end
   else input_valid t pkt
 

@@ -21,6 +21,12 @@ val ip : t -> Tas_proto.Addr.ipv4
 val mac : t -> Tas_proto.Addr.mac
 val num_queues : t -> int
 
+val packet_pool : t -> Tas_proto.Packet.Pool.t
+(** The NIC's packet free list, the analogue of its DPDK mempool: the host
+    data path takes its segments from here, and their final release, on
+    whichever host, returns them here. A payload a packet owns goes back
+    to the domain's {!Tas_buffers.Buf_pool}. *)
+
 val set_rx_handler : t -> (queue:int -> Tas_proto.Packet.t -> unit) -> unit
 (** Install the host-side receive callback; invoked once per packet with the
     RSS-selected queue index. *)
@@ -38,7 +44,8 @@ val set_trace : t -> Tas_telemetry.Trace.t -> unit
 val input : t -> Tas_proto.Packet.t -> unit
 (** Packet arriving from the network. Frames flagged as corrupt are dropped
     by the simulated hardware checksum-offload validation (counted in
-    {!rx_csum_drops}) before touching RSS or the host receive handler. *)
+    {!rx_csum_drops}, and released) before touching RSS or the host receive
+    handler. *)
 
 val transmit : t -> Tas_proto.Packet.t -> unit
 (** Packet leaving the host. *)

@@ -65,15 +65,8 @@ type t = {
 let make_dummy () =
   Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
     ~tcp:
-      {
-        Tcp_header.src_port = 0;
-        dst_port = 0;
-        seq = 0;
-        ack = 0;
-        flags = Tcp_header.no_flags;
-        window = 0;
-        options = Tcp_header.no_options;
-      }
+      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
+         ~flags:Tcp_header.no_flags ~window:0 ())
     ~payload:Bytes.empty ()
 
 let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
@@ -151,10 +144,14 @@ let set_span t span = t.span <- span
 
 let enqueue t pkt =
   let qlen = t.queue.r_len + if t.transmitting then 1 else 0 in
-  if qlen >= t.capacity then t.drops <- t.drops + 1
+  if qlen >= t.capacity then begin
+    t.drops <- t.drops + 1;
+    Packet.release pkt
+  end
   else begin
     (* DCTCP marking: set CE when the instantaneous queue exceeds K and the
-       packet is ECN-capable. *)
+       packet is ECN-capable. The mark lands on a packet this queue owns
+       alone, so a tapped original keeps its ECT codepoint. *)
     let pkt =
       match t.ecn_threshold with
       | Some k
@@ -162,7 +159,9 @@ let enqueue t pkt =
              && (pkt.Packet.ip.Ipv4_header.ecn = Ipv4_header.Ect0
                 || pkt.Packet.ip.Ipv4_header.ecn = Ipv4_header.Ect1) ->
         t.marks <- t.marks + 1;
-        { pkt with Packet.ip = Ipv4_header.with_ce pkt.Packet.ip }
+        let pkt = Packet.unshare pkt in
+        pkt.Packet.ip.Ipv4_header.ecn <- Ipv4_header.Ce;
+        pkt
       | _ -> pkt
     in
     span_hop t pkt Span.Port_q;

@@ -29,8 +29,9 @@ val set_span : t -> Tas_telemetry.Span.t -> unit
     the packet's queueing + serialization delay on this link. *)
 
 val enqueue : t -> Tas_proto.Packet.t -> unit
-(** Queue a packet for transmission; drops (tail-drop) when full and marks
-    CE above the ECN threshold. *)
+(** Queue a packet for transmission; drops (tail-drop, releasing the
+    packet) when full and marks CE above the ECN threshold, on a private
+    copy when the packet is shared ({!Tas_proto.Packet.unshare}). *)
 
 val queue_len : t -> int
 (** Packets currently queued or in serialization. *)

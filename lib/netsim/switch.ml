@@ -52,7 +52,9 @@ let add_ecmp_route t dst port_ids =
 
 let input t pkt =
   match Hashtbl.find_opt t.routes pkt.Packet.ip.Tas_proto.Ipv4_header.dst with
-  | None -> t.no_route <- t.no_route + 1
+  | None ->
+    t.no_route <- t.no_route + 1;
+    Packet.release pkt
   | Some route ->
     let port_id =
       match route with
@@ -60,7 +62,9 @@ let input t pkt =
       | Ecmp ps -> ps.(Packet.flow_hash pkt mod Array.length ps)
     in
     (match t.ports.(port_id) with
-    | None -> t.no_route <- t.no_route + 1
+    | None ->
+      t.no_route <- t.no_route + 1;
+      Packet.release pkt
     | Some out ->
       if pkt.Packet.span >= 0 then
         Span.record t.span ~ts:(Sim.now t.sim) ~id:pkt.Packet.span

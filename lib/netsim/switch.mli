@@ -29,8 +29,8 @@ val add_ecmp_route : t -> Tas_proto.Addr.ipv4 -> int list -> unit
     given connection always takes the same path. *)
 
 val input : t -> Tas_proto.Packet.t -> unit
-(** Accept a packet for forwarding. Packets without a route are dropped and
-    counted. *)
+(** Accept a packet for forwarding. Packets without a route are dropped,
+    counted and released. *)
 
 val no_route_drops : t -> int
 

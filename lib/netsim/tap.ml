@@ -15,12 +15,15 @@ let wrap t sim deliver pkt =
      consumer's release from recycling the payload under the record. *)
   Packet.retain pkt;
   Queue.add { at = Tas_engine.Sim.now sim; pkt } t.queue;
-  if Queue.length t.queue > t.limit then ignore (Queue.take t.queue);
+  if Queue.length t.queue > t.limit then
+    Packet.release (Queue.take t.queue).pkt;
   deliver pkt
 
 let records t = List.of_seq (Queue.to_seq t.queue)
 let count t = Queue.length t.queue
-let clear t = Queue.clear t.queue
+let clear t =
+  Queue.iter (fun r -> Packet.release r.pkt) t.queue;
+  Queue.clear t.queue
 let matching t pred = List.filter (fun r -> pred r.pkt) (records t)
 
 (* A packet belongs to a connection regardless of direction: match the

@@ -11,7 +11,9 @@ type record = {
 type t
 
 val create : ?limit:int -> unit -> t
-(** Keep at most [limit] records (default 10_000; older records drop). *)
+(** Keep at most [limit] records (default 10_000; older records drop). Each
+    record holds a reference to its packet, released when the record is
+    evicted or cleared. *)
 
 val wrap :
   t -> Tas_engine.Sim.t -> (Tas_proto.Packet.t -> unit) ->
@@ -22,7 +24,9 @@ val records : t -> record list
 (** In capture order. *)
 
 val count : t -> int
+
 val clear : t -> unit
+(** Drop every record, releasing its packet. *)
 
 val matching :
   t -> (Tas_proto.Packet.t -> bool) -> record list

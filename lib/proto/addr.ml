@@ -59,18 +59,26 @@ module Four_tuple = struct
     a.local_ip = b.local_ip && a.local_port = b.local_port
     && a.peer_ip = b.peer_ip && a.peer_port = b.peer_port
 
-  let hash t =
-    let h = (t.local_ip * 31) + t.local_port in
-    let h = (h * 31) + t.peer_ip in
-    let h = (h * 31) + t.peer_port in
+  let hash_fields ~local_ip ~local_port ~peer_ip ~peer_port =
+    let h = (local_ip * 31) + local_port in
+    let h = (h * 31) + peer_ip in
+    let h = (h * 31) + peer_port in
     h land max_int
 
-  let sym_hash t =
-    let a = (t.local_ip lxor t.peer_ip) * 0x9E3779B1 in
-    let b = (t.local_port lxor t.peer_port) * 0x85EBCA77 in
+  let hash t =
+    hash_fields ~local_ip:t.local_ip ~local_port:t.local_port
+      ~peer_ip:t.peer_ip ~peer_port:t.peer_port
+
+  let sym_hash_fields ~local_ip ~local_port ~peer_ip ~peer_port =
+    let a = (local_ip lxor peer_ip) * 0x9E3779B1 in
+    let b = (local_port lxor peer_port) * 0x85EBCA77 in
     let h = (a + b) land max_int in
     let h = h lxor (h lsr 15) in
     h * 0x27D4EB2F land max_int
+
+  let sym_hash t =
+    sym_hash_fields ~local_ip:t.local_ip ~local_port:t.local_port
+      ~peer_ip:t.peer_ip ~peer_port:t.peer_port
 
   let pp fmt t =
     Format.fprintf fmt "%a:%d<->%a:%d" pp_ipv4 t.local_ip t.local_port pp_ipv4

@@ -51,5 +51,14 @@ module Four_tuple : sig
       is the hash symmetric receive-side scaling computes, so both
       directions of a connection land on the same NIC queue. *)
 
+  val hash_fields :
+    local_ip:ipv4 -> local_port:port -> peer_ip:ipv4 -> peer_port:port -> int
+  (** {!hash} of the tuple with these fields, without building it. *)
+
+  val sym_hash_fields :
+    local_ip:ipv4 -> local_port:port -> peer_ip:ipv4 -> peer_port:port -> int
+  (** {!sym_hash} of the tuple with these fields, without building it: the
+      per-packet RSS hash reads them straight from the headers. *)
+
   val pp : Format.formatter -> t -> unit
 end

@@ -1,4 +1,8 @@
-type t = { dst : Addr.mac; src : Addr.mac; ethertype : int }
+type t = {
+  mutable dst : Addr.mac;
+  mutable src : Addr.mac;
+  mutable ethertype : int;
+}
 
 let size = 14
 let ethertype_ipv4 = 0x0800

@@ -1,9 +1,9 @@
 (** Ethernet II frame header. *)
 
 type t = {
-  dst : Addr.mac;
-  src : Addr.mac;
-  ethertype : int;  (** 0x0800 for IPv4. *)
+  mutable dst : Addr.mac;
+  mutable src : Addr.mac;
+  mutable ethertype : int;  (** 0x0800 for IPv4. *)
 }
 
 val size : int

@@ -1,14 +1,14 @@
 type ecn = Not_ect | Ect0 | Ect1 | Ce
 
 type t = {
-  src : Addr.ipv4;
-  dst : Addr.ipv4;
-  protocol : int;
-  ttl : int;
-  ecn : ecn;
-  dscp : int;
-  ident : int;
-  total_length : int;
+  mutable src : Addr.ipv4;
+  mutable dst : Addr.ipv4;
+  mutable protocol : int;
+  mutable ttl : int;
+  mutable ecn : ecn;
+  mutable dscp : int;
+  mutable ident : int;
+  mutable total_length : int;
 }
 
 let size = 20
@@ -17,7 +17,6 @@ let protocol_tcp = 6
 let ecn_to_bits = function Not_ect -> 0 | Ect0 -> 2 | Ect1 -> 1 | Ce -> 3
 let ecn_of_bits = function 0 -> Not_ect | 2 -> Ect0 | 1 -> Ect1 | _ -> Ce
 
-let with_ce t = { t with ecn = Ce }
 
 let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));

@@ -6,24 +6,22 @@
 type ecn = Not_ect | Ect0 | Ect1 | Ce
 
 type t = {
-  src : Addr.ipv4;
-  dst : Addr.ipv4;
-  protocol : int;  (** 6 for TCP. *)
-  ttl : int;
-  ecn : ecn;
-  dscp : int;
-  ident : int;
-  total_length : int;  (** Header + payload, bytes. *)
+  mutable src : Addr.ipv4;
+  mutable dst : Addr.ipv4;
+  mutable protocol : int;  (** 6 for TCP. *)
+  mutable ttl : int;
+  mutable ecn : ecn;
+  mutable dscp : int;
+  mutable ident : int;
+  mutable total_length : int;  (** Header + payload, bytes. *)
 }
+(** Mutable so that a pooled packet is rewritten in place and an
+    ECN-marking queue sets CE on a packet it owns. *)
 
 val size : int
 (** Wire size without options: 20 bytes. *)
 
 val protocol_tcp : int
-
-val with_ce : t -> t
-(** The header with its ECN codepoint set to congestion-experienced. This is
-    what an ECN-marking switch queue applies. *)
 
 val write : t -> bytes -> off:int -> int
 (** Serializes including a correct header checksum; returns bytes written. *)

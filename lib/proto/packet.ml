@@ -2,38 +2,115 @@ type t = {
   eth : Eth_header.t;
   ip : Ipv4_header.t;
   tcp : Tcp_header.t;
-  payload : bytes;
+  mutable payload : bytes;
   mutable span : int;
   mutable corrupt : bool;
   mutable refs : int;
   mutable pooled : bool;
+  home : pool;
 }
 
-let make ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ecn = Ipv4_header.Ect0) ~tcp
-    ~payload () =
-  let tcp_size = Tcp_header.size tcp in
+(* One LIFO stack of free packets. [free] slots at or above [n_free] hold
+   stale references that are never read. *)
+and pool = {
+  mutable free : t array;
+  mutable n_free : int;
+  mutable created : int;
+  mutable outstanding : int;
+  recycle : bytes -> unit;
+}
+
+(* The home of packets built by [make]: never holds a packet, and its
+   recycler drops the payload. *)
+let no_pool =
+  { free = [||]; n_free = 0; created = 0; outstanding = 0; recycle = ignore }
+
+let fresh home tcp =
   {
     eth =
-      { Eth_header.src = src_mac; dst = dst_mac;
-        ethertype = Eth_header.ethertype_ipv4 };
+      { Eth_header.src = 0; dst = 0; ethertype = Eth_header.ethertype_ipv4 };
     ip =
       {
-        Ipv4_header.src = src_ip;
-        dst = dst_ip;
+        Ipv4_header.src = 0;
+        dst = 0;
         protocol = Ipv4_header.protocol_tcp;
         ttl = 64;
-        ecn;
+        ecn = Ipv4_header.Ect0;
         dscp = 0;
         ident = 0;
-        total_length = Ipv4_header.size + tcp_size + Bytes.length payload;
+        total_length = 0;
       };
     tcp;
-    payload;
+    payload = Bytes.empty;
     span = -1;
     corrupt = false;
     refs = 1;
     pooled = false;
+    home;
   }
+
+let fill t ~src_mac ~dst_mac ~src_ip ~dst_ip ~ecn ~payload =
+  let eth = t.eth and ip = t.ip in
+  eth.Eth_header.src <- src_mac;
+  eth.Eth_header.dst <- dst_mac;
+  eth.Eth_header.ethertype <- Eth_header.ethertype_ipv4;
+  ip.Ipv4_header.src <- src_ip;
+  ip.Ipv4_header.dst <- dst_ip;
+  ip.Ipv4_header.protocol <- Ipv4_header.protocol_tcp;
+  ip.Ipv4_header.ttl <- 64;
+  ip.Ipv4_header.ecn <- ecn;
+  ip.Ipv4_header.dscp <- 0;
+  ip.Ipv4_header.ident <- 0;
+  ip.Ipv4_header.total_length <-
+    Ipv4_header.size + Tcp_header.size t.tcp + Bytes.length payload;
+  t.payload <- payload;
+  t.span <- -1;
+  t.corrupt <- false;
+  t.pooled <- false
+
+let make ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ecn = Ipv4_header.Ect0) ~tcp
+    ~payload () =
+  let t = fresh no_pool tcp in
+  fill t ~src_mac ~dst_mac ~src_ip ~dst_ip ~ecn ~payload;
+  t
+
+module Pool = struct
+  type t = pool
+
+  let create ?(recycle = ignore) () =
+    { free = [||]; n_free = 0; created = 0; outstanding = 0; recycle }
+
+  let take p =
+    p.outstanding <- p.outstanding + 1;
+    if p.n_free = 0 then begin
+      p.created <- p.created + 1;
+      fresh p
+        (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
+           ~flags:Tcp_header.no_flags ~window:0 ())
+    end
+    else begin
+      p.n_free <- p.n_free - 1;
+      let pkt = p.free.(p.n_free) in
+      pkt.refs <- 1;
+      pkt
+    end
+
+  let give p pkt =
+    if p.n_free = Array.length p.free then begin
+      let free = Array.make (max 16 (2 * p.n_free)) pkt in
+      Array.blit p.free 0 free 0 p.n_free;
+      p.free <- free
+    end;
+    p.free.(p.n_free) <- pkt;
+    p.n_free <- p.n_free + 1;
+    p.outstanding <- p.outstanding - 1
+
+  let outstanding p = p.outstanding
+  let created p = p.created
+  let held p = p.n_free
+end
+
+let take = Pool.take
 
 let wire_size t = Eth_header.size + t.ip.Ipv4_header.total_length
 let payload_len t = Bytes.length t.payload
@@ -51,7 +128,10 @@ let four_tuple_at_receiver t =
     peer_port = t.tcp.Tcp_header.src_port;
   }
 
-let flow_hash t = Addr.Four_tuple.sym_hash (four_tuple_at_receiver t)
+let flow_hash t =
+  Addr.Four_tuple.sym_hash_fields ~local_ip:t.ip.Ipv4_header.dst
+    ~local_port:t.tcp.Tcp_header.dst_port ~peer_ip:t.ip.Ipv4_header.src
+    ~peer_port:t.tcp.Tcp_header.src_port
 
 let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
@@ -94,7 +174,8 @@ let of_wire buf =
   if payload_len < 0 || tcp_off + tcp_size + payload_len > Bytes.length buf
   then invalid_arg "Packet.of_wire: inconsistent lengths";
   let payload = Bytes.sub buf (tcp_off + tcp_size) payload_len in
-  { eth; ip; tcp; payload; span = -1; corrupt = false; refs = 1; pooled = false }
+  { eth; ip; tcp; payload; span = -1; corrupt = false; refs = 1;
+    pooled = false; home = no_pool }
 
 let tcp_checksum_ok buf =
   let ip = Ipv4_header.read buf ~off:Eth_header.size in
@@ -104,20 +185,61 @@ let tcp_checksum_ok buf =
   let acc = Checksum.ones_complement_sum ~acc buf ~off:tcp_off ~len:tcp_len in
   Checksum.finish acc = 0
 
-(* --- Payload-buffer ownership ------------------------------------------ *)
+(* --- Ownership -------------------------------------------------------- *)
 
 let mark_pooled t = if Bytes.length t.payload > 0 then t.pooled <- true
 
-let retain t = t.refs <- t.refs + 1
+let check_live t fn =
+  if t.refs <= 0 then
+    invalid_arg (fn ^ ": packet already released (no reference left)")
+
+let retain t =
+  check_live t "Packet.retain";
+  t.refs <- t.refs + 1
 
 let release t =
+  check_live t "Packet.release";
   t.refs <- t.refs - 1;
-  if t.refs = 0 && t.pooled then begin
-    (* Detach so a (buggy) second release can never recycle twice. *)
-    t.pooled <- false;
-    Some t.payload
+  if t.refs = 0 then begin
+    let home = t.home in
+    if t.pooled then begin
+      t.pooled <- false;
+      home.recycle t.payload
+    end;
+    if home != no_pool then begin
+      t.payload <- Bytes.empty;
+      Pool.give home t
+    end
   end
-  else None
+
+let unshare t =
+  check_live t "Packet.unshare";
+  if t.refs = 1 then t
+  else begin
+    (* [{ r with f = r.f }] is a fresh copy of the mutable header [r]. *)
+    let c =
+      {
+        eth = { t.eth with Eth_header.src = t.eth.Eth_header.src };
+        ip = { t.ip with Ipv4_header.src = t.ip.Ipv4_header.src };
+        tcp = { t.tcp with Tcp_header.seq = t.tcp.Tcp_header.seq };
+        payload = Bytes.copy t.payload;
+        span = t.span;
+        corrupt = t.corrupt;
+        refs = 1;
+        pooled = false;
+        home = no_pool;
+      }
+    in
+    release t;
+    c
+  end
+
+let set_payload t payload =
+  if t.pooled then begin
+    t.pooled <- false;
+    t.home.recycle t.payload
+  end;
+  t.payload <- payload
 
 let pp fmt t =
   Format.fprintf fmt "%a | %a | %d bytes payload" Ipv4_header.pp t.ip

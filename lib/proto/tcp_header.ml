@@ -8,42 +8,61 @@ type flags = {
   cwr : bool;
 }
 
-type options = {
-  mss : int option;
-  wscale : int option;
-  timestamp : (int * int) option;
-  sack : (Seq32.t * Seq32.t) list;
-}
-
 type t = {
-  src_port : Addr.port;
-  dst_port : Addr.port;
-  seq : Seq32.t;
-  ack : Seq32.t;
-  flags : flags;
-  window : int;
-  options : options;
+  mutable src_port : Addr.port;
+  mutable dst_port : Addr.port;
+  mutable seq : Seq32.t;
+  mutable ack : Seq32.t;
+  mutable flags : flags;
+  mutable window : int;
+  mutable mss : int option;
+  mutable wscale : int option;
+  mutable has_ts : bool;
+  mutable ts_val : int;
+  mutable ts_ecr : int;
+  mutable sack : (Seq32.t * Seq32.t) list;
 }
 
 let no_flags =
   { syn = false; ack = false; fin = false; rst = false; psh = false;
     ece = false; cwr = false }
 
-let no_options = { mss = None; wscale = None; timestamp = None; sack = [] }
 let data_flags = { no_flags with ack = true; psh = true }
 let ack_flags = { no_flags with ack = true }
 
-let options_size opts =
+let make ?mss ?wscale ?ts ?(sack = []) ~src_port ~dst_port ~seq ~ack ~flags
+    ~window () =
+  let has_ts, ts_val, ts_ecr =
+    match ts with Some (v, e) -> (true, v, e) | None -> (false, 0, 0)
+  in
+  { src_port; dst_port; seq; ack; flags; window; mss; wscale; has_ts; ts_val;
+    ts_ecr; sack }
+
+let fill t ~src_port ~dst_port ~seq ~ack ~flags ~window ~ts_val ~ts_ecr ~sack =
+  t.src_port <- src_port;
+  t.dst_port <- dst_port;
+  t.seq <- seq;
+  t.ack <- ack;
+  t.flags <- flags;
+  t.window <- window;
+  t.mss <- None;
+  t.wscale <- None;
+  t.has_ts <- true;
+  t.ts_val <- ts_val;
+  t.ts_ecr <- ts_ecr;
+  t.sack <- sack
+
+let options_size t =
   let n =
-    (match opts.mss with Some _ -> 4 | None -> 0)
-    + (match opts.wscale with Some _ -> 3 | None -> 0)
-    + (match opts.timestamp with Some _ -> 10 | None -> 0)
-    + (match opts.sack with [] -> 0 | bs -> 2 + (8 * List.length bs))
+    (match t.mss with Some _ -> 4 | None -> 0)
+    + (match t.wscale with Some _ -> 3 | None -> 0)
+    + (if t.has_ts then 10 else 0)
+    + (match t.sack with [] -> 0 | bs -> 2 + (8 * List.length bs))
   in
   (* Pad to a 4-byte boundary with NOPs. *)
   (n + 3) / 4 * 4
 
-let size t = 20 + options_size t.options
+let size t = 20 + options_size t
 
 let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));
@@ -90,29 +109,28 @@ let write t buf ~off =
   set16 buf (off + 16) 0 (* checksum: filled by Packet.to_wire *);
   set16 buf (off + 18) 0 (* urgent pointer unused *);
   let p = ref (off + 20) in
-  (match t.options.mss with
+  (match t.mss with
   | Some mss ->
     Bytes.set buf !p '\x02';
     Bytes.set buf (!p + 1) '\x04';
     set16 buf (!p + 2) mss;
     p := !p + 4
   | None -> ());
-  (match t.options.wscale with
+  (match t.wscale with
   | Some ws ->
     Bytes.set buf !p '\x03';
     Bytes.set buf (!p + 1) '\x03';
     Bytes.set buf (!p + 2) (Char.chr (ws land 0xff));
     p := !p + 3
   | None -> ());
-  (match t.options.timestamp with
-  | Some (ts_val, ts_ecr) ->
+  if t.has_ts then begin
     Bytes.set buf !p '\x08';
     Bytes.set buf (!p + 1) '\x0a';
-    set32 buf (!p + 2) (ts_val land 0xFFFF_FFFF);
-    set32 buf (!p + 6) (ts_ecr land 0xFFFF_FFFF);
+    set32 buf (!p + 2) (t.ts_val land 0xFFFF_FFFF);
+    set32 buf (!p + 6) (t.ts_ecr land 0xFFFF_FFFF);
     p := !p + 10
-  | None -> ());
-  (match t.options.sack with
+  end;
+  (match t.sack with
   | [] -> ()
   | blocks ->
     Bytes.set buf !p '\x05';
@@ -135,7 +153,12 @@ let read buf ~off =
   let data_off = (Char.code (Bytes.get buf (off + 12)) lsr 4) * 4 in
   if data_off < 20 || Bytes.length buf - off < data_off then
     invalid_arg "Tcp_header.read: bad data offset";
-  let opts = ref no_options in
+  let t =
+    make ~src_port:(get16 buf off) ~dst_port:(get16 buf (off + 2))
+      ~seq:(get32 buf (off + 4)) ~ack:(get32 buf (off + 8))
+      ~flags:(flags_of_bits (Char.code (Bytes.get buf (off + 13))))
+      ~window:(get16 buf (off + 14)) ()
+  in
   let p = ref (off + 20) in
   let last = off + data_off in
   (try
@@ -148,34 +171,23 @@ let read buf ~off =
          if len < 2 || !p + len > last then
            invalid_arg "Tcp_header.read: corrupt option";
          (match kind with
-         | 2 when len = 4 -> opts := { !opts with mss = Some (get16 buf (!p + 2)) }
+         | 2 when len = 4 -> t.mss <- Some (get16 buf (!p + 2))
          | 3 when len = 3 ->
-           opts := { !opts with wscale = Some (Char.code (Bytes.get buf (!p + 2))) }
+           t.wscale <- Some (Char.code (Bytes.get buf (!p + 2)))
          | 8 when len = 10 ->
-           opts :=
-             { !opts with
-               timestamp = Some (get32 buf (!p + 2), get32 buf (!p + 6)) }
+           t.has_ts <- true;
+           t.ts_val <- get32 buf (!p + 2);
+           t.ts_ecr <- get32 buf (!p + 6)
          | 5 when len >= 10 && (len - 2) mod 8 = 0 ->
            let n = (len - 2) / 8 in
-           let blocks =
+           t.sack <-
              List.init n (fun i ->
                  (get32 buf (!p + 2 + (8 * i)), get32 buf (!p + 6 + (8 * i))))
-           in
-           opts := { !opts with sack = blocks }
          | _ -> () (* unknown option: skipped *));
          p := !p + len
      done
    with Exit -> ());
-  ( {
-      src_port = get16 buf off;
-      dst_port = get16 buf (off + 2);
-      seq = get32 buf (off + 4);
-      ack = get32 buf (off + 8);
-      flags = flags_of_bits (Char.code (Bytes.get buf (off + 13)));
-      window = get16 buf (off + 14);
-      options = !opts;
-    },
-    data_off )
+  (t, data_off)
 
 let pp fmt t =
   let f = t.flags in

@@ -13,34 +13,67 @@ type flags = {
   cwr : bool;
 }
 
-type options = {
-  mss : int option;
-  wscale : int option;
-  timestamp : (int * int) option;  (** (ts_val, ts_ecr). *)
-  sack : (Seq32.t * Seq32.t) list;
+type t = {
+  mutable src_port : Addr.port;
+  mutable dst_port : Addr.port;
+  mutable seq : Seq32.t;
+  mutable ack : Seq32.t;
+  mutable flags : flags;
+  mutable window : int;
+  mutable mss : int option;  (** MSS option (SYN only). *)
+  mutable wscale : int option;  (** window-scale option (SYN only). *)
+  mutable has_ts : bool;
+      (** whether the timestamp option is present; [ts_val]/[ts_ecr] are
+          meaningless (and not serialized) when it is not. *)
+  mutable ts_val : int;
+  mutable ts_ecr : int;
+  mutable sack : (Seq32.t * Seq32.t) list;
       (** RFC 2018 blocks, [(start, end)] half-open in sequence space,
           most recently updated first. At most 3 fit beside the timestamp
           option (the standard 40-byte option budget); [\[\]] adds zero
           wire bytes, so non-SACK stacks are byte-identical. *)
 }
-
-type t = {
-  src_port : Addr.port;
-  dst_port : Addr.port;
-  seq : Seq32.t;
-  ack : Seq32.t;
-  flags : flags;
-  window : int;
-  options : options;
-}
+(** Mutable so that a pooled packet ({!Packet.take}) rewrites its header in
+    place instead of allocating one per segment. The options are flat
+    fields: a timestamped segment carries no option boxes. *)
 
 val no_flags : flags
-val no_options : options
 
 val data_flags : flags
 (** ACK + PSH: the common-case data segment. *)
 
 val ack_flags : flags
+
+val make :
+  ?mss:int ->
+  ?wscale:int ->
+  ?ts:int * int ->
+  ?sack:(Seq32.t * Seq32.t) list ->
+  src_port:Addr.port ->
+  dst_port:Addr.port ->
+  seq:Seq32.t ->
+  ack:Seq32.t ->
+  flags:flags ->
+  window:int ->
+  unit ->
+  t
+(** A fresh header; [ts] is [(ts_val, ts_ecr)]. For cold paths (handshakes,
+    tests); the data path refills a pooled header with {!fill}. *)
+
+val fill :
+  t ->
+  src_port:Addr.port ->
+  dst_port:Addr.port ->
+  seq:Seq32.t ->
+  ack:Seq32.t ->
+  flags:flags ->
+  window:int ->
+  ts_val:int ->
+  ts_ecr:int ->
+  sack:(Seq32.t * Seq32.t) list ->
+  unit
+(** Overwrite every field in place with a data-path header: timestamps
+    present, no SYN options. Allocates nothing. *)
 
 val size : t -> int
 (** Wire size: 20 bytes plus padded options. *)

@@ -41,6 +41,18 @@ val shard_of : 'v t -> Tas_proto.Addr.Four_tuple.t -> int
 val find : 'v t -> Tas_proto.Addr.Four_tuple.t -> 'v option
 (** Owner-core lookup; charges one local lock acquisition. *)
 
+val find_fields :
+  'v t ->
+  absent:'v ->
+  local_ip:Tas_proto.Addr.ipv4 ->
+  local_port:Tas_proto.Addr.port ->
+  peer_ip:Tas_proto.Addr.ipv4 ->
+  peer_port:Tas_proto.Addr.port ->
+  'v
+(** {!find} of the tuple with these fields, without building it and
+    without an option: a miss returns [absent]. The per-packet lookup reads
+    the fields from the headers; allocates nothing. *)
+
 val add : 'v t -> Tas_proto.Addr.Four_tuple.t -> 'v -> unit
 (** Slow-path install; charges one remote lock acquisition. *)
 

@@ -807,16 +807,8 @@ let mk_pkt st ~dst_port ~seq ~ack ~flags ~payload =
   Packet.make ~src_mac:(Addr.host_mac 99) ~dst_mac:(Nic.mac st.bnic)
     ~src_ip:(Addr.host_ip 99) ~dst_ip:(Nic.ip st.bnic)
     ~tcp:
-      {
-        Tcp.src_port = 9000;
-        dst_port;
-        seq;
-        ack;
-        flags;
-        window = 65535;
-        options =
-          { Tcp.mss = None; wscale = None; timestamp = Some (1, 1); sack = [] };
-      }
+      (Tcp.make ~ts:(1, 1) ~src_port:9000 ~dst_port ~seq ~ack ~flags
+         ~window:65535 ())
     ~payload ()
 
 (* Everything single-vs-burst equivalence must agree on, excluding the
@@ -843,7 +835,8 @@ let scenario_packets st =
   let seg port base i = mk_pkt st ~dst_port:port ~seq:(base + (i * 500)) ~ack:1000
       ~flags:Tcp.data_flags ~payload:(Bytes.make 500 (Char.chr (65 + i)))
   in
-  let pure_ack = mk_pkt st ~dst_port:5001 ~seq:3000 ~ack:1000
+  (* Four distinct packets: [process] releases each one it is given. *)
+  let pure_ack () = mk_pkt st ~dst_port:5001 ~seq:3000 ~ack:1000
       ~flags:Tcp.ack_flags ~payload:Bytes.empty
   in
   [|
@@ -855,10 +848,10 @@ let scenario_packets st =
     seg 5001 100_000 3 (* out of order: skips segment 2 *);
     seg 5001 100_000 2 (* fills the gap *);
     seg 5002 200_000 2;
-    pure_ack;
-    pure_ack;
-    pure_ack;
-    pure_ack (* 3 duplicate ACKs -> one fast retransmit *);
+    pure_ack ();
+    pure_ack ();
+    pure_ack ();
+    pure_ack () (* 3 duplicate ACKs -> one fast retransmit *);
   |]
 
 (* Builds the stack, preloads flow A's transmit buffer (so the dup-ACK run

@@ -26,15 +26,8 @@ module E = Tas_baseline.Tcp_engine
 let mk_packet ?(payload_len = 100) ?(flags = Tcp.data_flags) ?(src = 9)
     ?(dst = 8) () =
   let tcp =
-    {
-      Tcp.src_port = 1234;
-      dst_port = 80;
-      seq = 1000;
-      ack = 2000;
-      flags;
-      window = 65535;
-      options = Tcp.no_options;
-    }
+    (Tcp.make ~src_port:1234 ~dst_port:80 ~seq:1000 ~ack:2000 ~flags
+       ~window:65535 ())
   in
   Packet.make ~src_mac:(Addr.host_mac src) ~dst_mac:(Addr.host_mac dst)
     ~src_ip:(Addr.host_ip src) ~dst_ip:(Addr.host_ip dst) ~tcp
@@ -52,6 +45,8 @@ let ge_run ~seed ~n spec =
   let pattern =
     Array.init n (fun _ ->
         let delivered = ref false in
+        (* The same packet is offered [n] times: one reference per offer. *)
+        Packet.retain pkt;
         Fault.wrap stage (fun _ -> delivered := true) pkt;
         !delivered)
   in
@@ -441,8 +436,11 @@ let test_duplication_into_tas () =
   let count = ref 0 in
   Port.set_deliver net.Topology.b.Topology.uplink (fun pkt ->
       incr count;
+      let dup = !count mod 10 = 0 in
+      (* Each delivery hands on one reference. *)
+      if dup then Packet.retain pkt;
       Nic.input net.Topology.a.Topology.nic pkt;
-      if !count mod 10 = 0 then Nic.input net.Topology.a.Topology.nic pkt);
+      if dup then Nic.input net.Topology.a.Topology.nic pkt);
   let n = 100_000 in
   let received, payload = bulk_through_tas sim net tas lt peer ~n in
   Sim.run ~until:(Time_ns.sec 5) sim;
@@ -488,10 +486,10 @@ let test_tap_observes_handshake () =
   (* The SYN carries MSS, wscale and timestamp options. *)
   (match syns with
   | [ { Tap.pkt; _ } ] ->
-    let opts = pkt.Packet.tcp.Tcp.options in
-    Alcotest.(check bool) "SYN has mss" true (opts.Tcp.mss <> None);
-    Alcotest.(check bool) "SYN has wscale" true (opts.Tcp.wscale <> None);
-    Alcotest.(check bool) "SYN has timestamp" true (opts.Tcp.timestamp <> None)
+    let tcp = pkt.Packet.tcp in
+    Alcotest.(check bool) "SYN has mss" true (tcp.Tcp.mss <> None);
+    Alcotest.(check bool) "SYN has wscale" true (tcp.Tcp.wscale <> None);
+    Alcotest.(check bool) "SYN has timestamp" true tcp.Tcp.has_ts
   | _ -> Alcotest.fail "expected one SYN");
   (* pp_record renders without raising. *)
   let buf = Buffer.create 256 in
@@ -505,8 +503,8 @@ let test_tap_ring_limit () =
   let tap = Tap.create ~limit:5 () in
   let deliver = Tap.wrap tap sim ignore in
   let tcp =
-    { Tcp.src_port = 1; dst_port = 2; seq = 0; ack = 0;
-      flags = Tcp.data_flags; window = 0; options = Tcp.no_options }
+    (Tcp.make ~src_port:1 ~dst_port:2 ~seq:0 ~ack:0 ~flags:Tcp.data_flags
+       ~window:0 ())
   in
   for _ = 1 to 12 do
     deliver

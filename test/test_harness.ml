@@ -117,15 +117,8 @@ let prop_truncation_safe =
     QCheck.(int_bound 200)
     (fun cut ->
       let tcp =
-        {
-          Tas_proto.Tcp_header.src_port = 1;
-          dst_port = 2;
-          seq = 3;
-          ack = 4;
-          flags = Tas_proto.Tcp_header.data_flags;
-          window = 100;
-          options = Tas_proto.Tcp_header.no_options;
-        }
+        (Tas_proto.Tcp_header.make ~src_port:1 ~dst_port:2 ~seq:3 ~ack:4
+           ~flags:Tas_proto.Tcp_header.data_flags ~window:100 ())
       in
       let pkt =
         Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Tas_proto.Addr.host_ip 1)

@@ -29,4 +29,5 @@ let () =
       ("control", Test_control.suite);
       ("recovery", Test_recovery.suite);
       ("ring_pool", Test_ring_pool.suite);
+      ("pool", Test_pool.suite);
     ]

@@ -17,15 +17,8 @@ module Fault = Tas_netsim.Fault
 let mk_packet ?(src = 1) ?(dst = 2) ?(sport = 1000) ?(dport = 80)
     ?(payload_len = 1000) ?(ecn = Ipv4.Ect0) () =
   let tcp =
-    {
-      Tcp.src_port = sport;
-      dst_port = dport;
-      seq = 0;
-      ack = 0;
-      flags = Tcp.data_flags;
-      window = 65535;
-      options = Tcp.no_options;
-    }
+    (Tcp.make ~src_port:sport ~dst_port:dport ~seq:0 ~ack:0
+       ~flags:Tcp.data_flags ~window:65535 ())
   in
   Packet.make ~src_mac:(Addr.host_mac src) ~dst_mac:(Addr.host_mac dst)
     ~src_ip:(Addr.host_ip src) ~dst_ip:(Addr.host_ip dst) ~ecn ~tcp

@@ -239,33 +239,42 @@ let test_buf_pool_small_buffers_bypass () =
 
 (* --- Packet payload refcounting -------------------------------------------- *)
 
-let mk_pkt payload =
-  let tcp =
-    { Tcp.src_port = 1; dst_port = 2; seq = 0; ack = 0;
-      flags = Tcp.data_flags; window = 0; options = Tcp.no_options }
-  in
-  Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)
-    ~dst_ip:(Addr.host_ip 2) ~tcp ~payload ()
-
 let test_packet_refcount () =
   let payload = Bytes.create 512 in
-  let pkt = mk_pkt payload in
-  Alcotest.(check (option string)) "unpooled release surfaces nothing" None
-    (Option.map Bytes.to_string (Packet.release pkt))
-  ;
-  let pkt = mk_pkt payload in
+  let recycled = ref [] in
+  let pool =
+    Packet.Pool.create ~recycle:(fun b -> recycled := b :: !recycled) ()
+  in
+  let pooled_pkt payload =
+    let pkt = Packet.take pool in
+    Packet.fill pkt ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)
+      ~dst_ip:(Addr.host_ip 2) ~ecn:Tas_proto.Ipv4_header.Ect0 ~payload;
+    pkt
+  in
+  let pkt = pooled_pkt payload in
+  Packet.release pkt;
+  Alcotest.(check int) "unpooled release surfaces nothing" 0
+    (List.length !recycled);
+  let pkt = pooled_pkt payload in
   Packet.mark_pooled pkt;
   Packet.retain pkt;
-  Alcotest.(check bool) "first release keeps the buffer" true
-    (Packet.release pkt = None);
-  (match Packet.release pkt with
-  | Some b -> Alcotest.(check bool) "last release surfaces the payload" true
+  Packet.release pkt;
+  Alcotest.(check int) "first release keeps the buffer" 0
+    (List.length !recycled);
+  Packet.release pkt;
+  (match !recycled with
+  | [ b ] -> Alcotest.(check bool) "last release surfaces the payload" true
       (b == payload)
-  | None -> Alcotest.fail "expected the payload back");
-  let empty = mk_pkt Bytes.empty in
+  | _ -> Alcotest.fail "expected the payload back");
+  Alcotest.check_raises "a further release is refused"
+    (Invalid_argument
+       "Packet.release: packet already released (no reference left)")
+    (fun () -> Packet.release pkt);
+  recycled := [];
+  let empty = pooled_pkt Bytes.empty in
   Packet.mark_pooled empty;
-  Alcotest.(check bool) "empty payloads never pooled" true
-    (Packet.release empty = None)
+  Packet.release empty;
+  Alcotest.(check int) "empty payloads never pooled" 0 (List.length !recycled)
 
 (* --- Sim post -------------------------------------------------------------- *)
 

@@ -21,15 +21,8 @@ let test_pcap_roundtrip () =
   let tap = Tap.create () in
   let deliver = Tap.wrap tap sim ignore in
   let tcp =
-    {
-      Tas_proto.Tcp_header.src_port = 80;
-      dst_port = 12345;
-      seq = 42;
-      ack = 7;
-      flags = Tas_proto.Tcp_header.data_flags;
-      window = 1000;
-      options = Tas_proto.Tcp_header.no_options;
-    }
+    (Tas_proto.Tcp_header.make ~src_port:80 ~dst_port:12345 ~seq:42 ~ack:7
+       ~flags:Tas_proto.Tcp_header.data_flags ~window:1000 ())
   in
   let mk len =
     Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Tas_proto.Addr.host_ip 1)

@@ -181,21 +181,13 @@ let tcp_gen =
          return (Seq32.of_int start, Seq32.add (Seq32.of_int start) len))
     in
     return
-      {
-        Tcp.src_port;
-        dst_port;
-        seq;
-        ack;
-        flags = { Tcp.no_flags with syn; ack = ackf; fin; psh; ece };
-        window;
-        options =
-          {
-            Tcp.mss = (if with_mss then Some mss else None);
-            wscale = (if with_ws then Some ws else None);
-            timestamp = (if with_ts then Some (ts1, ts2) else None);
-            sack;
-          };
-      })
+      (Tcp.make
+         ?mss:(if with_mss then Some mss else None)
+         ?wscale:(if with_ws then Some ws else None)
+         ?ts:(if with_ts then Some (ts1, ts2) else None)
+         ~sack ~src_port ~dst_port ~seq ~ack
+         ~flags:{ Tcp.no_flags with syn; ack = ackf; fin; psh; ece }
+         ~window ()))
 
 let prop_tcp_header_roundtrip =
   QCheck.Test.make ~name:"tcp header: read . write = id" ~count:500
@@ -236,13 +228,9 @@ let test_sack_option_full_budget () =
     ]
   in
   let h =
-    {
-      Tcp.src_port = 1; dst_port = 2; seq = 100; ack = 200;
-      flags = { Tcp.no_flags with Tcp.ack = true };
-      window = 65535;
-      options =
-        { Tcp.mss = None; wscale = None; timestamp = Some (7, 9); sack };
-    }
+    Tcp.make ~ts:(7, 9) ~sack ~src_port:1 ~dst_port:2 ~seq:100 ~ack:200
+      ~flags:{ Tcp.no_flags with Tcp.ack = true }
+      ~window:65535 ()
   in
   let buf = Bytes.make 64 '\x00' in
   let n = Tcp.write h buf ~off:0 in
@@ -254,22 +242,19 @@ let test_sack_option_full_budget () =
 let test_sack_empty_is_free () =
   (* The default path advertises no SACK blocks; that must cost zero wire
      bytes — the header encodes exactly as the seed did. *)
-  let base options =
+  let base ?sack () =
     let h =
-      {
-        Tcp.src_port = 1; dst_port = 2; seq = 1; ack = 2;
-        flags = Tcp.data_flags; window = 1000; options;
-      }
+      Tcp.make ?sack ~src_port:1 ~dst_port:2 ~seq:1 ~ack:2
+        ~flags:Tcp.data_flags ~window:1000 ()
     in
     Tcp.write h (Bytes.make 64 '\x00') ~off:0
   in
-  Alcotest.(check int) "no-options size unchanged" (base Tcp.no_options)
-    (base { Tcp.no_options with Tcp.sack = [] })
+  Alcotest.(check int) "no-options size unchanged" (base ()) (base ~sack:[] ())
 
 let test_wire_checksum_detects_payload_corruption () =
   let tcp =
-    { Tcp.src_port = 1; dst_port = 2; seq = 3; ack = 4;
-      flags = Tcp.data_flags; window = 100; options = Tcp.no_options }
+    (Tcp.make ~src_port:1 ~dst_port:2 ~seq:3 ~ack:4 ~flags:Tcp.data_flags
+       ~window:100 ())
   in
   let pkt =
     Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)
@@ -283,8 +268,8 @@ let test_wire_checksum_detects_payload_corruption () =
 
 let test_flow_hash_symmetric () =
   let tcp =
-    { Tcp.src_port = 1111; dst_port = 22; seq = 0; ack = 0;
-      flags = Tcp.data_flags; window = 0; options = Tcp.no_options }
+    (Tcp.make ~src_port:1111 ~dst_port:22 ~seq:0 ~ack:0 ~flags:Tcp.data_flags
+       ~window:0 ())
   in
   let fwd =
     Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)

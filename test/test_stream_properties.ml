@@ -25,9 +25,12 @@ type net_fault = {
 let apply_faults sim rng fault deliver =
   let count = ref 0 in
   let with_dup pkt =
-    deliver pkt;
     incr count;
-    if fault.dup_every > 0 && !count mod fault.dup_every = 0 then deliver pkt
+    let dup = fault.dup_every > 0 && !count mod fault.dup_every = 0 in
+    (* Each delivery hands on one reference. *)
+    if dup then Tas_proto.Packet.retain pkt;
+    deliver pkt;
+    if dup then deliver pkt
   in
   let spec =
     {
