@@ -93,8 +93,14 @@ let slot t = if A.in_use t.arena t.slot then Some t.slot else None
    the shared arena into a private copy. Handles retained past teardown
    (sockets, queued context events, pacing timers) keep reading and
    writing their own final state and can never alias a recycled ring or
-   slot. *)
+   slot. Bumping the recovery generation dissolves a pending tail-loss
+   probe or reordering timer: a flow torn down with data in flight would
+   otherwise keep probing its private copy forever. *)
 let release ~pool t =
+  let st = t.rec_state in
+  Tas_recovery.State.bump_gen st;
+  st.Tas_recovery.State.tlp_armed <- false;
+  st.Tas_recovery.State.reo_armed <- false;
   Ring.Pool.give pool t.rx_buf;
   Ring.Pool.give pool t.tx_buf;
   t.rx_buf <- Ring.closed;

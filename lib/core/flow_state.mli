@@ -62,7 +62,10 @@ val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
     - the record is copied into a private one-slot arena
       ({!Flow_arena.detach}) and the shared slot is freed. The handle
       keeps reading and writing that copy; a flow later allocated into
-      the same slot never sees those writes.
+      the same slot never sees those writes;
+    - the recovery generation is bumped and [tlp_armed] / [reo_armed]
+      cleared, so a pending tail-loss probe or RACK reordering timer of a
+      flow torn down with data in flight dissolves instead of re-arming.
 
     A second [release] is harmless: the closed rings are never pooled and
     the private copy is never freed. *)

@@ -1048,6 +1048,73 @@ let test_scoreboard_alloc () =
   Alcotest.(check int) "flight kept" flight (Scoreboard.live_segs sb);
   Alcotest.(check int) "flight all sacked" flight (Scoreboard.live_sacked sb)
 
+
+(* Teardown with data in flight: the sender's path goes dark after the
+   handshake, so its RACK-TLP flow probes its unacknowledged tail (the stall
+   rewind is pushed out of the way) until dead-flow reaping removes it. The torn-down flow must stop probing: its last PTO
+   dissolves, no probe is counted after the reap, and no recovery event
+   stays queued — only the two slow paths' periodic ticks remain. *)
+let test_reaped_rack_flow_stops_probing () =
+  let sim = Sim.create () in
+  let spec =
+    {
+      Topology.rate_bps = 1e9;
+      delay = Time_ns.us 50;
+      capacity_pkts = 1024;
+      ecn_threshold = None;
+    }
+  in
+  let net = Topology.point_to_point sim ~spec ~queues_per_nic:8 () in
+  (* Black-hole a -> b data segments; control segments still pass. *)
+  Port.set_deliver net.Topology.a.Topology.uplink (fun pkt ->
+      if Bytes.length pkt.Packet.payload > 0 then Packet.release pkt
+      else Nic.input net.Topology.b.Topology.nic pkt);
+  let mk nic core_base =
+    let config =
+      {
+        Config.default with
+        Config.cc = Tas_tcp.Interval_cc.Fixed_rate;
+        initial_rate_bps = 1e9;
+        control_interval_fixed_ns = Some 1_000_000;
+        timeout_intervals = 1000;
+        dead_flow_timeout_ns = Some (Time_ns.ms 100);
+        recovery_policy = Policy.Rack_tlp;
+      }
+    in
+    let tas = Tas.create sim ~nic ~config () in
+    let lt =
+      Tas.app tas ~app_cores:[| Core.create sim ~id:core_base () |]
+        ~api:Libtas.Sockets
+    in
+    (tas, Transport.of_libtas lt ~ctx_of_conn:(fun _ -> 0))
+  in
+  let sender_tas, sender = mk net.Topology.a.Topology.nic 500 in
+  let _recv_tas, receiver = mk net.Topology.b.Topology.nic 600 in
+  Transport.listen receiver ~port:9002 (fun _ -> Transport.null_handlers);
+  let closed = ref false in
+  Transport.connect sender
+    ~dst_ip:(Nic.ip net.Topology.b.Topology.nic) ~dst_port:9002
+    (fun _ ->
+      {
+        Transport.null_handlers with
+        Transport.on_connected =
+          (fun conn -> ignore (Transport.send conn (Bytes.create 16384)));
+        Transport.on_closed = (fun _ -> closed := true);
+      });
+  Sim.run ~until:(Time_ns.ms 200) sim;
+  let sp = Tas.slow_path sender_tas in
+  Alcotest.(check int) "sender flow reaped" 1 (Tas_core.Slow_path.flows_reaped sp);
+  Alcotest.(check bool) "owner saw the close" true !closed;
+  let probes () =
+    (Fast_path.rec_stats (Tas.fast_path sender_tas)).Fast_path.rec_tlp_probes
+  in
+  Alcotest.(check bool) "probes fired while the flow lived" true (probes () > 0);
+  let before = probes () in
+  Sim.run ~until:(Time_ns.ms 1200) sim;
+  Alcotest.(check int) "no probe after the reap" before (probes ());
+  Alcotest.(check int) "only the two control ticks stay queued" 2
+    (Sim.pending sim)
+
 let suite =
   [
     Alcotest.test_case "policy names round-trip" `Quick test_policy_names;
@@ -1086,4 +1153,6 @@ let suite =
       test_scoreboard_differential;
     Alcotest.test_case "scoreboard: steady state allocates nothing" `Quick
       test_scoreboard_alloc;
+    Alcotest.test_case "reaped rack-tlp flow stops probing" `Quick
+      test_reaped_rack_flow_stops_probing;
   ]
