@@ -16,10 +16,17 @@ type t
 
 val create : Tas_engine.Sim.t -> mode -> burst_bytes:int -> t
 
-val set_control : t -> Tas_tcp.Interval_cc.control -> unit
-(** Install a new rate/window from the slow path's control loop. *)
+val set_control : t -> Tas_tcp.Interval_cc.t -> unit
+(** Install the controller's current rate or window (the slow path's
+    control loop, once per iteration). Allocates nothing: the rate is
+    copied into the bucket's own float cell. *)
 
 val mode : t -> mode
+(** The installed rate or window, as a fresh value (cold readers). *)
+
+val ns_to_send : t -> int -> int
+(** Nanoseconds the installed rate takes to send [n] bytes; 0 in window
+    mode or at rate zero. Allocates nothing. *)
 
 val tx_budget : t -> in_flight:int -> want:int -> int
 (** How many of [want] bytes may be sent now given tokens (rate mode) or

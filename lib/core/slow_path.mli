@@ -22,10 +22,14 @@ type conn_error =
 val conn_error_name : conn_error -> string
 
 (** Callbacks a connection owner (libTAS) registers for slow-path events.
-    All fire in slow-path context; libTAS re-schedules onto app cores. *)
+    All fire in slow-path context; libTAS re-schedules onto app cores. Every
+    callback identifies its connection — by the flow, whose
+    {!Flow_state.opaque} is the owner's, or by that opaque itself — so one
+    record can serve all of an owner's connections. *)
 type conn_callbacks = {
   established : Flow_state.t -> unit;
-  failed : conn_error -> unit;  (** connection attempt did not establish *)
+  failed : int -> conn_error -> unit;
+      (** the connection attempt with this opaque did not establish *)
   reset : Flow_state.t -> unit;
       (** established flow aborted by a peer RST or by dead-flow reaping;
           [closed] still fires as the state is removed *)
@@ -66,6 +70,21 @@ val connect :
 val close : t -> Flow_state.t -> unit
 (** Graceful close: FIN is emitted once the transmit buffer drains. *)
 
+(** {2 Exception handoff}
+
+    The fast path hands every segment it cannot handle (SYN, FIN, RST, or
+    a tuple with no installed flow) to the slow path, which processes it
+    [sp_conn_cycles] later on its own core. The handoff takes one
+    reference ({!Tas_proto.Packet.retain}) and queues the packet in a FIFO
+    that one persistent thunk per slow path drains, one packet per queued
+    work item; the packet is released right after it is processed (or
+    re-injected into the fast path, which takes its own reference). Order
+    is arrival order: one core runs its queued work in the order it was
+    queued. Close requests take the same route through a FIFO of flows,
+    and the control loop's ticks through a FIFO of snapshotted flows (a
+    batch queued by a tick may still be waiting when the next tick fires).
+    None of it allocates once warm. *)
+
 val flow_count : t -> int
 
 val conn_setups : t -> int
@@ -101,12 +120,18 @@ val ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
     than two rings per flow of the peak number live at once. *)
 
 val lifecycle_json : t -> Tas_telemetry.Json.t
-(** The connection-lifecycle event log as JSON: a bounded FIFO (most recent
-    1024 events) of timestamped [syn_sent] / [syn_received] / [established]
-    / [close_requested] / [fin_acked] / [peer_fin] / [closed] /
-    [handshake_failed] / [rst] / [rst_sent] / [fin_retry_exhausted] /
-    [flow_reaped] transitions with their 4-tuples, plus a count of events
-    discarded once the buffer filled. *)
+(** The connection-lifecycle event log as JSON, oldest first: timestamped
+    [syn_sent] / [syn_received] / [established] / [close_requested] /
+    [fin_acked] / [peer_fin] / [closed] / [handshake_failed] / [rst] /
+    [rst_sent] / [fin_retry_exhausted] / [flow_reaped] / [arena_exhausted]
+    transitions with their 4-tuples, plus a count of events discarded once
+    the log filled.
+
+    The log is a fixed ring of 1024 events held in parallel arrays
+    (timestamp, event, the four tuple fields): recording an event stores
+    six immediates and allocates nothing; once the ring is full each new
+    event overwrites the oldest and counts it as dropped. Only this reader
+    builds tuples and strings. *)
 
 val register : t -> Tas_telemetry.Metrics.t -> unit
 (** Register the slow path's counters ([sp_*]) plus flow/handshake gauges

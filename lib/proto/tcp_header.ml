@@ -38,15 +38,16 @@ let make ?mss ?wscale ?ts ?(sack = []) ~src_port ~dst_port ~seq ~ack ~flags
   { src_port; dst_port; seq; ack; flags; window; mss; wscale; has_ts; ts_val;
     ts_ecr; sack }
 
-let fill t ~src_port ~dst_port ~seq ~ack ~flags ~window ~ts_val ~ts_ecr ~sack =
+let fill ?mss ?wscale t ~src_port ~dst_port ~seq ~ack ~flags ~window ~ts_val
+    ~ts_ecr ~sack =
   t.src_port <- src_port;
   t.dst_port <- dst_port;
   t.seq <- seq;
   t.ack <- ack;
   t.flags <- flags;
   t.window <- window;
-  t.mss <- None;
-  t.wscale <- None;
+  t.mss <- mss;
+  t.wscale <- wscale;
   t.has_ts <- true;
   t.ts_val <- ts_val;
   t.ts_ecr <- ts_ecr;

@@ -61,6 +61,8 @@ val make :
     tests); the data path refills a pooled header with {!fill}. *)
 
 val fill :
+  ?mss:int ->
+  ?wscale:int ->
   t ->
   src_port:Addr.port ->
   dst_port:Addr.port ->
@@ -72,8 +74,10 @@ val fill :
   ts_ecr:int ->
   sack:(Seq32.t * Seq32.t) list ->
   unit
-(** Overwrite every field in place with a data-path header: timestamps
-    present, no SYN options. Allocates nothing. *)
+(** Overwrite every field in place: timestamps present, the SYN options
+    only when given. Allocates nothing, provided a caller that passes
+    [mss] or [wscale] passes an option it already holds
+    ([?mss:some_mss]) rather than building one per segment. *)
 
 val size : t -> int
 (** Wire size: 20 bytes plus padded options. *)

@@ -58,7 +58,7 @@ type 'v shard = {
 type 'v t = {
   rss : Rss_table.t;
   shards : 'v shard array;
-  probe : key;  (* scratch key of [find_fields] *)
+  probe : key;  (* scratch key of [find_fields] and [remove] *)
   mutable migrated_flows : int;
   mutable on_migrate : group:int -> from_q:int -> to_q:int -> moved:int -> unit;
 }
@@ -156,11 +156,18 @@ let add t tuple v =
   ignore (Spinlock.acquire s.lock ~remote:true);
   Tbl.replace s.tbl (key_of tuple) v
 
+(* Removal probes with the scratch key too: [Tbl.remove] only compares
+   it against the stored key. *)
 let remove t tuple =
   let s = t.shards.(shard_of t tuple) in
   s.removes <- s.removes + 1;
   ignore (Spinlock.acquire s.lock ~remote:true);
-  Tbl.remove s.tbl (key_of tuple)
+  let k = t.probe in
+  k.k_local_ip <- tuple.Four_tuple.local_ip;
+  k.k_local_port <- tuple.Four_tuple.local_port;
+  k.k_peer_ip <- tuple.Four_tuple.peer_ip;
+  k.k_peer_port <- tuple.Four_tuple.peer_port;
+  Tbl.remove s.tbl k
 
 let shard_count t i = Tbl.length t.shards.(i).tbl
 let count t = Array.fold_left (fun acc s -> acc + Tbl.length s.tbl) 0 t.shards

@@ -7,13 +7,15 @@
     rate (or window) in fast-path state. *)
 
 type feedback = {
-  acked_bytes : int;
-  ecn_bytes : int;
-  fast_retransmits : int;
-  timeouts : int;
-  rtt_ns : int;  (** fast-path RTT estimate; 0 when unknown *)
-  interval_ns : int;  (** elapsed time this iteration covers *)
+  mutable acked_bytes : int;
+  mutable ecn_bytes : int;
+  mutable fast_retransmits : int;
+  mutable timeouts : int;
+  mutable rtt_ns : int;  (** fast-path RTT estimate; 0 when unknown *)
+  mutable interval_ns : int;  (** elapsed time this iteration covers *)
 }
+(** Mutable so that the slow path refills one record per iteration instead
+    of allocating one. *)
 
 type algorithm =
   | Fixed_rate
@@ -36,13 +38,27 @@ type algorithm =
 type control = Rate_bps of float | Window_bytes of int
 
 type t
+(** The controller's state lives in place: the rate and the DCTCP/TIMELY
+    [alpha] in flat float cells, the window in an int field, so an
+    iteration allocates nothing. *)
 
 val create : algorithm -> initial:control -> t
+
+val update : t -> feedback -> unit
+(** One control-loop iteration: updates the rate or window in place.
+    Allocates nothing. *)
+
 val current : t -> control
+(** The rate or window to enforce, as a fresh value (cold readers; the
+    slow path installs it with {!load_rate} / {!window} instead). *)
 
-val update : t -> feedback -> control
-(** One control-loop iteration. *)
+val is_rate : t -> bool
+(** Whether the controller sets a rate (otherwise a window). Fixed at
+    {!create} by the initial control. *)
 
-val on_timeout_reset : t -> unit
-(** Called when the slow path triggers a timeout retransmission: halve the
-    rate/window. *)
+val window : t -> int
+(** The window to enforce, bytes. Meaningless when {!is_rate}. *)
+
+val load_rate : t -> floatarray -> int -> unit
+(** [load_rate t cells i] stores the rate to enforce, bits per second, in
+    [cells.(i)] without boxing it. Meaningless unless {!is_rate}. *)

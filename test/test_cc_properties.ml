@@ -86,7 +86,8 @@ let rate_invariants algorithm name =
               interval_ns = 200_000;
             }
           in
-          match Interval_cc.update t fb with
+          Interval_cc.update t fb;
+          match Interval_cc.current t with
           | Interval_cc.Rate_bps r ->
             (* Never below the floor; never NaN/inf; bounded growth: at most
                doubling plus cap headroom per iteration. *)

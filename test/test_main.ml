@@ -30,4 +30,5 @@ let () =
       ("recovery", Test_recovery.suite);
       ("ring_pool", Test_ring_pool.suite);
       ("pool", Test_pool.suite);
+      ("lifecycle", Test_lifecycle.suite);
     ]

@@ -396,7 +396,7 @@ let test_port_exhaustion_refuses () =
   let cb =
     {
       Slow_path.established = ignore;
-      failed = (fun e -> failed := e :: !failed);
+      failed = (fun _ e -> failed := e :: !failed);
       reset = ignore;
       peer_closed = ignore;
       closed = ignore;

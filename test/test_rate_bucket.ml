@@ -49,11 +49,14 @@ let test_window_mode () =
 let test_set_control_switches_mode () =
   let sim = Sim.create () in
   let b = RB.create sim (RB.Rate 1e9) ~burst_bytes:1000 in
-  RB.set_control b (Tas_tcp.Interval_cc.Window_bytes 5000);
+  let cc initial =
+    Tas_tcp.Interval_cc.create Tas_tcp.Interval_cc.Fixed_rate ~initial
+  in
+  RB.set_control b (cc (Tas_tcp.Interval_cc.Window_bytes 5000));
   (match RB.mode b with
   | RB.Window 5000 -> ()
   | _ -> Alcotest.fail "expected window mode");
-  RB.set_control b (Tas_tcp.Interval_cc.Rate_bps 2e9);
+  RB.set_control b (cc (Tas_tcp.Interval_cc.Rate_bps 2e9));
   match RB.mode b with
   | RB.Rate r -> Alcotest.(check (float 1.0)) "rate installed" 2e9 r
   | _ -> Alcotest.fail "expected rate mode"
