@@ -505,6 +505,74 @@ let conn_churn ~quick =
       "words/op" Alloc;
   ]
 
+(* The slow path's control loop over 64 idle established TAS<->TAS flows
+   under the default rate-based DCTCP: each op writes fresh feedback into
+   every flow's counters (acked bytes, some ECN marks, an occasional fast
+   retransmit) and advances the simulation by one tick interval, in which
+   the periodic tick snapshots the due flows and its batch runs their
+   control iterations. Gated at 0 words: the control loop allocates
+   nothing once warm. *)
+let cc_tick ~quick =
+  let module Fast_path = Tas_core.Fast_path in
+  let module Flow_state = Tas_core.Flow_state in
+  let sim = Sim.create () in
+  let spec = Topology.link_10g ~ecn_threshold:65 () in
+  let net = Topology.point_to_point sim ~spec ~queues_per_nic:8 () in
+  let tas_a, clients = tas_host sim net.Topology.a in
+  let _tas_b, server = tas_host sim net.Topology.b in
+  Transport.listen server ~port:7 (fun _ -> Transport.null_handlers);
+  let dst_ip = Tas_netsim.Nic.ip net.Topology.b.Topology.nic in
+  for _ = 1 to 64 do
+    Transport.connect clients ~dst_ip ~dst_port:7 (fun _ ->
+        Transport.null_handlers)
+  done;
+  Sim.run ~until:(Time_ns.ms 5) sim;
+  let flows = ref [] in
+  Tas_core.Flow_table.iter
+    (Fast_path.flows (Tas.fast_path tas_a))
+    (fun _ f -> flows := f :: !flows);
+  let flows = Array.of_list !flows in
+  let interval = Config.default.Config.control_interval_min_ns in
+  (* Step to a sentinel: [Sim.run ~until] would box its limit per op. *)
+  let stop = ref false in
+  let set_stop () = stop := true in
+  let round = ref 0 in
+  let tick () =
+    incr round;
+    for i = 0 to Array.length flows - 1 do
+      let f = flows.(i) in
+      Flow_state.set_cnt_ackb f (20_000 + (97 * i));
+      Flow_state.set_cnt_ecnb f (if (!round + i) mod 3 = 0 then 3_000 else 0);
+      Flow_state.set_cnt_frexmits f (if (!round + i) mod 11 = 0 then 1 else 0)
+    done;
+    stop := false;
+    Sim.post sim interval set_stop;
+    while (not !stop) && Sim.step sim do
+      ()
+    done
+  in
+  for _ = 1 to 1000 do
+    tick ()
+  done;
+  let iters = if quick then 2_000 else 6_000 in
+  let samples =
+    List.init 3 (fun _ ->
+        let w0 = Gc.minor_words () in
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to iters do
+          tick ()
+        done;
+        let wall = Unix.gettimeofday () -. t0 in
+        let words = Gc.minor_words () -. w0 in
+        (float_of_int iters /. wall, words /. float_of_int iters))
+  in
+  [
+    m "cc_ticks_per_sec" (median (List.map fst samples)) "ticks/s" Throughput;
+    m "cc_tick_minor_words"
+      (median (List.map snd samples))
+      "words/op" Alloc;
+  ]
+
 (* Event-queue churn: chains of fire-and-forget [post] events, the shape of
    the simulator's per-packet event storm (serialization, propagation, core
    dispatch, pacing). *)
@@ -547,7 +615,7 @@ let measure ~quick =
   List.concat
     [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
       burst ~quick; pkt_cycle ~quick; rack_ack ~quick; conn_churn ~quick;
-      events ~quick ]
+      cc_tick ~quick; events ~quick ]
 
 (* --- Artifact ----------------------------------------------------------- *)
 

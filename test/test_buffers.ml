@@ -3,6 +3,7 @@
 
 module Ring = Tas_buffers.Ring_buffer
 module Spsc = Tas_buffers.Spsc_queue
+module Fifo = Tas_buffers.Fifo
 module Ooo = Tas_buffers.Ooo_interval
 module Seq32 = Tas_proto.Seq32
 
@@ -361,6 +362,46 @@ let prop_ooo_stream_consistency =
           | Ooo.Duplicate | Ooo.Drop -> true)
         segs)
 
+(* --- Growable FIFO -------------------------------------------------------- *)
+
+(* A model list against the ring through wraparound and growth: order is
+   kept, [reverse_last] reverses only the newest elements, and popping an
+   empty ring raises. *)
+let test_fifo_model () =
+  let q = Fifo.create (-1) in
+  let model = ref [] in
+  let push x =
+    Fifo.push q x;
+    model := !model @ [ x ]
+  in
+  let pop () =
+    let x = Fifo.pop q in
+    Alcotest.(check int) "pops the oldest" (List.hd !model) x;
+    model := List.tl !model
+  in
+  let next = ref 0 in
+  for round = 1 to 40 do
+    for _ = 1 to round mod 7 + 3 do
+      push !next;
+      incr next
+    done;
+    let n = round mod 5 in
+    let keep = List.length !model - n in
+    Fifo.reverse_last q n;
+    model :=
+      List.filteri (fun i _ -> i < keep) !model
+      @ List.rev (List.filteri (fun i _ -> i >= keep) !model);
+    for _ = 1 to round mod 4 + 1 do
+      if !model <> [] then pop ()
+    done;
+    Alcotest.(check int) "length" (List.length !model) (Fifo.length q)
+  done;
+  while !model <> [] do
+    pop ()
+  done;
+  Alcotest.check_raises "empty pop raises" (Invalid_argument "Fifo.pop: empty")
+    (fun () -> ignore (Fifo.pop q))
+
 let suite =
   [
     Alcotest.test_case "ring basic" `Quick test_ring_basic;
@@ -371,6 +412,7 @@ let suite =
     Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
     Alcotest.test_case "spsc full" `Quick test_spsc_full;
     Alcotest.test_case "spsc drain" `Quick test_spsc_drain;
+    Alcotest.test_case "fifo against a list model" `Quick test_fifo_model;
     Alcotest.test_case "ooo in-order" `Quick test_ooo_in_order;
     Alcotest.test_case "ooo store and merge" `Quick test_ooo_store_and_merge;
     Alcotest.test_case "ooo single-interval limit" `Quick
