@@ -17,13 +17,19 @@
    on one domain shares it, so a receiver recycling a sender's payload
    returns the buffer to the pool the sender draws from. Parallel experiment
    jobs on different domains get disjoint pools — no cross-domain traffic,
-   no locks. *)
+   no locks.
+
+   A size class is unbounded: a buffer is only created when every existing
+   one of its size is live, so a class never holds more buffers than were
+   live at once, and keeping them all costs no peak heap. A cap would only
+   turn a bunch of buffers coming back at once (a long delay line
+   draining) into garbage followed by fresh allocations. *)
 
 type stats = {
   takes : int;
   hits : int;
   gives : int;
-  drops : int;  (* gives refused because the size class was full *)
+  drops : int;  (* always 0: no class refuses a give *)
 }
 
 (* One LIFO array stack of free buffers per exact length. *)
@@ -33,24 +39,14 @@ module Int_tbl = Hashtbl.Make (Int)
 
 type t = {
   classes : stack Int_tbl.t;
-  max_per_class : int;
   mutable takes : int;
   mutable hits : int;
   mutable gives : int;
-  mutable drops : int;
   mutable live : int;  (* poolable-size buffers handed out and not given back *)
 }
 
-let create ?(max_per_class = 256) () =
-  {
-    classes = Int_tbl.create 16;
-    max_per_class;
-    takes = 0;
-    hits = 0;
-    gives = 0;
-    drops = 0;
-    live = 0;
-  }
+let create () =
+  { classes = Int_tbl.create 16; takes = 0; hits = 0; gives = 0; live = 0 }
 
 (* Below this size a fresh [Bytes.create] is cheaper than a pooled round
    trip; small-RPC payloads skip the pool entirely. *)
@@ -85,27 +81,23 @@ let give t buf =
     t.gives <- t.gives + 1;
     t.live <- t.live - 1;
     let s = stack t len in
-    if s.n >= t.max_per_class then t.drops <- t.drops + 1
-    else begin
-      if s.n = Array.length s.items then begin
-        let items = Array.make (min t.max_per_class (max 8 (2 * s.n))) buf in
-        Array.blit s.items 0 items 0 s.n;
-        s.items <- items
-      end;
-      s.items.(s.n) <- buf;
-      s.n <- s.n + 1
-    end
+    if s.n = Array.length s.items then begin
+      let items = Array.make (max 8 (2 * s.n)) buf in
+      Array.blit s.items 0 items 0 s.n;
+      s.items <- items
+    end;
+    s.items.(s.n) <- buf;
+    s.n <- s.n + 1
   end
 
-let stats t = { takes = t.takes; hits = t.hits; gives = t.gives; drops = t.drops }
+let stats t = { takes = t.takes; hits = t.hits; gives = t.gives; drops = 0 }
 
 let live t = t.live
 
 let reset_stats t =
   t.takes <- 0;
   t.hits <- 0;
-  t.gives <- 0;
-  t.drops <- 0
+  t.gives <- 0
 
 let key = Domain.DLS.new_key (fun () -> create ())
 let local () = Domain.DLS.get key

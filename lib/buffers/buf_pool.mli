@@ -16,12 +16,15 @@ type stats = {
   takes : int;  (** allocation requests *)
   hits : int;  (** requests served from a free list *)
   gives : int;  (** buffers offered back *)
-  drops : int;  (** gives refused because the size class was full *)
+  drops : int;
+      (** gives refused; always 0, since a size class has no cap: it never
+          holds more buffers than were live at once *)
 }
 
-val create : ?max_per_class:int -> unit -> t
-(** Fresh pool. Each size class keeps at most [max_per_class] (default 256)
-    free buffers; surplus gives fall through to the GC. *)
+val create : unit -> t
+(** Fresh pool. A size class keeps every buffer given back: one is only
+    created when all of its size are live, so a class holds at most the
+    peak number live at once. *)
 
 val min_len : int
 (** Buffers shorter than this (256 B) bypass the pool in both directions: a

@@ -90,6 +90,12 @@ type t = {
      the per-packet closure. *)
   tx_queues : Packet.t Fifo.t array;
   mutable tx_thunks : (unit -> unit) array;
+  (* Per-core TX commands ([notify_tx]) and RTO rewinds
+     ([trigger_retransmit]): the same discipline, one flow per command. *)
+  tx_cmds : Flow_state.t Fifo.t array;
+  mutable tx_cmd_thunks : (unit -> unit) array;
+  rto_cmds : Flow_state.t Fifo.t array;
+  mutable rto_cmd_thunks : (unit -> unit) array;
   memo : memo;
   scratch : Packet.t array;  (* vector-pass staging, fp_burst_size slots *)
   dummy_pkt : Packet.t;
@@ -159,6 +165,10 @@ let create ?trace ?span sim ~nic ~cores ~config =
     drain_thunks = [||];
     tx_queues = Array.init n (fun _ -> Fifo.create dummy_pkt);
     tx_thunks = [||];
+    tx_cmds = Array.init n (fun _ -> Fifo.create Flow_state.absent);
+    tx_cmd_thunks = [||];
+    rto_cmds = Array.init n (fun _ -> Fifo.create Flow_state.absent);
+    rto_cmd_thunks = [||];
     memo =
       {
         m_flow = Flow_state.absent;
@@ -320,8 +330,9 @@ let build_packet t flow ~(flags : Tcp_header.flags) ~seq ~payload ~sack =
     ~window:
       (min 65535
          (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale))
-    ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:(Flow_state.ts_recent flow)
-    ~sack;
+    ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:(Flow_state.ts_recent flow);
+  (* Before [Packet.fill]: the blocks count in the packet's lengths. *)
+  if sack then Ooo.write_sack (Flow_state.ooo flow) pkt.Packet.tcp;
   let ecn =
     if Bytes.length payload > 0 then Ipv4_header.Ect0 else Ipv4_header.Not_ect
   in
@@ -357,9 +368,8 @@ let send_ack t flow ~ece =
      no SACK bytes and the ACK stays byte-identical to the seed. *)
   let sack =
     match Flow_state.recovery_kind flow with
-    | Rec.Policy.Reno -> []
-    | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-      Ooo.sack_blocks (Flow_state.ooo flow) ~limit:3
+    | Rec.Policy.Reno -> false
+    | Rec.Policy.Sack | Rec.Policy.Rack_tlp -> true
   in
   Nic.transmit t.nic
     (build_packet t flow ~flags ~seq:(Flow_state.seq flow)
@@ -371,7 +381,7 @@ let emit_fin t flow =
   Flow_state.set_fin_sent flow true;
   Nic.transmit t.nic
     (build_packet t flow ~flags:fin_ack_flags ~seq:(Flow_state.seq flow)
-       ~payload:Bytes.empty ~sack:[])
+       ~payload:Bytes.empty ~sack:false)
 
 (* --- Transmission ------------------------------------------------------ *)
 
@@ -422,7 +432,7 @@ let rec maybe_send t flow core =
           ~flow:(Flow_state.opaque flow);
         let pkt =
           build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload
-            ~sack:[]
+            ~sack:false
         in
         (* Small payloads bypassed the buffer pool: nothing to recycle. *)
         if granted >= Buf_pool.min_len then Packet.mark_pooled pkt;
@@ -480,7 +490,8 @@ let send_segment t flow core ~seq ~len =
     trace_ev t Trace.Tx_data ~core:(Core.id core)
       ~flow:(Flow_state.opaque flow);
     let pkt =
-      build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload ~sack:[]
+      build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload
+        ~sack:false
     in
     if len >= Buf_pool.min_len then Packet.mark_pooled pkt;
     let idx = core_index t core in
@@ -498,9 +509,11 @@ let retransmit_lost t flow core =
   let sb = st.Rec.State.sb in
   let continue = ref true in
   while !continue do
-    match Rec.Scoreboard.next_lost sb with
-    | None -> continue := false
-    | Some (seq, len) ->
+    let i = Rec.Scoreboard.next_lost sb in
+    if i < 0 then continue := false
+    else begin
+      let seq = Rec.Scoreboard.seg_seq sb i
+      and len = Rec.Scoreboard.seg_len sb i in
       ignore (Rec.Scoreboard.on_retransmit sb ~seq ~now_ns:(Sim.now t.sim));
       if send_segment t flow core ~seq ~len then begin
         t.rec_stats.rec_selective_retransmits <-
@@ -509,6 +522,7 @@ let retransmit_lost t flow core =
           ~flow:(Flow_state.opaque flow)
       end
       else continue := false
+    end
   done
 
 let reo_wnd_of t flow =
@@ -518,9 +532,12 @@ let reo_wnd_of t flow =
 (* Tail-loss probe: one PTO hangs over the connection while data is in
    flight; on expiry the highest unsacked segment is re-sent to
    manufacture the ACK/SACK feedback RACK needs. Timers are fire-and-
-   forget [Sim.post] events validated against the flow's recovery
-   generation — cumulative progress or an RTO rewind bumps [gen] and the
-   stale timer dissolves without touching the flow. *)
+   forget [Sim.post_int] events carrying the flow's recovery generation at
+   arm time — cumulative progress or an RTO rewind bumps [gen] and the
+   stale timer dissolves without touching the flow. The event's function
+   is the flow's own, made at its first arm, and the arming core's index
+   waits in the recovery state: at most one pending event per timer
+   carries the current generation, and it is the latest arm's. *)
 let rec arm_tlp t flow core =
   let st = Flow_state.recovery flow in
   if
@@ -529,7 +546,7 @@ let rec arm_tlp t flow core =
     && Flow_state.tx_sent flow > 0
   then begin
     st.Rec.State.tlp_armed <- true;
-    let gen = st.Rec.State.gen in
+    st.Rec.State.tlp_core <- core_index t core;
     let pto =
       (* Before the first RTT sample the 2*srtt formula would collapse to
          its 1 ms floor and probe ahead of the genuine first ACK; fall
@@ -539,86 +556,90 @@ let rec arm_tlp t flow core =
         t.config.Config.handshake_rto_ns
       else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt ~configured:t.config.Config.tlp_pto_ns
     in
-    Sim.post t.sim pto (fun () ->
-        if st.Rec.State.gen = gen then begin
-          st.Rec.State.tlp_armed <- false;
-          if Flow_state.tx_sent flow > 0 then fire_tlp t flow core
-        end)
+    if st.Rec.State.tlp_timer == Rec.State.no_timer then
+      st.Rec.State.tlp_timer <- tlp_expired t flow st;
+    Sim.post_int t.sim pto st.Rec.State.tlp_timer st.Rec.State.gen
+  end
+
+and tlp_expired t flow st gen =
+  if st.Rec.State.gen = gen then begin
+    st.Rec.State.tlp_armed <- false;
+    if Flow_state.tx_sent flow > 0 then
+      fire_tlp t flow t.cores.(st.Rec.State.tlp_core)
   end
 
 and fire_tlp t flow core =
   let st = Flow_state.recovery flow in
-  (match Rec.Scoreboard.last_unsacked st.Rec.State.sb with
-  | Some (seq, len) ->
+  let sb = st.Rec.State.sb in
+  let i = Rec.Scoreboard.last_unsacked sb in
+  if i >= 0 then begin
+    let seq = Rec.Scoreboard.seg_seq sb i
+    and len = Rec.Scoreboard.seg_len sb i in
     t.rec_stats.rec_tlp_probes <- t.rec_stats.rec_tlp_probes + 1;
     trace_ev t Trace.Rec_tlp_probe ~core:(Core.id core)
       ~flow:(Flow_state.opaque flow);
     if send_segment t flow core ~seq ~len then
-      ignore
-        (Rec.Scoreboard.on_retransmit st.Rec.State.sb ~seq
-           ~now_ns:(Sim.now t.sim))
-  | None -> ());
+      ignore (Rec.Scoreboard.on_retransmit sb ~seq ~now_ns:(Sim.now t.sim))
+  end;
   arm_tlp t flow core
 
 (* RACK reordering timer: loss evidence exists (something above the hole
    was sacked) but the reordering window has not elapsed yet; wake up when
    the oldest candidate crosses it and mark whatever still qualifies. *)
+let reo_expired t flow st gen =
+  if st.Rec.State.gen = gen then begin
+    st.Rec.State.reo_armed <- false;
+    let core = t.cores.(st.Rec.State.reo_core) in
+    let n =
+      Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
+        ~reo_wnd:(reo_wnd_of t flow) ~srtt_ns:(Flow_state.rtt_est flow)
+    in
+    if n > 0 then begin
+      t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
+      t.rec_stats.rec_lost_marked <- t.rec_stats.rec_lost_marked + n;
+      trace_ev t Trace.Rec_reo_timeout ~core:(Core.id core)
+        ~flow:(Flow_state.opaque flow);
+      retransmit_lost t flow core
+    end
+  end
+
 let arm_reo t flow core =
   let st = Flow_state.recovery flow in
   if st.Rec.State.kind = Rec.Policy.Rack_tlp && not st.Rec.State.reo_armed
-  then
-    match Rec.Scoreboard.oldest_unsacked_tx st.Rec.State.sb with
-    | None -> ()
-    | Some tx ->
+  then begin
+    let tx = Rec.Scoreboard.oldest_unsacked_tx st.Rec.State.sb in
+    if tx >= 0 then begin
       st.Rec.State.reo_armed <- true;
-      let gen = st.Rec.State.gen in
+      st.Rec.State.reo_core <- core_index t core;
       let srtt = max 1 (Flow_state.rtt_est flow) in
       let due = tx + reo_wnd_of t flow + srtt in
       let delay = max 1 (due - Sim.now t.sim) in
-      Sim.post t.sim delay (fun () ->
-          if st.Rec.State.gen = gen then begin
-            st.Rec.State.reo_armed <- false;
-            let srtt = Flow_state.rtt_est flow in
-            let n =
-              Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
-                ~reo_wnd:(reo_wnd_of t flow) ~srtt_ns:srtt
-            in
-            if n > 0 then begin
-              t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
-              t.rec_stats.rec_lost_marked <- t.rec_stats.rec_lost_marked + n;
-              trace_ev t Trace.Rec_reo_timeout ~core:(Core.id core)
-                ~flow:(Flow_state.opaque flow);
-              retransmit_lost t flow core
-            end
-          end)
+      if st.Rec.State.reo_timer == Rec.State.no_timer then
+        st.Rec.State.reo_timer <- reo_expired t flow st;
+      Sim.post_int t.sim delay st.Rec.State.reo_timer st.Rec.State.gen
+    end
+  end
 
 (* Digest one ACK through the configured recovery engine and act on the
    verdict: mirror the episode flag into the Table-3 record, signal the
    slow path's rate cut once per episode (cnt_frexmits, like Reno), and
    selectively retransmit whatever was marked lost. *)
-let recovery_on_ack t flow core ~una ~blocks ~dup_acks =
+let recovery_on_ack t flow core ~una ~sack ~dup_acks =
   let st = Flow_state.recovery flow in
   let snd_nxt = Flow_state.seq flow in
-  let newly_sacked, newly_lost, entered, exited =
-    match st.Rec.State.kind with
-    | Rec.Policy.Reno -> (0, 0, false, false)
-    | Rec.Policy.Sack ->
-      let o = Rec.Sack.on_ack st ~una ~snd_nxt ~blocks ~dup_acks in
-      (o.Rec.Sack.newly_sacked, o.Rec.Sack.newly_lost, o.Rec.Sack.entered,
-       o.Rec.Sack.exited)
-    | Rec.Policy.Rack_tlp ->
-      let o =
-        Rec.Rack_tlp.on_ack st ~una ~snd_nxt ~blocks ~dup_acks
-          ~reo_wnd:(reo_wnd_of t flow)
-      in
-      (o.Rec.Rack_tlp.newly_sacked, o.Rec.Rack_tlp.newly_lost,
-       o.Rec.Rack_tlp.entered, o.Rec.Rack_tlp.exited)
-  in
+  (match st.Rec.State.kind with
+  | Rec.Policy.Reno -> ()
+  | Rec.Policy.Sack -> Rec.Sack.on_ack st ~una ~snd_nxt ~sack ~dup_acks
+  | Rec.Policy.Rack_tlp ->
+    Rec.Rack_tlp.on_ack st ~una ~snd_nxt ~sack ~dup_acks
+      ~reo_wnd:(reo_wnd_of t flow));
+  let newly_sacked = st.Rec.State.newly_sacked
+  and newly_lost = st.Rec.State.newly_lost in
   Flow_state.set_in_recovery flow st.Rec.State.in_rec;
-  if exited then
+  if st.Rec.State.exited then
     trace_ev t Trace.Rec_exit ~core:(Core.id core)
       ~flow:(Flow_state.opaque flow);
-  if entered then begin
+  if st.Rec.State.entered then begin
     (* One rate-cut signal per episode: the slow path reads cnt_frexmits
        exactly as it does for Reno fast retransmits. *)
     Flow_state.set_cnt_frexmits flow (Flow_state.cnt_frexmits flow + 1);
@@ -637,29 +658,53 @@ let recovery_on_ack t flow core ~una ~blocks ~dup_acks =
   end;
   retransmit_lost t flow core
 
+(* TX commands and RTO rewinds wait in their core's FIFO, one flow per
+   command, for the core's persistent thunk: [Core.run] posts a core's
+   work at a time that only grows, so FIFO order is fire order. *)
+let run_tx_cmd t idx =
+  let core = t.cores.(idx) in
+  let flow = Fifo.pop t.tx_cmds.(idx) in
+  maybe_send t flow core;
+  arm_tlp t flow core
+
+let run_rto_cmd t idx =
+  let core = t.cores.(idx) in
+  let flow = Fifo.pop t.rto_cmds.(idx) in
+  (* RTO-class rewind: forget the scoreboard (segments re-register as
+     they are re-sent) and invalidate pending RACK/TLP timers. *)
+  (match Flow_state.recovery_kind flow with
+  | Rec.Policy.Reno -> ()
+  | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
+    Rec.State.reset (Flow_state.recovery flow));
+  (* Reset sender state as if the unacked segments were never sent. *)
+  Flow_state.set_seq flow (Flow_state.snd_una flow);
+  Flow_state.set_tx_sent flow 0;
+  Flow_state.set_dupack_cnt flow 0;
+  Flow_state.set_in_recovery flow false;
+  maybe_send t flow core;
+  arm_tlp t flow core
+
+(* Made at the first command: [create] comes before what they run. *)
+let cmd_core t flow =
+  if Array.length t.tx_cmd_thunks = 0 then begin
+    let n = Array.length t.cores in
+    t.tx_cmd_thunks <- Array.init n (fun idx () -> run_tx_cmd t idx);
+    t.rto_cmd_thunks <- Array.init n (fun idx () -> run_rto_cmd t idx)
+  end;
+  core_of_flow t flow
+
+(* The TX command costs a few cycles of fast-path attention. *)
 let notify_tx t flow =
-  let core = core_of_flow t flow in
-  (* The TX command costs a few cycles of fast-path attention. *)
-  Core.run core ~cat:Core.Tx ~cycles:50 (fun () ->
-      maybe_send t flow core;
-      arm_tlp t flow core)
+  let core = cmd_core t flow in
+  let idx = core_index t core in
+  Fifo.push t.tx_cmds.(idx) flow;
+  Core.run core ~cat:Core.Tx ~cycles:50 t.tx_cmd_thunks.(idx)
 
 let trigger_retransmit t flow =
-  let core = core_of_flow t flow in
-  Core.run core ~cat:Core.Tx ~cycles:100 (fun () ->
-      (* RTO-class rewind: forget the scoreboard (segments re-register as
-         they are re-sent) and invalidate pending RACK/TLP timers. *)
-      (match Flow_state.recovery_kind flow with
-      | Rec.Policy.Reno -> ()
-      | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-        Rec.State.reset (Flow_state.recovery flow));
-      (* Reset sender state as if the unacked segments were never sent. *)
-      Flow_state.set_seq flow (Flow_state.snd_una flow);
-      Flow_state.set_tx_sent flow 0;
-      Flow_state.set_dupack_cnt flow 0;
-      Flow_state.set_in_recovery flow false;
-      maybe_send t flow core;
-      arm_tlp t flow core)
+  let core = cmd_core t flow in
+  let idx = core_index t core in
+  Fifo.push t.rto_cmds.(idx) flow;
+  Core.run core ~cat:Core.Tx ~cycles:100 t.rto_cmd_thunks.(idx)
 
 (* --- Receive processing ------------------------------------------------ *)
 
@@ -747,7 +792,6 @@ let process_ack_modern t flow pkt core =
   let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
   Flow_state.set_window flow
     (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
-  let blocks = tcp.Tcp_header.sack in
   if acked > 0 then begin
     if acked <= Ring.used (Flow_state.tx_buf flow) then begin
       Ring.advance_tail (Flow_state.tx_buf flow) acked;
@@ -766,7 +810,8 @@ let process_ack_modern t flow pkt core =
       Rec.State.bump_gen st;
       st.Rec.State.tlp_armed <- false;
       st.Rec.State.reo_armed <- false;
-      recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~blocks ~dup_acks:0;
+      recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~sack:tcp
+        ~dup_acks:0;
       if Flow_state.tx_interest flow then begin
         Flow_state.set_tx_interest flow false;
         post_writable t flow
@@ -787,7 +832,7 @@ let process_ack_modern t flow pkt core =
     && Bytes.length pkt.Packet.payload = 0
   then begin
     Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
-    recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~blocks
+    recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~sack:tcp
       ~dup_acks:(Flow_state.dupack_cnt flow);
     arm_tlp t flow core;
     arm_reo t flow core
@@ -822,33 +867,29 @@ let deliver_data t flow pkt core ~write_at ~write_len ~advance ~ce =
   post_readable t flow;
   send_ack t flow ~ece:ce
 
-(* The receive verdict for a segment the in-order fast case did not take. *)
-let data_verdict t flow ~seq ~seg_len ~window =
-  if t.config.Config.rx_ooo_enabled then
-    Ooo.handle (Flow_state.ooo flow) ~exp:(Flow_state.ack flow) ~window
-      ~seg_start:seq ~seg_len
-  else begin
-    (* Simple go-back-N receive: only the exact next segment is accepted
-       (the Fig. 7 "TAS simple recovery" ablation). *)
-    let exp = Flow_state.ack flow in
-    if Seq32.lt seq exp then begin
-      let dup = Seq32.diff exp seq in
-      if dup >= seg_len then Ooo.Duplicate
-      else
-        Ooo.Deliver
-          {
-            write_at = exp;
-            write_len = min (seg_len - dup) window;
-            advance = min (seg_len - dup) window;
-          }
-    end
-    else if seq = exp then begin
-      let n = min seg_len window in
-      if n = 0 then Ooo.Drop
-      else Ooo.Deliver { write_at = exp; write_len = n; advance = n }
-    end
-    else Ooo.Drop
+let drop_payload t flow core ~ce =
+  t.stats.payload_drops <- t.stats.payload_drops + 1;
+  trace_ev t Trace.Payload_drop ~core:(Core.id core)
+    ~flow:(Flow_state.opaque flow);
+  send_ack t flow ~ece:ce
+
+(* Simple go-back-N receive: only the exact next segment is accepted (the
+   Fig. 7 "TAS simple recovery" ablation). *)
+let receive_in_order_only t flow pkt core ~seq ~seg_len ~window ~ce =
+  let exp = Flow_state.ack flow in
+  if Seq32.lt seq exp then begin
+    let dup = Seq32.diff exp seq in
+    if dup >= seg_len then send_ack t flow ~ece:ce
+    else
+      let n = min (seg_len - dup) window in
+      deliver_data t flow pkt core ~write_at:exp ~write_len:n ~advance:n ~ce
   end
+  else if seq = exp then begin
+    let n = min seg_len window in
+    if n = 0 then drop_payload t flow core ~ce
+    else deliver_data t flow pkt core ~write_at:exp ~write_len:n ~advance:n ~ce
+  end
+  else drop_payload t flow core ~ce
 
 let process_data t flow pkt core =
   let payload = pkt.Packet.payload in
@@ -857,34 +898,37 @@ let process_data t flow pkt core =
   let rx_buf = Flow_state.rx_buf flow in
   let window = Ring.free rx_buf in
   let seq = pkt.Packet.tcp.Tcp_header.seq in
+  let ooo = Flow_state.ooo flow in
   (* The exact next segment with nothing stored: the verdict both receive
-     modes would reach, without building it. *)
+     modes would reach, without asking for it. *)
   let n =
-    Ooo.in_order (Flow_state.ooo flow) ~exp:(Flow_state.ack flow) ~window
-      ~seg_start:seq ~seg_len
+    Ooo.in_order ooo ~exp:(Flow_state.ack flow) ~window ~seg_start:seq
+      ~seg_len
   in
   if n > 0 then
     deliver_data t flow pkt core ~write_at:seq ~write_len:n ~advance:n ~ce
+  else if not t.config.Config.rx_ooo_enabled then
+    receive_in_order_only t flow pkt core ~seq ~seg_len ~window ~ce
   else
-    match data_verdict t flow ~seq ~seg_len ~window with
-    | Ooo.Deliver { write_at; write_len; advance } ->
-      deliver_data t flow pkt core ~write_at ~write_len ~advance ~ce
-    | Ooo.Store { write_at; write_len } ->
-      let src_off = Seq32.diff write_at seq in
+    match
+      Ooo.handle ooo ~exp:(Flow_state.ack flow) ~window ~seg_start:seq
+        ~seg_len
+    with
+    | Ooo.Deliver ->
+      deliver_data t flow pkt core ~write_at:(Ooo.write_at ooo)
+        ~write_len:(Ooo.write_len ooo) ~advance:(Ooo.advance ooo) ~ce
+    | Ooo.Store ->
+      let write_at = Ooo.write_at ooo in
       Ring.write_at rx_buf
         ~pos:(Flow_state.rx_offset_of_seq flow write_at)
-        payload ~off:src_off ~len:write_len;
+        payload ~off:(Seq32.diff write_at seq) ~len:(Ooo.write_len ooo);
       t.stats.ooo_stored <- t.stats.ooo_stored + 1;
       trace_ev t Trace.Ooo_store ~core:(Core.id core)
         ~flow:(Flow_state.opaque flow);
       (* Duplicate ACK tells the sender what we are still waiting for. *)
       send_ack t flow ~ece:ce
     | Ooo.Duplicate -> send_ack t flow ~ece:ce
-    | Ooo.Drop ->
-      t.stats.payload_drops <- t.stats.payload_drops + 1;
-      trace_ev t Trace.Payload_drop ~core:(Core.id core)
-        ~flow:(Flow_state.opaque flow);
-      send_ack t flow ~ece:ce
+    | Ooo.Drop -> drop_payload t flow core ~ce
 
 (* Flow lookup with the vector-pass memo: consecutive same-flow segments
    hit the memoized entry and skip the table (and its lock cost) the way a

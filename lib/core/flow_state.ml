@@ -98,9 +98,11 @@ let slot t = if A.in_use t.arena t.slot then Some t.slot else None
    otherwise keep probing its private copy forever. *)
 let release ~pool t =
   let st = t.rec_state in
-  Tas_recovery.State.bump_gen st;
-  st.Tas_recovery.State.tlp_armed <- false;
-  st.Tas_recovery.State.reo_armed <- false;
+  if st.Tas_recovery.State.kind <> Tas_recovery.Policy.Reno then begin
+    Tas_recovery.State.bump_gen st;
+    st.Tas_recovery.State.tlp_armed <- false;
+    st.Tas_recovery.State.reo_armed <- false
+  end;
   Ring.Pool.give pool t.rx_buf;
   Ring.Pool.give pool t.tx_buf;
   t.rx_buf <- Ring.closed;

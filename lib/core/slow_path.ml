@@ -340,7 +340,7 @@ let build t k ~(flags : Tcp_header.flags) ~seq ~ack_no ~window ~with_mss
     ?mss:(if with_mss then t.some_mss else None)
     ?wscale:(if flags.Tcp_header.syn then t.some_wscale else None)
     ~src_port:k.k_local_port ~dst_port:k.k_peer_port ~seq ~ack:ack_no ~flags
-    ~window ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr ~sack:[];
+    ~window ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr;
   Packet.fill pkt
     ~src_mac:(Nic.mac (Fast_path.nic t.fp))
     ~dst_mac:(Addr.host_mac (Addr.host_id_of_ip k.k_peer_ip))

@@ -1,21 +1,28 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64]
+   field would box a fresh [int64] on every draw. Each draw reads the
+   state, advances it and mixes it in registers, so once inlined into
+   [int], [float] and [coin] a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_raw t =
-  t.state <- Int64.add t.state golden;
-  let z = t.state in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_raw t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 = next_raw
+let int64 t = next_raw t
 
-let split t =
-  let seed = next_raw t in
-  { state = seed }
+let split t = of_state (next_raw t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
@@ -23,7 +30,7 @@ let int t bound =
   let raw = Int64.to_int (Int64.shift_right_logical (next_raw t) 2) in
   raw mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let raw = Int64.to_float (Int64.shift_right_logical (next_raw t) 11) in
   bound *. (raw /. 9007199254740992.0 (* 2^53 *))
 
@@ -31,7 +38,7 @@ let bool t = Int64.logand (next_raw t) 1L = 1L
 
 let coin t p = float t 1.0 < p
 
-let exponential t mean =
+let[@inline] exponential t mean =
   let u = ref (float t 1.0) in
   if !u = 0.0 then u := epsilon_float;
   -.mean *. log !u

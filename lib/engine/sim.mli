@@ -39,6 +39,14 @@ val post_at : t -> Time_ns.t -> (unit -> unit) -> unit
     see {!post}.
     @raise Invalid_argument if [time < now sim]. *)
 
+val post_int : t -> Time_ns.t -> (int -> unit) -> int -> unit
+(** [post_int sim dt f arg] is [post sim dt (fun () -> f arg)] without the
+    closure: [arg] waits in the event's slot, so a caller that keeps one
+    persistent [f] (a per-flow timer carrying the generation it was armed
+    under, say) posts without allocating. The event takes a sequence
+    number and counts in {!events_fired} exactly as a {!post} would.
+    @raise Invalid_argument if [dt < 0]. *)
+
 val events_fired : t -> int
 (** Total events executed since [create] (the perf bench's events/sec
     numerator). *)

@@ -311,14 +311,12 @@ let burst ~quick =
       "words/op" Alloc;
   ]
 
-(* One data segment's full life on a warm pool, driven directly: host A
-   takes a packet from its NIC's pool and a payload from the buffer pool,
-   transmits it through its port to host B, whose fast path delivers it in
-   order into an installed flow, ACKs it from B's pool and releases it back
-   to A's pool; A's NIC releases the ACK back to B's. The receiver consumes
-   the payload each round, so the same work repeats forever. Gated at 0
-   words: the steady-state segment path allocates nothing. *)
-let pkt_cycle ~quick =
+(* Host B's fast path behind a 10G link with one installed flow from host
+   A, for driving B's receive path directly: [send seq] takes a packet
+   from A's NIC pool and a payload from the buffer pool and transmits an
+   MSS segment at [seq] through A's port, to be delivered by [Sim.run].
+   B's ACKs go back to A's NIC, which releases them to B's pool. *)
+let rx_rig ?(recovery = Tas_recovery.Policy.Reno) ~ooo_ranges () =
   let module Fast_path = Tas_core.Fast_path in
   let module Flow_state = Tas_core.Flow_state in
   let module Rate_bucket = Tas_core.Rate_bucket in
@@ -338,7 +336,7 @@ let pkt_cycle ~quick =
   let mss = 1448 and port_a = 9000 and port_b = 5001 in
   let flow =
     Flow_state.create ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
-      ~pool:(Ring.Pool.create ()) ~opaque:1 ~context:0
+      ~pool:(Ring.Pool.create ()) ~recovery ~ooo_ranges ~opaque:1 ~context:0
       ~bucket:
         (Rate_bucket.create sim (Rate_bucket.Rate 10e9) ~burst_bytes:65536)
       ~rx_buf_size:65536 ~tx_buf_size:65536 ~local_port:port_b
@@ -354,42 +352,87 @@ let pkt_cycle ~quick =
         peer_port = port_a;
       }
     flow;
-  let seq = ref 0 in
-  let cycle () =
+  let send seq =
     let pkt = Packet.take (Nic.packet_pool nic_a) in
-    Tcp_header.fill pkt.Packet.tcp ~src_port:port_a ~dst_port:port_b ~seq:!seq
-      ~ack:1 ~flags:Tcp_header.data_flags ~window:65535 ~ts_val:1 ~ts_ecr:0
-      ~sack:[];
+    Tcp_header.fill pkt.Packet.tcp ~src_port:port_a ~dst_port:port_b ~seq
+      ~ack:1 ~flags:Tcp_header.data_flags ~window:65535 ~ts_val:1 ~ts_ecr:0;
     Packet.fill pkt ~src_mac:(Nic.mac nic_a) ~dst_mac:(Nic.mac nic_b)
       ~src_ip:(Nic.ip nic_a) ~dst_ip:(Nic.ip nic_b)
       ~ecn:Tas_proto.Ipv4_header.Ect0
       ~payload:(Buf_pool.take (Buf_pool.local ()) mss);
     Packet.mark_pooled pkt;
-    Nic.transmit nic_a pkt;
-    Sim.run sim;
-    seq := !seq + mss;
-    Ring.advance_tail (Flow_state.rx_buf flow) mss
+    Nic.transmit nic_a pkt
   in
+  (sim, fp, flow, mss, send)
+
+(* Median ops/s and minor words/op of [iters] warm calls of [op], over 3
+   windows after 1,000 warm-up calls. *)
+let op_windows ~iters op =
   for _ = 1 to 1000 do
-    cycle ()
+    op ()
   done;
-  let iters = if quick then 20_000 else 60_000 in
   let samples =
     List.init 3 (fun _ ->
         let w0 = Gc.minor_words () in
         let t0 = Unix.gettimeofday () in
         for _ = 1 to iters do
-          cycle ()
+          op ()
         done;
         let wall = Unix.gettimeofday () -. t0 in
         let words = Gc.minor_words () -. w0 in
         (float_of_int iters /. wall, words /. float_of_int iters))
   in
+  (median (List.map fst samples), median (List.map snd samples))
+
+(* One data segment's full life on a warm pool, driven directly: host A
+   transmits it to host B ([rx_rig]), whose fast path delivers it in order
+   into the installed flow, ACKs it from B's pool and releases it back to
+   A's pool. The receiver consumes the payload each round, so the same
+   work repeats forever. Gated at 0 words: the steady-state segment path
+   allocates nothing. *)
+let pkt_cycle ~quick =
+  let sim, _fp, flow, mss, send = rx_rig ~ooo_ranges:1 () in
+  let seq = ref 0 in
+  let cycle () =
+    send !seq;
+    Sim.run sim;
+    seq := !seq + mss;
+    Tas_buffers.Ring_buffer.advance_tail (Tas_core.Flow_state.rx_buf flow) mss
+  in
+  let rate, words = op_windows ~iters:(if quick then 20_000 else 60_000) cycle in
   [
-    m "pkt_cycles_per_sec" (median (List.map fst samples)) "pkts/s" Throughput;
-    m "pkt_cycle_minor_words"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "pkt_cycles_per_sec" rate "pkts/s" Throughput;
+    m "pkt_cycle_minor_words" words "words/op" Alloc;
+  ]
+
+(* The lossy receive path, driven like [pkt_cycle] into a RACK-TLP flow:
+   each op sends the segment after the next expected one, which the
+   receiver stores out of order and answers with a SACK-carrying duplicate
+   ACK, then the missing segment, which delivers both in one advance.
+   Gated at 0 words: out-of-order storage, SACK blocks and the gap fill
+   allocate nothing. *)
+let loss_rx ~quick =
+  let sim, fp, flow, mss, send =
+    rx_rig ~recovery:Tas_recovery.Policy.Rack_tlp ~ooo_ranges:4 ()
+  in
+  let stats = Tas_core.Fast_path.stats fp in
+  let seq = ref 0 in
+  let cycle () =
+    let stored = stats.Tas_core.Fast_path.ooo_stored in
+    send (!seq + mss);
+    Sim.run sim;
+    send !seq;
+    Sim.run sim;
+    if stats.Tas_core.Fast_path.ooo_stored <> stored + 1 then
+      failwith "Perf_bench.loss_rx: segment not stored out of order";
+    seq := !seq + (2 * mss);
+    Tas_buffers.Ring_buffer.advance_tail
+      (Tas_core.Flow_state.rx_buf flow) (2 * mss)
+  in
+  let rate, words = op_windows ~iters:(if quick then 10_000 else 30_000) cycle in
+  [
+    m "loss_rx_per_sec" rate "ops/s" Throughput;
+    m "loss_rx_minor_words" words "words/op" Alloc;
   ]
 
 (* Loss recovery driven directly: [Rack_tlp.on_ack] digests a duplicate ACK
@@ -408,32 +451,17 @@ let rack_ack ~quick =
       ~now_ns:(i * 1_000)
   done;
   let snd_nxt = flight * len in
-  let blocks = [ (len, snd_nxt) ] in
+  let sack =
+    Tcp_header.make ~sack:[ (len, snd_nxt) ] ~src_port:80 ~dst_port:1234
+      ~seq:0 ~ack:0 ~flags:Tcp_header.ack_flags ~window:65535 ()
+  in
   let ack () =
-    ignore
-      (Rec.Rack_tlp.on_ack st ~una:0 ~snd_nxt ~blocks ~dup_acks:3
-         ~reo_wnd:1_000)
+    Rec.Rack_tlp.on_ack st ~una:0 ~snd_nxt ~sack ~dup_acks:3 ~reo_wnd:1_000
   in
-  for _ = 1 to 1000 do
-    ack ()
-  done;
-  let iters = if quick then 100_000 else 300_000 in
-  let samples =
-    List.init 3 (fun _ ->
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          ack ()
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let words = Gc.minor_words () -. w0 in
-        (float_of_int iters /. wall, words /. float_of_int iters))
-  in
+  let rate, words = op_windows ~iters:(if quick then 100_000 else 300_000) ack in
   [
-    m "rack_acks_per_sec" (median (List.map fst samples)) "acks/s" Throughput;
-    m "rack_minor_words_per_ack"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "rack_acks_per_sec" rate "acks/s" Throughput;
+    m "rack_minor_words_per_ack" words "words/op" Alloc;
   ]
 
 (* Connection churn TAS<->TAS: 16 closed-loop clients that connect, echo
@@ -551,26 +579,10 @@ let cc_tick ~quick =
       ()
     done
   in
-  for _ = 1 to 1000 do
-    tick ()
-  done;
-  let iters = if quick then 2_000 else 6_000 in
-  let samples =
-    List.init 3 (fun _ ->
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          tick ()
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let words = Gc.minor_words () -. w0 in
-        (float_of_int iters /. wall, words /. float_of_int iters))
-  in
+  let rate, words = op_windows ~iters:(if quick then 2_000 else 6_000) tick in
   [
-    m "cc_ticks_per_sec" (median (List.map fst samples)) "ticks/s" Throughput;
-    m "cc_tick_minor_words"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "cc_ticks_per_sec" rate "ticks/s" Throughput;
+    m "cc_tick_minor_words" words "words/op" Alloc;
   ]
 
 (* Event-queue churn: chains of fire-and-forget [post] events, the shape of
@@ -614,7 +626,7 @@ let measure ~quick =
   Gc.compact ();
   List.concat
     [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
-      burst ~quick; pkt_cycle ~quick; rack_ack ~quick; conn_churn ~quick;
+      burst ~quick; pkt_cycle ~quick; loss_rx ~quick; rack_ack ~quick; conn_churn ~quick;
       cc_tick ~quick; events ~quick ]
 
 (* --- Artifact ----------------------------------------------------------- *)

@@ -116,9 +116,13 @@ let counters t = t.c
 let trace_ev t kind =
   Trace.record t.trace ~ts:(Sim.now t.sim) ~kind ~core:(-1) ~flow:(-1)
 
-let in_blackout t =
-  let now = Sim.now t.sim in
-  List.exists (fun (start, stop) -> now >= start && now < stop) t.spec.blackouts
+(* A top-level loop: [List.exists] would build a closure over [now] for
+   every packet. *)
+let rec covers now = function
+  | [] -> false
+  | (start, stop) :: rest -> (now >= start && now < stop) || covers now rest
+
+let in_blackout t = covers (Sim.now t.sim) t.spec.blackouts
 
 (* Advance the Gilbert–Elliott chain one step, then draw a drop from the
    (possibly new) state's loss probability. *)

@@ -20,8 +20,55 @@ type t = {
   mutable has_ts : bool;
   mutable ts_val : int;
   mutable ts_ecr : int;
-  mutable sack : (Seq32.t * Seq32.t) list;
+  mutable sack_n : int;
+  mutable sack_s0 : Seq32.t;
+  mutable sack_e0 : Seq32.t;
+  mutable sack_s1 : Seq32.t;
+  mutable sack_e1 : Seq32.t;
+  mutable sack_s2 : Seq32.t;
+  mutable sack_e2 : Seq32.t;
 }
+
+let max_sack_blocks = 3
+
+let clear_sack t =
+  t.sack_n <- 0;
+  t.sack_s0 <- 0;
+  t.sack_e0 <- 0;
+  t.sack_s1 <- 0;
+  t.sack_e1 <- 0;
+  t.sack_s2 <- 0;
+  t.sack_e2 <- 0
+
+let add_sack_block t start stop =
+  (match t.sack_n with
+  | 0 ->
+    t.sack_s0 <- start;
+    t.sack_e0 <- stop
+  | 1 ->
+    t.sack_s1 <- start;
+    t.sack_e1 <- stop
+  | 2 ->
+    t.sack_s2 <- start;
+    t.sack_e2 <- stop
+  | _ -> invalid_arg "Tcp_header.add_sack_block: option full");
+  t.sack_n <- t.sack_n + 1
+
+let sack_start t i =
+  if i < 0 || i >= t.sack_n then invalid_arg "Tcp_header.sack_start";
+  match i with 0 -> t.sack_s0 | 1 -> t.sack_s1 | _ -> t.sack_s2
+
+let sack_end t i =
+  if i < 0 || i >= t.sack_n then invalid_arg "Tcp_header.sack_end";
+  match i with 0 -> t.sack_e0 | 1 -> t.sack_e1 | _ -> t.sack_e2
+
+let sack_blocks t = List.init t.sack_n (fun i -> (sack_start t i, sack_end t i))
+
+let rec add_sack_blocks t = function
+  | [] -> ()
+  | (start, stop) :: rest ->
+    add_sack_block t start stop;
+    add_sack_blocks t rest
 
 let no_flags =
   { syn = false; ack = false; fin = false; rst = false; psh = false;
@@ -35,11 +82,16 @@ let make ?mss ?wscale ?ts ?(sack = []) ~src_port ~dst_port ~seq ~ack ~flags
   let has_ts, ts_val, ts_ecr =
     match ts with Some (v, e) -> (true, v, e) | None -> (false, 0, 0)
   in
-  { src_port; dst_port; seq; ack; flags; window; mss; wscale; has_ts; ts_val;
-    ts_ecr; sack }
+  let t =
+    { src_port; dst_port; seq; ack; flags; window; mss; wscale; has_ts;
+      ts_val; ts_ecr; sack_n = 0; sack_s0 = 0; sack_e0 = 0; sack_s1 = 0;
+      sack_e1 = 0; sack_s2 = 0; sack_e2 = 0 }
+  in
+  add_sack_blocks t sack;
+  t
 
 let fill ?mss ?wscale t ~src_port ~dst_port ~seq ~ack ~flags ~window ~ts_val
-    ~ts_ecr ~sack =
+    ~ts_ecr =
   t.src_port <- src_port;
   t.dst_port <- dst_port;
   t.seq <- seq;
@@ -51,14 +103,14 @@ let fill ?mss ?wscale t ~src_port ~dst_port ~seq ~ack ~flags ~window ~ts_val
   t.has_ts <- true;
   t.ts_val <- ts_val;
   t.ts_ecr <- ts_ecr;
-  t.sack <- sack
+  clear_sack t
 
 let options_size t =
   let n =
     (match t.mss with Some _ -> 4 | None -> 0)
     + (match t.wscale with Some _ -> 3 | None -> 0)
     + (if t.has_ts then 10 else 0)
-    + (match t.sack with [] -> 0 | bs -> 2 + (8 * List.length bs))
+    + (if t.sack_n > 0 then 2 + (8 * t.sack_n) else 0)
   in
   (* Pad to a 4-byte boundary with NOPs. *)
   (n + 3) / 4 * 4
@@ -87,16 +139,20 @@ let flags_to_bits f =
   lor (if f.ece then 64 else 0)
   lor if f.cwr then 128 else 0
 
-let flags_of_bits b =
-  {
-    fin = b land 1 <> 0;
-    syn = b land 2 <> 0;
-    rst = b land 4 <> 0;
-    psh = b land 8 <> 0;
-    ack = b land 16 <> 0;
-    ece = b land 64 <> 0;
-    cwr = b land 128 <> 0;
-  }
+(* One shared record per flags byte: [read] builds none. *)
+let flags_table =
+  Array.init 256 (fun b ->
+      {
+        fin = b land 1 <> 0;
+        syn = b land 2 <> 0;
+        rst = b land 4 <> 0;
+        psh = b land 8 <> 0;
+        ack = b land 16 <> 0;
+        ece = b land 64 <> 0;
+        cwr = b land 128 <> 0;
+      })
+
+let flags_of_bits b = flags_table.(b)
 
 let write t buf ~off =
   let hdr_size = size t in
@@ -131,18 +187,16 @@ let write t buf ~off =
     set32 buf (!p + 6) (t.ts_ecr land 0xFFFF_FFFF);
     p := !p + 10
   end;
-  (match t.sack with
-  | [] -> ()
-  | blocks ->
+  if t.sack_n > 0 then begin
     Bytes.set buf !p '\x05';
-    Bytes.set buf (!p + 1) (Char.chr (2 + (8 * List.length blocks)));
+    Bytes.set buf (!p + 1) (Char.chr (2 + (8 * t.sack_n)));
     p := !p + 2;
-    List.iter
-      (fun (bs, be) ->
-        set32 buf !p (bs land 0xFFFF_FFFF);
-        set32 buf (!p + 4) (be land 0xFFFF_FFFF);
-        p := !p + 8)
-      blocks);
+    for i = 0 to t.sack_n - 1 do
+      set32 buf !p (sack_start t i land 0xFFFF_FFFF);
+      set32 buf (!p + 4) (sack_end t i land 0xFFFF_FFFF);
+      p := !p + 8
+    done
+  end;
   while !p < off + hdr_size do
     Bytes.set buf !p '\x01' (* NOP padding *);
     incr p
@@ -180,10 +234,14 @@ let read buf ~off =
            t.ts_val <- get32 buf (!p + 2);
            t.ts_ecr <- get32 buf (!p + 6)
          | 5 when len >= 10 && (len - 2) mod 8 = 0 ->
-           let n = (len - 2) / 8 in
-           t.sack <-
-             List.init n (fun i ->
-                 (get32 buf (!p + 2 + (8 * i)), get32 buf (!p + 6 + (8 * i))))
+           (* Blocks past the third are dropped: a receiver may use any
+              subset of the blocks it is sent. *)
+           clear_sack t;
+           for i = 0 to min max_sack_blocks ((len - 2) / 8) - 1 do
+             add_sack_block t
+               (get32 buf (!p + 2 + (8 * i)))
+               (get32 buf (!p + 6 + (8 * i)))
+           done
          | _ -> () (* unknown option: skipped *));
          p := !p + len
      done

@@ -1,23 +1,15 @@
 module Seq32 = Tas_proto.Seq32
 
-type outcome = {
-  newly_sacked : int;
-  newly_lost : int;
-  rack_lost : int;
-  entered : bool;
-  exited : bool;
-}
-
 let reo_wnd_ns ~srtt_ns ~configured =
   if configured > 0 then configured else max (srtt_ns / 4) 1_000
 
 let pto_ns ~srtt_ns ~configured =
   if configured > 0 then configured else max (2 * srtt_ns) 1_000_000
 
-let on_ack (st : State.t) ~una ~snd_nxt ~blocks ~dup_acks ~reo_wnd =
+let on_ack (st : State.t) ~una ~snd_nxt ~sack ~dup_acks ~reo_wnd =
   let d1 = Scoreboard.ack_to st.State.sb ~una in
-  let newly_sacked, d2 = Scoreboard.apply_sacks st.State.sb ~blocks in
-  let d = max d1 d2 in
+  let newly_sacked = Scoreboard.apply_sacks st.State.sb sack in
+  let d = max d1 (Scoreboard.sacked_tx st.State.sb) in
   if d > st.State.rack_ts then st.State.rack_ts <- d;
   let exited = st.State.in_rec && Seq32.geq una st.State.recovery_point in
   if exited then st.State.in_rec <- false;
@@ -44,7 +36,11 @@ let on_ack (st : State.t) ~una ~snd_nxt ~blocks ~dup_acks ~reo_wnd =
     st.State.in_rec <- true;
     st.State.recovery_point <- snd_nxt
   end;
-  { newly_sacked; newly_lost; rack_lost; entered; exited }
+  st.State.newly_sacked <- newly_sacked;
+  st.State.newly_lost <- newly_lost;
+  st.State.rack_lost <- rack_lost;
+  st.State.entered <- entered;
+  st.State.exited <- exited
 
 let on_reo_timer (st : State.t) ~now_ns ~reo_wnd ~srtt_ns =
   Scoreboard.mark_lost_older_than st.State.sb

@@ -16,14 +16,6 @@
     the SACK/ACK feedback that lets RACK repair genuine tail losses at
     probe-timescale instead of RTO-timescale. *)
 
-type outcome = {
-  newly_sacked : int;
-  newly_lost : int;  (** total segments first marked lost by this ACK *)
-  rack_lost : int;  (** subset marked by the RACK time rule *)
-  entered : bool;
-  exited : bool;
-}
-
 val reo_wnd_ns : srtt_ns:int -> configured:int -> int
 (** The reordering window: [configured] when positive, else
     [max (srtt/4) 1µs] (the RFC's srtt/4 starting value). *)
@@ -36,13 +28,15 @@ val on_ack :
   State.t ->
   una:Tas_proto.Seq32.t ->
   snd_nxt:Tas_proto.Seq32.t ->
-  blocks:(Tas_proto.Seq32.t * Tas_proto.Seq32.t) list ->
+  sack:Tas_proto.Tcp_header.t ->
   dup_acks:int ->
   reo_wnd:int ->
-  outcome
+  unit
 (** {!Sack.on_ack}'s digestion plus the RACK clock: update [rack_ts] from
     the delivered segments (Karn-filtered), then additionally mark lost
-    everything older than [rack_ts - reo_wnd]. *)
+    everything older than [rack_ts - reo_wnd]. The outcome lands in the
+    state's fields as for {!Sack.on_ack}, [rack_lost] counting the
+    segments the time rule marked. Allocates nothing. *)
 
 val on_reo_timer : State.t -> now_ns:int -> reo_wnd:int -> srtt_ns:int -> int
 (** The reordering timer fired: mark lost every candidate transmitted

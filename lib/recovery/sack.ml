@@ -1,15 +1,8 @@
 module Seq32 = Tas_proto.Seq32
 
-type outcome = {
-  newly_sacked : int;
-  newly_lost : int;
-  entered : bool;
-  exited : bool;
-}
-
-let on_ack (st : State.t) ~una ~snd_nxt ~blocks ~dup_acks =
+let on_ack (st : State.t) ~una ~snd_nxt ~sack ~dup_acks =
   ignore (Scoreboard.ack_to st.State.sb ~una);
-  let newly_sacked, _ = Scoreboard.apply_sacks st.State.sb ~blocks in
+  let newly_sacked = Scoreboard.apply_sacks st.State.sb sack in
   let exited = st.State.in_rec && Seq32.geq una st.State.recovery_point in
   if exited then st.State.in_rec <- false;
   let newly_lost =
@@ -31,4 +24,8 @@ let on_ack (st : State.t) ~una ~snd_nxt ~blocks ~dup_acks =
     st.State.in_rec <- true;
     st.State.recovery_point <- snd_nxt
   end;
-  { newly_sacked; newly_lost; entered; exited }
+  st.State.newly_sacked <- newly_sacked;
+  st.State.newly_lost <- newly_lost;
+  st.State.rack_lost <- 0;
+  st.State.entered <- entered;
+  st.State.exited <- exited

@@ -7,21 +7,17 @@
     bracketed by [recovery_point]: one rate-cut signal per episode, ended
     when the cumulative ACK passes the [snd_nxt] recorded at entry. *)
 
-type outcome = {
-  newly_sacked : int;  (** segments first marked sacked by this ACK *)
-  newly_lost : int;  (** segments first marked lost by this ACK *)
-  entered : bool;  (** a new recovery episode began *)
-  exited : bool;  (** the previous episode completed *)
-}
-
 val on_ack :
   State.t ->
   una:Tas_proto.Seq32.t ->
   snd_nxt:Tas_proto.Seq32.t ->
-  blocks:(Tas_proto.Seq32.t * Tas_proto.Seq32.t) list ->
+  sack:Tas_proto.Tcp_header.t ->
   dup_acks:int ->
-  outcome
-(** Digest one ACK: advance the scoreboard to [una], apply [blocks], run
-    the dupthresh loss rule (plus the front-hole rule once [dup_acks]
-    reaches {!Reno.dupthresh} without SACK evidence above the hole), and
-    maintain the episode bracket against [snd_nxt]. *)
+  unit
+(** Digest one ACK: advance the scoreboard to [una], apply the SACK blocks
+    of the ACK's header [sack], run the dupthresh loss rule (plus the
+    front-hole rule once [dup_acks] reaches {!Reno.dupthresh} without SACK
+    evidence above the hole), and maintain the episode bracket against
+    [snd_nxt]. The outcome lands in the state's [newly_sacked],
+    [newly_lost], [entered] and [exited] fields ([rack_lost] reads 0).
+    Allocates nothing. *)

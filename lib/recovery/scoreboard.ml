@@ -1,4 +1,5 @@
 module Seq32 = Tas_proto.Seq32
+module Tcp_header = Tas_proto.Tcp_header
 module J = Tas_telemetry.Json
 
 (* Segment [i] (0 = oldest) lives in slot [(head + i) land mask] of five
@@ -20,6 +21,7 @@ type t = {
   mutable r : ring;
   mutable high_sacked : Seq32.t;  (* end of the highest sacked segment *)
   mutable any_sacked : bool;  (* [high_sacked] is meaningful *)
+  mutable sacked_tx : int;  (* the last [apply_sacks]'s Karn delivery clock *)
   mutable c_sacked : int;
   mutable c_lost : int;
   mutable c_retx : int;
@@ -53,6 +55,7 @@ let create () =
     r = empty;
     high_sacked = 0;
     any_sacked = false;
+    sacked_tx = -1;
     c_sacked = 0;
     c_lost = 0;
     c_retx = 0;
@@ -155,35 +158,43 @@ let ack_to t ~una =
 
 (* Segments that can fit in [bs, be) start at or after [bs] and before
    [be]: visit exactly that index range. *)
-let rec apply_blocks t newly tx_max = function
-  | [] -> (newly, tx_max)
-  | (bs, be) :: rest ->
-    let newly = ref newly and tx_max = ref tx_max in
-    if Seq32.lt bs be then begin
-      let r = t.r in
-      for i = first_from r bs to first_from r be - 1 do
-        let k = slot r i in
-        let f = r.flags.(k) in
-        if f land sacked = 0 then begin
-          let e = seg_end r k in
-          if Seq32.leq e be then begin
-            if f land lost <> 0 then r.n_lost <- r.n_lost - 1;
-            r.flags.(k) <- sacked;
-            r.n_sacked <- r.n_sacked + 1;
-            incr newly;
-            t.c_sacked <- t.c_sacked + 1;
-            if r.retx.(k) = 0 && r.tx_ns.(k) > !tx_max then
-              tx_max := r.tx_ns.(k);
-            if (not t.any_sacked) || Seq32.gt e t.high_sacked then
-              t.high_sacked <- e;
-            t.any_sacked <- true
-          end
+let apply_block t bs be =
+  let newly = ref 0 in
+  if Seq32.lt bs be then begin
+    let r = t.r in
+    for i = first_from r bs to first_from r be - 1 do
+      let k = slot r i in
+      let f = r.flags.(k) in
+      if f land sacked = 0 then begin
+        let e = seg_end r k in
+        if Seq32.leq e be then begin
+          if f land lost <> 0 then r.n_lost <- r.n_lost - 1;
+          r.flags.(k) <- sacked;
+          r.n_sacked <- r.n_sacked + 1;
+          incr newly;
+          t.c_sacked <- t.c_sacked + 1;
+          if r.retx.(k) = 0 && r.tx_ns.(k) > t.sacked_tx then
+            t.sacked_tx <- r.tx_ns.(k);
+          if (not t.any_sacked) || Seq32.gt e t.high_sacked then
+            t.high_sacked <- e;
+          t.any_sacked <- true
         end
-      done
-    end;
-    apply_blocks t !newly !tx_max rest
+      end
+    done
+  end;
+  !newly
 
-let apply_sacks t ~blocks = apply_blocks t 0 (-1) blocks
+let apply_sacks t (hdr : Tcp_header.t) =
+  t.sacked_tx <- -1;
+  let newly = ref 0 in
+  for i = 0 to hdr.Tcp_header.sack_n - 1 do
+    newly :=
+      !newly
+      + apply_block t (Tcp_header.sack_start hdr i) (Tcp_header.sack_end hdr i)
+  done;
+  !newly
+
+let sacked_tx t = t.sacked_tx
 
 let mark_lost_dupthresh t ~dupthresh =
   let r = t.r in
@@ -235,14 +246,13 @@ let mark_lost_older_than t ~threshold_ns =
 
 let next_lost t =
   let r = t.r in
-  if r.n_lost = 0 then None
+  if r.n_lost = 0 then -1
   else begin
     let i = ref 0 in
     while r.flags.(slot r !i) land lost = 0 do
       incr i
     done;
-    let k = slot r !i in
-    Some (r.seq.(k), r.len.(k))
+    !i
   end
 
 let last_unsacked t =
@@ -251,25 +261,23 @@ let last_unsacked t =
   while !i >= 0 && r.flags.(slot r !i) land sacked <> 0 do
     decr i
   done;
-  if !i < 0 then None
-  else
-    let k = slot r !i in
-    Some (r.seq.(k), r.len.(k))
+  !i
 
 let oldest_unsacked_tx t =
-  if not t.any_sacked then None
+  if not t.any_sacked then -1
   else begin
     let r = t.r in
-    let oldest = ref max_int and found = ref false in
+    let oldest = ref (-1) in
     for i = 0 to first_from r t.high_sacked - 1 do
       let k = slot r i in
-      if r.flags.(k) = 0 then begin
-        found := true;
-        if r.tx_ns.(k) < !oldest then oldest := r.tx_ns.(k)
-      end
+      if r.flags.(k) = 0 && (!oldest < 0 || r.tx_ns.(k) < !oldest) then
+        oldest := r.tx_ns.(k)
     done;
-    if !found then Some !oldest else None
+    !oldest
   end
+
+let seg_seq t i = t.r.seq.(slot t.r i)
+let seg_len t i = t.r.len.(slot t.r i)
 
 let live_segs t = t.r.n
 let live_sacked t = t.r.n_sacked

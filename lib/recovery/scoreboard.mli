@@ -24,8 +24,8 @@
     on an RTO rewind. The scans below rely on it: the segments at or past
     a bound form a suffix, so a binary search finds where a scan stops.
 
-    {b Cost} ([n] live segments; no operation allocates except where a
-    result is boxed): {!on_transmit} O(1) amortized; {!ack_to} O(popped);
+    {b Cost} ([n] live segments; no operation allocates once the ring has
+    grown to the flight): {!on_transmit} O(1) amortized; {!ack_to} O(popped);
     {!on_retransmit} O(log n); {!apply_sacks} O(log n + segments that
     start inside each block); {!mark_lost_dupthresh} O(1) with fewer than
     [dupthresh] sacked segments, else O(n); {!mark_front_lost},
@@ -65,11 +65,16 @@ val ack_to : t -> una:Tas_proto.Seq32.t -> int
     among the fully-acked never-retransmitted segments — the RACK
     delivery signal under Karn's rule — or [-1] when none qualify. *)
 
-val apply_sacks : t -> blocks:(Tas_proto.Seq32.t * Tas_proto.Seq32.t) list -> int * int
-(** Mark every tracked segment wholly inside a [(start, end)] block as
-    sacked. Returns [(newly_sacked_segments, tx_ns_max)] where
-    [tx_ns_max] is the latest transmit timestamp among the newly sacked
-    never-retransmitted segments ([-1] when none; Karn again). *)
+val apply_sacks : t -> Tas_proto.Tcp_header.t -> int
+(** Mark every tracked segment wholly inside one of the header's SACK
+    blocks as sacked, reading the blocks in place. Returns the number of
+    segments newly sacked; {!sacked_tx} then reads the latest transmit
+    timestamp among them. *)
+
+val sacked_tx : t -> int
+(** The latest transmit timestamp among the segments the last
+    {!apply_sacks} newly sacked and never retransmitted ([-1] when none;
+    Karn again). *)
 
 (** {2 Loss marking} *)
 
@@ -87,19 +92,32 @@ val mark_lost_older_than : t -> threshold_ns:int -> int
     segments included — their refreshed timestamp is what is compared).
     No-op unless something has been sacked. Returns newly marked. *)
 
-(** {2 Retransmission scan} *)
+(** {2 Retransmission scan}
 
-val next_lost : t -> (Tas_proto.Seq32.t * int) option
-(** Lowest segment currently marked lost, as [(seq, len)] — the next
-    selective retransmission. {!on_retransmit} clears the marking. *)
+    Scans answer with a segment's index ([0] = oldest tracked, [-1] =
+    none), read with {!seg_seq} and {!seg_len} before the scoreboard
+    changes: no option or pair is built. *)
 
-val last_unsacked : t -> (Tas_proto.Seq32.t * int) option
-(** Highest in-flight segment not yet sacked — the tail-loss-probe
-    target. *)
+val next_lost : t -> int
+(** Index of the lowest segment currently marked lost — the next
+    selective retransmission — or [-1]. {!on_retransmit} clears the
+    marking. *)
 
-val oldest_unsacked_tx : t -> int option
+val last_unsacked : t -> int
+(** Index of the highest in-flight segment not yet sacked — the
+    tail-loss-probe target — or [-1]. *)
+
+val seg_seq : t -> int -> Tas_proto.Seq32.t
+(** [seg_seq t i] is the start of tracked segment [i]. *)
+
+val seg_len : t -> int -> int
+(** [seg_len t i] is the length of tracked segment [i]. *)
+
+val oldest_unsacked_tx : t -> int
 (** Earliest transmit timestamp among unsacked, unlost segments below the
-    highest sacked edge — the RACK reordering-timer anchor. *)
+    highest sacked edge — the RACK reordering-timer anchor — or [-1] when
+    there is none (transmit timestamps are simulated times, never
+    negative). *)
 
 (** {2 Observation} *)
 

@@ -9,9 +9,20 @@ type t = {
   mutable reo_armed : bool;
   mutable tlp_armed : bool;
   mutable gen : int;
+  mutable tlp_timer : int -> unit;
+  mutable reo_timer : int -> unit;
+  mutable tlp_core : int;
+  mutable reo_core : int;
+  mutable newly_sacked : int;
+  mutable newly_lost : int;
+  mutable rack_lost : int;
+  mutable entered : bool;
+  mutable exited : bool;
 }
 
-let create kind =
+let no_timer (_ : int) = ()
+
+let make kind =
   {
     kind;
     sb = Scoreboard.create ();
@@ -21,7 +32,20 @@ let create kind =
     reo_armed = false;
     tlp_armed = false;
     gen = 0;
+    tlp_timer = no_timer;
+    reo_timer = no_timer;
+    tlp_core = 0;
+    reo_core = 0;
+    newly_sacked = 0;
+    newly_lost = 0;
+    rack_lost = 0;
+    entered = false;
+    exited = false;
   }
+
+let reno = make Policy.Reno
+
+let create = function Policy.Reno -> reno | kind -> make kind
 
 let bump_gen t = t.gen <- t.gen + 1
 

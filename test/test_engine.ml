@@ -27,6 +27,52 @@ let test_same_time_fifo () =
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.rev !order)
 
+(* Int-argument events share the plain events' clock and sequence order,
+   count as fired, and hand each event its own argument, also when the
+   event recycles its slot by posting again. *)
+let test_post_int () =
+  let sim = Sim.create () in
+  let order = ref [] in
+  let note tag x = order := (tag, x, Sim.now sim) :: !order in
+  let rec chain x =
+    note "int" x;
+    if x < 3 then Sim.post_int sim 0 chain (x + 1)
+  in
+  let f = note "f" in
+  Sim.post_int sim 20 f 7;
+  Sim.post sim 10 (fun () -> note "unit" 0);
+  Sim.post_int sim 10 chain 1;
+  Sim.post_int sim 10 f 8;
+  Sim.run sim;
+  Alcotest.(check (list (triple string int int)))
+    "time, then posting order"
+    [ ("unit", 0, 10); ("int", 1, 10); ("f", 8, 10); ("int", 2, 10);
+      ("int", 3, 10); ("f", 7, 20) ]
+    (List.rev !order);
+  Alcotest.(check int) "every event counted" 6 (Sim.events_fired sim);
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.post_int: negative delay") (fun () ->
+      Sim.post_int sim (-1) f 0)
+
+(* A persistent function posted with a fresh argument each time allocates
+   nothing once the event table has grown. *)
+let test_post_int_allocation () =
+  let sim = Sim.create () in
+  let sum = ref 0 in
+  let f x = sum := !sum + x in
+  let burst () =
+    for i = 1 to 1_000 do
+      Sim.post_int sim (i land 63) f i
+    done;
+    Sim.run sim
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "arguments delivered" (2 * 500_500) !sum;
+  Alcotest.(check (float 0.)) "0 words per event" 0. words
+
 let test_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
@@ -307,6 +353,82 @@ let test_rng_bounds () =
   done;
   Alcotest.(check bool) "int and float draws in range" true !ok
 
+(* Every draw function's first 10^4 outputs from seed 42, hashed: the
+   stream is part of every seeded experiment, so any change to the
+   generator's state handling shows here first. *)
+let rng_stream_digests () =
+  let zipf = Rng.Zipf.create ~n:1000 ~s:0.9 in
+  let draws =
+    [
+      ("int64", fun r -> Int64.to_string (Rng.int64 r));
+      ("int", fun r -> string_of_int (Rng.int r 1_000_003));
+      ("float", fun r -> Printf.sprintf "%h" (Rng.float r 3.5));
+      ("bool", fun r -> string_of_bool (Rng.bool r));
+      ("coin", fun r -> string_of_bool (Rng.coin r 0.3));
+      ("exponential", fun r -> Printf.sprintf "%h" (Rng.exponential r 2.0));
+      ( "pareto_bounded",
+        fun r ->
+          Printf.sprintf "%h"
+            (Rng.pareto_bounded r ~alpha:1.2 ~min_v:1.0 ~max_v:1e6) );
+      ("split", fun r -> Int64.to_string (Rng.int64 (Rng.split r)));
+      ("zipf", fun r -> string_of_int (Rng.Zipf.draw r zipf));
+    ]
+  in
+  List.map
+    (fun (name, draw) ->
+      let r = Rng.create 42 in
+      let b = Buffer.create 65536 in
+      for _ = 1 to 10_000 do
+        Buffer.add_string b (draw r);
+        Buffer.add_char b ' '
+      done;
+      (name, Digest.to_hex (Digest.string (Buffer.contents b))))
+    draws
+
+let test_rng_stream_pinned () =
+  Alcotest.(check (list (pair string string)))
+    "first 10^4 draws per function"
+    [
+      ("int64", "99f2ea09b1b2c4b0211f978ef17843ce");
+      ("int", "3e05f6f566798359af4caf2216ce1ead");
+      ("float", "d52bde16bbf1e265cfc8daeb195e59ec");
+      ("bool", "fe387e2b1031e372309867fcaa87ea66");
+      ("coin", "42d2175c1e7a8647eac79e6ea675fe24");
+      ("exponential", "4177ee3520b68b5e2a58a18514a0e8f1");
+      ("pareto_bounded", "818567ed4cf0070d446a880b8287cf39");
+      ("split", "4c7d1e0f6ee8fe73525ab4c86d9063ce");
+      ("zipf", "dd2ab44b2ed7f1615f23538690932742");
+    ]
+    (rng_stream_digests ())
+
+(* Warm draws allocate nothing: the state is updated in place and the
+   [int64] temporaries stay in registers. A [float] result returned
+   across a module boundary is boxed by the caller's compiler unless it
+   inlines the call, which dune's default (dev) profile does not do
+   across libraries: that box, 2 words, is the only cost of
+   [Rng.float] here. *)
+let test_rng_alloc_free () =
+  let r = Rng.create 5 in
+  let hits = ref 0 and sum = ref 0 and fsum = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  let calibration = Gc.minor_words () -. w0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Rng.coin r 0.25 then incr hits;
+    sum := !sum + Rng.int r 1000
+  done;
+  let w1 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    fsum := !fsum +. Rng.float r 1.0
+  done;
+  let w2 = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "calibration" 0. calibration;
+  Alcotest.(check (float 0.)) "coin and int: 0 words" 0. (w1 -. w0);
+  Alcotest.(check bool) "float: at most the result box" true
+    (w2 -. w1 <= 20_000.);
+  Alcotest.(check bool) "draws were used" true
+    (!hits > 0 && !sum > 0 && !fsum > 0.0)
+
 let test_exponential_mean () =
   let rng = Rng.create 11 in
   let n = 100_000 in
@@ -425,6 +547,9 @@ let suite =
   [
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
+    Alcotest.test_case "int-argument events" `Quick test_post_int;
+    Alcotest.test_case "int-argument events allocate nothing" `Quick
+      test_post_int_allocation;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire_is_noop;
     Alcotest.test_case "run ~until" `Quick test_run_until;
@@ -441,6 +566,8 @@ let suite =
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
+    Alcotest.test_case "rng streams pinned" `Quick test_rng_stream_pinned;
+    Alcotest.test_case "rng draws allocate nothing" `Quick test_rng_alloc_free;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
     Alcotest.test_case "bounded pareto bounds" `Quick test_pareto_bounds;

@@ -298,7 +298,7 @@ let test_rst_answer_allocation () =
     let pkt = Packet.take (Nic.packet_pool nic_b) in
     Tcp.fill pkt.Packet.tcp ~src_port:(20_000 + (i land 1023)) ~dst_port:80
       ~seq:(1000 * i) ~ack:(77 * i) ~flags:Tcp.ack_flags ~window:1024
-      ~ts_val:i ~ts_ecr:0 ~sack:[];
+      ~ts_val:i ~ts_ecr:0;
     Packet.fill pkt ~src_mac:(Nic.mac nic_b) ~dst_mac:(Nic.mac nic_a)
       ~src_ip:(Nic.ip nic_b) ~dst_ip:(Nic.ip nic_a) ~ecn:Ipv4.Not_ect
       ~payload:Bytes.empty;

@@ -31,4 +31,5 @@ let () =
       ("ring_pool", Test_ring_pool.suite);
       ("pool", Test_pool.suite);
       ("lifecycle", Test_lifecycle.suite);
+      ("loss_path", Test_loss_path.suite);
     ]

@@ -42,7 +42,7 @@ module Rate_bucket = Tas_core.Rate_bucket
 let take_filled pool ~seq ~payload =
   let pkt = Packet.take pool in
   Tcp.fill pkt.Packet.tcp ~src_port:1 ~dst_port:2 ~seq ~ack:0
-    ~flags:Tcp.data_flags ~window:1000 ~ts_val:1 ~ts_ecr:0 ~sack:[];
+    ~flags:Tcp.data_flags ~window:1000 ~ts_val:1 ~ts_ecr:0;
   Packet.fill pkt ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)
     ~dst_ip:(Addr.host_ip 2) ~ecn:Ipv4.Ect0 ~payload;
   pkt
@@ -295,7 +295,8 @@ let test_timestamp_encoding_pinned () =
         in
         Tcp.fill r ~src_port:h.Tcp.src_port ~dst_port:h.Tcp.dst_port
           ~seq:h.Tcp.seq ~ack:h.Tcp.ack ~flags:h.Tcp.flags ~window:h.Tcp.window
-          ~ts_val:h.Tcp.ts_val ~ts_ecr:h.Tcp.ts_ecr ~sack:h.Tcp.sack;
+          ~ts_val:h.Tcp.ts_val ~ts_ecr:h.Tcp.ts_ecr;
+        List.iter (fun (s, e) -> Tcp.add_sack_block r s e) (Tcp.sack_blocks h);
         let b' = Bytes.make (Tcp.size r) '\x00' in
         ignore (Tcp.write r b' ~off:0);
         Alcotest.(check string) (name ^ " refilled") want (hex b')

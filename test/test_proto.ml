@@ -251,6 +251,39 @@ let test_sack_empty_is_free () =
   in
   Alcotest.(check int) "no-options size unchanged" (base ()) (base ~sack:[] ())
 
+let test_sack_flat_option () =
+  (* Blocks are appended in wire order and read back in place; a fourth
+     does not fit. A received option with four blocks keeps the first
+     three. *)
+  let h =
+    Tcp.make ~src_port:1 ~dst_port:2 ~seq:1 ~ack:2 ~flags:Tcp.ack_flags
+      ~window:1000 ()
+  in
+  Alcotest.(check int) "starts empty" 0 h.Tcp.sack_n;
+  List.iter (fun (s, e) -> Tcp.add_sack_block h s e) [ (10, 20); (30, 40); (50, 60) ];
+  Alcotest.(check (pair int int)) "block 1" (30, 40)
+    (Tcp.sack_start h 1, Tcp.sack_end h 1);
+  Alcotest.check_raises "fourth block"
+    (Invalid_argument "Tcp_header.add_sack_block: option full") (fun () ->
+      Tcp.add_sack_block h 70 80);
+  let buf = Bytes.make 64 '\x00' in
+  let n = Tcp.write h buf ~off:0 in
+  (* Rewrite the option as four blocks: kind 5, length 34, a fourth block
+     past the third, and the header length grown to cover it. *)
+  let opt = 20 in
+  Alcotest.(check int) "sack kind" 5 (Char.code (Bytes.get buf opt));
+  Bytes.set buf (opt + 1) (Char.chr 34);
+  Bytes.blit (Bytes.sub buf (opt + 18) 8) 0 buf (opt + 26) 8;
+  Bytes.set buf 12 (Char.chr (((n + 8) / 4) lsl 4));
+  let h', n' = Tcp.read buf ~off:0 in
+  Alcotest.(check int) "longer header" (n + 8) n';
+  Alcotest.(check (list (pair int int))) "first three kept"
+    [ (10, 20); (30, 40); (50, 60) ] (Tcp.sack_blocks h');
+  (* Refilling clears the option. *)
+  Tcp.fill h ~src_port:1 ~dst_port:2 ~seq:1 ~ack:2 ~flags:Tcp.ack_flags
+    ~window:1000 ~ts_val:1 ~ts_ecr:0;
+  Alcotest.(check int) "fill clears it" 0 h.Tcp.sack_n
+
 let test_wire_checksum_detects_payload_corruption () =
   let tcp =
     (Tcp.make ~src_port:1 ~dst_port:2 ~seq:3 ~ack:4 ~flags:Tcp.data_flags
@@ -298,6 +331,7 @@ let suite =
     Alcotest.test_case "eth round-trip" `Quick test_eth_roundtrip;
     Alcotest.test_case "ipv4 header round-trip" `Quick test_ipv4_header_roundtrip;
     Alcotest.test_case "ecn codepoints" `Quick test_ecn_codepoints;
+    Alcotest.test_case "flat sack option" `Quick test_sack_flat_option;
     Alcotest.test_case "sack option at full budget" `Quick
       test_sack_option_full_budget;
     Alcotest.test_case "empty sack list costs no wire bytes" `Quick
