@@ -1,7 +1,8 @@
 (* Command-line driver: run the paper's experiments by id, plus diagnostic
    subcommands over the span/introspection layer —
 
-     tas_run [IDS..]       run experiments (default: all; --jobs N parallel)
+     tas_run run [IDS..]   run experiments (default: all; --jobs N parallel);
+                           exit 1 on a failed gate
      tas_run list          list experiment ids
      tas_run perf          hot-path perf suite + regression gate (--check)
      tas_run flows         JSON flow-state snapshot (ss-style, Table 3)
@@ -13,6 +14,7 @@
      tas_run autoscale     elastic-controller decision history + cores chart *)
 
 module Registry = Tas_experiments.Registry
+module Report = Tas_experiments.Report
 module Perf_bench = Tas_experiments.Perf_bench
 module Run_opts = Tas_experiments.Run_opts
 module Diagnostics = Tas_experiments.Diagnostics
@@ -40,28 +42,32 @@ let list_cmd () =
 
 let run_cmd quick jobs ids =
   let fmt = Format.std_formatter in
-  let rc =
-    match ids with
-    | [] ->
-      Registry.run_all ~quick ~jobs fmt;
-      0
-    | ids ->
-      let rc, entries =
-        List.fold_left
-          (fun (rc, acc) id ->
-            match Registry.find id with
-            | Some e -> (rc, e :: acc)
-            | None ->
-              Printf.eprintf "unknown experiment id: %s (try 'tas_run list')\n"
-                id;
-              (1, acc))
-          (0, []) ids
-      in
-      Registry.run_selection ~quick ~jobs (List.rev entries) fmt;
-      rc
+  let unknown, entries =
+    List.partition_map
+      (fun id ->
+        match Registry.find id with
+        | Some e -> Right e
+        | None -> Left id)
+      ids
   in
+  List.iter
+    (fun id ->
+      Printf.eprintf "unknown experiment id: %s (try 'tas_run list')\n" id)
+    unknown;
+  let failed =
+    match ids with
+    | [] -> Registry.run_all ~quick ~jobs fmt
+    | _ -> Registry.run_selection ~quick ~jobs entries fmt
+  in
+  List.iter
+    (fun ((e : Registry.entry), (g : Report.gate)) ->
+      Format.fprintf fmt
+        "FAILED gate %s.%s: observed %s; expected %s@.  replay: tas_run run %s%s@."
+        e.id g.name g.observed g.expected e.id
+        (if quick then " --quick" else ""))
+    failed;
   Format.pp_print_flush fmt ();
-  rc
+  if unknown = [] && failed = [] then 0 else 1
 
 (* --- flows -------------------------------------------------------------- *)
 
@@ -587,31 +593,37 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let run_main list quick jobs bench_dir trace_capacity ids =
+let run_main quick jobs bench_dir trace_capacity ids =
   apply_opts bench_dir trace_capacity;
   (* Experiments with internal independent sub-runs (chaos schedules)
      consult the recorded jobs setting for their own fan-out. *)
   Run_opts.set_jobs jobs;
-  if list then list_cmd () else run_cmd quick jobs ids
-
-let list_flag =
-  let doc = "List available experiment ids." in
-  Arg.(value & flag & info [ "list"; "l" ] ~doc)
+  run_cmd quick jobs ids
 
 (* Default term: no positionals (cmdliner groups reserve the first
    positional for command dispatch) — `tas_run` runs every experiment;
    `tas_run run f4 tm` runs a selection. *)
 let run_term =
   Term.(
-    const run_main $ list_flag $ quick $ jobs_arg $ bench_dir_arg
-    $ trace_capacity_arg $ const [])
+    const run_main $ quick $ jobs_arg $ bench_dir_arg $ trace_capacity_arg
+    $ const [])
 
 let run_cmd_v =
   let doc = "run selected experiments by id" in
-  Cmd.v (Cmd.info "run" ~doc)
+  let man =
+    [
+      `S Manpage.s_description;
+      `P
+        "Runs the selected experiments (all of them when no id is given), \
+         writing one BENCH_<id>.json each. Some experiments check gates; \
+         each failing gate is printed with its observed and expected values \
+         and a replay command, and the exit status is 1.";
+    ]
+  in
+  Cmd.v (Cmd.info "run" ~doc ~man)
     Term.(
-      const run_main $ list_flag $ quick $ jobs_arg $ bench_dir_arg
-      $ trace_capacity_arg $ ids_arg)
+      const run_main $ quick $ jobs_arg $ bench_dir_arg $ trace_capacity_arg
+      $ ids_arg)
 
 let perf_cmd_v =
   let doc = "run the hot-path perf suite (and optionally the regression gate)" in

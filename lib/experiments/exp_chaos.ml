@@ -426,6 +426,11 @@ let run ?(quick = false) ?only fmt =
         "holds"; "rsts"; "reaped"; "invariants" ]
     ~rows;
   Report.kv fmt "invariant violations" (string_of_int !violations);
+  (* The gate judges the whole schedule set; a subset run reports its
+     count without a verdict. *)
+  if only = None then
+    Report.gate fmt ~name:"violations" ~ok:(!violations = 0)
+      ~observed:(string_of_int !violations) ~expected:"0";
   Report.attach "chaos"
     (Json.Obj
        [

@@ -6,7 +6,8 @@
     validation counters, every connection completing or failing cleanly, no
     leaked flow-table entries, and bit-identical counters across two
     same-seed runs. Violations are reported (and counted in the artifact),
-    never raised.
+    never raised; a run over all schedules ends with the [violations]
+    gate, which fails when the count is nonzero.
 
     Schedules are independent seeded simulations; with
     {!Run_opts.set_jobs}[ N > 1] they run in parallel on a domain pool and
@@ -15,4 +16,5 @@
 
 val run : ?quick:bool -> ?only:string list -> Format.formatter -> unit
 (** [only] restricts the run to the named schedules (default: all five) —
-    used by the parallel-determinism tests to keep runtimes bounded. *)
+    used by the parallel-determinism and seed-digest tests to keep
+    runtimes bounded. A restricted run prints no gate. *)

@@ -508,11 +508,18 @@ let run ?(quick = false) fmt =
   Report.kv fmt "scale-down p99 blip paper vs hysteresis"
     (Printf.sprintf "%.1f us vs %.1f us (%s)" paper.r_blip hyst.r_blip
        (if blip_smaller then "hysteresis smaller" else "NOT SMALLER"));
-  Report.kv fmt "same-seed timeline byte-identical"
-    (if same_seed_ok then "yes" else "NO");
-  Report.kv fmt
-    (Printf.sprintf "serial vs -j%d merged timeline byte-identical" jobs)
-    (if parallel_ok then "yes" else "NO");
+  Report.gate fmt ~name:"blip_smaller_under_hysteresis" ~ok:blip_smaller
+    ~observed:
+      (Printf.sprintf "hysteresis %.1f us, paper %.1f us over %d shrinks"
+         hyst.r_blip paper.r_blip paper.r_downs)
+    ~expected:"paper shrinks > 0 and hysteresis < paper";
+  Report.gate fmt ~name:"same_seed_identical" ~ok:same_seed_ok
+    ~observed:(if same_seed_ok then "identical" else "differs")
+    ~expected:"same-seed timeline byte-identical";
+  Report.gate fmt ~name:"parallel_identical" ~ok:parallel_ok
+    ~observed:(if parallel_ok then "identical" else "differs")
+    ~expected:
+      (Printf.sprintf "serial vs -j%d merged timeline byte-identical" jobs);
   let paper_flap =
     match List.assoc_opt Health.Core_flap paper_health.Health.by_rule with
     | Some n -> n
@@ -520,6 +527,16 @@ let run ?(quick = false) fmt =
   in
   Report.kv fmt "watchdog (hysteresis+slo, incl. core-flap rule)"
     (Printf.sprintf "%d violations" health_violations);
+  Report.gate fmt ~name:"health_violations" ~ok:(health_violations = 0)
+    ~observed:(string_of_int health_violations) ~expected:"0";
+  List.iter
+    (fun r ->
+      Report.gate fmt ~name:("tracks_load." ^ r.r_name) ~ok:r.r_tracks
+        ~observed:
+          (Printf.sprintf "day %.2f, flash %.2f, trough %.2f cores" r.r_day
+             r.r_flash r.r_trough)
+        ~expected:"flash > day + 0.25 and trough < flash - 0.25")
+    [ hyst; slo ];
   Report.kv fmt "watchdog core-flap frames (paper_threshold)"
     (string_of_int paper_flap);
   Report.kv fmt "ctl counters (hysteresis)"

@@ -173,8 +173,10 @@ let run ?(quick = false) fmt =
     in
     chk points
   in
-  Report.kv fmt "throughput monotonic in active cores"
-    (if monotonic then "yes" else "NO");
+  Report.gate fmt ~name:"monotonic" ~ok:monotonic
+    ~observed:
+      (String.concat " -> " (List.map (fun p -> Report.f2 p.mops) points))
+    ~expected:"mOps strictly increasing in active cores";
   let before, after, moved, landed, dump_eq =
     migration_drill ~quick ~max_cores ~conns
   in
@@ -183,6 +185,12 @@ let run ?(quick = false) fmt =
        "%d flows before, %d after, %d moved, %d on shard 0, dump %s" before
        after moved landed
        (if dump_eq then "identical" else "DIFFERS"));
+  Report.gate fmt ~name:"flows_conserved" ~ok:(before = after)
+    ~observed:(Printf.sprintf "%d before, %d after" before after)
+    ~expected:"as many flows after the migration as before";
+  Report.gate fmt ~name:"dump_identical" ~ok:dump_eq
+    ~observed:(if dump_eq then "identical" else "differs")
+    ~expected:"flow dump identical across the migration";
   Report.attach "sharding"
     (J.Obj
        [

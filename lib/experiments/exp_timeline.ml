@@ -239,18 +239,25 @@ let run ?(quick = false) fmt =
   Report.kv fmt "frames captured (baseline)"
     (string_of_int (List.length base.frames));
   Report.kv fmt "rpcs completed (baseline)" (string_of_int base.completed);
-  Report.kv fmt "same-seed timeline byte-identical"
-    (if same_seed_ok then "yes" else "NO");
-  Report.kv fmt
-    (Printf.sprintf "serial vs -j%d merged timeline byte-identical" jobs)
-    (if parallel_ok then "yes" else "NO");
+  Report.gate fmt ~name:"same_seed_identical" ~ok:same_seed_ok
+    ~observed:(if same_seed_ok then "identical" else "differs")
+    ~expected:"same-seed timeline byte-identical";
+  Report.gate fmt ~name:"parallel_identical" ~ok:parallel_ok
+    ~observed:(if parallel_ok then "identical" else "differs")
+    ~expected:
+      (Printf.sprintf "serial vs -j%d merged timeline byte-identical" jobs);
   Report.kv fmt "baseline watchdog"
     (Printf.sprintf "%s (%d violations in %d frames)"
        (if base_health.Health.passed then "PASS" else "FAIL")
        (List.length base_health.Health.violations)
        base_health.Health.frames);
+  let base_violations = List.length base_health.Health.violations in
+  Report.gate fmt ~name:"baseline_violations" ~ok:(base_violations = 0)
+    ~observed:(string_of_int base_violations) ~expected:"0";
   Report.kv fmt "chaos watchdog rexmit-storm frames"
     (string_of_int storm_frames);
+  Report.gate fmt ~name:"chaos_rexmit_storm_frames" ~ok:(storm_frames > 0)
+    ~observed:(string_of_int storm_frames) ~expected:"> 0";
   Report.kv fmt "chaos watchdog rules fired"
     (String.concat ", "
        (List.map
@@ -259,6 +266,9 @@ let run ?(quick = false) fmt =
   Report.kv fmt "fp util ramp vs flash"
     (Printf.sprintf "%.2f -> %.2f (%s)" ramp_util flash_util
        (if util_tracks then "tracks load" else "FLAT"));
+  Report.gate fmt ~name:"util_tracks_load" ~ok:util_tracks
+    ~observed:(Printf.sprintf "flash %.2f, ramp %.2f" flash_util ramp_util)
+    ~expected:"flash > 1.5 x ramp";
   Report.attach "timeline"
     (J.Obj
        [
@@ -267,8 +277,7 @@ let run ?(quick = false) fmt =
          ("same_seed_identical", J.Bool same_seed_ok);
          ("parallel_identical", J.Bool parallel_ok);
          ("parallel_jobs", J.Int jobs);
-         ( "baseline_violations",
-           J.Int (List.length base_health.Health.violations) );
+         ("baseline_violations", J.Int base_violations);
          ("chaos_rexmit_storm_frames", J.Int storm_frames);
          ("chaos_health", Health.report_to_json chaos_health);
          ("ramp_util", J.Float ramp_util);

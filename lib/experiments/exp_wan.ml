@@ -316,7 +316,7 @@ let run ?(quick = false) fmt =
   let rates = if quick then [ 0.02 ] else [ 0.005; 0.02 ] in
   let shapes = [ Uniform; Bursty ] in
   let flows = if quick then 20 else 30 in
-  let grid_ok = ref true in
+  let grid_misses = ref 0 in
   let grid_points = ref 0 in
   let grid_json = ref [] in
   let rows =
@@ -332,7 +332,7 @@ let run ?(quick = false) fmt =
                 let rack = g Policy.Rack_tlp in
                 let ok = sack >= reno *. 0.99 in
                 incr grid_points;
-                if not ok then grid_ok := false;
+                if not ok then incr grid_misses;
                 grid_json :=
                   J.Obj
                     [
@@ -363,8 +363,12 @@ let run ?(quick = false) fmt =
       [ "rtt[ms]"; "loss"; "shape"; "reno[Gbps]"; "sack[Gbps]"; "rack[Gbps]";
         "sack>=reno" ]
     ~rows;
-  Report.kv fmt "sack >= reno at every grid point"
-    (if !grid_ok then "yes" else "NO");
+  Report.gate fmt ~name:"sack_ge_reno_everywhere" ~ok:(!grid_misses = 0)
+    ~observed:
+      (Printf.sprintf "%d of %d grid points"
+         (!grid_points - !grid_misses)
+         !grid_points)
+    ~expected:"sack >= 0.99 x reno at every grid point";
 
   Report.section fmt "Tail loss: deterministic last-segment drop (RTT 10 ms)";
   Report.note fmt
@@ -385,8 +389,14 @@ let run ?(quick = false) fmt =
     | Some reno, Some sack, Some rack -> rack < reno && rack < sack
     | _ -> false
   in
-  Report.kv fmt "rack-tlp strictly fastest on the tail"
-    (if rack_tail_ok && probes > 0 then "yes" else "NO");
+  Report.gate fmt ~name:"rack_tail_improves" ~ok:(rack_tail_ok && probes > 0)
+    ~observed:
+      (Printf.sprintf "rack %s ms, sack %s ms, reno %s ms, %d probes"
+         (ms_of (t_of Policy.Rack_tlp))
+         (ms_of (t_of Policy.Sack))
+         (ms_of (t_of Policy.Reno))
+         probes)
+    ~expected:"rack-tlp strictly fastest on the tail, probes > 0";
 
   Report.section fmt
     "Split-TCP PEP: client -WAN(10ms, bursty 2%)- pep -LAN- server";
@@ -413,11 +423,21 @@ let run ?(quick = false) fmt =
         [ "end-to-end"; ms_of e2e.completed_at; string_of_int e2e.delivered ];
         [ "pep split"; ms_of split.completed_at; string_of_int split.delivered ];
       ];
-  Report.kv fmt "pep: all bytes delivered" (if pep_completed then "yes" else "NO");
-  Report.kv fmt "pep: byte conservation (in == out both directions)"
-    (if pep_conserved then "yes" else "NO");
-  Report.kv fmt "pep: clean teardown (all pairs closed)"
-    (if pep_clean then "yes" else "NO");
+  Report.gate fmt ~name:"pep_completed" ~ok:pep_completed
+    ~observed:(Printf.sprintf "%d B" split.delivered)
+    ~expected:(Printf.sprintf "%d B" total);
+  Report.gate fmt ~name:"pep_conservation_violations" ~ok:pep_conserved
+    ~observed:
+      (Printf.sprintf "c2s %d in, %d out, s2c %d in, %d out"
+         pep_stats.Pep_relay.c2s_in pep_stats.Pep_relay.c2s_out
+         pep_stats.Pep_relay.s2c_in pep_stats.Pep_relay.s2c_out)
+    ~expected:"in = out in both directions";
+  Report.gate fmt ~name:"pep_clean_close" ~ok:pep_clean
+    ~observed:
+      (Printf.sprintf "%d active, %d of %d accepted pairs closed"
+         pep_stats.Pep_relay.active pep_stats.Pep_relay.closed_pairs
+         pep_stats.Pep_relay.accepted)
+    ~expected:(Printf.sprintf "0 active, all %d pairs closed" pep_conns);
   Report.kv fmt "pep: peak relay buffering [B]"
     (string_of_int pep_stats.Pep_relay.peak_buffered);
 
@@ -425,7 +445,7 @@ let run ?(quick = false) fmt =
     (J.Obj
        [
          ("grid_points", J.Int !grid_points);
-         ("sack_ge_reno_everywhere", J.Bool !grid_ok);
+         ("sack_ge_reno_everywhere", J.Bool (!grid_misses = 0));
          ("grid", J.List (List.rev !grid_json));
          ("rack_tail_improves", J.Bool rack_tail_ok);
          ("tlp_probes", J.Int probes);

@@ -664,14 +664,6 @@ let write_artifact j =
 
 (* --- Regression gate ----------------------------------------------------- *)
 
-type verdict = {
-  metric : string;
-  baseline : float;
-  current : float;
-  ratio : float;
-  ok : bool;
-}
-
 (* Wall-clock throughput varies wildly across machines (laptop vs CI
    runner), so its band only catches order-of-magnitude collapses.
    Allocation counts per operation are deterministic on a given build and
@@ -682,6 +674,10 @@ let default_tol_alloc = 0.0
 
 (* The artifact prints 12 significant digits. *)
 let print_eps b = 1e-9 *. Float.max 1.0 (Float.abs b)
+
+let fnum v =
+  if Float.abs v >= 1000.0 then Printf.sprintf "%.3e" v
+  else Printf.sprintf "%.2f" v
 
 let baseline_quick baseline =
   match J.member "quick" baseline with Some (J.Bool q) -> Some q | _ -> None
@@ -705,14 +701,29 @@ let check ?(tol_throughput = default_tol_throughput)
         match Option.bind (J.member "value" bj) J.to_float_opt with
         | None -> None
         | Some b ->
-          let ratio = if b > 0.0 then mt.value /. b else 1.0 in
-          let ok =
-            match mt.kind with
-            | Throughput -> mt.value >= b *. (1.0 -. tol_throughput)
-            | Alloc ->
-              Float.abs (mt.value -. b) <= (b *. tol_alloc) +. print_eps b
+          let gate ~ok ~observed ~expected =
+            Some { Report.name = mt.name; ok; observed; expected }
           in
-          Some { metric = mt.name; baseline = b; current = mt.value; ratio; ok }))
+          (match mt.kind with
+          | Throughput ->
+            let floor = b *. (1.0 -. tol_throughput) in
+            gate ~ok:(mt.value >= floor)
+              ~observed:
+                (Printf.sprintf "%s, %.2fx baseline" (fnum mt.value)
+                   (if b > 0.0 then mt.value /. b else 1.0))
+              ~expected:
+                (Printf.sprintf ">= %s, %.0f%% of baseline %s" (fnum floor)
+                   (100.0 *. (1.0 -. tol_throughput))
+                   (fnum b))
+          | Alloc ->
+            (* Exact to the artifact's digits: a saving fails too, and
+               regenerates the baseline. *)
+            gate
+              ~ok:
+                (Float.abs (mt.value -. b) <= (b *. tol_alloc) +. print_eps b)
+              ~observed:(Printf.sprintf "%.12g" mt.value)
+              ~expected:
+                (Printf.sprintf "%.12g +/- %g%%" b (100.0 *. tol_alloc)))))
     current
 
 let load_baseline path =
@@ -722,11 +733,27 @@ let load_baseline path =
   close_in ic;
   J.of_string s
 
-(* --- Driver -------------------------------------------------------------- *)
+let check_file ~quick ~baseline:path current =
+  let closed observed =
+    [
+      {
+        Report.name = "baseline";
+        ok = false;
+        observed;
+        expected = "a perf artifact with gated metrics at " ^ path;
+      };
+    ]
+  in
+  match load_baseline path with
+  | exception Sys_error msg -> closed ("unreadable: " ^ msg)
+  | exception J.Parse_error msg ->
+    closed (Printf.sprintf "unparsable %s: %s" path msg)
+  | baseline -> (
+    match check ~quick ~baseline current with
+    | [] -> closed (Printf.sprintf "no gated metric in %s" path)
+    | gates -> gates)
 
-let fnum v =
-  if Float.abs v >= 1000.0 then Printf.sprintf "%.3e" v
-  else Printf.sprintf "%.2f" v
+(* --- Driver -------------------------------------------------------------- *)
 
 let run ?(quick = false) ?baseline fmt =
   Report.section fmt "Perf: hot-path microbenchmarks";
@@ -747,48 +774,15 @@ let run ?(quick = false) ?baseline fmt =
   match baseline with
   | None -> true
   | Some path ->
-    let verdicts =
-      try
-        let baseline = load_baseline path in
-        (match baseline_quick baseline with
-        | Some q when q <> quick ->
-          Format.fprintf fmt
-            "  # baseline measured with quick=%b: alloc kinds not gated@." q
-        | _ -> ());
-        check ~quick ~baseline current
-      with
-      | Sys_error msg ->
-        Format.fprintf fmt "  # baseline unreadable (%s): gate skipped@." msg;
-        []
-      | J.Parse_error msg ->
-        Format.fprintf fmt "  # baseline unparsable (%s): gate skipped@." msg;
-        []
-    in
     Report.section fmt "Perf gate";
-    let is_alloc name =
-      List.exists (fun mt -> mt.name = name && mt.kind = Alloc) current
-    in
-    if verdicts = [] then begin
-      Format.fprintf fmt "  no gated metrics (empty or missing baseline)@.";
-      true
-    end
-    else begin
-      Report.table fmt
-        ~header:[ "metric"; "baseline"; "current"; "ratio"; "status" ]
-        ~rows:
-          (List.map
-             (fun v ->
-               [
-                 v.metric; fnum v.baseline; fnum v.current;
-                 Printf.sprintf "%.2fx" v.ratio;
-                 (if v.ok then "ok"
-                  else if v.current < v.baseline && is_alloc v.metric then
-                    "MOVED: regenerate the baseline"
-                  else "REGRESSION");
-               ])
-             verdicts);
-      let pass = List.for_all (fun v -> v.ok) verdicts in
-      Format.fprintf fmt "  perf gate: %s@."
-        (if pass then "PASS" else "FAIL");
-      pass
-    end
+    Format.fprintf fmt
+      "  # alloc kinds are gated only against a baseline with quick=%b@." quick;
+    let gates = check_file ~quick ~baseline:path current in
+    List.iter
+      (fun (g : Report.gate) ->
+        Report.gate fmt ~name:g.name ~ok:g.ok ~observed:g.observed
+          ~expected:g.expected)
+      gates;
+    let pass = List.for_all (fun (g : Report.gate) -> g.ok) gates in
+    Format.fprintf fmt "  perf gate: %s@." (if pass then "PASS" else "FAIL");
+    pass

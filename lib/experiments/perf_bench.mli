@@ -26,14 +26,6 @@ type metric = { name : string; value : float; units : string; kind : kind }
 val measure : quick:bool -> metric list
 (** Run all benchmark families. *)
 
-type verdict = {
-  metric : string;
-  baseline : float;
-  current : float;
-  ratio : float;  (** current / baseline *)
-  ok : bool;
-}
-
 val default_tol_throughput : float
 (** 0.75: a throughput metric fails only below 25% of baseline. *)
 
@@ -47,18 +39,27 @@ val check :
   ?quick:bool ->
   baseline:Tas_telemetry.Json.t ->
   metric list ->
-  verdict list
+  Report.gate list
 (** Gate [current] metrics against a baseline artifact's ["metrics"]
-    object. Metrics absent from the baseline are not gated, and neither
-    are allocation metrics when [quick] is given and differs from the
-    baseline's ["quick"] flag (the windows differ between modes). *)
+    object, one gate per metric named after it. Metrics absent from the
+    baseline are not gated, and neither are allocation metrics when [quick]
+    is given and differs from the baseline's ["quick"] flag (the windows
+    differ between modes). *)
 
 val load_baseline : string -> Tas_telemetry.Json.t
 (** Read and parse a baseline artifact.
     @raise Sys_error on unreadable files.
     @raise Tas_telemetry.Json.Parse_error on malformed content. *)
 
+val check_file :
+  quick:bool -> baseline:string -> metric list -> Report.gate list
+(** {!check} against the baseline artifact at path [baseline]. Fails
+    closed: an unreadable or malformed file, or one that gates none of
+    [current], yields a single failing gate named ["baseline"] that names
+    the path. *)
+
 val run : ?quick:bool -> ?baseline:string -> Format.formatter -> bool
 (** Measure after one discarded warmup pass, print the table, write
     [BENCH_perf.json] into the bench dir, and — when [baseline] is given —
-    print gate verdicts. Returns [false] iff the gate found a regression. *)
+    print one line per gate of {!check_file}. Returns [false] iff a gate
+    failed. *)

@@ -120,6 +120,16 @@ let write_timelines e timelines =
   close_out oc;
   path
 
+(* One experiment's captured run: its text, artifact body, staged
+   timelines, failing gates and wall-clock seconds. *)
+type captured = {
+  text : string;
+  body : J.t;
+  timelines : (string * J.t) list;
+  failed : Report.gate list;
+  elapsed : float;
+}
+
 (* Run one experiment with its text output buffered and its artifact
    captured. Self-contained (no shared mutable state beyond the
    domain-local artifact), so it can run on any pool domain. *)
@@ -132,9 +142,9 @@ let run_captured ?quick e =
   e.run ?quick bfmt;
   let elapsed = Unix.gettimeofday () -. t0 in
   Format.pp_print_flush bfmt ();
-  let body = Report.Artifact.finish () in
+  let body, failed = Report.Artifact.finish () in
   let timelines = Report.Artifact.take_timelines () in
-  (Buffer.contents buf, body, timelines, elapsed)
+  { text = Buffer.contents buf; body; timelines; failed; elapsed }
 
 let timing_json ~elapsed ~jobs ~run_wall ~serial_estimate =
   let speedup = if run_wall > 0.0 then serial_estimate /. run_wall else 1.0 in
@@ -147,22 +157,23 @@ let timing_json ~elapsed ~jobs ~run_wall ~serial_estimate =
       ("speedup", J.Float speedup);
     ]
 
-let emit_result ?quick fmt e ~timing (text, body, timelines, _elapsed) =
-  Format.fprintf fmt "%s" text;
+let emit_result ?quick fmt e ~timing r =
+  Format.fprintf fmt "%s" r.text;
   (try
-     let path = write_artifact e ~quick:(quick = Some true) ~timing body in
+     let path = write_artifact e ~quick:(quick = Some true) ~timing r.body in
      Format.fprintf fmt "  # artifact: %s@." path
    with Sys_error msg ->
      Format.fprintf fmt "  # BENCH_%s.json not written: %s@." e.id msg);
-  if timelines <> [] then
+  if r.timelines <> [] then
     try
-      let path = write_timelines e timelines in
+      let path = write_timelines e r.timelines in
       Format.fprintf fmt "  # timeline: %s@." path
     with Sys_error msg ->
       Format.fprintf fmt "  # TIMELINE_%s.json not written: %s@." e.id msg
 
 let run_entry ?quick e fmt =
-  let ((_, _, _, elapsed) as r) = run_captured ?quick e in
+  let r = run_captured ?quick e in
+  let elapsed = r.elapsed in
   let timing =
     timing_json ~elapsed ~jobs:1 ~run_wall:elapsed ~serial_estimate:elapsed
   in
@@ -182,20 +193,26 @@ let run_selection ?quick ?(jobs = 1) entries fmt =
   in
   let run_wall = Unix.gettimeofday () -. t0 in
   let serial_estimate =
-    Array.fold_left (fun acc (_, _, _, e) -> acc +. e) 0.0 results
+    Array.fold_left (fun acc r -> acc +. r.elapsed) 0.0 results
   in
   (* Deterministic merge: emit in submission order regardless of which
      domain finished first. *)
   Array.iteri
     (fun i e ->
-      let ((_, _, _, elapsed) as r) = results.(i) in
-      let timing = timing_json ~elapsed ~jobs ~run_wall ~serial_estimate in
+      let r = results.(i) in
+      let timing =
+        timing_json ~elapsed:r.elapsed ~jobs ~run_wall ~serial_estimate
+      in
       emit_result ?quick fmt e ~timing r;
-      Format.fprintf fmt "  (%.1fs)@." elapsed)
+      Format.fprintf fmt "  (%.1fs)@." r.elapsed)
     entries_arr;
   if Array.length entries_arr > 1 then
     Format.fprintf fmt "Ran %d experiments in %.1fs (jobs=%d, serial estimate %.1fs, speedup %.2fx)@."
       (Array.length entries_arr) run_wall jobs serial_estimate
-      (if run_wall > 0.0 then serial_estimate /. run_wall else 1.0)
+      (if run_wall > 0.0 then serial_estimate /. run_wall else 1.0);
+  List.concat
+    (List.mapi
+       (fun i e -> List.map (fun g -> (e, g)) results.(i).failed)
+       entries)
 
 let run_all ?quick ?jobs fmt = run_selection ?quick ?jobs all fmt

@@ -15,8 +15,13 @@ val run_entry : ?quick:bool -> entry -> Format.formatter -> float
     directory), and return the elapsed wall-clock seconds. *)
 
 val run_selection :
-  ?quick:bool -> ?jobs:int -> entry list -> Format.formatter -> unit
-(** Run a list of experiments, one [BENCH_<id>.json] each. With [jobs > 1]
+  ?quick:bool ->
+  ?jobs:int ->
+  entry list ->
+  Format.formatter ->
+  (entry * Report.gate) list
+(** Run a list of experiments, one [BENCH_<id>.json] each, and return the
+    gates ({!Report.gate}) that failed, in submission order. With [jobs > 1]
     the experiments run in parallel on a domain pool; outputs and artifacts
     are merged in submission order, so everything except each artifact's
     trailing ["timing"] object is byte-identical to a serial run. Each
@@ -24,5 +29,6 @@ val run_selection :
     the batch's [run_wall_s], [serial_estimate_s] (sum of per-job
     wall-clocks) and [speedup]. Default [jobs = 1] (serial). *)
 
-val run_all : ?quick:bool -> ?jobs:int -> Format.formatter -> unit
+val run_all :
+  ?quick:bool -> ?jobs:int -> Format.formatter -> (entry * Report.gate) list
 (** {!run_selection} over {!all}. *)

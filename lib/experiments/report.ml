@@ -1,11 +1,13 @@
 module J = Tas_telemetry.Json
 
+type gate = { name : string; ok : bool; observed : string; expected : string }
+
 (* Structured mirror of everything an experiment prints. While an artifact
-   is open (Registry wraps each run), section/table/series/kv/note append a
-   JSON item alongside the text output, so BENCH_<id>.json artifacts need no
+   is open (Registry wraps each run), section/table/series/kv/gate/note
+   append a JSON item alongside the text output, so BENCH_<id>.json artifacts need no
    per-experiment changes. *)
 module Artifact = struct
-  type t = { mutable rev : J.t list }
+  type t = { mutable rev : J.t list; mutable failed : gate list }
 
   (* Domain-local: parallel experiment jobs (Registry with --jobs) each
      capture an independent artifact on their own domain. *)
@@ -13,18 +15,23 @@ module Artifact = struct
     Domain.DLS.new_key (fun () -> ref None)
 
   let current () = Domain.DLS.get key
-  let start () = current () := Some { rev = [] }
+  let start () = current () := Some { rev = []; failed = [] }
 
   let add j =
     match !(current ()) with None -> () | Some a -> a.rev <- j :: a.rev
 
+  let fail g =
+    match !(current ()) with
+    | None -> ()
+    | Some a -> a.failed <- g :: a.failed
+
   let finish () =
     let c = current () in
     match !c with
-    | None -> J.List []
+    | None -> (J.List [], [])
     | Some a ->
       c := None;
-      J.List (List.rev a.rev)
+      (J.List (List.rev a.rev), List.rev a.failed)
 
   let attach name j = add (J.Obj [ (name, j) ])
 
@@ -109,6 +116,24 @@ let series fmt ~name points =
 let kv fmt k v =
   Artifact.add (J.Obj [ ("kv", J.Obj [ ("key", J.Str k); ("value", J.Str v) ]) ]);
   Format.fprintf fmt "  %s: %s@." k v
+
+let gate fmt ~name ~ok ~observed ~expected =
+  Artifact.add
+    (J.Obj
+       [
+         ( "gate",
+           J.Obj
+             [
+               ("name", J.Str name);
+               ("ok", J.Bool ok);
+               ("observed", J.Str observed);
+               ("expected", J.Str expected);
+             ] );
+       ]);
+  if not ok then Artifact.fail { name; ok; observed; expected };
+  Format.fprintf fmt "  gate %s: %s (observed %s; expected %s)@." name
+    (if ok then "ok" else "FAIL")
+    observed expected
 
 let note fmt s =
   Artifact.add (J.Obj [ ("note", J.Str s) ]);

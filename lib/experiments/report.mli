@@ -7,14 +7,19 @@
     open artifact (see {!Artifact}), so the registry can write a structured
     [BENCH_<id>.json] per experiment without per-experiment changes. *)
 
+(** One pass/fail condition of an experiment or of the perf gate, with
+    what was measured and what the condition asks for, both as printed. *)
+type gate = { name : string; ok : bool; observed : string; expected : string }
+
 (** Structured capture of an experiment's output. The registry opens one
     artifact around each run; nesting is not supported (there is a single
     current artifact). When no artifact is open, printing functions only
     print. *)
 module Artifact : sig
   val start : unit -> unit
-  val finish : unit -> Tas_telemetry.Json.t
-  (** The items mirrored since [start], in print order, as a JSON array. *)
+  val finish : unit -> Tas_telemetry.Json.t * gate list
+  (** The items mirrored since [start], in print order, as a JSON array,
+      and the gates that failed, in emission order. *)
 
   val attach : string -> Tas_telemetry.Json.t -> unit
   (** Add a raw named JSON item (e.g. a metrics snapshot) to the open
@@ -49,6 +54,17 @@ val series :
 
 val kv : Format.formatter -> string -> string -> unit
 (** One "key: value" result line. *)
+
+val gate :
+  Format.formatter ->
+  name:string ->
+  ok:bool ->
+  observed:string ->
+  expected:string ->
+  unit
+(** One gate line, mirrored as a [{"gate": {...}}] item. A failing gate is
+    also recorded for {!Artifact.finish}, which is how the registry learns
+    that a run failed. *)
 
 val note : Format.formatter -> string -> unit
 

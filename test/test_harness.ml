@@ -75,7 +75,7 @@ let test_perf_gate_bands () =
   in
   let gate ?quick words rate =
     List.map
-      (fun v -> (v.P.metric, v.P.ok))
+      (fun (g : Report.gate) -> (g.name, g.ok))
       (P.check ?quick ~baseline
          [
            { P.name = "words"; value = words; units = "w"; kind = P.Alloc };
@@ -99,6 +99,113 @@ let test_perf_gate_bands () =
     (gate 51.2294865445 240.0);
   Alcotest.check verdicts "other mode: alloc not gated" [ ("rate", true) ]
     (gate ~quick:false 60.0 1000.0)
+
+(* With a baseline, the perf gate fails closed and names the path. *)
+let test_perf_gate_fails_closed () =
+  let module P = Tas_experiments.Perf_bench in
+  let current =
+    [ { P.name = "rate"; value = 1.0; units = "1/s"; kind = P.Throughput } ]
+  in
+  let closed label path =
+    match P.check_file ~quick:true ~baseline:path current with
+    | [ g ] ->
+      Alcotest.(check bool) (label ^ ": fails") false g.Report.ok;
+      Alcotest.(check bool) (label ^ ": names the path") true
+        (Str.string_match
+           (Str.regexp (".*" ^ Str.quote path))
+           (g.Report.observed ^ " " ^ g.Report.expected)
+           0)
+    | gs -> Alcotest.failf "%s: %d gates, expected 1" label (List.length gs)
+  in
+  let missing = Filename.temp_file "tas_baseline" ".json" in
+  Sys.remove missing;
+  closed "missing" missing;
+  let malformed = Filename.temp_file "tas_baseline" ".json" in
+  Out_channel.with_open_text malformed (fun oc ->
+      output_string oc "{\"metrics\": {");
+  closed "malformed" malformed;
+  Sys.remove malformed
+
+let temp_dir tag =
+  let d = Filename.temp_file tag "" in
+  Sys.remove d;
+  Unix.mkdir d 0o755;
+  d
+
+(* Run [entries] in quick mode into a fresh bench dir; returns the dir and
+   the failing gates. The run happens on a fresh domain: a pool's caller
+   runs jobs too, and the per-domain buffer pool those jobs warm would
+   otherwise change what later tests on the main domain allocate. *)
+let run_quick_in_temp ?jobs entries =
+  let dir = temp_dir "tas_gates" in
+  Tas_experiments.Run_opts.set_bench_dir dir;
+  let failed =
+    Fun.protect
+      ~finally:(fun () -> Tas_experiments.Run_opts.set_bench_dir ".")
+      (fun () ->
+        Domain.join
+          (Domain.spawn (fun () ->
+               Registry.run_selection ~quick:true ?jobs entries
+                 (Format.make_formatter (fun _ _ _ -> ()) ignore))))
+  in
+  (dir, failed)
+
+(* The gated experiments pass their gates in quick mode, and each one
+   writes at least one gate into its artifact. *)
+let test_experiment_gates_pass () =
+  let module J = Tas_telemetry.Json in
+  let ids = [ "ch"; "sh"; "tl"; "el"; "wan" ] in
+  let dir, failed =
+    run_quick_in_temp ~jobs:2 (List.filter_map Registry.find ids)
+  in
+  List.iter
+    (fun ((e : Registry.entry), (g : Report.gate)) ->
+      Alcotest.failf "gate %s.%s failed: observed %s; expected %s" e.id g.name
+        g.observed g.expected)
+    failed;
+  List.iter
+    (fun id ->
+      let doc =
+        J.of_string
+          (In_channel.with_open_text
+             (Filename.concat dir ("BENCH_" ^ id ^ ".json"))
+             In_channel.input_all)
+      in
+      let gates =
+        match J.member "output" doc with
+        | Some (J.List items) -> List.filter_map (J.member "gate") items
+        | _ -> []
+      in
+      Alcotest.(check bool) (id ^ " emits a gate") true (gates <> []);
+      List.iter
+        (fun g ->
+          Alcotest.(check bool) (id ^ " gate ok in the artifact") true
+            (J.member "ok" g = Some (J.Bool true)))
+        gates)
+    ids
+
+(* A failing gate comes back from [run_selection] with both values. *)
+let test_failing_gate_reported () =
+  let entry =
+    {
+      Registry.id = "zz";
+      title = "synthetic failing gate";
+      run =
+        (fun ?quick:_ fmt ->
+          Report.gate fmt ~name:"passes" ~ok:true ~observed:"1" ~expected:"1";
+          Report.gate fmt ~name:"fails" ~ok:false ~observed:"3"
+            ~expected:"< 2");
+    }
+  in
+  let dir, failed = run_quick_in_temp [ entry ] in
+  Alcotest.(check (list (pair string (list string))))
+    "the failing gate, with observed and expected"
+    [ ("zz", [ "fails"; "3"; "< 2" ]) ]
+    (List.map
+       (fun ((e : Registry.entry), (g : Report.gate)) ->
+         (e.id, [ g.name; g.observed; g.expected ]))
+       failed);
+  Sys.remove (Filename.concat dir "BENCH_zz.json")
 
 (* Wire-format fuzzing: random byte buffers must either parse or raise
    Invalid_argument — never crash or loop. *)
@@ -140,6 +247,12 @@ let suite =
     Alcotest.test_case "report table renders" `Quick test_report_table_renders;
     Alcotest.test_case "measure_rate windows" `Quick test_measure_rate;
     Alcotest.test_case "perf gate bands" `Quick test_perf_gate_bands;
+    Alcotest.test_case "perf gate fails closed" `Quick
+      test_perf_gate_fails_closed;
+    Alcotest.test_case "experiment gates pass (quick, -j 2)" `Quick
+      test_experiment_gates_pass;
+    Alcotest.test_case "failing gate reported" `Quick
+      test_failing_gate_reported;
     QCheck_alcotest.to_alcotest prop_of_wire_total;
     QCheck_alcotest.to_alcotest prop_truncation_safe;
   ]

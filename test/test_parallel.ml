@@ -155,7 +155,7 @@ let run_into_dir ~jobs dir =
   Run_opts.set_bench_dir dir;
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  Registry.run_selection ~quick:true ~jobs entries fmt;
+  ignore (Registry.run_selection ~quick:true ~jobs entries fmt);
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
