@@ -24,6 +24,7 @@ module Metrics = Tas_telemetry.Metrics
 module Span = Tas_telemetry.Span
 module Json = Tas_telemetry.Json
 module Timeline = Tas_telemetry.Timeline
+module Chrome = Tas_telemetry.Chrome
 module Health = Tas_telemetry.Health
 module Tas = Tas_core.Tas
 
@@ -130,7 +131,10 @@ let stats_cmd duration_ms runs jobs =
 
 let trace_cmd out sample_every duration_ms bench_dir =
   apply_opts bench_dir None;
-  let d = Diagnostics.build ~sample_every () in
+  (* 100 us timeline frames feed the document's counter tracks. *)
+  let d =
+    Diagnostics.build ~sample_every ~trace:true ~timeline_ns:(Time_ns.us 100) ()
+  in
   Diagnostics.run d ~duration_ns:(Time_ns.ms duration_ms);
   let events = Span.drain d.Diagnostics.span in
   let b = Span.breakdown events in
@@ -140,7 +144,8 @@ let trace_cmd out sample_every duration_ms bench_dir =
     | None -> Filename.concat (Run_opts.bench_dir ()) "tas_trace.json"
   in
   let oc = open_out path in
-  output_string oc (Span.to_chrome_string ~pretty:true events);
+  output_string oc
+    (Json.to_string ~pretty:true (Diagnostics.chrome d ~spans:events));
   output_char oc '\n';
   close_out oc;
   let e2e = b.Span.end_to_end in
@@ -397,18 +402,15 @@ let timeline_cmd quick interval_us json_flag chrome_out bench_dir id =
         (match chrome_out with
         | None -> ()
         | Some out ->
-          let events =
-            List.concat
-              (List.mapi
-                 (fun pid (name, interval_ns, frames) ->
-                   Timeline.to_chrome_counters ~pid ~prefix:(name ^ " ")
-                     ~interval_ns frames)
-                 named)
+          let hosts =
+            List.map
+              (fun (name, _, frames) ->
+                { Chrome.name; events = []; frames })
+              named
           in
           let oc = open_out out in
           output_string oc
-            (Json.to_string ~pretty:true
-               (Json.Obj [ ("traceEvents", Json.List events) ]));
+            (Json.to_string ~pretty:true (Chrome.to_json hosts));
           output_char oc '\n';
           close_out oc;
           Printf.printf "# chrome counters: %s (open in ui.perfetto.dev)\n"
@@ -730,7 +732,7 @@ let stats_cmd_v =
     Term.(const stats_cmd $ duration_arg 5 $ runs $ jobs_arg)
 
 let trace_cmd_v =
-  let doc = "write a Chrome trace of per-packet latency spans" in
+  let doc = "write a Chrome trace of spans, trace events and counters" in
   let out =
     let doc = "Output path (default: <bench-dir>/tas_trace.json)." in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
@@ -743,10 +745,10 @@ let trace_cmd_v =
     [
       `S Manpage.s_description;
       `P
-        "Runs the span-instrumented diagnostic workload and exports the \
-         drained spans in Chrome trace-event JSON: one track per span, one \
-         slice per hop-to-hop segment (libTAS send, fast-path TX, NIC, \
-         link queues, switch, fast-path RX, context queue, delivery). \
+        "Runs the diagnostic workload with spans, trace rings and \
+         timelines on and writes one Chrome trace-event document: one \
+         track per span with a slice per hop-to-hop segment, each host's \
+         trace events on per-core tracks, and its timeline counters. \
          Open the file in chrome://tracing or ui.perfetto.dev.";
     ]
   in
@@ -788,9 +790,8 @@ let timeline_cmd_v =
          utilization, flows, shard occupancy, arena occupancy, and the \
          busiest counters — as a min/mean/max/last table with a unicode \
          sparkline per series. $(b,--json) dumps the raw artifact instead; \
-         $(b,--chrome) additionally exports Chrome trace-event counter \
-         samples (\"ph\":\"C\") loadable in ui.perfetto.dev next to \
-         $(b,tas_run trace) span slices.";
+         $(b,--chrome) also writes the timelines as Chrome trace-event \
+         counters, in the format of $(b,tas_run trace).";
     ]
   in
   let id =

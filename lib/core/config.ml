@@ -38,11 +38,7 @@ type t = {
   shard_lock_remote_cycles : int;
   trace_enabled : bool;
   trace_capacity : int;
-  span_enabled : bool;
-  span_sample_every : int;
-  span_capacity : int;
   timeline_interval_ns : int;
-  timeline_capacity : int;
 }
 
 let default =
@@ -94,11 +90,7 @@ let default =
     shard_lock_remote_cycles = 96;
     trace_enabled = false;
     trace_capacity = 8192;
-    span_enabled = false;
-    span_sample_every = 16;
-    span_capacity = 65536;
     timeline_interval_ns = 0;
-    timeline_capacity = 4096;
   }
 
 let rate_mode t =

@@ -84,18 +84,11 @@ type t = {
       (** record structured telemetry trace events; when [false] (default)
           the trace ring costs one boolean test per would-be event *)
   trace_capacity : int;  (** bounded trace ring size (events) *)
-  span_enabled : bool;
-      (** per-packet latency span tracing; when [false] (default) every span
-          hook costs a single integer comparison *)
-  span_sample_every : int;  (** sample one packet in N at each origin *)
-  span_capacity : int;  (** bounded span-event ring size *)
   timeline_interval_ns : int;
       (** capture a {!Tas_telemetry.Timeline} frame (counter deltas, gauges,
           per-core utilization, shard/arena occupancy) every this many ns of
           sim time; 0 (default) disables the flight recorder entirely — no
           periodic event, no per-interval core accounting *)
-  timeline_capacity : int;
-      (** bounded timeline ring size (frames); oldest evicted when full *)
 }
 
 val default : t

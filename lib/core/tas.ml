@@ -14,7 +14,7 @@ type t = {
   sp_core : Core.t;
   metrics : Metrics.t;
   tracer : Trace.t;
-  spans : Span.t;
+  span : Span.t;
   timeline : Timeline.t option;
   mutable next_app : int;
 }
@@ -43,7 +43,10 @@ let timeline_add_core tl ~role ~interval_ns core =
     ~busy_in:(fun bucket -> Core.util_busy_ns core ~bucket)
     ~backlog:(fun () -> Core.backlog_ns core)
 
-let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
+(* Frames the timeline ring keeps; the oldest is evicted when full. *)
+let timeline_capacity = 4096
+
+let create sim ~nic ~config ?(span = Span.disabled ()) ?(freq_ghz = 2.1) () =
   let fp_cores =
     Array.init config.Config.max_fast_path_cores (fun i ->
         Core.create sim ~freq_ghz ~id:i ())
@@ -54,18 +57,8 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
       Trace.create ~enabled:true ~capacity:config.Config.trace_capacity ()
     else Trace.disabled ()
   in
-  let spans =
-    match span with
-    | Some sp -> sp
-    | None ->
-      if config.Config.span_enabled then
-        Span.create ~enabled:true
-          ~sample_every:config.Config.span_sample_every
-          ~capacity:config.Config.span_capacity ()
-      else Span.disabled ()
-  in
   let fp =
-    Fast_path.create ~trace:tracer ~span:spans sim ~nic ~cores:fp_cores ~config
+    Fast_path.create ~trace:tracer ~span sim ~nic ~cores:fp_cores ~config
   in
   Fast_path.attach fp;
   (* Checksum-validation drops on this host's NIC share the instance's
@@ -90,14 +83,14 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
   Metrics.counter_fn metrics ~help:"trace events dropped (ring full)"
     "trace_dropped_events" (fun () -> Trace.dropped tracer);
   Metrics.counter_fn metrics ~help:"span hop events dropped (ring full)"
-    "span_dropped_events" (fun () -> Span.dropped spans);
+    "span_dropped_events" (fun () -> Span.dropped span);
   let timeline =
     if config.Config.timeline_interval_ns <= 0 then None
     else begin
       let interval_ns = config.Config.timeline_interval_ns in
       let tl =
         Timeline.create ~interval_ns
-          ~capacity:config.Config.timeline_capacity ~metrics ()
+          ~capacity:timeline_capacity ~metrics ()
       in
       Array.iter (timeline_add_core tl ~role:"fp" ~interval_ns) fp_cores;
       timeline_add_core tl ~role:"sp" ~interval_ns sp_core;
@@ -114,7 +107,7 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
       Some tl
     end
   in
-  { sim; config; fp; sp; fp_cores; sp_core; metrics; tracer; spans; timeline;
+  { sim; config; fp; sp; fp_cores; sp_core; metrics; tracer; span; timeline;
     next_app = 0 }
 
 let fast_path t = t.fp
@@ -124,7 +117,7 @@ let fp_cores t = t.fp_cores
 let sp_core t = t.sp_core
 let metrics t = t.metrics
 let trace t = t.tracer
-let span t = t.spans
+let span t = t.span
 let timeline t = t.timeline
 
 let app t ~app_cores ~api =

@@ -93,6 +93,16 @@ let run_with_tick t ~duration_ns ~every_ns f =
   ignore (Sim.periodic t.sim every_ns (fun () -> f ()));
   Sim.run ~until:duration_ns t.sim
 
+let chrome t ~spans =
+  let host name tas =
+    let frames = Option.map Tas_telemetry.Timeline.frames (Tas.timeline tas) in
+    { Tas_telemetry.Chrome.name;
+      events = Tas_telemetry.Trace.drain (Tas.trace tas);
+      frames = Option.value frames ~default:[] }
+  in
+  Tas_telemetry.Chrome.to_json ~spans
+    [ host "server" t.server; host "client" t.client ]
+
 (* --- Cross-domain batch statistics ------------------------------------- *)
 
 module Metrics = Tas_telemetry.Metrics

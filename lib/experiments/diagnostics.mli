@@ -42,6 +42,11 @@ val run_with_tick :
 (** Like {!run} but invokes the callback every [every_ns] of simulated time
     (the refresh driver for [tas_run top]). *)
 
+val chrome : t -> spans:Tas_telemetry.Span.event list -> Tas_telemetry.Json.t
+(** The document [tas_run trace] writes: the given (drained) span events,
+    then the server's and the client's trace ring (drained here) and
+    timeline frames, through {!Tas_telemetry.Chrome.to_json}. *)
+
 (** Aggregated telemetry over a batch of independent diagnostics runs — the
     cross-domain view behind [tas_run stats]. *)
 type batch_stats = {

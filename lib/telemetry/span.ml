@@ -1,4 +1,3 @@
-module Spsc = Tas_buffers.Spsc_queue
 module Hist = Tas_engine.Stats.Hist
 
 type hop =
@@ -12,18 +11,6 @@ type hop =
   | Fp_rx
   | Ctx_notify
   | App_deliver
-
-let hop_name = function
-  | App_send -> "app_send"
-  | Fp_tx -> "fp_tx"
-  | Nic_tx -> "nic_tx"
-  | Port_q -> "port_q"
-  | Port_out -> "port_out"
-  | Switch_fwd -> "switch_fwd"
-  | Nic_rx -> "nic_rx"
-  | Fp_rx -> "fp_rx"
-  | Ctx_notify -> "ctx_notify"
-  | App_deliver -> "app_deliver"
 
 let all_hops =
   [
@@ -43,6 +30,17 @@ let hop_index = function
   | Ctx_notify -> 8
   | App_deliver -> 9
 
+(* The ring's event code is the hop index. *)
+let hop_of_index = Array.of_list all_hops
+
+let names =
+  [|
+    "app_send"; "fp_tx"; "nic_tx"; "port_q"; "port_out"; "switch_fwd";
+    "nic_rx"; "fp_rx"; "ctx_notify"; "app_deliver";
+  |]
+
+let hop_name h = names.(hop_index h)
+
 type event = {
   ts : Tas_engine.Time_ns.t;
   id : int;
@@ -54,40 +52,33 @@ type event = {
 type t = {
   enabled : bool;
   sample_every : int;
-  ring : event Spsc.t;
+  ring : Event_ring.t;
   mutable next_id : int;
   mutable tick : int;
   mutable offered : int;
-  mutable recorded : int;
-  mutable dropped : int;
 }
 
 let create ?(enabled = true) ?(sample_every = 1) ~capacity () =
   {
     enabled;
     sample_every = max 1 sample_every;
-    ring = Spsc.create (max 1 capacity);
+    ring = Event_ring.create (max 1 capacity);
     next_id = 0;
     tick = 0;
     offered = 0;
-    recorded = 0;
-    dropped = 0;
   }
 
 let disabled () = create ~enabled:false ~capacity:1 ()
 
 let enabled t = t.enabled
-let sample_every t = t.sample_every
-let capacity t = Spsc.capacity t.ring
-let length t = Spsc.length t.ring
+let length t = Event_ring.length t.ring
 let offered t = t.offered
 let started t = t.next_id
-let recorded t = t.recorded
-let dropped t = t.dropped
+let recorded t = Event_ring.recorded t.ring
+let dropped t = Event_ring.dropped t.ring
 
-let push t ev =
-  t.recorded <- t.recorded + 1;
-  if not (Spsc.try_push t.ring ev) then t.dropped <- t.dropped + 1
+let push t ~ts ~id ~hop ~core ~flow =
+  ignore (Event_ring.push t.ring ~ts ~code:(hop_index hop) ~id ~core ~flow)
 
 let start t ~ts ~hop ~core ~flow =
   if not t.enabled then -1
@@ -99,18 +90,17 @@ let start t ~ts ~hop ~core ~flow =
     else begin
       let id = t.next_id in
       t.next_id <- id + 1;
-      push t { ts; id; hop; core; flow };
+      push t ~ts ~id ~hop ~core ~flow;
       id
     end
   end
 
 let record t ~ts ~id ~hop ~core ~flow =
-  if t.enabled && id >= 0 then push t { ts; id; hop; core; flow }
+  if t.enabled && id >= 0 then push t ~ts ~id ~hop ~core ~flow
 
 let drain t =
-  let out = ref [] in
-  ignore (Spsc.drain t.ring (fun e -> out := e :: !out));
-  List.rev !out
+  Event_ring.drain t.ring (fun ~ts ~code ~id ~core ~flow ->
+      { ts; id; hop = hop_of_index.(code); core; flow })
 
 (* --- Analysis ----------------------------------------------------------- *)
 
@@ -173,88 +163,3 @@ let breakdown events =
            { seg_from = f; seg_to = t; seg_hist = h })
   in
   { segments; end_to_end = e2e; spans = List.length spans; complete = !complete }
-
-(* --- Exporters ----------------------------------------------------------- *)
-
-let event_to_json e =
-  Json.Obj
-    [
-      ("ts", Json.Int e.ts);
-      ("span", Json.Int e.id);
-      ("hop", Json.Str (hop_name e.hop));
-      ("core", Json.Int e.core);
-      ("flow", Json.Int e.flow);
-    ]
-
-let to_json t events =
-  Json.Obj
-    [
-      ("enabled", Json.Bool t.enabled);
-      ("sample_every", Json.Int t.sample_every);
-      ("capacity", Json.Int (capacity t));
-      ("offered", Json.Int t.offered);
-      ("started", Json.Int t.next_id);
-      ("recorded", Json.Int t.recorded);
-      ("dropped", Json.Int t.dropped);
-      ("events", Json.List (List.map event_to_json events));
-    ]
-
-(* Chrome trace-event JSON: timestamps/durations in microseconds (floats),
-   one track ("tid") per span so Perfetto draws each packet's journey as a
-   lane of adjacent slices. *)
-let to_chrome_json events =
-  let us ns = float_of_int ns /. 1e3 in
-  let slice a b =
-    Json.Obj
-      [
-        ("name", Json.Str (hop_name a.hop ^ "->" ^ hop_name b.hop));
-        ("cat", Json.Str "tas_span");
-        ("ph", Json.Str "X");
-        ("ts", Json.Float (us a.ts));
-        ("dur", Json.Float (us (b.ts - a.ts)));
-        ("pid", Json.Int 1);
-        ("tid", Json.Int a.id);
-        ( "args",
-          Json.Obj
-            [
-              ("flow", Json.Int a.flow);
-              ("from_core", Json.Int a.core);
-              ("to_core", Json.Int b.core);
-            ] );
-      ]
-  in
-  let instant e =
-    Json.Obj
-      [
-        ("name", Json.Str (hop_name e.hop));
-        ("cat", Json.Str "tas_span");
-        ("ph", Json.Str "i");
-        ("s", Json.Str "t");
-        ("ts", Json.Float (us e.ts));
-        ("pid", Json.Int 1);
-        ("tid", Json.Int e.id);
-        ("args", Json.Obj [ ("flow", Json.Int e.flow) ]);
-      ]
-  in
-  let trace_events =
-    List.concat_map
-      (fun (_, evs) ->
-        match evs with
-        | [] -> []
-        | [ e ] -> [ instant e ]
-        | evs ->
-          let rec walk = function
-            | a :: (b :: _ as rest) -> slice a b :: walk rest
-            | _ -> []
-          in
-          walk evs)
-      (group events)
-  in
-  Json.Obj
-    [
-      ("traceEvents", Json.List trace_events);
-      ("displayTimeUnit", Json.Str "ns");
-    ]
-
-let to_chrome_string ?pretty events =
-  Json.to_string ?pretty (to_chrome_json events)

@@ -11,13 +11,14 @@
 
     Sampling is deterministic: every [sample_every]-th origin attempt
     starts a span (counter-based, no RNG), so two same-seed simulation runs
-    produce byte-identical span streams. The event ring is bounded
-    ({!Tas_buffers.Spsc_queue}); when full, events are dropped and counted,
-    never blocking or growing.
+    produce byte-identical span streams. Hops are stored unboxed in a
+    bounded {!Event_ring}; when full, events are dropped and counted, never
+    blocking or growing.
 
     Cost when disabled: {!record} tests one boolean (and callers typically
     guard on a packet's span id, [-1] when unsampled — a single integer
-    test on the hot path). *)
+    test on the hot path). When enabled and warm, {!start} and {!record}
+    allocate nothing; {!drain} builds the {!event} records. *)
 
 (** Crossing points, in path order for a libTAS-originated packet. *)
 type hop =
@@ -34,9 +35,6 @@ type hop =
 
 val hop_name : hop -> string
 val all_hops : hop list
-
-val hop_index : hop -> int
-(** Position in {!all_hops} (path order). *)
 
 type event = {
   ts : Tas_engine.Time_ns.t;
@@ -56,8 +54,6 @@ val disabled : unit -> t
     components when span tracing is not requested. *)
 
 val enabled : t -> bool
-val sample_every : t -> int
-val capacity : t -> int
 val length : t -> int
 
 val start :
@@ -111,17 +107,3 @@ val breakdown : event list -> breakdown
 (** Per-span segment durations sum exactly to that span's end-to-end
     latency, so segment histogram totals decompose the end-to-end
     histogram total (within histogram quantization). *)
-
-(** {2 Exporters} *)
-
-val event_to_json : event -> Json.t
-val to_json : t -> event list -> Json.t
-(** Collector metadata plus the given (previously drained) events. *)
-
-val to_chrome_json : event list -> Json.t
-(** Chrome trace-event format (chrome://tracing, Perfetto): one "X"
-    (complete) slice per adjacent hop pair, with the span id as the track
-    ([tid]) and timestamps in microseconds; single-event spans export as
-    "i" (instant) events. *)
-
-val to_chrome_string : ?pretty:bool -> event list -> string

@@ -280,54 +280,3 @@ let frames_of_json j =
     | None -> get_list j
   in
   List.map frame_of_json frame_list
-
-(* --- Chrome counter events ----------------------------------------------- *)
-
-(* "C"-phase counter samples: one event per series per frame, timestamped in
-   microseconds like [Span.to_chrome_json], so timelines render as counter
-   tracks above the span slices in the same trace document. *)
-let to_chrome_counters ?(pid = 1) ?(prefix = "") ~interval_ns frames =
-  ignore interval_ns;
-  let ev ~ts ~name args =
-    Json.Obj
-      [
-        ("name", Json.Str (prefix ^ name));
-        ("ph", Json.Str "C");
-        ("ts", Json.Float (float_of_int ts /. 1000.0));
-        ("pid", Json.Int pid);
-        ("args", Json.Obj args);
-      ]
-  in
-  List.concat_map
-    (fun f ->
-      let core_evs =
-        List.map
-          (fun c ->
-            ev ~ts:f.ts
-              ~name:(Printf.sprintf "util %s%d" c.c_role c.c_id)
-              [ ("util", Json.Float c.c_util) ])
-          f.cores
-      in
-      let shard_ev =
-        if Array.length f.shard_flows = 0 then []
-        else
-          [
-            ev ~ts:f.ts ~name:"shard flows"
-              [ ("flows", Json.Int (Array.fold_left ( + ) 0 f.shard_flows)) ];
-          ]
-      in
-      let arena_ev =
-        match f.arena with
-        | None -> []
-        | Some (live, cap) ->
-          [
-            ev ~ts:f.ts ~name:"arena"
-              [
-                ("live", Json.Int live);
-                ( "free",
-                  Json.Int (max 0 (cap - live)) );
-              ];
-          ]
-      in
-      core_evs @ shard_ev @ arena_ev)
-    frames

@@ -91,10 +91,3 @@ val frames_of_json : Json.t -> frame list
 (** Parse frames back from {!to_json} output (or its ["frames"] list) —
     the CLI reads artifacts with this.
     @raise Json.Parse_error on a shape mismatch. *)
-
-val to_chrome_counters :
-  ?pid:int -> ?prefix:string -> interval_ns:int -> frame list -> Json.t list
-(** Chrome trace-event counter samples ("ph":"C", ts in microseconds) for
-    per-core utilization, arena occupancy and total shard flows — one
-    series per core plus aggregates, renderable beside {!Span.to_chrome_json}
-    slices in the same document. *)

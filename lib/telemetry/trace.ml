@@ -1,5 +1,3 @@
-module Spsc = Tas_buffers.Spsc_queue
-
 type kind =
   | Rx_data
   | Rx_ack
@@ -35,41 +33,6 @@ type kind =
   | Rec_tlp_probe
   | Rec_reo_timeout
 
-let kind_name = function
-  | Rx_data -> "rx_data"
-  | Rx_ack -> "rx_ack"
-  | Tx_data -> "tx_data"
-  | Ack_tx -> "ack_tx"
-  | Ooo_store -> "ooo_store"
-  | Payload_drop -> "payload_drop"
-  | Fast_rexmit -> "fast_rexmit"
-  | Timeout_rexmit -> "timeout_rexmit"
-  | Conn_setup -> "conn_setup"
-  | Conn_teardown -> "conn_teardown"
-  | Exception_fwd -> "exception_fwd"
-  | Core_scale -> "core_scale"
-  | Fault_drop -> "fault_drop"
-  | Fault_dup -> "fault_dup"
-  | Fault_corrupt -> "fault_corrupt"
-  | Fault_hold -> "fault_hold"
-  | Malformed_drop -> "malformed_drop"
-  | Csum_drop -> "csum_drop"
-  | Rst_tx -> "rst_tx"
-  | Shard_migrate -> "shard_migrate"
-  | Ctl_scale -> "ctl_scale"
-  | Health_rexmit_storm -> "health_rexmit_storm"
-  | Health_arena_pressure -> "health_arena_pressure"
-  | Health_shard_imbalance -> "health_shard_imbalance"
-  | Health_backlog_growth -> "health_backlog_growth"
-  | Health_ring_drops -> "health_ring_drops"
-  | Health_core_flap -> "health_core_flap"
-  | Rec_enter -> "rec_enter"
-  | Rec_exit -> "rec_exit"
-  | Rec_mark_lost -> "rec_mark_lost"
-  | Rec_retransmit -> "rec_retransmit"
-  | Rec_tlp_probe -> "rec_tlp_probe"
-  | Rec_reo_timeout -> "rec_reo_timeout"
-
 let all_kinds =
   [
     Rx_data; Rx_ack; Tx_data; Ack_tx; Ooo_store; Payload_drop; Fast_rexmit;
@@ -81,6 +44,58 @@ let all_kinds =
     Rec_retransmit; Rec_tlp_probe; Rec_reo_timeout;
   ]
 
+(* The ring's event code: the kind's position in [all_kinds]. *)
+let code_of_kind = function
+  | Rx_data -> 0
+  | Rx_ack -> 1
+  | Tx_data -> 2
+  | Ack_tx -> 3
+  | Ooo_store -> 4
+  | Payload_drop -> 5
+  | Fast_rexmit -> 6
+  | Timeout_rexmit -> 7
+  | Conn_setup -> 8
+  | Conn_teardown -> 9
+  | Exception_fwd -> 10
+  | Core_scale -> 11
+  | Fault_drop -> 12
+  | Fault_dup -> 13
+  | Fault_corrupt -> 14
+  | Fault_hold -> 15
+  | Malformed_drop -> 16
+  | Csum_drop -> 17
+  | Rst_tx -> 18
+  | Shard_migrate -> 19
+  | Ctl_scale -> 20
+  | Health_rexmit_storm -> 21
+  | Health_arena_pressure -> 22
+  | Health_shard_imbalance -> 23
+  | Health_backlog_growth -> 24
+  | Health_ring_drops -> 25
+  | Health_core_flap -> 26
+  | Rec_enter -> 27
+  | Rec_exit -> 28
+  | Rec_mark_lost -> 29
+  | Rec_retransmit -> 30
+  | Rec_tlp_probe -> 31
+  | Rec_reo_timeout -> 32
+
+let kind_of_code = Array.of_list all_kinds
+
+let names =
+  [|
+    "rx_data"; "rx_ack"; "tx_data"; "ack_tx"; "ooo_store"; "payload_drop";
+    "fast_rexmit"; "timeout_rexmit"; "conn_setup"; "conn_teardown";
+    "exception_fwd"; "core_scale"; "fault_drop"; "fault_dup"; "fault_corrupt";
+    "fault_hold"; "malformed_drop"; "csum_drop"; "rst_tx"; "shard_migrate";
+    "ctl_scale"; "health_rexmit_storm"; "health_arena_pressure";
+    "health_shard_imbalance"; "health_backlog_growth"; "health_ring_drops";
+    "health_core_flap"; "rec_enter"; "rec_exit"; "rec_mark_lost";
+    "rec_retransmit"; "rec_tlp_probe"; "rec_reo_timeout";
+  |]
+
+let kind_name k = names.(code_of_kind k)
+
 type event = {
   ts : Tas_engine.Time_ns.t;
   kind : kind;
@@ -88,60 +103,32 @@ type event = {
   flow : int;
 }
 
-type t = {
-  enabled : bool;
-  ring : event Spsc.t;
-  mutable dropped : int;
-  mutable recorded : int;
-}
+type t = { enabled : bool; ring : Event_ring.t }
 
 let create ?(enabled = true) ~capacity () =
-  { enabled; ring = Spsc.create (max 1 capacity); dropped = 0; recorded = 0 }
+  { enabled; ring = Event_ring.create (max 1 capacity) }
 
 let disabled () = create ~enabled:false ~capacity:1 ()
 
 let enabled t = t.enabled
-let capacity t = Spsc.capacity t.ring
-let length t = Spsc.length t.ring
-let dropped t = t.dropped
-let recorded t = t.recorded
+let length t = Event_ring.length t.ring
+let dropped t = Event_ring.dropped t.ring
+let recorded t = Event_ring.recorded t.ring
 
 let record t ~ts ~kind ~core ~flow =
-  if t.enabled then begin
-    t.recorded <- t.recorded + 1;
-    if not (Spsc.try_push t.ring { ts; kind; core; flow }) then
-      t.dropped <- t.dropped + 1
-  end
+  if t.enabled then
+    ignore
+      (Event_ring.push t.ring ~ts ~code:(code_of_kind kind) ~id:0 ~core ~flow)
 
 let drain t =
-  let out = ref [] in
-  ignore (Spsc.drain t.ring (fun e -> out := e :: !out));
-  List.rev !out
+  Event_ring.drain t.ring (fun ~ts ~code ~id:_ ~core ~flow ->
+      { ts; kind = kind_of_code.(code); core; flow })
 
 (* Deterministic cross-ring merge: stable sort by timestamp, so events from
    the same ring keep their record order and equal-timestamp events from
    different rings order by the position of their ring in the argument. *)
 let merge streams =
   List.stable_sort (fun a b -> compare a.ts b.ts) (List.concat streams)
-
-let event_to_json e =
-  Json.Obj
-    [
-      ("ts", Json.Int e.ts);
-      ("kind", Json.Str (kind_name e.kind));
-      ("core", Json.Int e.core);
-      ("flow", Json.Int e.flow);
-    ]
-
-let to_json t events =
-  Json.Obj
-    [
-      ("enabled", Json.Bool t.enabled);
-      ("capacity", Json.Int (capacity t));
-      ("recorded", Json.Int t.recorded);
-      ("dropped", Json.Int t.dropped);
-      ("events", Json.List (List.map event_to_json events));
-    ]
 
 let counts_by_kind events =
   List.map

@@ -2,13 +2,13 @@
 
     A flight recorder for the simulated stack: every interesting data-path or
     control-path step can log a fixed-shape event (sim timestamp, event kind,
-    core id, flow id). The ring is a bounded SPSC queue
-    ({!Tas_buffers.Spsc_queue}, the same structure as the shared-memory
-    context queues); when full, new events are dropped and counted rather
-    than blocking or growing — tracing must never perturb the simulation.
+    core id, flow id). Events are stored unboxed in an {!Event_ring}; when
+    it is full, new events are dropped and counted rather than blocking or
+    growing — tracing must never perturb the simulation.
 
     Cost when disabled: {!record} tests one immutable boolean and returns.
-    Constructing the event record only happens on the enabled path. *)
+    When enabled and warm it allocates nothing; {!drain} builds the
+    {!event} records. *)
 
 type kind =
   | Rx_data         (** fast path received a data segment *)
@@ -64,7 +64,6 @@ val disabled : unit -> t
     when no tracing is requested. *)
 
 val enabled : t -> bool
-val capacity : t -> int
 val length : t -> int
 
 val record : t -> ts:Tas_engine.Time_ns.t -> kind:kind -> core:int -> flow:int -> unit
@@ -85,11 +84,6 @@ val merge : event list list -> event list
     Deterministic: the sort is stable, so events of one stream keep their
     record order and equal-timestamp events across streams order by their
     stream's position in the argument. *)
-
-val event_to_json : event -> Json.t
-
-val to_json : t -> event list -> Json.t
-(** Ring metadata plus the given (previously drained) events. *)
 
 val counts_by_kind : event list -> (kind * int) list
 (** Histogram of event kinds, in declaration order, zero entries omitted. *)

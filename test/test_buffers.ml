@@ -1,8 +1,8 @@
-(* Unit and property tests for ring buffers, SPSC queues, and the
-   out-of-order interval tracker. *)
+(* Unit and property tests for ring buffers, the telemetry event ring, and
+   the out-of-order interval tracker. *)
 
 module Ring = Tas_buffers.Ring_buffer
-module Spsc = Tas_buffers.Spsc_queue
+module Ev = Tas_telemetry.Event_ring
 module Fifo = Tas_buffers.Fifo
 module Ooo = Tas_buffers.Ooo_interval
 module Seq32 = Tas_proto.Seq32
@@ -100,49 +100,67 @@ let prop_ring_fifo =
         ops;
       !ok && Ring.used r = Queue.length reference)
 
-(* --- SPSC queue ------------------------------------------------------------- *)
+(* --- Event ring --------------------------------------------------------------- *)
+
+(* Each case pushes a value [x] as one event, a distinct offset of [x] in
+   every column, and reads it back: the five columns must stay in step. *)
+let ev_push q x =
+  Ev.push q ~ts:x ~code:(x + 1) ~id:(x + 2) ~core:(x + 3) ~flow:(x + 4)
+
+let ev_value ~ts ~code ~id ~core ~flow =
+  if (code, id, core, flow) <> (ts + 1, ts + 2, ts + 3, ts + 4) then
+    failwith "event ring columns out of step";
+  ts
+
+let ev_pop q = Ev.pop q ev_value
 
 let test_spsc_fifo () =
-  let q = Spsc.create 4 in
-  Alcotest.(check bool) "push 1" true (Spsc.try_push q 1);
-  Alcotest.(check bool) "push 2" true (Spsc.try_push q 2);
-  Alcotest.(check (option int)) "peek" (Some 1) (Spsc.peek q);
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Spsc.try_pop q);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Spsc.try_pop q);
-  Alcotest.(check (option int)) "empty" None (Spsc.try_pop q)
+  let q = Ev.create 4 in
+  Alcotest.(check bool) "push 1" true (ev_push q 1);
+  Alcotest.(check bool) "push 2" true (ev_push q 2);
+  Alcotest.(check (option int)) "peek" (Some 1) (Ev.peek q ev_value);
+  Alcotest.(check (option int)) "pop 1" (Some 1) (ev_pop q);
+  Alcotest.(check (option int)) "pop 2" (Some 2) (ev_pop q);
+  Alcotest.(check (option int)) "empty" None (ev_pop q)
 
 let test_spsc_full () =
-  let q = Spsc.create 2 in
-  Alcotest.(check bool) "push a" true (Spsc.try_push q 'a');
-  Alcotest.(check bool) "push b" true (Spsc.try_push q 'b');
-  Alcotest.(check bool) "full rejects" false (Spsc.try_push q 'c');
-  ignore (Spsc.try_pop q);
-  Alcotest.(check bool) "slot freed" true (Spsc.try_push q 'c')
+  let q = Ev.create 2 in
+  Alcotest.(check bool) "push a" true (ev_push q (Char.code 'a'));
+  Alcotest.(check bool) "push b" true (ev_push q (Char.code 'b'));
+  Alcotest.(check bool) "full rejects" false (ev_push q (Char.code 'c'));
+  Alcotest.(check int) "rejection counted" 1 (Ev.dropped q);
+  Alcotest.(check int) "offers counted" 3 (Ev.recorded q);
+  ignore (ev_pop q);
+  Alcotest.(check bool) "slot freed" true (ev_push q (Char.code 'c'))
 
 let test_spsc_drain () =
-  let q = Spsc.create 8 in
-  List.iter (fun x -> ignore (Spsc.try_push q x)) [ 1; 2; 3; 4; 5 ];
-  let acc = ref [] in
-  let n = Spsc.drain q (fun x -> acc := x :: !acc) in
-  Alcotest.(check int) "drained all" 5 n;
-  Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] (List.rev !acc)
+  let q = Ev.create 8 in
+  List.iter (fun x -> ignore (ev_push q x)) [ 1; 2; 3; 4; 5 ];
+  let got = Ev.drain q ev_value in
+  Alcotest.(check int) "drained all" 5 (List.length got);
+  Alcotest.(check (list int)) "in order" [ 1; 2; 3; 4; 5 ] got
 
 let prop_spsc_conservation =
   QCheck.Test.make ~name:"spsc: pops = accepted pushes, in order" ~count:200
     QCheck.(list (option (int_bound 1000)))
     (fun ops ->
-      (* Some x = push x, None = pop. *)
-      let q = Spsc.create 8 in
+      (* Some x = push x, None = pop. The model is an unbounded queue fed
+         only the accepted pushes; the ring's counters track the rest. *)
+      let q = Ev.create 8 in
       let model = Queue.create () in
+      let offered = ref 0 and rejected = ref 0 in
       List.for_all
         (fun op ->
           match op with
           | Some x ->
-            let pushed = Spsc.try_push q x in
-            if pushed then Queue.add x model;
-            Spsc.length q = Queue.length model
+            incr offered;
+            let pushed = ev_push q x in
+            if pushed then Queue.add x model else incr rejected;
+            Ev.length q = Queue.length model
+            && Ev.recorded q = !offered
+            && Ev.dropped q = !rejected
           | None -> (
-            match (Spsc.try_pop q, Queue.take_opt model) with
+            match (ev_pop q, Queue.take_opt model) with
             | Some a, Some b -> a = b
             | None, None -> true
             | _ -> false))

@@ -110,6 +110,7 @@ let test_different_seed_diverges_under_loss () =
 
 module Span = Tas_telemetry.Span
 module Diagnostics = Tas_experiments.Diagnostics
+module Json = Tas_telemetry.Json
 
 let span_event =
   Alcotest.testable
@@ -127,12 +128,13 @@ let observe_spans () =
    parameterized runs must produce byte-identical span event streams. *)
 let test_same_seed_identical_spans () =
   let a, da = observe_spans () in
-  let b, _ = observe_spans () in
+  let b, db = observe_spans () in
   Alcotest.(check (list span_event)) "span streams identical" a b;
   Alcotest.(check bool) "spans actually produced" true
     (Span.started da.Diagnostics.span > 10);
   Alcotest.(check string) "chrome export byte-identical"
-    (Span.to_chrome_string a) (Span.to_chrome_string b)
+    (Json.to_string (Diagnostics.chrome da ~spans:a))
+    (Json.to_string (Diagnostics.chrome db ~spans:b))
 
 (* At least one sampled packet must be observed at every crossing point of
    the app-to-app path, and complete spans must exist. *)

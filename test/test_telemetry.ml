@@ -1,12 +1,16 @@
 (* Unit tests of the telemetry subsystem: registry semantics (closures,
    labels, duplicates, get-or-create), exporter formats, JSON rendering,
-   and the bounded trace ring. *)
+   and the bounded trace and span rings, including their per-event
+   allocation. *)
 
 module Metrics = Tas_telemetry.Metrics
 module Trace = Tas_telemetry.Trace
 module Span = Tas_telemetry.Span
+module Chrome = Tas_telemetry.Chrome
 module Json = Tas_telemetry.Json
 module Stats = Tas_engine.Stats
+module Time_ns = Tas_engine.Time_ns
+module Diagnostics = Tas_experiments.Diagnostics
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -216,8 +220,9 @@ let test_span_disabled_noop () =
   Alcotest.(check int) "no origins counted" 0 (Span.offered sp);
   Alcotest.(check int) "no events" 0 (List.length (Span.drain sp))
 
-(* Chrome trace-event export: a JSON object with a traceEvents list of
-   complete ("X") slices carrying name/ts/dur/pid/tid, parseable by our
+(* Chrome trace-event export of spans alone: a JSON object with a
+   traceEvents list holding the process name and one complete ("X") slice
+   per adjacent hop pair, carrying name/ts/dur/pid/tid, parseable by our
    own renderer (and hence by chrome://tracing). *)
 let test_span_chrome_json () =
   let sp = Span.create ~enabled:true ~capacity:64 () in
@@ -225,10 +230,14 @@ let test_span_chrome_json () =
   Span.record sp ~ts:400 ~id ~hop:Span.Fp_tx ~core:1 ~flow:3;
   Span.record sp ~ts:900 ~id ~hop:Span.Nic_tx ~core:(-1) ~flow:3;
   let events = Span.drain sp in
-  (match Span.to_chrome_json events with
+  let doc = Chrome.to_json ~spans:events [] in
+  (match doc with
   | Json.Obj fields ->
     (match List.assoc_opt "traceEvents" fields with
-    | Some (Json.List slices) ->
+    | Some (Json.List all) ->
+      let slices =
+        List.filter (fun e -> Json.member "ph" e <> Some (Json.Str "M")) all
+      in
       Alcotest.(check int) "one slice per adjacent hop pair" 2
         (List.length slices);
       List.iter
@@ -249,11 +258,118 @@ let test_span_chrome_json () =
   (* The rendered string must survive a render->parse sanity check: our
      renderer never emits NaN/Inf and escapes strings, so the output is
      plain ASCII JSON; spot-check framing. *)
-  let s = Span.to_chrome_string events in
+  let s = Json.to_string doc in
   Alcotest.(check bool) "object framing" true
     (String.length s > 2 && s.[0] = '{' && s.[String.length s - 1] = '}');
   Alcotest.(check bool) "mentions segment name" true
     (contains s "app_send->fp_tx")
+
+let minor_words_during f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Every kind and hop survives the ring's integer event code, and keeps
+   its name (these names appear in BENCH artifacts and trace files). *)
+let test_ring_codes_round_trip () =
+  let tr = Trace.create ~capacity:64 () in
+  List.iteri
+    (fun i kind -> Trace.record tr ~ts:i ~kind ~core:i ~flow:(-i))
+    Trace.all_kinds;
+  Alcotest.(check bool) "kinds round-trip" true
+    (List.map (fun (e : Trace.event) -> e.kind) (Trace.drain tr)
+    = Trace.all_kinds);
+  Alcotest.(check (list string)) "kind names"
+    [
+      "rx_data"; "rx_ack"; "tx_data"; "ack_tx"; "ooo_store"; "payload_drop";
+      "fast_rexmit"; "timeout_rexmit"; "conn_setup"; "conn_teardown";
+      "exception_fwd"; "core_scale"; "fault_drop"; "fault_dup";
+      "fault_corrupt"; "fault_hold"; "malformed_drop"; "csum_drop"; "rst_tx";
+      "shard_migrate"; "ctl_scale"; "health_rexmit_storm";
+      "health_arena_pressure"; "health_shard_imbalance";
+      "health_backlog_growth"; "health_ring_drops"; "health_core_flap";
+      "rec_enter"; "rec_exit"; "rec_mark_lost"; "rec_retransmit";
+      "rec_tlp_probe"; "rec_reo_timeout";
+    ]
+    (List.map Trace.kind_name Trace.all_kinds);
+  let sp = Span.create ~capacity:64 () in
+  let id = Span.start sp ~ts:0 ~hop:Span.App_send ~core:0 ~flow:0 in
+  List.iteri
+    (fun i hop -> Span.record sp ~ts:(i + 1) ~id ~hop ~core:i ~flow:0)
+    Span.all_hops;
+  Alcotest.(check bool) "hops round-trip" true
+    (List.map (fun (e : Span.event) -> e.hop) (Span.drain sp)
+    = Span.App_send :: Span.all_hops);
+  Alcotest.(check (list string)) "hop names"
+    [
+      "app_send"; "fp_tx"; "nic_tx"; "port_q"; "port_out"; "switch_fwd";
+      "nic_rx"; "fp_rx"; "ctx_notify"; "app_deliver";
+    ]
+    (List.map Span.hop_name Span.all_hops)
+
+(* Once warm, an enabled ring stores an event as unboxed ints: recording
+   allocates nothing, whether the event is kept or dropped because the ring
+   is full. 10,000 events overflow both rings, so the drop path is measured
+   too. *)
+let test_ring_record_allocation () =
+  let n = 10_000 in
+  let tr = Trace.create ~capacity:4096 () in
+  let trace_all () =
+    for i = 1 to n do
+      Trace.record tr ~ts:i ~kind:Trace.Rx_data ~core:(i land 1) ~flow:i
+    done
+  in
+  trace_all ();
+  ignore (Trace.drain tr);
+  let words = minor_words_during trace_all in
+  Alcotest.(check (float 0.)) "0 words per Trace.record" 0. words;
+  Alcotest.(check int) "trace ring keeps its capacity" 4096 (Trace.length tr);
+  Alcotest.(check int) "trace overflow counted" (2 * (n - 4096))
+    (Trace.dropped tr);
+  Alcotest.(check int) "trace offers counted" (2 * n) (Trace.recorded tr);
+  let sp = Span.create ~capacity:4096 () in
+  (* Every tenth event is an origin, the rest are hops of its span. *)
+  let span_all () =
+    let id = ref (-1) in
+    for i = 1 to n do
+      if i mod 10 = 1 then
+        id := Span.start sp ~ts:i ~hop:Span.App_send ~core:0 ~flow:i
+      else Span.record sp ~ts:i ~id:!id ~hop:Span.Fp_rx ~core:1 ~flow:i
+    done
+  in
+  span_all ();
+  ignore (Span.drain sp);
+  let words = minor_words_during span_all in
+  Alcotest.(check (float 0.)) "0 words per Span.start/record" 0. words;
+  Alcotest.(check int) "span ring keeps its capacity" 4096 (Span.length sp);
+  Alcotest.(check int) "span overflow counted" (2 * (n - 4096))
+    (Span.dropped sp);
+  Alcotest.(check int) "span offers counted" (2 * n) (Span.recorded sp)
+
+(* The document [tas_run trace] writes carries all three event kinds:
+   span slices, trace-ring instants and timeline counters. *)
+let test_trace_document_phases () =
+  let d =
+    Diagnostics.build ~n_conns:2 ~trace:true ~timeline_ns:(Time_ns.us 100) ()
+  in
+  Diagnostics.run d ~duration_ns:(Time_ns.ms 1);
+  let doc = Diagnostics.chrome d ~spans:(Span.drain d.Diagnostics.span) in
+  let events =
+    match Json.member "traceEvents" doc with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  let has ph cat =
+    List.exists
+      (fun e ->
+        Json.member "ph" e = Some (Json.Str ph)
+        && (cat = "" || Json.member "cat" e = Some (Json.Str cat)))
+      events
+  in
+  Alcotest.(check bool) "span slices (X)" true (has "X" "tas_span");
+  Alcotest.(check bool) "trace instants (i)" true (has "i" "tas_trace");
+  Alcotest.(check bool) "timeline counters (C)" true (has "C" "");
+  Alcotest.(check bool) "process names (M)" true (has "M" "")
 
 let suite =
   [
@@ -285,4 +401,10 @@ let suite =
       test_span_disabled_noop;
     Alcotest.test_case "chrome trace export well-formed" `Quick
       test_span_chrome_json;
+    Alcotest.test_case "ring event codes round-trip" `Quick
+      test_ring_codes_round_trip;
+    Alcotest.test_case "warm trace and span rings allocate nothing" `Quick
+      test_ring_record_allocation;
+    Alcotest.test_case "trace document has X, i and C events" `Quick
+      test_trace_document_phases;
   ]

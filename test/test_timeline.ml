@@ -10,6 +10,7 @@ module Health = Tas_telemetry.Health
 module Metrics = Tas_telemetry.Metrics
 module Trace = Tas_telemetry.Trace
 module Json = Tas_telemetry.Json
+module Chrome = Tas_telemetry.Chrome
 module Stats = Tas_engine.Stats
 module Diagnostics = Tas_experiments.Diagnostics
 module Tas = Tas_core.Tas
@@ -215,26 +216,37 @@ let test_chrome_counters_shape () =
   pkts := 1;
   busy := [| 250 |];
   Timeline.capture tl ~ts:1000;
-  let events =
-    Timeline.to_chrome_counters ~pid:3 ~prefix:"x " ~interval_ns:1000
-      (Timeline.frames tl)
+  (* Counters only, as [tas_run timeline --chrome] writes them: the second
+     host is process 2. *)
+  let host name frames = { Chrome.name; events = []; frames } in
+  let doc =
+    Chrome.to_json [ host "idle" []; host "x" (Timeline.frames tl) ]
   in
+  let all =
+    match Json.member "traceEvents" doc with
+    | Some (Json.List l) -> l
+    | _ -> Alcotest.fail "no traceEvents list"
+  in
+  let phase p e = Json.member "ph" e = Some (Json.Str p) in
+  let events = List.filter (phase "C") all in
   Alcotest.(check bool) "has events" true (events <> []);
+  Alcotest.(check int) "only names and counters" (List.length all)
+    (List.length events + List.length (List.filter (phase "M") all));
+  Alcotest.(check bool) "process named" true
+    (List.exists
+       (fun e ->
+         phase "M" e
+         && Json.member "pid" e = Some (Json.Int 2)
+         && Json.member "args" e = Some (Json.Obj [ ("name", Json.Str "x") ]))
+       all);
   List.iter
     (fun e ->
-      Alcotest.(check bool) "counter phase" true
-        (Json.member "ph" e = Some (Json.Str "C"));
-      Alcotest.(check bool) "pid" true (Json.member "pid" e = Some (Json.Int 3));
-      (match Json.member "ts" e with
+      Alcotest.(check bool) "pid" true (Json.member "pid" e = Some (Json.Int 2));
+      match Json.member "ts" e with
       | Some ts ->
         Alcotest.(check (float 1e-9)) "ts in us" 1.0
           (Option.get (Json.to_float_opt ts))
-      | None -> Alcotest.fail "no ts");
-      match Json.member "name" e with
-      | Some (Json.Str n) ->
-        Alcotest.(check bool) "prefixed" true
-          (String.length n > 2 && String.sub n 0 2 = "x ")
-      | _ -> Alcotest.fail "no name")
+      | None -> Alcotest.fail "no ts")
     events;
   (* One util series for the registered core, plus shard + arena series. *)
   let names =

@@ -1,10 +1,11 @@
 (* Edge-case tests at the wrap boundaries: Seq32 arithmetic across the
    2^32 wrap, Ring_buffer behaviour when the stream offset crosses the
-   physical end of the buffer, and Spsc_queue full/empty/wrap transitions. *)
+   physical end of the buffer, and the telemetry event ring's
+   full/empty/wrap transitions. *)
 
 module Seq32 = Tas_proto.Seq32
 module Ring = Tas_buffers.Ring_buffer
-module Spsc = Tas_buffers.Spsc_queue
+module Ev = Tas_telemetry.Event_ring
 
 let top = 0xFFFF_FFFF (* 2^32 - 1 *)
 
@@ -103,46 +104,48 @@ let test_ring_bounds_raise () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* One value per event, in the [code] column. *)
+let ev_push q x = Ev.push q ~ts:0 ~code:x ~id:0 ~core:0 ~flow:0
+let ev_code ~ts:_ ~code ~id:_ ~core:_ ~flow:_ = code
+
 let test_spsc_full_empty_wrap () =
-  let q = Spsc.create 4 in
-  Alcotest.(check bool) "empty at creation" true (Spsc.is_empty q);
-  Alcotest.(check (option int)) "pop on empty" None (Spsc.try_pop q);
+  let q = Ev.create 4 in
+  Alcotest.(check bool) "empty at creation" true (Ev.length q = 0);
+  Alcotest.(check (option int)) "pop on empty" None (Ev.pop q ev_code);
   for i = 1 to 4 do
-    Alcotest.(check bool) "push succeeds" true (Spsc.try_push q i)
+    Alcotest.(check bool) "push succeeds" true (ev_push q i)
   done;
-  Alcotest.(check bool) "full" true (Spsc.is_full q);
-  Alcotest.(check bool) "push on full fails" false (Spsc.try_push q 5);
-  Alcotest.(check (option int)) "peek oldest" (Some 1) (Spsc.peek q);
+  Alcotest.(check bool) "full" true (Ev.length q = Ev.capacity q);
+  Alcotest.(check bool) "push on full fails" false (ev_push q 5);
+  Alcotest.(check (option int)) "peek oldest" (Some 1) (Ev.peek q ev_code);
   (* Pop two, push two: indices wrap past the physical end. *)
-  Alcotest.(check (option int)) "fifo 1" (Some 1) (Spsc.try_pop q);
-  Alcotest.(check (option int)) "fifo 2" (Some 2) (Spsc.try_pop q);
-  Alcotest.(check bool) "wrap push a" true (Spsc.try_push q 5);
-  Alcotest.(check bool) "wrap push b" true (Spsc.try_push q 6);
-  Alcotest.(check bool) "full after wrap" true (Spsc.is_full q);
-  let order = ref [] in
-  let n = Spsc.drain q (fun x -> order := x :: !order) in
-  Alcotest.(check int) "drain count" 4 n;
-  Alcotest.(check (list int)) "fifo across wrap" [ 3; 4; 5; 6 ]
-    (List.rev !order);
-  Alcotest.(check bool) "empty after drain" true (Spsc.is_empty q)
+  Alcotest.(check (option int)) "fifo 1" (Some 1) (Ev.pop q ev_code);
+  Alcotest.(check (option int)) "fifo 2" (Some 2) (Ev.pop q ev_code);
+  Alcotest.(check bool) "wrap push a" true (ev_push q 5);
+  Alcotest.(check bool) "wrap push b" true (ev_push q 6);
+  Alcotest.(check bool) "full after wrap" true (Ev.length q = Ev.capacity q);
+  let order = Ev.drain q ev_code in
+  Alcotest.(check int) "drain count" 4 (List.length order);
+  Alcotest.(check (list int)) "fifo across wrap" [ 3; 4; 5; 6 ] order;
+  Alcotest.(check bool) "empty after drain" true (Ev.length q = 0)
 
 let test_spsc_repeated_wrap () =
   (* Many cycles of fill/drain: length stays consistent and order holds. *)
-  let q = Spsc.create 3 in
+  let q = Ev.create 3 in
   let next = ref 0 and expect = ref 0 and ok = ref true in
   for _round = 1 to 50 do
-    while not (Spsc.is_full q) do
-      ignore (Spsc.try_push q !next);
+    while Ev.length q < Ev.capacity q do
+      ignore (ev_push q !next);
       incr next
     done;
-    match Spsc.try_pop q with
+    match Ev.pop q ev_code with
     | Some v ->
       if v <> !expect then ok := false;
       incr expect
     | None -> ok := false
   done;
   Alcotest.(check bool) "fifo preserved over 50 wraps" true !ok;
-  Alcotest.(check int) "length consistent" 2 (Spsc.length q)
+  Alcotest.(check int) "length consistent" 2 (Ev.length q)
 
 let suite =
   [
