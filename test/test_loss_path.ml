@@ -1,8 +1,10 @@
 (* Loss recovery at data-path cost.
 
-   - Equivalence, pinned: the wire bytes of a lossy RACK-TLP TAS<->TAS
-     transfer, SACK options included, captured before the lossy path went
-     allocation-free.
+   - Equivalence, pinned: the wire bytes of a lossy TAS<->TAS transfer,
+     SACK options included, for every recovery policy with the
+     out-of-order receiver and with the go-back-N one. The RACK-TLP row
+     was captured before the lossy path went allocation-free, the others
+     before the ACK and receive paths were merged across policies.
    - Allocation: the fault stage under uniform loss, the out-of-order
      interval set (store, merge, evict, deliver, SACK blocks into a
      header), the RACK-TLP ACK engine with SACK blocks and the tail-loss
@@ -50,9 +52,10 @@ let wan_spec =
     ecn_threshold = None;
   }
 
-(* Two TAS hosts under RACK-TLP with fixed-rate senders, two fast-path and
-   two app cores each. *)
-let rack_pair sim net =
+(* Two TAS hosts under [policy] (RACK-TLP unless given) with fixed-rate
+   senders, two fast-path and two app cores each; [ooo = false] is the
+   go-back-N receiver of Fig. 7. *)
+let tas_pair ?(policy = Rec.Policy.Rack_tlp) ?(ooo = true) sim net =
   let mk nic core_base =
     let config =
       {
@@ -64,7 +67,8 @@ let rack_pair sim net =
         initial_rate_bps = 5e8;
         control_interval_fixed_ns = Some 10_000_000;
         timeout_intervals = 10;
-        recovery_policy = Rec.Policy.Rack_tlp;
+        rx_ooo_enabled = ooo;
+        recovery_policy = policy;
       }
     in
     let tas = Tas.create sim ~nic ~config () in
@@ -104,8 +108,8 @@ let bulk_transfer ~conns net (_, sender) (_, receiver) =
 
 (* Four connections over both fast-path cores, 2% uniform loss each way,
    every frame offered to either fault stage tapped (the dropped ones
-   included). *)
-let lossy_rack_pcap_digest () =
+   included). Returns the pcap digest; [check] asserts on the run first. *)
+let lossy_pcap_digest ~policy ~ooo check =
   let sim = Sim.create () in
   let net = Topology.point_to_point sim ~spec:wan_spec ~queues_per_nic:2 () in
   let rng = Rng.create 77 in
@@ -119,13 +123,21 @@ let lossy_rack_pcap_digest () =
   in
   let ab = lossy net.Topology.a.Topology.uplink nic_b in
   let ba = lossy net.Topology.b.Topology.uplink nic_a in
-  let a, b = rack_pair sim net in
+  let a, b = tas_pair ~policy ~ooo sim net in
   let received = bulk_transfer ~conns:4 net a b in
   Sim.run ~until:(Time_ns.ms 60) sim;
   let drops f = Fault.total_drops (Fault.counters f) in
   Alcotest.(check bool) "losses both ways" true (drops ab > 0 && drops ba > 0);
-  Alcotest.(check bool) "data delivered" true (!received > 1_000_000);
-  let r = Fast_path.rec_stats (Tas.fast_path (fst a)) in
+  check ~received:!received ~fp:(Tas.fast_path (fst a)) tap;
+  let d = Digest.to_hex (Digest.bytes (Pcap.to_bytes (Tap.records tap))) in
+  Tap.clear tap;
+  d
+
+(* What only RACK-TLP does: probes, reordering timeouts and multi-block
+   SACK options. *)
+let check_rack ~received ~fp tap =
+  Alcotest.(check bool) "data delivered" true (received > 1_000_000);
+  let r = Fast_path.rec_stats fp in
   Alcotest.(check bool) "selective retransmissions, probes, RACK timeouts"
     true
     (r.Fast_path.rec_selective_retransmits > 0
@@ -139,14 +151,36 @@ let lossy_rack_pcap_digest () =
   Alcotest.(check bool) "multi-block SACK options" true
     (List.exists
        (fun r -> List.length (Tcp.sack_blocks r.Tap.pkt.Packet.tcp) > 1)
-       sacks);
-  let d = Digest.to_hex (Digest.bytes (Pcap.to_bytes (Tap.records tap))) in
-  Tap.clear tap;
-  d
+       sacks)
 
-let test_lossy_rack_pcap_pinned () =
-  Alcotest.(check string) "lossy RACK-TLP pcap as before"
-    "cf568f5e0cfa4aa910531f6e1b342e5f" (lossy_rack_pcap_digest ())
+(* The other rows pin the bytes delivered in the 60 ms beside the digest. *)
+let check_received n ~received ~fp:_ _ =
+  Alcotest.(check int) "bytes delivered" n received
+
+(* One row per recovery policy and receiver, digests captured before the
+   ACK and receive paths were merged across policies. *)
+let lossy_pcaps =
+  [
+    (Rec.Policy.Rack_tlp, true, check_rack, "cf568f5e0cfa4aa910531f6e1b342e5f");
+    ( Rec.Policy.Rack_tlp, false, check_received 334_010,
+      "b6b53b3bce86dbbb91b23faaab7498d1" );
+    ( Rec.Policy.Sack, true, check_received 4_873_858,
+      "35d66c61c5cd9d13fa6203633a00a9c9" );
+    ( Rec.Policy.Sack, false, check_received 334_010,
+      "dfdec764b1d956b21f4fd163567b379d" );
+    ( Rec.Policy.Reno, true, check_received 2_779_789,
+      "002d1bfe7a774d3940ee31449c935204" );
+    ( Rec.Policy.Reno, false, check_received 2_718_010,
+      "1bc0d2659f6f7e626179fd372d4a0c01" );
+  ]
+
+let pcap_test (policy, ooo, check, digest) =
+  let name =
+    Printf.sprintf "lossy %s%s pcap pinned" (Rec.Policy.name policy)
+      (if ooo then "" else " gbn")
+  in
+  Alcotest.test_case name `Quick (fun () ->
+      Alcotest.(check string) name digest (lossy_pcap_digest ~policy ~ooo check))
 
 (* --- Allocation ---------------------------------------------------------- *)
 
@@ -371,7 +405,7 @@ let lossy_transfer () =
     Topology.point_to_point sim ~spec:wan_spec ~fault_ab:(Fault.uniform_loss 0.02)
       ~fault_ba:(Fault.uniform_loss 0.02) ~rng:(Rng.create 31) ~queues_per_nic:2 ()
   in
-  let a, b = rack_pair sim net in
+  let a, b = tas_pair sim net in
   let received = bulk_transfer ~conns:1 net a b in
   Sim.run ~until:(Time_ns.ms 200) sim;
   (sim, a, received)
@@ -401,17 +435,16 @@ let test_lossy_transfer_words () =
     (per_seg <= lossy_words_per_segment)
 
 let suite =
-  [
-    Alcotest.test_case "lossy rack-tlp pcap pinned" `Quick
-      test_lossy_rack_pcap_pinned;
-    Alcotest.test_case "fault stage allocates nothing" `Quick
-      test_fault_wrap_allocation;
-    Alcotest.test_case "ooo interval set allocates nothing" `Quick
-      test_ooo_allocation;
-    Alcotest.test_case "rack on_ack with sack allocates nothing" `Quick
-      test_rack_on_ack_allocation;
-    Alcotest.test_case "tlp re-arm allocates nothing" `Quick
-      test_tlp_rearm_allocation;
-    Alcotest.test_case "lossy transfer words per segment" `Quick
-      test_lossy_transfer_words;
-  ]
+  List.map pcap_test lossy_pcaps
+  @ [
+      Alcotest.test_case "fault stage allocates nothing" `Quick
+        test_fault_wrap_allocation;
+      Alcotest.test_case "ooo interval set allocates nothing" `Quick
+        test_ooo_allocation;
+      Alcotest.test_case "rack on_ack with sack allocates nothing" `Quick
+        test_rack_on_ack_allocation;
+      Alcotest.test_case "tlp re-arm allocates nothing" `Quick
+        test_tlp_rearm_allocation;
+      Alcotest.test_case "lossy transfer words per segment" `Quick
+        test_lossy_transfer_words;
+    ]
