@@ -23,7 +23,7 @@ type verdict = Deliver | Store | Duplicate | Drop
 let empty = [||]
 
 let create ?(max_ranges = 1) () =
-  if max_ranges < 1 then invalid_arg "Ooo_interval.create: max_ranges < 1";
+  if max_ranges < 0 then invalid_arg "Ooo_interval.create: max_ranges < 0";
   { max_ranges; r = empty; n = 0; stamp = 0; v_at = 0; v_len = 0; v_adv = 0 }
 
 let start t i = t.r.(3 * i)

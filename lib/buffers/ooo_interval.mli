@@ -13,7 +13,10 @@
     ({!sack_blocks}), and a full table evicts the interval furthest from
     the expected edge when a closer segment arrives (the sender's
     retransmission machinery re-covers evicted data). [max_ranges = 1]
-    preserves the paper's drop-only semantics exactly. *)
+    preserves the paper's drop-only semantics exactly. [max_ranges = 0]
+    tracks nothing: only in-order data is accepted and every
+    out-of-order segment is dropped — the go-back-N receiver of the
+    paper's Fig. 7 ablation. *)
 
 type t
 (** {b Representation.} One [int array] of [3 * max_ranges] slots (start,
@@ -37,7 +40,7 @@ type verdict =
 
 val create : ?max_ranges:int -> unit -> t
 (** [max_ranges] (default 1) bounds the tracked intervals.
-    @raise Invalid_argument if [max_ranges < 1]. *)
+    @raise Invalid_argument if [max_ranges < 0]. *)
 
 val is_empty : t -> bool
 

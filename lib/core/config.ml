@@ -17,8 +17,6 @@ type t = {
   dead_flow_timeout_ns : int option;
   rx_ooo_enabled : bool;
   recovery_policy : Tas_recovery.Policy.kind;
-  sack_max_ranges : int;
-  rack_reo_wnd_ns : int;
   tlp_pto_ns : int;
   context_queue_capacity : int;
   dynamic_scaling : bool;
@@ -34,8 +32,6 @@ type t = {
   flow_arena_capacity : int;
   sp_conn_cycles : int;
   sp_flow_control_cycles : int;
-  shard_lock_cycles : int;
-  shard_lock_remote_cycles : int;
   trace_enabled : bool;
   trace_capacity : int;
   timeline_interval_ns : int;
@@ -62,13 +58,10 @@ let default =
     rx_ooo_enabled = true;
     (* Loss recovery: [Reno] is the paper's dup-ACK go-back-N machinery,
        byte-identical to the seed; [Sack] / [Rack_tlp] grow the receiver
-       to [sack_max_ranges] out-of-order intervals (advertised as SACK
-       blocks, at most 3 on the wire) and drive the sender scoreboard.
-       [rack_reo_wnd_ns] / [tlp_pto_ns] of 0 mean RTT-derived defaults
-       (srtt/4 and 2*srtt). *)
+       to 4 out-of-order intervals (advertised as SACK blocks, at most 3
+       on the wire) and drive the sender scoreboard. [tlp_pto_ns] of 0
+       means the RTT-derived default (2*srtt). *)
     recovery_policy = Tas_recovery.Policy.Reno;
-    sack_max_ranges = 4;
-    rack_reo_wnd_ns = 0;
     tlp_pto_ns = 0;
     context_queue_capacity = 4096;
     dynamic_scaling = false;
@@ -86,8 +79,6 @@ let default =
     flow_arena_capacity = 4096;
     sp_conn_cycles = 3000;
     sp_flow_control_cycles = 80;
-    shard_lock_cycles = 24;
-    shard_lock_remote_cycles = 96;
     trace_enabled = false;
     trace_capacity = 8192;
     timeline_interval_ns = 0;

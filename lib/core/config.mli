@@ -31,20 +31,19 @@ type t = {
           flows are never reaped *)
   rx_ooo_enabled : bool;
       (** receiver out-of-order interval tracking; [false] = the "simple
-          go-back-N recovery" ablation of Fig. 7 *)
+          go-back-N recovery" ablation of Fig. 7: the flow's interval set
+          is made with no slot, so every out-of-order segment is dropped.
+          Read once, when a flow is created *)
   recovery_policy : Tas_recovery.Policy.kind;
-      (** loss-recovery policy for both flow directions: [Reno] (default)
-          is the paper's triple-dup-ACK go-back-N, byte-identical to the
-          seed; [Sack] adds receiver SACK blocks + a sender scoreboard
-          with selective retransmit; [Rack_tlp] adds time-based loss
-          detection and tail-loss probes on top of [Sack] *)
-  sack_max_ranges : int;
-      (** out-of-order intervals tracked per flow under a SACK-class
-          policy (default 4; at most 3 are advertised per ACK beside the
-          timestamp option). [Reno] always keeps the paper's single
-          interval *)
-  rack_reo_wnd_ns : int;
-      (** RACK reordering window; 0 (default) = srtt/4 *)
+      (** loss-recovery policy for both flow directions. Every policy runs
+          the same receive and ACK paths; the policy decides only what
+          cumulative progress and duplicate ACKs do. [Reno] (default) is
+          the paper's triple-dup-ACK go-back-N, byte-identical to the
+          seed. [Sack] tracks 4 out-of-order intervals per flow,
+          advertises up to 3 of them as SACK blocks beside the timestamp
+          option and drives a sender scoreboard with selective
+          retransmit. [Rack_tlp] adds time-based loss detection (reordering
+          window srtt/4) and tail-loss probes on top of [Sack] *)
   tlp_pto_ns : int;
       (** tail-loss-probe timeout; 0 (default) = 2*srtt *)
   context_queue_capacity : int;
@@ -72,14 +71,6 @@ type t = {
           refused (default 4096) *)
   sp_conn_cycles : int;  (** slow-path connection setup/teardown handling *)
   sp_flow_control_cycles : int;  (** slow-path CC loop, per flow *)
-  shard_lock_cycles : int;
-      (** per-flow spinlock cost model of the flow table's per-RSS-queue
-          shards (§3.1): cycles charged for an owner-core (local)
-          acquisition. Accounting only — never posted to a
-          simulated core (Table 2's lock line) *)
-  shard_lock_remote_cycles : int;
-      (** cycles charged for a cross-core acquisition (slow-path flow
-          install/remove, shard migration) *)
   trace_enabled : bool;
       (** record structured telemetry trace events; when [false] (default)
           the trace ring costs one boolean test per would-be event *)

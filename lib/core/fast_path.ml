@@ -98,27 +98,15 @@ type t = {
   mutable rto_cmd_thunks : (unit -> unit) array;
   memo : memo;
   scratch : Packet.t array;  (* vector-pass staging, fp_burst_size slots *)
-  dummy_pkt : Packet.t;
 }
-
-let make_dummy_packet () =
-  Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
-    ~tcp:
-      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
-         ~flags:Tcp_header.no_flags ~window:0 ())
-    ~payload:Bytes.empty ()
 
 let create ?trace ?span sim ~nic ~cores ~config =
   if Array.length cores = 0 then invalid_arg "Fast_path.create: no cores";
   let flows =
     (* Sharded by RSS queue: one shard per queue, following the NIC's
        redirection table. *)
-    Flow_table.create_sharded
-      ~lock_cycles:config.Config.shard_lock_cycles
-      ~remote_lock_cycles:config.Config.shard_lock_remote_cycles
-      ~rss:(Nic.rss nic) ()
+    Flow_table.create_sharded ~rss:(Nic.rss nic) ()
   in
-  let dummy_pkt = make_dummy_packet () in
   let n = Array.length cores in
   let t =
   {
@@ -160,10 +148,10 @@ let create ?trace ?span sim ~nic ~cores ~config =
     span = (match span with Some sp -> sp | None -> Span.disabled ());
     busy_snapshot = Array.make n 0;
     last_rx_time = Array.make n 0;
-    backlogs = Array.init n (fun _ -> Fifo.create dummy_pkt);
+    backlogs = Array.init n (fun _ -> Fifo.create Packet.sentinel);
     drain_armed = Array.make n false;
     drain_thunks = [||];
-    tx_queues = Array.init n (fun _ -> Fifo.create dummy_pkt);
+    tx_queues = Array.init n (fun _ -> Fifo.create Packet.sentinel);
     tx_thunks = [||];
     tx_cmds = Array.init n (fun _ -> Fifo.create Flow_state.absent);
     tx_cmd_thunks = [||];
@@ -177,8 +165,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
         m_dst_ip = -1;
         m_dst_port = -1;
       };
-    scratch = Array.make (max 1 config.Config.fp_burst_size) dummy_pkt;
-    dummy_pkt;
+    scratch = Array.make (max 1 config.Config.fp_burst_size) Packet.sentinel;
   }
   in
   Flow_table.set_on_migrate t.flows (fun ~group ~from_q:_ ~to_q ~moved ->
@@ -396,6 +383,32 @@ let rec_on_transmit t flow ~seq ~len =
   | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
     Rec.Scoreboard.on_transmit st.Rec.State.sb ~seq ~len ~now_ns:(Sim.now t.sim)
 
+(* Emit [len] bytes of the transmit buffer, starting [off] bytes past its
+   tail, as one data segment at [seq] through [core]'s transmit FIFO; a
+   [span] id of -1 means the segment is not span-sampled. Pool-recycled
+   payload staging: [Ring.read_at ~len] overwrites the full (exact-length)
+   buffer, so stale contents of a recycled buffer are never observable. *)
+let emit_segment t flow core ~seq ~off ~len ~span =
+  let payload = Buf_pool.take (Buf_pool.local ()) len in
+  let tx_buf = Flow_state.tx_buf flow in
+  Ring.read_at tx_buf ~pos:(Ring.tail tx_buf + off) ~dst:payload ~dst_off:0
+    ~len;
+  t.stats.tx_data_packets <- t.stats.tx_data_packets + 1;
+  trace_ev t Trace.Tx_data ~core:(Core.id core) ~flow:(Flow_state.opaque flow);
+  let pkt =
+    build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload ~sack:false
+  in
+  (* Small payloads bypassed the buffer pool: nothing to recycle. *)
+  if len >= Buf_pool.min_len then Packet.mark_pooled pkt;
+  if span >= 0 then begin
+    pkt.Packet.span <- span;
+    Span.record t.span ~ts:(Sim.now t.sim) ~id:span ~hop:Span.Fp_tx
+      ~core:(Core.id core) ~flow:(Flow_state.opaque flow)
+  end;
+  let idx = core_index t core in
+  Fifo.push t.tx_queues.(idx) pkt;
+  Core.run core ~cat:Core.Tx ~cycles:(tx_cycles t) t.tx_thunks.(idx)
+
 (* Drain the flow's bucket: segment and transmit as much buffered payload as
    congestion/flow control allows; in rate mode arm a pacing timer when the
    bucket runs dry. Runs on [core]. *)
@@ -415,37 +428,13 @@ let rec maybe_send t flow core =
             ~in_flight:(Flow_state.tx_sent flow) ~want
       in
       if granted > 0 then begin
-        (* Pool-recycled payload staging: [Ring.read_at ~len:granted] below
-           overwrites the full (exact-length) buffer, so stale contents of a
-           recycled buffer are never observable. *)
-        let payload = Buf_pool.take (Buf_pool.local ()) granted in
-        let tx_buf = Flow_state.tx_buf flow in
-        Ring.read_at tx_buf
-          ~pos:(Ring.tail tx_buf + Flow_state.tx_sent flow)
-          ~dst:payload ~dst_off:0 ~len:granted;
-        let seq = Flow_state.seq flow in
+        let seq = Flow_state.seq flow and off = Flow_state.tx_sent flow in
+        let span = Flow_state.tx_span flow in
+        if span >= 0 then Flow_state.set_tx_span flow (-1);
         Flow_state.set_seq flow (Seq32.add seq granted);
-        Flow_state.set_tx_sent flow (Flow_state.tx_sent flow + granted);
+        Flow_state.set_tx_sent flow (off + granted);
         rec_on_transmit t flow ~seq ~len:granted;
-        t.stats.tx_data_packets <- t.stats.tx_data_packets + 1;
-        trace_ev t Trace.Tx_data ~core:(Core.id core)
-          ~flow:(Flow_state.opaque flow);
-        let pkt =
-          build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload
-            ~sack:false
-        in
-        (* Small payloads bypassed the buffer pool: nothing to recycle. *)
-        if granted >= Buf_pool.min_len then Packet.mark_pooled pkt;
-        if Flow_state.tx_span flow >= 0 then begin
-          let id = Flow_state.tx_span flow in
-          Flow_state.set_tx_span flow (-1);
-          pkt.Packet.span <- id;
-          Span.record t.span ~ts:(Sim.now t.sim) ~id ~hop:Span.Fp_tx
-            ~core:(Core.id core) ~flow:(Flow_state.opaque flow)
-        end;
-        let idx = core_index t core in
-        Fifo.push t.tx_queues.(idx) pkt;
-        Core.run core ~cat:Core.Tx ~cycles:(tx_cycles t) t.tx_thunks.(idx);
+        emit_segment t flow core ~seq ~off ~len:granted ~span;
         maybe_send t flow core
       end
       else arm_pacing_timer t flow core ~want
@@ -480,23 +469,10 @@ and arm_pacing_timer t flow core ~want =
    delay repair (the slow path still sees the episode via cnt_frexmits and
    cuts the rate). *)
 let send_segment t flow core ~seq ~len =
-  let tx_buf = Flow_state.tx_buf flow in
   let off = Seq32.diff seq (Flow_state.snd_una flow) in
-  if len > 0 && off >= 0 && off + len <= Ring.used tx_buf then begin
-    let payload = Buf_pool.take (Buf_pool.local ()) len in
-    Ring.read_at tx_buf ~pos:(Ring.tail tx_buf + off) ~dst:payload ~dst_off:0
-      ~len;
-    t.stats.tx_data_packets <- t.stats.tx_data_packets + 1;
-    trace_ev t Trace.Tx_data ~core:(Core.id core)
-      ~flow:(Flow_state.opaque flow);
-    let pkt =
-      build_packet t flow ~flags:Tcp_header.data_flags ~seq ~payload
-        ~sack:false
-    in
-    if len >= Buf_pool.min_len then Packet.mark_pooled pkt;
-    let idx = core_index t core in
-    Fifo.push t.tx_queues.(idx) pkt;
-    Core.run core ~cat:Core.Tx ~cycles:(tx_cycles t) t.tx_thunks.(idx);
+  if len > 0 && off >= 0 && off + len <= Ring.used (Flow_state.tx_buf flow)
+  then begin
+    emit_segment t flow core ~seq ~off ~len ~span:(-1);
     true
   end
   else false
@@ -525,9 +501,7 @@ let retransmit_lost t flow core =
     end
   done
 
-let reo_wnd_of t flow =
-  Rec.Rack_tlp.reo_wnd_ns ~srtt_ns:(Flow_state.rtt_est flow)
-    ~configured:t.config.Config.rack_reo_wnd_ns
+let reo_wnd_of flow = Rec.Rack_tlp.reo_wnd_ns ~srtt_ns:(Flow_state.rtt_est flow)
 
 (* Tail-loss probe: one PTO hangs over the connection while data is in
    flight; on expiry the highest unsacked segment is re-sent to
@@ -592,7 +566,7 @@ let reo_expired t flow st gen =
     let core = t.cores.(st.Rec.State.reo_core) in
     let n =
       Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
-        ~reo_wnd:(reo_wnd_of t flow) ~srtt_ns:(Flow_state.rtt_est flow)
+        ~reo_wnd:(reo_wnd_of flow) ~srtt_ns:(Flow_state.rtt_est flow)
     in
     if n > 0 then begin
       t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
@@ -612,7 +586,7 @@ let arm_reo t flow core =
       st.Rec.State.reo_armed <- true;
       st.Rec.State.reo_core <- core_index t core;
       let srtt = max 1 (Flow_state.rtt_est flow) in
-      let due = tx + reo_wnd_of t flow + srtt in
+      let due = tx + reo_wnd_of flow + srtt in
       let delay = max 1 (due - Sim.now t.sim) in
       if st.Rec.State.reo_timer == Rec.State.no_timer then
         st.Rec.State.reo_timer <- reo_expired t flow st;
@@ -620,19 +594,14 @@ let arm_reo t flow core =
     end
   end
 
-(* Digest one ACK through the configured recovery engine and act on the
-   verdict: mirror the episode flag into the Table-3 record, signal the
-   slow path's rate cut once per episode (cnt_frexmits, like Reno), and
-   selectively retransmit whatever was marked lost. *)
+(* Digest one ACK of a SACK-class flow through the scoreboard engine and
+   act on the verdict: mirror the episode flag into the Table-3 record,
+   signal the slow path's rate cut once per episode (cnt_frexmits, like
+   Reno), and selectively retransmit whatever was marked lost. *)
 let recovery_on_ack t flow core ~una ~sack ~dup_acks =
   let st = Flow_state.recovery flow in
-  let snd_nxt = Flow_state.seq flow in
-  (match st.Rec.State.kind with
-  | Rec.Policy.Reno -> ()
-  | Rec.Policy.Sack -> Rec.Sack.on_ack st ~una ~snd_nxt ~sack ~dup_acks
-  | Rec.Policy.Rack_tlp ->
-    Rec.Rack_tlp.on_ack st ~una ~snd_nxt ~sack ~dup_acks
-      ~reo_wnd:(reo_wnd_of t flow));
+  Rec.Rack_tlp.on_ack st ~una ~snd_nxt:(Flow_state.seq flow) ~sack ~dup_acks
+    ~reo_wnd:(reo_wnd_of flow);
   let newly_sacked = st.Rec.State.newly_sacked
   and newly_lost = st.Rec.State.newly_lost in
   Flow_state.set_in_recovery flow st.Rec.State.in_rec;
@@ -718,100 +687,51 @@ let sample_rtt t flow (tcp : Tcp_header.t) =
          else ((7 * Flow_state.rtt_est flow) + rtt) / 8)
   end
 
-(* The seed's ACK processing, verbatim: cumulative advance plus the
-   triple-duplicate-ACK go-back-N rewind (§3.1 exception 1). The dup-ACK
-   counting/threshold decision lives in {!Tas_recovery.Reno} — extracted,
-   not changed; telemetry and packet behaviour are byte-identical to the
-   pre-extraction fast path. *)
-let process_ack_reno t flow pkt core =
-  let tcp = pkt.Packet.tcp in
-  let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
-  Flow_state.set_window flow
-    (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
-  if acked > 0 then begin
-    (* Accept any ACK covering bytes still in the transmit buffer. After a
-       fast-retransmit rewind the receiver can cumulatively ACK past
-       snd_nxt (it had the later segments buffered); fast-forward. *)
-    if acked <= Ring.used (Flow_state.tx_buf flow) then begin
-      Ring.advance_tail (Flow_state.tx_buf flow) acked;
-      if acked >= Flow_state.tx_sent flow then begin
-        Flow_state.set_seq flow tcp.Tcp_header.ack;
-        Flow_state.set_tx_sent flow 0
-      end
-      else Flow_state.set_tx_sent flow (Flow_state.tx_sent flow - acked);
-      Flow_state.set_dupack_cnt flow 0;
-      Flow_state.set_in_recovery flow false;
-      Flow_state.set_cnt_ackb flow (Flow_state.cnt_ackb flow + acked);
-      if tcp.Tcp_header.flags.Tcp_header.ece then
-        Flow_state.set_cnt_ecnb flow (Flow_state.cnt_ecnb flow + acked);
-      sample_rtt t flow tcp;
-      if Flow_state.tx_interest flow then begin
-        Flow_state.set_tx_interest flow false;
-        post_writable t flow
-      end;
-      maybe_send t flow core
-    end
-    else begin
-      (* ACK beyond what the fast path sent (e.g. of a slow-path FIN). *)
-      t.stats.exceptions_forwarded <- t.stats.exceptions_forwarded + 1;
-      t.exception_handler pkt
-    end
+(* The cumulative advance every policy shares: reclaim [acked] bytes of
+   the transmit buffer, fast-forward [seq] when the ACK covers everything
+   sent (after a go-back-N rewind the receiver can cumulatively ACK past
+   snd_nxt: it had the later segments buffered), and feed the slow path's
+   byte counters and the RTT estimate. *)
+let advance_una t flow (tcp : Tcp_header.t) acked =
+  Ring.advance_tail (Flow_state.tx_buf flow) acked;
+  if acked >= Flow_state.tx_sent flow then begin
+    Flow_state.set_seq flow tcp.Tcp_header.ack;
+    Flow_state.set_tx_sent flow 0
   end
-  else if
-    acked = 0
-    && Flow_state.tx_sent flow > 0
-    && Bytes.length pkt.Packet.payload = 0
-  then begin
-    match
-      Rec.Reno.on_dup_ack ~dupack_cnt:(Flow_state.dupack_cnt flow)
-        ~in_recovery:(Flow_state.in_recovery flow)
-    with
-    | Rec.Reno.Count cnt -> Flow_state.set_dupack_cnt flow cnt
-    | Rec.Reno.Enter_recovery ->
-      Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
-      Flow_state.set_in_recovery flow true;
-      (* Fast recovery: rewind the sender as if the segments beyond the
-         duplicate ACK had not been sent (§3.1 exception 1); the slow path
-         sees cnt_frexmits and cuts the flow's rate. *)
-      Flow_state.set_cnt_frexmits flow (Flow_state.cnt_frexmits flow + 1);
-      t.stats.fast_retransmits <- t.stats.fast_retransmits + 1;
-      trace_ev t Trace.Fast_rexmit ~core:(Core.id core)
-        ~flow:(Flow_state.opaque flow);
-      Flow_state.set_seq flow (Flow_state.snd_una flow);
-      Flow_state.set_tx_sent flow 0;
-      Flow_state.set_dupack_cnt flow 0;
-      maybe_send t flow core
-  end
+  else Flow_state.set_tx_sent flow (Flow_state.tx_sent flow - acked);
+  Flow_state.set_dupack_cnt flow 0;
+  Flow_state.set_cnt_ackb flow (Flow_state.cnt_ackb flow + acked);
+  if tcp.Tcp_header.flags.Tcp_header.ece then
+    Flow_state.set_cnt_ecnb flow (Flow_state.cnt_ecnb flow + acked);
+  sample_rtt t flow tcp
 
-(* ACK processing for SACK-class policies: same cumulative machinery, but
-   duplicate ACKs and SACK blocks feed the scoreboard engine instead of
-   triggering a go-back-N rewind, and losses are repaired selectively. *)
-let process_ack_modern t flow pkt core =
+(* One ACK path for every recovery policy: cumulative advance, or a
+   duplicate ACK (§3.1 exception 1). The policy decides only what those
+   two mean. Under [Reno], progress ends the recovery episode and the
+   third duplicate ACK rewinds the sender go-back-N ({!Tas_recovery.Reno},
+   byte-identical to the seed's fast path). Under a SACK-class policy both
+   feed the scoreboard engine, which repairs losses selectively. The probe
+   and reordering timers arm only under [Rack_tlp]. *)
+let process_ack t flow pkt core =
   let tcp = pkt.Packet.tcp in
-  let st = Flow_state.recovery flow in
   let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
   Flow_state.set_window flow
     (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
   if acked > 0 then begin
+    (* Accept any ACK covering bytes still in the transmit buffer. *)
     if acked <= Ring.used (Flow_state.tx_buf flow) then begin
-      Ring.advance_tail (Flow_state.tx_buf flow) acked;
-      if acked >= Flow_state.tx_sent flow then begin
-        Flow_state.set_seq flow tcp.Tcp_header.ack;
-        Flow_state.set_tx_sent flow 0
-      end
-      else Flow_state.set_tx_sent flow (Flow_state.tx_sent flow - acked);
-      Flow_state.set_dupack_cnt flow 0;
-      Flow_state.set_cnt_ackb flow (Flow_state.cnt_ackb flow + acked);
-      if tcp.Tcp_header.flags.Tcp_header.ece then
-        Flow_state.set_cnt_ecnb flow (Flow_state.cnt_ecnb flow + acked);
-      sample_rtt t flow tcp;
-      (* Cumulative progress restarts the probe/reorder clocks: bump the
-         generation so pending timers dissolve, then re-arm below. *)
-      Rec.State.bump_gen st;
-      st.Rec.State.tlp_armed <- false;
-      st.Rec.State.reo_armed <- false;
-      recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~sack:tcp
-        ~dup_acks:0;
+      advance_una t flow tcp acked;
+      (match Flow_state.recovery_kind flow with
+      | Rec.Policy.Reno -> Flow_state.set_in_recovery flow false
+      | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
+        (* Cumulative progress restarts the probe/reorder clocks: bump the
+           generation so pending timers dissolve, then re-arm below. *)
+        let st = Flow_state.recovery flow in
+        Rec.State.bump_gen st;
+        st.Rec.State.tlp_armed <- false;
+        st.Rec.State.reo_armed <- false;
+        recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~sack:tcp
+          ~dup_acks:0);
       if Flow_state.tx_interest flow then begin
         Flow_state.set_tx_interest flow false;
         post_writable t flow
@@ -831,17 +751,33 @@ let process_ack_modern t flow pkt core =
     && Flow_state.tx_sent flow > 0
     && Bytes.length pkt.Packet.payload = 0
   then begin
-    Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
-    recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~sack:tcp
-      ~dup_acks:(Flow_state.dupack_cnt flow);
+    (match Flow_state.recovery_kind flow with
+    | Rec.Policy.Reno -> (
+      match
+        Rec.Reno.on_dup_ack ~dupack_cnt:(Flow_state.dupack_cnt flow)
+          ~in_recovery:(Flow_state.in_recovery flow)
+      with
+      | Rec.Reno.Count cnt -> Flow_state.set_dupack_cnt flow cnt
+      | Rec.Reno.Enter_recovery ->
+        Flow_state.set_in_recovery flow true;
+        (* Fast recovery: rewind the sender as if the segments beyond the
+           duplicate ACK had not been sent; the slow path sees
+           cnt_frexmits and cuts the flow's rate. *)
+        Flow_state.set_cnt_frexmits flow (Flow_state.cnt_frexmits flow + 1);
+        t.stats.fast_retransmits <- t.stats.fast_retransmits + 1;
+        trace_ev t Trace.Fast_rexmit ~core:(Core.id core)
+          ~flow:(Flow_state.opaque flow);
+        Flow_state.set_seq flow (Flow_state.snd_una flow);
+        Flow_state.set_tx_sent flow 0;
+        Flow_state.set_dupack_cnt flow 0;
+        maybe_send t flow core)
+    | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
+      Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
+      recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~sack:tcp
+        ~dup_acks:(Flow_state.dupack_cnt flow));
     arm_tlp t flow core;
     arm_reo t flow core
   end
-
-let process_ack t flow pkt core =
-  match Flow_state.recovery_kind flow with
-  | Rec.Policy.Reno -> process_ack_reno t flow pkt core
-  | Rec.Policy.Sack | Rec.Policy.Rack_tlp -> process_ack_modern t flow pkt core
 
 (* Deposit [write_len] bytes of the segment at [write_at] and advance the
    in-order stream by [advance] bytes: the [Ooo.Deliver] verdict. *)
@@ -873,24 +809,6 @@ let drop_payload t flow core ~ce =
     ~flow:(Flow_state.opaque flow);
   send_ack t flow ~ece:ce
 
-(* Simple go-back-N receive: only the exact next segment is accepted (the
-   Fig. 7 "TAS simple recovery" ablation). *)
-let receive_in_order_only t flow pkt core ~seq ~seg_len ~window ~ce =
-  let exp = Flow_state.ack flow in
-  if Seq32.lt seq exp then begin
-    let dup = Seq32.diff exp seq in
-    if dup >= seg_len then send_ack t flow ~ece:ce
-    else
-      let n = min (seg_len - dup) window in
-      deliver_data t flow pkt core ~write_at:exp ~write_len:n ~advance:n ~ce
-  end
-  else if seq = exp then begin
-    let n = min seg_len window in
-    if n = 0 then drop_payload t flow core ~ce
-    else deliver_data t flow pkt core ~write_at:exp ~write_len:n ~advance:n ~ce
-  end
-  else drop_payload t flow core ~ce
-
 let process_data t flow pkt core =
   let payload = pkt.Packet.payload in
   let seg_len = Bytes.length payload in
@@ -899,16 +817,15 @@ let process_data t flow pkt core =
   let window = Ring.free rx_buf in
   let seq = pkt.Packet.tcp.Tcp_header.seq in
   let ooo = Flow_state.ooo flow in
-  (* The exact next segment with nothing stored: the verdict both receive
-     modes would reach, without asking for it. *)
+  (* The exact next segment with nothing stored: [handle]'s verdict,
+     without asking for it. The go-back-N receiver of Fig. 7 is an
+     interval set with no slot, whose [handle] drops what this misses. *)
   let n =
     Ooo.in_order ooo ~exp:(Flow_state.ack flow) ~window ~seg_start:seq
       ~seg_len
   in
   if n > 0 then
     deliver_data t flow pkt core ~write_at:seq ~write_len:n ~advance:n ~ce
-  else if not t.config.Config.rx_ooo_enabled then
-    receive_in_order_only t flow pkt core ~seq ~seg_len ~window ~ce
   else
     match
       Ooo.handle ooo ~exp:(Flow_state.ack flow) ~window ~seg_start:seq
@@ -1048,7 +965,7 @@ let drain_backlog t idx core =
       t.scratch.(i) <- Fifo.pop b
     done;
     process_burst t t.scratch ~count:n core;
-    Array.fill t.scratch 0 n t.dummy_pkt
+    Array.fill t.scratch 0 n Packet.sentinel
   done
 
 let rx_cost t pkt =

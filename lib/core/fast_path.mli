@@ -10,12 +10,13 @@
     interval — and forwards everything else (SYN/FIN/RST, unknown flows) to
     the slow path.
 
-    Loss recovery is pluggable ([Config.recovery_policy]): the default
-    [Reno] policy is the paper's go-back-N machinery, byte-identical to
-    the seed; [Sack] and [Rack_tlp] flows instead advertise SACK blocks on
-    their ACKs, feed a sender scoreboard ({!Tas_recovery.Scoreboard}) and
-    repair losses selectively — plus, for [Rack_tlp], time-based loss
-    marking and tail-loss probes on fire-and-forget simulator timers. *)
+    Loss recovery is a setting ([Config.recovery_policy]) on one receive
+    path and one ACK path: the default [Reno] policy is the paper's
+    go-back-N machinery, byte-identical to the seed; [Sack] and [Rack_tlp]
+    flows instead advertise SACK blocks on their ACKs, feed a sender
+    scoreboard ({!Tas_recovery.Scoreboard}) and repair losses selectively
+    — plus, for [Rack_tlp], time-based loss marking and tail-loss probes
+    on fire-and-forget simulator timers. *)
 
 type t
 

@@ -50,7 +50,8 @@ val create :
     none of that capacity.
     [?recovery] selects the loss-recovery policy (default [Reno], the
     paper's go-back-N); [?ooo_ranges] sizes the receiver's out-of-order
-    interval set (default 1, the paper's single interval). *)
+    interval set (default 1, the paper's single interval; 0 is the
+    go-back-N receiver). *)
 
 val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
 (** Teardown:

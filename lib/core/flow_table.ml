@@ -8,8 +8,7 @@ type t = Flow_state.t Flow_shards.t
 let create () =
   Flow_shards.create ~rss:(Rss_table.create ~num_queues:1 ()) ()
 
-let create_sharded ?lock_cycles ?remote_lock_cycles ~rss () =
-  Flow_shards.create ?lock_cycles ?remote_lock_cycles ~rss ()
+let create_sharded ~rss () = Flow_shards.create ~rss ()
 
 let add = Flow_shards.add
 let find = Flow_shards.find

@@ -15,12 +15,7 @@ val create : unit -> t
 (** A single-shard table behind a private one-queue redirection table, for
     components without a NIC (tests, microbenchmarks). *)
 
-val create_sharded :
-  ?lock_cycles:int ->
-  ?remote_lock_cycles:int ->
-  rss:Tas_shard.Rss_table.t ->
-  unit ->
-  t
+val create_sharded : rss:Tas_shard.Rss_table.t -> unit -> t
 (** One shard per queue of [rss] (the NIC's redirection table); installs
     the shard set as the table's migration consumer. *)
 

@@ -463,10 +463,14 @@ let establish t p =
       Flow_state.create ~arena:t.arena ~pool:t.rings
         ~recovery:t.config.Config.recovery_policy
         ~ooo_ranges:
-          (match t.config.Config.recovery_policy with
-          | Tas_recovery.Policy.Reno -> 1
-          | Tas_recovery.Policy.Sack | Tas_recovery.Policy.Rack_tlp ->
-            max 1 t.config.Config.sack_max_ranges)
+          (* No slot is the go-back-N receiver: the only place
+             [rx_ooo_enabled] is read. SACK-class flows track 4 intervals,
+             at most 3 of which fit an ACK beside the timestamp option. *)
+          (if not t.config.Config.rx_ooo_enabled then 0
+           else
+             match t.config.Config.recovery_policy with
+             | Tas_recovery.Policy.Reno -> 1
+             | Tas_recovery.Policy.Sack | Tas_recovery.Policy.Rack_tlp -> 4)
         ~opaque:p.p_opaque ~context:p.p_context ~bucket
         ~rx_buf_size:t.config.Config.rx_buf_size
         ~tx_buf_size:t.config.Config.tx_buf_size ~local_port:k.k_local_port
@@ -991,14 +995,6 @@ let close_step t =
 
 (* --- Construction -------------------------------------------------------- *)
 
-(* Never handed out: the vacated-slot filler of the exception FIFO. *)
-let dummy_packet =
-  Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
-    ~tcp:
-      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
-         ~flags:Tcp_header.no_flags ~window:0 ())
-    ~payload:Bytes.empty ()
-
 let create sim ~fast_path ~core ~config =
   let t =
     {
@@ -1026,7 +1022,7 @@ let create sim ~fast_path ~core ~config =
           interval_ns = 0;
         };
       lifecycle = lifecycle_create ();
-      exceptions = Fifo.create dummy_packet;
+      exceptions = Fifo.create Packet.sentinel;
       exception_step = ignore;
       closes = Fifo.create Flow_state.absent;
       close_step = ignore;

@@ -1,6 +1,5 @@
 module Sim = Tas_engine.Sim
 module Packet = Tas_proto.Packet
-module Tcp_header = Tas_proto.Tcp_header
 module Ipv4_header = Tas_proto.Ipv4_header
 module Span = Tas_telemetry.Span
 
@@ -13,12 +12,13 @@ type ring = {
   mutable r_len : int;
 }
 
-let ring_create dummy cap = { r_buf = Array.make cap dummy; r_head = 0; r_len = 0 }
+let ring_create cap =
+  { r_buf = Array.make cap Packet.sentinel; r_head = 0; r_len = 0 }
 
-let ring_push r dummy pkt =
+let ring_push r pkt =
   let cap = Array.length r.r_buf in
   if r.r_len = cap then begin
-    let bigger = Array.make (2 * cap) dummy in
+    let bigger = Array.make (2 * cap) Packet.sentinel in
     for i = 0 to r.r_len - 1 do
       bigger.(i) <- r.r_buf.((r.r_head + i) mod cap)
     done;
@@ -28,12 +28,13 @@ let ring_push r dummy pkt =
   r.r_buf.((r.r_head + r.r_len) mod Array.length r.r_buf) <- pkt;
   r.r_len <- r.r_len + 1
 
-(* Returns [dummy] when empty: an option would allocate on every pop. *)
-let ring_pop r dummy =
-  if r.r_len = 0 then dummy
+(* Returns [Packet.sentinel] when empty: an option would allocate on every
+   pop. *)
+let ring_pop r =
+  if r.r_len = 0 then Packet.sentinel
   else begin
     let pkt = r.r_buf.(r.r_head) in
-    r.r_buf.(r.r_head) <- dummy;
+    r.r_buf.(r.r_head) <- Packet.sentinel;
     r.r_head <- (r.r_head + 1) mod Array.length r.r_buf;
     r.r_len <- r.r_len - 1;
     pkt
@@ -48,7 +49,6 @@ type t = {
   ecn_threshold : int option;
   queue : ring;
   inflight : ring;  (* serialized, now propagating; delivery is FIFO *)
-  dummy : Packet.t;
   mutable queued_bytes : int;
   mutable transmitting : bool;
   mutable tx_pkt : Packet.t;  (* the one packet currently serializing *)
@@ -62,15 +62,7 @@ type t = {
   mutable busy_ns : int;
 }
 
-let make_dummy () =
-  Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
-    ~tcp:
-      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
-         ~flags:Tcp_header.no_flags ~window:0 ())
-    ~payload:Bytes.empty ()
-
 let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
-  let dummy = make_dummy () in
   let t =
     {
       span = Span.disabled ();
@@ -79,12 +71,11 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
       delay;
       capacity = capacity_pkts;
       ecn_threshold;
-      queue = ring_create dummy 64;
-      inflight = ring_create dummy 64;
-      dummy;
+      queue = ring_create 64;
+      inflight = ring_create 64;
       queued_bytes = 0;
       transmitting = false;
-      tx_pkt = dummy;
+      tx_pkt = Packet.sentinel;
       deliver = ignore;
       tx_done_thunk = ignore;
       deliver_thunk = ignore;
@@ -99,20 +90,20 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
   t.deliver_thunk <-
     (fun () ->
       (* Constant propagation delay: deliveries complete in push order. *)
-      let pkt = ring_pop t.inflight t.dummy in
-      assert (pkt != t.dummy);
+      let pkt = ring_pop t.inflight in
+      assert (pkt != Packet.sentinel);
       t.deliver pkt);
   t
 
 and tx_done t =
   let pkt = t.tx_pkt in
-  t.tx_pkt <- t.dummy;
+  t.tx_pkt <- Packet.sentinel;
   t.queued_bytes <- t.queued_bytes - Packet.wire_size pkt;
   t.tx_packets <- t.tx_packets + 1;
   t.tx_bytes <- t.tx_bytes + Packet.wire_size pkt;
   span_hop t pkt Span.Port_out;
   (* Propagation delay, then hand to the far end. *)
-  ring_push t.inflight t.dummy pkt;
+  ring_push t.inflight pkt;
   Sim.post t.sim t.delay t.deliver_thunk;
   start_transmission t
 
@@ -126,8 +117,8 @@ and tx_time_ns t pkt =
   int_of_float (ceil (bits /. t.rate_bps *. 1e9))
 
 and start_transmission t =
-  let pkt = ring_pop t.queue t.dummy in
-  if pkt == t.dummy then t.transmitting <- false
+  let pkt = ring_pop t.queue in
+  if pkt == Packet.sentinel then t.transmitting <- false
   else begin
     t.transmitting <- true;
     t.tx_pkt <- pkt;
@@ -165,7 +156,7 @@ let enqueue t pkt =
       | _ -> pkt
     in
     span_hop t pkt Span.Port_q;
-    ring_push t.queue t.dummy pkt;
+    ring_push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + Packet.wire_size pkt;
     if not t.transmitting then start_transmission t
   end

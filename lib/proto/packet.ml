@@ -74,6 +74,13 @@ let make ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ecn = Ipv4_header.Ect0) ~tcp
   fill t ~src_mac ~dst_mac ~src_ip ~dst_ip ~ecn ~payload;
   t
 
+let sentinel =
+  make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
+    ~tcp:
+      (Tcp_header.make ~src_port:0 ~dst_port:0 ~seq:0 ~ack:0
+         ~flags:Tcp_header.no_flags ~window:0 ())
+    ~payload:Bytes.empty ()
+
 module Pool = struct
   type t = pool
 

@@ -85,6 +85,11 @@ val make :
     senders mark all data packets ECN-capable. For cold paths: handshakes,
     tests, the baseline engine. *)
 
+val sentinel : t
+(** A zero-address packet that is never handed out: the filler of vacated
+    slots in packet FIFOs and rings, and the "empty" answer of a pop,
+    told apart with [==]. Nothing sends, fills, retains or releases it. *)
+
 module Pool : sig
   type t = pool
 

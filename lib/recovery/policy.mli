@@ -1,13 +1,14 @@
 (** Loss-recovery policy selector.
 
-    The fast path dispatches its ACK-clocked retransmission machinery on
-    this kind (configured per stack instance via [Config.recovery_policy]):
+    The fast path has one ACK path for every kind (configured per stack
+    instance via [Config.recovery_policy]); the kind decides only what
+    cumulative progress and duplicate ACKs do:
 
     - [Reno]: the paper's §3.1 exception-1 behaviour — triple duplicate
       ACK triggers one go-back-N rewind ({!Reno}). The seed reference.
     - [Sack]: receiver advertises out-of-order runs as SACK blocks; the
       sender keeps a per-segment scoreboard and retransmits selectively
-      ({!Sack} over {!Scoreboard}).
+      ({!Rack_tlp.on_ack} over {!Scoreboard}).
     - [Rack_tlp]: [Sack] plus RACK time-based loss detection (a segment is
       lost once something sent [reo_wnd] later was delivered) and tail-loss
       probes so a dropped final segment does not wait out a full RTO

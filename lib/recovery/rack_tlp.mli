@@ -1,5 +1,14 @@
-(** RACK time-based loss detection + tail-loss probes (RFC 8985 flavour,
-    simplified for the simulated stack).
+(** The SACK-class recovery engine: SACK-based loss rules (RFC 2018
+    blocks + RFC 6675), and under [Rack_tlp] RACK time-based loss
+    detection + tail-loss probes (RFC 8985 flavour, simplified for the
+    simulated stack).
+
+    SACK: the fast path feeds every ACK (cumulative edge, SACK blocks,
+    duplicate-ACK count) through {!on_ack} and then retransmits whatever
+    the scoreboard marks lost — selectively, without rewinding the send
+    sequence. Episodes are bracketed by [recovery_point]: one rate-cut
+    signal per episode, ended when the cumulative ACK passes the
+    [snd_nxt] recorded at entry. The [Sack] policy stops here.
 
     RACK: every delivery (cumulative or SACK) of a never-retransmitted
     segment advances [rack_ts], the latest transmit timestamp proven
@@ -16,9 +25,9 @@
     the SACK/ACK feedback that lets RACK repair genuine tail losses at
     probe-timescale instead of RTO-timescale. *)
 
-val reo_wnd_ns : srtt_ns:int -> configured:int -> int
-(** The reordering window: [configured] when positive, else
-    [max (srtt/4) 1µs] (the RFC's srtt/4 starting value). *)
+val reo_wnd_ns : srtt_ns:int -> int
+(** The reordering window: [max (srtt/4) 1µs] (the RFC's srtt/4 starting
+    value). *)
 
 val pto_ns : srtt_ns:int -> configured:int -> int
 (** The probe timeout: [configured] when positive, else
@@ -32,11 +41,16 @@ val on_ack :
   dup_acks:int ->
   reo_wnd:int ->
   unit
-(** {!Sack.on_ack}'s digestion plus the RACK clock: update [rack_ts] from
-    the delivered segments (Karn-filtered), then additionally mark lost
-    everything older than [rack_ts - reo_wnd]. The outcome lands in the
-    state's fields as for {!Sack.on_ack}, [rack_lost] counting the
-    segments the time rule marked. Allocates nothing. *)
+(** Digest one ACK under the state's policy ([Sack] or [Rack_tlp]):
+    advance the scoreboard to [una], apply the SACK blocks of the ACK's
+    header [sack], run the dupthresh loss rule (plus the front-hole rule
+    once [dup_acks] reaches {!Reno.dupthresh} without SACK evidence above
+    the hole), and maintain the episode bracket against [snd_nxt]. Under
+    [Rack_tlp] only, also update [rack_ts] from the delivered segments
+    (Karn-filtered) and mark lost everything older than
+    [rack_ts - reo_wnd]. The outcome lands in the state's [newly_sacked],
+    [newly_lost], [rack_lost] (the segments the time rule marked; 0 under
+    [Sack]), [entered] and [exited] fields. Allocates nothing. *)
 
 val on_reo_timer : State.t -> now_ns:int -> reo_wnd:int -> srtt_ns:int -> int
 (** The reordering timer fired: mark lost every candidate transmitted

@@ -31,7 +31,7 @@ type t = {
   mutable tlp_core : int;
   mutable reo_core : int;
       (** index of the fast-path core the pending timer was armed on *)
-  (* The last [Sack.on_ack] / [Rack_tlp.on_ack] outcome. *)
+  (* The last [Rack_tlp.on_ack] outcome. *)
   mutable newly_sacked : int;  (** segments first marked sacked *)
   mutable newly_lost : int;  (** segments first marked lost *)
   mutable rack_lost : int;

@@ -63,11 +63,10 @@ type 'v t = {
   mutable on_migrate : group:int -> from_q:int -> to_q:int -> moved:int -> unit;
 }
 
-let make_shard ~lock_cycles ~remote_lock_cycles () =
+let make_shard () =
   {
     tbl = Tbl.create 256;
-    lock = Spinlock.create ~local_cycles:lock_cycles
-        ~remote_cycles:remote_lock_cycles ();
+    lock = Spinlock.create ();
     lookups = 0;
     installs = 0;
     removes = 0;
@@ -102,13 +101,13 @@ let migrate_group t ~group ~from_q ~to_q =
   end;
   t.on_migrate ~group ~from_q ~to_q ~moved
 
-let create ?(lock_cycles = 24) ?(remote_lock_cycles = 96) ~rss () =
+let create ~rss () =
   let t =
     {
       rss;
       shards =
         Array.init (Rss_table.num_queues rss) (fun _ ->
-            make_shard ~lock_cycles ~remote_lock_cycles ());
+            make_shard ());
       probe =
         { k_local_ip = 0; k_local_port = 0; k_peer_ip = 0; k_peer_port = 0 };
       migrated_flows = 0;

@@ -25,12 +25,11 @@
 
 type 'v t
 
-val create :
-  ?lock_cycles:int -> ?remote_lock_cycles:int -> rss:Rss_table.t -> unit ->
-  'v t
-(** One shard per [rss] queue. Installs itself as the table's [on_move]
-    consumer (see {!Rss_table.set_on_move}); create at most one shard set
-    per redirection table. Lock-cost defaults match {!Spinlock.create}. *)
+val create : rss:Rss_table.t -> unit -> 'v t
+(** One shard per [rss] queue, each lock costed at {!Spinlock.create}'s
+    defaults. Installs itself as the table's [on_move] consumer (see
+    {!Rss_table.set_on_move}); create at most one shard set per
+    redirection table. *)
 
 val rss : 'v t -> Rss_table.t
 val num_shards : 'v t -> int

@@ -24,7 +24,6 @@ module Rec = Tas_recovery
 module Policy = Rec.Policy
 module Scoreboard = Rec.Scoreboard
 module State = Rec.State
-module Sack = Rec.Sack
 module Rack = Rec.Rack_tlp
 module Reno = Rec.Reno
 
@@ -85,8 +84,11 @@ let last_unsacked_opt sb = seg_opt sb (Scoreboard.last_unsacked sb)
 let oldest_unsacked_tx_opt sb =
   match Scoreboard.oldest_unsacked_tx sb with -1 -> None | tx -> Some tx
 
+(* The engine under a [Sack] state. A zero reordering window would let
+   RACK's time rule mark every hole below a SACK at once: the [Sack]
+   policy must not run it. *)
 let sack_on_ack st ~una ~snd_nxt ~blocks ~dup_acks =
-  Sack.on_ack st ~una ~snd_nxt ~sack:(sack_hdr blocks) ~dup_acks;
+  Rack.on_ack st ~una ~snd_nxt ~sack:(sack_hdr blocks) ~dup_acks ~reo_wnd:0;
   st
 
 let rack_on_ack st ~una ~snd_nxt ~blocks ~dup_acks ~reo_wnd =
@@ -179,6 +181,7 @@ let test_sack_episode_bracket () =
   (* SACK evidence above the front hole accumulates over duplicates. *)
   let o1 = sack_on_ack st ~una:0 ~snd_nxt:500 ~blocks:[ (200, 300) ] ~dup_acks:1 in
   Alcotest.(check bool) "no episode yet" false o1.State.entered;
+  Alcotest.(check int) "no RACK clock under Sack" (-1) st.State.rack_ts;
   let o2 =
     sack_on_ack st ~una:0 ~snd_nxt:500 ~blocks:[ (200, 400) ] ~dup_acks:2
   in
@@ -215,11 +218,9 @@ let test_sack_front_hole_rule () =
 
 let test_rack_defaults_and_clock () =
   Alcotest.(check int) "reo_wnd = srtt/4" 2_500
-    (Rack.reo_wnd_ns ~srtt_ns:10_000 ~configured:0);
+    (Rack.reo_wnd_ns ~srtt_ns:10_000);
   Alcotest.(check int) "reo_wnd floor" 1_000
-    (Rack.reo_wnd_ns ~srtt_ns:0 ~configured:0);
-  Alcotest.(check int) "reo_wnd configured wins" 77
-    (Rack.reo_wnd_ns ~srtt_ns:10_000 ~configured:77);
+    (Rack.reo_wnd_ns ~srtt_ns:0);
   Alcotest.(check int) "pto = 2*srtt" 20_000_000
     (Rack.pto_ns ~srtt_ns:10_000_000 ~configured:0);
   Alcotest.(check int) "pto floor 1ms" 1_000_000
