@@ -159,7 +159,7 @@ module Client = struct
       zipf_s = 0.9;
     }
 
-  let key_of workload i =
+  let key_name workload i =
     let base = Printf.sprintf "key-%08x" i in
     if String.length base >= workload.key_size then
       String.sub base 0 workload.key_size
@@ -181,7 +181,7 @@ module Client = struct
       let sent_at = ref 0 in
       let fire conn =
         sent_at := Sim.now sim;
-        let key = key_of workload (Rng.Zipf.draw rng sampler) in
+        let key = key_name workload (Rng.Zipf.draw rng sampler) in
         let request =
           if Rng.float rng 1.0 < workload.get_fraction then
             encode_request ~op:0 ~key ~value:""

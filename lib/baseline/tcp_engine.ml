@@ -9,15 +9,12 @@ module Window_cc = Tas_tcp.Window_cc
 module Rtt = Tas_tcp.Rtt
 module Ring = Tas_buffers.Ring_buffer
 
-type recovery = Full_ooo | Go_back_n
-
 type config = {
   mss : int;
   rx_buf : int;
   tx_buf : int;
   algorithm : Window_cc.algorithm;
   initial_window : int;
-  recovery : recovery;
   initial_rto_ns : int;
   wscale : int;
 }
@@ -29,7 +26,6 @@ let default_config =
     tx_buf = 65535;
     algorithm = Window_cc.Dctcp;
     initial_window = 10 * 1460;
-    recovery = Full_ooo;
     initial_rto_ns = 10_000_000;
     wscale = 4;
   }
@@ -46,12 +42,7 @@ type state =
   | Time_wait
   | Closed
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Addr.Four_tuple.t
-
-  let equal = Addr.Four_tuple.equal
-  let hash = Addr.Four_tuple.hash
-end)
+module Tbl = Addr.Four_tuple.Tbl
 
 type conn = {
   stack : t;
@@ -95,12 +86,13 @@ and t = {
   sim : Sim.t;
   nic : Nic.t;
   config : config;
-  conns : conn Tuple_tbl.t;
+  conns : conn Tbl.t;
+  probe : Addr.Four_tuple.t;
+      (* scratch lookup key of [handle_packet]; never stored *)
   listeners : (int, conn -> callbacks) Hashtbl.t;
   mutable next_ephemeral : int;
   mutable next_iss : int;
   mutable total_retransmits : int;
-  mutable tx_hook : (Packet.t -> unit) option;
 }
 
 let null_callbacks =
@@ -116,15 +108,14 @@ let create sim nic config =
     sim;
     nic;
     config;
-    conns = Tuple_tbl.create 256;
+    conns = Tbl.create 256;
+    probe = Addr.Four_tuple.probe ();
     listeners = Hashtbl.create 16;
     next_ephemeral = 32768;
     next_iss = 1000;
     total_retransmits = 0;
-    tx_hook = None;
   }
 
-let set_tx_hook t hook = t.tx_hook <- hook
 let tuple c = c.tuple
 let is_established c = c.state = Established
 let bytes_delivered c = c.delivered
@@ -132,7 +123,7 @@ let bytes_acked c = c.acked_total
 let retransmits c = c.retransmit_count
 let srtt_ns c = Rtt.srtt_ns c.rtt
 let cwnd c = Window_cc.cwnd c.cc
-let connection_count t = Tuple_tbl.length t.conns
+let connection_count t = Tbl.length t.conns
 let total_retransmits t = t.total_retransmits
 let tx_free c = Ring.free c.tx
 
@@ -174,7 +165,6 @@ let emit c ?(flags = Tcp_header.ack_flags) ?(payload = Bytes.empty)
       ~src_ip:c.tuple.Addr.Four_tuple.local_ip
       ~dst_ip:c.tuple.Addr.Four_tuple.peer_ip ~ecn ~tcp ~payload ()
   in
-  (match t.tx_hook with Some hook -> hook pkt | None -> ());
   Nic.transmit t.nic pkt
 
 (* CE marks observed on received data are echoed on the ACK for that data —
@@ -270,7 +260,7 @@ and try_send c =
 let remove_conn c =
   cancel_rto c;
   c.state <- Closed;
-  Tuple_tbl.remove c.stack.conns c.tuple
+  Tbl.remove c.stack.conns c.tuple
 
 let enter_time_wait c =
   cancel_rto c;
@@ -365,9 +355,7 @@ let process_payload c (tcp : Tcp_header.t) payload ~ce =
     end
     else begin
       (* Out of order. *)
-      (match c.stack.config.recovery with
-      | Full_ooo -> store_ooo c seq payload
-      | Go_back_n -> ());
+      store_ooo c seq payload;
       send_ack ~ece:ce c
     end
   end
@@ -483,9 +471,9 @@ let handle_fin_ack c =
 
 let handle_packet t pkt =
   let tcp = pkt.Packet.tcp in
-  let tuple = Packet.four_tuple_at_receiver pkt in
-  match Tuple_tbl.find_opt t.conns tuple with
-  | Some c -> begin
+  Packet.write_tuple_at_receiver pkt t.probe;
+  match Tbl.find t.conns t.probe with
+  | c -> begin
     let flags = tcp.Tcp_header.flags in
     if flags.Tcp_header.rst then begin
       let was_established = c.state = Established || c.state = Close_wait in
@@ -536,13 +524,14 @@ let handle_packet t pkt =
       | Closed -> ()
     end
   end
-  | None ->
+  | exception Not_found ->
     if tcp.Tcp_header.flags.Tcp_header.syn && not tcp.Tcp_header.flags.Tcp_header.ack
     then begin
       match Hashtbl.find_opt t.listeners tcp.Tcp_header.dst_port with
       | Some accept_fn ->
         let iss = Seq32.of_int (t.next_iss * 64021) in
         t.next_iss <- t.next_iss + 1;
+        let tuple = Addr.Four_tuple.copy t.probe in
         let c =
           {
             stack = t;
@@ -579,7 +568,7 @@ let handle_packet t pkt =
           }
         in
         c.cb <- accept_fn c;
-        Tuple_tbl.add t.conns tuple c;
+        Tbl.add t.conns tuple c;
         emit c
           ~flags:{ Tcp_header.no_flags with syn = true; ack = true }
           ~seq:iss ~mss_opt:t.config.mss ();
@@ -609,7 +598,7 @@ let connect t ?src_port ~dst_ip ~dst_port cb =
       peer_port = dst_port;
     }
   in
-  if Tuple_tbl.mem t.conns tuple then
+  if Tbl.mem t.conns tuple then
     invalid_arg "Tcp_engine.connect: 4-tuple already in use";
   let iss = Seq32.of_int (t.next_iss * 64021) in
   t.next_iss <- t.next_iss + 1;
@@ -644,7 +633,7 @@ let connect t ?src_port ~dst_ip ~dst_port cb =
       retransmit_count = 0;
     }
   in
-  Tuple_tbl.add t.conns tuple c;
+  Tbl.add t.conns tuple c;
   emit c
     ~flags:{ Tcp_header.no_flags with syn = true }
     ~seq:iss ~mss_opt:t.config.mss ();

@@ -7,13 +7,15 @@
     necessary"). It implements the real protocol: three-way handshake,
     cumulative ACKs with ECN echo, flow control, NewReno or DCTCP congestion
     control, fast retransmit after three duplicate ACKs, retransmission
-    timeouts with exponential backoff, FIN teardown, and either full
-    out-of-order buffering (Linux-style) or go-back-N. *)
+    timeouts with exponential backoff, FIN teardown, and full out-of-order
+    buffering (Linux-style).
+
+    Connections are keyed by {!Tas_proto.Addr.Four_tuple.t}: each received
+    packet is looked up through one scratch probe tuple, so the lookup
+    builds no tuple; a connection stores a tuple of its own. *)
 
 type t
 type conn
-
-type recovery = Full_ooo | Go_back_n
 
 type config = {
   mss : int;
@@ -21,13 +23,12 @@ type config = {
   tx_buf : int;
   algorithm : Tas_tcp.Window_cc.algorithm;
   initial_window : int;
-  recovery : recovery;
   initial_rto_ns : int;
   wscale : int;  (** window-scale shift advertised on SYN (RFC 1323) *)
 }
 
 val default_config : config
-(** MSS 1460, 64 KB buffers, DCTCP, IW 10 segments, full OOO recovery. *)
+(** MSS 1460, 64 KB buffers, DCTCP, IW 10 segments. *)
 
 type callbacks = {
   on_connected : conn -> unit;
@@ -78,5 +79,3 @@ val cwnd : conn -> int
 
 val connection_count : t -> int
 val total_retransmits : t -> int
-val set_tx_hook : t -> (Tas_proto.Packet.t -> unit) option -> unit
-(** Observe every packet the stack transmits (testing / tracing). *)

@@ -6,14 +6,10 @@ type t = {
   max_fast_path_cores : int;
   cc : Tas_tcp.Interval_cc.algorithm;
   initial_rate_bps : float;
-  control_interval_rtts : int;
   control_interval_min_ns : int;
   control_interval_fixed_ns : int option;
   timeout_intervals : int;
-  handshake_retries : int;
   handshake_rto_ns : int;
-  fin_retries : int;
-  fin_rto_ns : int;
   dead_flow_timeout_ns : int option;
   rx_ooo_enabled : bool;
   recovery_policy : Tas_recovery.Policy.kind;
@@ -23,7 +19,6 @@ type t = {
   scale_check_interval_ns : int;
   scale_policy : Tas_control.Policy.spec;
   idle_block_ns : int;
-  wakeup_ns : int;
   fp_driver_cycles : int;
   fp_rx_cycles : int;
   fp_tx_cycles : int;
@@ -46,14 +41,10 @@ let default =
     max_fast_path_cores = 4;
     cc = Tas_tcp.Interval_cc.Dctcp_rate { step_bps = 10e6 };
     initial_rate_bps = 100e6;
-    control_interval_rtts = 2;
     control_interval_min_ns = 50_000;
     control_interval_fixed_ns = None;
     timeout_intervals = 2;
-    handshake_retries = 5;
     handshake_rto_ns = 20_000_000;
-    fin_retries = 8;
-    fin_rto_ns = 20_000_000;
     dead_flow_timeout_ns = None;
     rx_ooo_enabled = true;
     (* Loss recovery: [Reno] is the paper's dup-ACK go-back-N machinery,
@@ -68,7 +59,6 @@ let default =
     scale_check_interval_ns = 500_000_000;
     scale_policy = Tas_control.Policy.paper_default;
     idle_block_ns = 10_000_000;
-    wakeup_ns = 5_000;
     (* Table 1: TAS spends 0.09 kc driver + 0.81 kc TCP per request (one
        data RX incl. ACK generation, one data TX, one ACK RX). *)
     fp_driver_cycles = 30;

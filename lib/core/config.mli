@@ -8,22 +8,16 @@ type t = {
   max_fast_path_cores : int;
   cc : Tas_tcp.Interval_cc.algorithm;
   initial_rate_bps : float;  (** starting rate for new flows *)
-  control_interval_rtts : int;  (** slow-path CC loop period, default 2 RTTs *)
-  control_interval_min_ns : int;  (** floor when RTT is tiny/unknown *)
+  control_interval_min_ns : int;
+      (** floor of the slow-path CC loop period, which is otherwise 2 RTTs
+          ([Slow_path]'s [control_interval_rtts]); used when the RTT is
+          tiny or unknown *)
   control_interval_fixed_ns : int option;
       (** force a fixed control interval τ (the Fig. 11 sweep) *)
   timeout_intervals : int;
       (** control intervals without snd_una progress before the slow path
           triggers a retransmission (default 2, §3.2) *)
-  handshake_retries : int;
-      (** SYN / SYN-ACK retransmissions before the connection attempt is
-          failed with [Timeout] (default 5) *)
   handshake_rto_ns : int;  (** handshake retransmission timeout (20 ms) *)
-  fin_retries : int;
-      (** FIN retransmissions before the flow is forcibly torn down
-          (default 8); unbounded FIN retry would leak flow state when the
-          peer vanishes mid-close *)
-  fin_rto_ns : int;  (** FIN retransmission timeout (20 ms) *)
   dead_flow_timeout_ns : int option;
       (** reap established flows that have in-flight or queued data but make
           no sequence progress for this long (the peer is gone and not even
@@ -53,8 +47,9 @@ type t = {
       (** autoscaling policy evaluated every [scale_check_interval_ns] by
           the elastic controller; default {!Tas_control.Policy.paper_default}
           (the paper's 1.25/0.2 idle-core thresholds) *)
-  idle_block_ns : int;  (** fast-path thread blocks after this idle time *)
-  wakeup_ns : int;  (** cost of waking a blocked fast-path thread *)
+  idle_block_ns : int;
+      (** fast-path thread blocks after this idle time; waking it again
+          costs a fixed 5 us ([Fast_path]'s [wakeup_ns]) *)
   (* Fast-path per-packet CPU costs (cycles), calibrated to Table 1. *)
   fp_driver_cycles : int;
   fp_rx_cycles : int;  (** receive data segment, including ACK generation *)

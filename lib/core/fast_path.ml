@@ -97,6 +97,8 @@ type t = {
   rto_cmds : Flow_state.t Fifo.t array;
   mutable rto_cmd_thunks : (unit -> unit) array;
   memo : memo;
+  probe : Addr.Four_tuple.t;
+      (* scratch lookup key of [lookup_flow] and [reinject]; never stored *)
   scratch : Packet.t array;  (* vector-pass staging, fp_burst_size slots *)
 }
 
@@ -165,6 +167,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
         m_dst_ip = -1;
         m_dst_port = -1;
       };
+    probe = Addr.Four_tuple.probe ();
     scratch = Array.make (max 1 config.Config.fp_burst_size) Packet.sentinel;
   }
   in
@@ -864,11 +867,8 @@ let lookup_flow t pkt =
     && m.m_dst_port = tcp.Tcp_header.dst_port
   then m.m_flow
   else begin
-    let flow =
-      Flow_table.find_fields t.flows ~local_ip:ip.Ipv4_header.dst
-        ~local_port:tcp.Tcp_header.dst_port ~peer_ip:ip.Ipv4_header.src
-        ~peer_port:tcp.Tcp_header.src_port
-    in
+    Packet.write_tuple_at_receiver pkt t.probe;
+    let flow = Flow_table.find t.flows t.probe in
     m.m_flow <- flow;
     if flow != Flow_state.absent then begin
       m.m_src_ip <- ip.Ipv4_header.src;
@@ -979,6 +979,10 @@ let rx_cost t pkt =
 let some_ack_rx = Some Core.Ack_rx
 let some_driver_rx = Some Core.Driver_rx
 
+(* Cost of waking a blocked fast-path thread, charged before a core that
+   idled past [Config.idle_block_ns] polls again. *)
+let wakeup_ns = 5_000
+
 let attach t =
   t.drain_thunks <-
     Array.init (Array.length t.cores) (fun idx ->
@@ -1005,16 +1009,15 @@ let attach t =
       else begin
         t.drain_armed.(idx) <- true;
         if asleep then
-          Core.run_after core ?cat:some_cat ~delay:t.config.Config.wakeup_ns
+          Core.run_after core ?cat:some_cat ~delay:wakeup_ns
             ~cycles t.drain_thunks.(idx)
         else Core.run core ?cat:some_cat ~cycles t.drain_thunks.(idx)
       end)
 
 let reinject t pkt =
-  let tuple = Packet.four_tuple_at_receiver pkt in
-  match Flow_table.find t.flows tuple with
-  | None -> ()
-  | Some flow ->
+  Packet.write_tuple_at_receiver pkt t.probe;
+  let flow = Flow_table.find t.flows t.probe in
+  if flow != Flow_state.absent then begin
     let core = core_of_flow t flow in
     let cat =
       if Bytes.length pkt.Packet.payload = 0 then Core.Ack_rx
@@ -1024,6 +1027,7 @@ let reinject t pkt =
        second time; hold a reference across the scheduling gap. *)
     Packet.retain pkt;
     Core.run core ~cat ~cycles:(rx_cost t pkt) (fun () -> process t pkt core)
+  end
 
 (* Per-core idle fraction over the window since the previous call, for
    every configured core. Active cores report clamped [0,1] idle from

@@ -72,7 +72,7 @@ val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
     the private copy is never freed. *)
 
 val absent : t
-(** The handle a flow-table miss returns ({!Flow_table.find_fields}):
+(** The handle a flow-table miss returns ({!Flow_table.find}):
     never installed, with closed rings and a private one-slot arena, so it
     is only ever compared with [==]. *)
 

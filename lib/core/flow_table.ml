@@ -3,22 +3,18 @@ module Flow_shards = Tas_shard.Flow_shards
 
 type t = Flow_state.t Flow_shards.t
 
+let create_sharded ~rss () =
+  Flow_shards.create ~rss ~absent:Flow_state.absent ()
+
 (* NIC-less table: one shard behind a private single-queue redirection
    table (nothing ever migrates). Same code path as the sharded table. *)
-let create () =
-  Flow_shards.create ~rss:(Rss_table.create ~num_queues:1 ()) ()
-
-let create_sharded ~rss () = Flow_shards.create ~rss ()
+let create () = create_sharded ~rss:(Rss_table.create ~num_queues:1 ()) ()
 
 let add = Flow_shards.add
 let find = Flow_shards.find
-
-let find_fields t ~local_ip ~local_port ~peer_ip ~peer_port =
-  Flow_shards.find_fields t ~absent:Flow_state.absent ~local_ip ~local_port
-    ~peer_ip ~peer_port
 let remove = Flow_shards.remove
 let count = Flow_shards.count
-let iter t f = Flow_shards.iter t f
+let iter = Flow_shards.iter
 
 let num_shards = Flow_shards.num_shards
 let shard_count = Flow_shards.shard_count

@@ -20,24 +20,19 @@ val create_sharded : rss:Tas_shard.Rss_table.t -> unit -> t
     the shard set as the table's migration consumer. *)
 
 val add : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit
-(** Slow-path install; charges one remote lock acquisition. *)
+(** Slow-path install; charges one remote lock acquisition. Stores the
+    given tuple as the key (the slow path's own copy of the connection's
+    tuple), never a probe. *)
 
-val find : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t option
-(** Owner-core lookup; charges one local lock acquisition. *)
-
-val find_fields :
-  t ->
-  local_ip:Tas_proto.Addr.ipv4 ->
-  local_port:Tas_proto.Addr.port ->
-  peer_ip:Tas_proto.Addr.ipv4 ->
-  peer_port:Tas_proto.Addr.port ->
-  Flow_state.t
-(** {!find} without a tuple or an option, for the per-packet lookup: a miss
-    returns {!Flow_state.absent}. Allocates nothing. *)
+val find : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t
+(** Owner-core lookup; charges one local lock acquisition. A miss returns
+    {!Flow_state.absent}. Allocates nothing: the per-packet lookup passes
+    the fast path's scratch probe tuple. *)
 
 val remove : t -> Tas_proto.Addr.Four_tuple.t -> unit
 val count : t -> int
 val iter : t -> (Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit) -> unit
+(** Every flow with its stored tuple, shard by shard. *)
 
 val num_shards : t -> int
 val shard_count : t -> int -> int

@@ -90,10 +90,6 @@ let ns_until_bytes_int t n =
     else int_of_float (ceil (deficit *. 8.0 /. r *. 1e9))
   end
 
-let ns_until_bytes t n =
-  let v = ns_until_bytes_int t n in
-  if v < 0 then None else Some v
-
 let ns_to_send t n =
   let r = Float.Array.get t.cells rate_cell in
   if t.is_rate && r > 0.0 then int_of_float (float_of_int (n * 8) /. r *. 1e9)

@@ -33,11 +33,8 @@ val tx_budget : t -> in_flight:int -> want:int -> int
     remaining window minus [in_flight] (window mode). Consumes tokens for
     the granted amount. *)
 
-val ns_until_bytes : t -> int -> Tas_engine.Time_ns.t option
-(** Time until [n] bytes of tokens will be available; [None] in window mode
-    (window opens on ACKs, not on a timer) or when available now. *)
-
 val ns_until_bytes_int : t -> int -> int
-(** Same, encoded allocation-free for the transmit hot path: [-1] where
-    {!ns_until_bytes} is [None], the delay otherwise ([max_int] when the
-    configured rate is zero). *)
+(** Nanoseconds until [n] bytes of tokens will be available ([max_int] when
+    the configured rate is zero), or [-1] when no timer is needed: in
+    window mode (the window opens on ACKs, not on a timer) or when the
+    tokens are available now. Allocates nothing. *)

@@ -39,46 +39,13 @@ type conn_callbacks = {
   closed : Flow_state.t -> unit;
 }
 
-(* Table keys: the tuple's four fields in a record of their own, so that
-   exception handling probes the tables with one scratch key written from
-   packet headers (as [Flow_shards.find_fields] does) instead of building
-   a tuple per packet. Stored keys are never mutated. The hash is
-   [Four_tuple.hash], which keeps bucket and iteration order. *)
-type key = {
-  mutable k_local_ip : Addr.ipv4;
-  mutable k_local_port : Addr.port;
-  mutable k_peer_ip : Addr.ipv4;
-  mutable k_peer_port : Addr.port;
-}
-
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = key
-
-  let equal a b =
-    a.k_local_ip = b.k_local_ip
-    && a.k_local_port = b.k_local_port
-    && a.k_peer_ip = b.k_peer_ip
-    && a.k_peer_port = b.k_peer_port
-
-  let hash k =
-    Addr.Four_tuple.hash_fields ~local_ip:k.k_local_ip
-      ~local_port:k.k_local_port ~peer_ip:k.k_peer_ip ~peer_port:k.k_peer_port
-end)
-
-let copy_key k = { k with k_local_ip = k.k_local_ip }
-
-let tuple_of_key k =
-  {
-    Addr.Four_tuple.local_ip = k.k_local_ip;
-    local_port = k.k_local_port;
-    peer_ip = k.k_peer_ip;
-    peer_port = k.k_peer_port;
-  }
+module Tbl = Addr.Four_tuple.Tbl
 
 type pending_state = Syn_sent | Syn_received
 
+(* A connection's one tuple: its pending record, its entry and the fast
+   path's flow table all share it, and it is never mutated. *)
 type pending = {
-  p_key : key;
   p_tuple : Addr.Four_tuple.t;
   p_opaque : int;
   p_context : int;
@@ -95,8 +62,7 @@ type pending = {
 
 type flow_entry = {
   flow : Flow_state.t;
-  f_key : key;
-  f_tuple : Addr.Four_tuple.t;
+  f_tuple : Addr.Four_tuple.t;  (* the pending record's [p_tuple] *)
   cc : Interval_cc.t;
   f_cb : conn_callbacks;
   self : flow_entry option;
@@ -179,9 +145,11 @@ type t = {
   rings : Ring.Pool.t;
       (* payload rings of torn-down flows, handed to the next setups *)
   listeners : (int, Addr.Four_tuple.t -> (int * int * conn_callbacks) option) Hashtbl.t;
-  pending : pending Tuple_tbl.t;
-  entries : flow_entry Tuple_tbl.t;
-  probe : key;  (* scratch lookup key; see [key] *)
+  pending : pending Tbl.t;
+  entries : flow_entry Tbl.t;
+  probe : Addr.Four_tuple.t;
+      (* scratch lookup key, written from packet headers or a flow; only
+         ever passed to lookups, never stored *)
   feedback : Interval_cc.feedback;  (* refilled by every control iteration *)
   lifecycle : lifecycle;
   exceptions : Packet.t Fifo.t;  (* handed over, awaiting [exception_step] *)
@@ -192,7 +160,7 @@ type t = {
       (* control iterations snapshotted by ticks, as each entry's [self] *)
   due_batches : int Fifo.t;  (* entries per tick snapshot, oldest first *)
   mutable cc_step : unit -> unit;
-  mutable collect_due : key -> flow_entry -> flow_entry option;
+  mutable collect_due : Addr.Four_tuple.t -> flow_entry -> flow_entry option;
       (* the tick's table-walk callback, built once *)
   mutable tick_now : int;  (* the running tick's clock, for [collect_due] *)
   mutable next_due : int;
@@ -234,7 +202,7 @@ let lifecycle_create () =
 (* Bounded so the slow path stays allocation-free: once full, each event
    overwrites the oldest — recent history matters most for post-hoc
    diagnosis. *)
-let lifecycle_ev t event k =
+let lifecycle_ev t event (k : Addr.Four_tuple.t) =
   let l = t.lifecycle in
   let i =
     if l.lc_len = lifecycle_limit then begin
@@ -251,10 +219,10 @@ let lifecycle_ev t event k =
   in
   l.lc_ts.(i) <- Sim.now t.sim;
   l.lc_event.(i) <- event;
-  l.lc_local_ip.(i) <- k.k_local_ip;
-  l.lc_local_port.(i) <- k.k_local_port;
-  l.lc_peer_ip.(i) <- k.k_peer_ip;
-  l.lc_peer_port.(i) <- k.k_peer_port
+  l.lc_local_ip.(i) <- k.local_ip;
+  l.lc_local_port.(i) <- k.local_port;
+  l.lc_peer_ip.(i) <- k.peer_ip;
+  l.lc_peer_port.(i) <- k.peer_port
 
 let lifecycle_json t =
   let module J = Tas_telemetry.Json in
@@ -282,7 +250,7 @@ let lifecycle_json t =
       ("events", J.List (List.init l.lc_len ev));
     ]
 
-let flow_count t = Tuple_tbl.length t.entries
+let flow_count t = Tbl.length t.entries
 let conn_setups t = t.conn_setups
 let conn_teardowns t = t.conn_teardowns
 let timeout_retransmits t = t.timeout_retransmits
@@ -322,9 +290,9 @@ let register t m =
      touches (installs, removals, migrations; cost model only)"
     (fun () -> Flow_table.remote_lock_cycles (Fast_path.flows t.fp));
   Metrics.gauge_fn m ~help:"established flows tracked by the slow path"
-    "sp_flows" (fun () -> float_of_int (Tuple_tbl.length t.entries));
+    "sp_flows" (fun () -> float_of_int (Tbl.length t.entries));
   Metrics.gauge_fn m ~help:"handshakes in progress" "sp_pending_handshakes"
-    (fun () -> float_of_int (Tuple_tbl.length t.pending))
+    (fun () -> float_of_int (Tbl.length t.pending))
 
 let now_us t = Sim.now t.sim / 1000
 
@@ -333,18 +301,18 @@ let now_us t = Sim.now t.sim / 1000
 (* A control segment from the NIC's packet pool, headers rewritten in
    place as [Fast_path.build_packet] does: no allocation once the pool is
    warm. *)
-let build t k ~(flags : Tcp_header.flags) ~seq ~ack_no ~window ~with_mss
-    ~ts_ecr =
+let build t (k : Addr.Four_tuple.t) ~(flags : Tcp_header.flags) ~seq ~ack_no
+    ~window ~with_mss ~ts_ecr =
   let pkt = Packet.take t.pkt_pool in
   Tcp_header.fill pkt.Packet.tcp
     ?mss:(if with_mss then t.some_mss else None)
     ?wscale:(if flags.Tcp_header.syn then t.some_wscale else None)
-    ~src_port:k.k_local_port ~dst_port:k.k_peer_port ~seq ~ack:ack_no ~flags
+    ~src_port:k.local_port ~dst_port:k.peer_port ~seq ~ack:ack_no ~flags
     ~window ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr;
   Packet.fill pkt
     ~src_mac:(Nic.mac (Fast_path.nic t.fp))
-    ~dst_mac:(Addr.host_mac (Addr.host_id_of_ip k.k_peer_ip))
-    ~src_ip:k.k_local_ip ~dst_ip:k.k_peer_ip
+    ~dst_mac:(Addr.host_mac (Addr.host_id_of_ip k.peer_ip))
+    ~src_ip:k.local_ip ~dst_ip:k.peer_ip
     ~ecn:Tas_proto.Ipv4_header.Not_ect ~payload:Bytes.empty;
   pkt
 
@@ -371,13 +339,13 @@ let send_rst t k ~seq ~ack_no =
 
 let send_syn t p =
   Fast_path.send_raw t.fp
-    (build t p.p_key ~flags:syn_flags ~seq:p.p_iss ~ack_no:0
+    (build t p.p_tuple ~flags:syn_flags ~seq:p.p_iss ~ack_no:0
        ~window:(min 65535 t.config.Config.rx_buf_size)
        ~with_mss:true ~ts_ecr:0)
 
 let send_synack t p =
   Fast_path.send_raw t.fp
-    (build t p.p_key ~flags:synack_flags ~seq:p.p_iss
+    (build t p.p_tuple ~flags:synack_flags ~seq:p.p_iss
        ~ack_no:(Seq32.add p.p_peer_isn 1)
        ~window:(min 65535 t.config.Config.rx_buf_size)
        ~with_mss:true ~ts_ecr:p.p_peer_ts)
@@ -398,16 +366,20 @@ let cancel_pending_timer t p =
     p.p_timer <- None
   | None -> ()
 
+(* SYN / SYN-ACK retransmissions before the connection attempt is failed
+   with [Timeout]. *)
+let handshake_retries = 5
+
 let rec arm_pending_timer t p =
   cancel_pending_timer t p;
   p.p_timer <-
     Some
       (Sim.schedule t.sim t.config.Config.handshake_rto_ns (fun () ->
            p.p_timer <- None;
-           if Tuple_tbl.mem t.pending p.p_key then begin
-             if p.p_retries >= t.config.Config.handshake_retries then begin
-               Tuple_tbl.remove t.pending p.p_key;
-               lifecycle_ev t Event.Handshake_failed p.p_key;
+           if Tbl.mem t.pending p.p_tuple then begin
+             if p.p_retries >= handshake_retries then begin
+               Tbl.remove t.pending p.p_tuple;
+               lifecycle_ev t Event.Handshake_failed p.p_tuple;
                p.p_cb.failed p.p_opaque Timeout
              end
              else begin
@@ -442,23 +414,23 @@ let make_bucket t =
 
 let establish t p =
   cancel_pending_timer t p;
-  Tuple_tbl.remove t.pending p.p_key;
+  Tbl.remove t.pending p.p_tuple;
   if Flow_arena.available t.arena = 0 then begin
     (* No slot for the flow's state: refuse cleanly rather than fall back
        to heap allocation — exactly what a full C flow-state array does. *)
     t.arena_refusals <- t.arena_refusals + 1;
-    lifecycle_ev t Event.Arena_exhausted p.p_key;
+    lifecycle_ev t Event.Arena_exhausted p.p_tuple;
     if debug_on () then
       Log.debug (fun m ->
           m "arena exhausted, refusing %a" Addr.Four_tuple.pp p.p_tuple);
-    send_rst t p.p_key ~seq:(Seq32.add p.p_iss 1)
+    send_rst t p.p_tuple ~seq:(Seq32.add p.p_iss 1)
       ~ack_no:(Seq32.add p.p_peer_isn 1);
     p.p_cb.failed p.p_opaque Refused;
     None
   end
   else begin
     let bucket, cc = make_bucket t in
-    let k = p.p_key in
+    let tuple = p.p_tuple in
     let flow =
       Flow_state.create ~arena:t.arena ~pool:t.rings
         ~recovery:t.config.Config.recovery_policy
@@ -473,9 +445,9 @@ let establish t p =
              | Tas_recovery.Policy.Sack | Tas_recovery.Policy.Rack_tlp -> 4)
         ~opaque:p.p_opaque ~context:p.p_context ~bucket
         ~rx_buf_size:t.config.Config.rx_buf_size
-        ~tx_buf_size:t.config.Config.tx_buf_size ~local_port:k.k_local_port
-        ~peer_ip:k.k_peer_ip ~peer_port:k.k_peer_port
-        ~peer_mac:(Addr.host_mac (Addr.host_id_of_ip k.k_peer_ip))
+        ~tx_buf_size:t.config.Config.tx_buf_size ~local_port:tuple.local_port
+        ~peer_ip:tuple.peer_ip ~peer_port:tuple.peer_port
+        ~peer_mac:(Addr.host_mac (Addr.host_id_of_ip tuple.peer_ip))
         ~tx_iss:(Seq32.add p.p_iss 1)
         ~rx_next:(Seq32.add p.p_peer_isn 1)
         ~window:p.p_peer_window ~peer_wscale:p.p_peer_wscale ()
@@ -485,8 +457,7 @@ let establish t p =
     let rec entry =
       {
         flow;
-        f_key = k;
-        f_tuple = p.p_tuple;
+        f_tuple = tuple;
         cc;
         f_cb = p.p_cb;
         self = Some entry;
@@ -504,14 +475,14 @@ let establish t p =
         removed = false;
       }
     in
-    Tuple_tbl.add t.entries k entry;
+    Tbl.add t.entries tuple entry;
     t.next_due <- 0 (* the new entry is due at once *);
-    Fast_path.install_flow t.fp ~tuple:p.p_tuple flow;
+    Fast_path.install_flow t.fp ~tuple flow;
     t.conn_setups <- t.conn_setups + 1;
     trace_ev t Trace.Conn_setup ~flow:(Flow_state.opaque flow);
-    lifecycle_ev t Event.Established k;
+    lifecycle_ev t Event.Established tuple;
     if debug_on () then
-      Log.debug (fun m -> m "established %a" Addr.Four_tuple.pp p.p_tuple);
+      Log.debug (fun m -> m "established %a" Addr.Four_tuple.pp tuple);
     p.p_cb.established flow;
     entry.self
   end
@@ -523,10 +494,10 @@ let remove_entry t entry =
     | Some ev -> Sim.cancel t.sim ev
     | None -> ());
     Fast_path.remove_flow t.fp ~tuple:entry.f_tuple;
-    Tuple_tbl.remove t.entries entry.f_key;
+    Tbl.remove t.entries entry.f_tuple;
     t.conn_teardowns <- t.conn_teardowns + 1;
     trace_ev t Trace.Conn_teardown ~flow:(Flow_state.opaque entry.flow);
-    lifecycle_ev t Event.Closed entry.f_key;
+    lifecycle_ev t Event.Closed entry.f_tuple;
     if debug_on () then
       Log.debug (fun m -> m "removed %a" Addr.Four_tuple.pp entry.f_tuple);
     entry.f_cb.closed entry.flow;
@@ -539,6 +510,12 @@ let remove_entry t entry =
 (* --- Teardown ----------------------------------------------------------- *)
 
 let fin_seq entry = Flow_state.seq entry.flow
+
+(* FIN retransmissions, one per [fin_rto_ns], before the flow is forcibly
+   torn down: unbounded FIN retry would leak flow state when the peer
+   vanishes mid-close. *)
+let fin_retries = 8
+let fin_rto_ns = 20_000_000
 
 let rec try_emit_fin t entry =
   let flow = entry.flow in
@@ -558,14 +535,14 @@ and arm_fin_timer t entry =
   | None -> ());
   entry.fin_timer <-
     Some
-      (Sim.schedule t.sim t.config.Config.fin_rto_ns (fun () ->
+      (Sim.schedule t.sim fin_rto_ns (fun () ->
            entry.fin_timer <- None;
            if (not entry.removed) && not entry.fin_acked then begin
-             if entry.fin_retries >= t.config.Config.fin_retries then begin
+             if entry.fin_retries >= fin_retries then begin
                (* The peer stopped acknowledging mid-close: force teardown
                   rather than retransmitting the FIN forever. *)
                t.fin_retry_exhausted <- t.fin_retry_exhausted + 1;
-               lifecycle_ev t Event.Fin_retry_exhausted entry.f_key;
+               lifecycle_ev t Event.Fin_retry_exhausted entry.f_tuple;
                if debug_on () then
                  Log.debug (fun m ->
                      m "fin retry exhausted %a" Addr.Four_tuple.pp
@@ -597,22 +574,21 @@ let refuse_syn t k (tcp : Tcp_header.t) =
 
 let handle_syn t pkt k =
   let tcp = pkt.Packet.tcp in
-  match Tuple_tbl.find t.pending k with
+  match Tbl.find t.pending k with
   | p ->
     (* Duplicate SYN: resend the SYN-ACK. *)
     if p.p_state = Syn_received then send_synack t p
   | exception Not_found ->
-    if not (Tuple_tbl.mem t.entries k) then begin
-      match Hashtbl.find t.listeners k.k_local_port with
+    if not (Tbl.mem t.entries k) then begin
+      match Hashtbl.find t.listeners k.Addr.Four_tuple.local_port with
       | exception Not_found -> refuse_syn t k tcp
       | accept_fn -> begin
-        let tuple = tuple_of_key k in
+        let tuple = Addr.Four_tuple.copy k in
         match accept_fn tuple with
         | None -> refuse_syn t k tcp
         | Some (opaque, context_id, cb) ->
           let p =
             {
-              p_key = copy_key k;
               p_tuple = tuple;
               p_opaque = opaque;
               p_context = context_id;
@@ -631,8 +607,8 @@ let handle_syn t pkt k =
               p_cb = cb;
             }
           in
-          Tuple_tbl.add t.pending p.p_key p;
-          lifecycle_ev t Event.Syn_received p.p_key;
+          Tbl.add t.pending p.p_tuple p;
+          lifecycle_ev t Event.Syn_received p.p_tuple;
           send_synack t p;
           arm_pending_timer t p
       end
@@ -640,7 +616,7 @@ let handle_syn t pkt k =
 
 let handle_synack t pkt k =
   let tcp = pkt.Packet.tcp in
-  match Tuple_tbl.find t.pending k with
+  match Tbl.find t.pending k with
   | p when p.p_state = Syn_sent && tcp.Tcp_header.ack = Seq32.add p.p_iss 1
     -> (
     p.p_peer_isn <- tcp.Tcp_header.seq;
@@ -653,7 +629,7 @@ let handle_synack t pkt k =
     | None -> () (* arena full; the peer got an RST *)
     | Some entry ->
       (* Complete the handshake: ACK the SYN-ACK. *)
-      send_flow_ack t entry.f_key entry.flow ~ts_ecr:p.p_peer_ts;
+      send_flow_ack t entry.f_tuple entry.flow ~ts_ecr:p.p_peer_ts;
       (* Data may already be queued by an eager application. *)
       if Flow_state.tx_available entry.flow > 0 then
         Fast_path.notify_tx t.fp entry.flow)
@@ -661,7 +637,7 @@ let handle_synack t pkt k =
 
 let handle_handshake_ack t pkt k =
   let tcp = pkt.Packet.tcp in
-  match Tuple_tbl.find t.pending k with
+  match Tbl.find t.pending k with
   | p
     when p.p_state = Syn_received && tcp.Tcp_header.ack = Seq32.add p.p_iss 1
     -> (
@@ -672,12 +648,12 @@ let handle_handshake_ack t pkt k =
       if Bytes.length pkt.Packet.payload > 0 then Fast_path.reinject t.fp pkt)
   | _ | (exception Not_found) -> (
     (* Possibly an ACK of our FIN. *)
-    match Tuple_tbl.find t.entries k with
+    match Tbl.find t.entries k with
     | entry
       when Flow_state.fin_sent entry.flow
            && tcp.Tcp_header.ack = Seq32.add (fin_seq entry) 1 ->
       entry.fin_acked <- true;
-      lifecycle_ev t Event.Fin_acked entry.f_key;
+      lifecycle_ev t Event.Fin_acked entry.f_tuple;
       if not (Flow_state.fin_received entry.flow) then
         (* Half-closed: wait for the peer's FIN. *)
         ()
@@ -687,16 +663,16 @@ let handle_handshake_ack t pkt k =
       (* Neither a handshake in progress nor an installed flow: the tuple is
          unknown here (e.g. state already reclaimed). RST so the peer stops
          retransmitting. *)
-      if not (Tuple_tbl.mem t.pending k) then
+      if not (Tbl.mem t.pending k) then
         send_rst t k ~seq:tcp.Tcp_header.ack
           ~ack_no:
             (Seq32.add tcp.Tcp_header.seq (Bytes.length pkt.Packet.payload)))
 
 let handle_fin t pkt k =
   let tcp = pkt.Packet.tcp in
-  match Tuple_tbl.find t.entries k with
+  match Tbl.find t.entries k with
   | exception Not_found ->
-    if not (Tuple_tbl.mem t.pending k) then
+    if not (Tbl.mem t.pending k) then
       send_rst t k ~seq:tcp.Tcp_header.ack
         ~ack_no:
           (Seq32.add tcp.Tcp_header.seq (Bytes.length pkt.Packet.payload + 1))
@@ -709,8 +685,8 @@ let handle_fin t pkt k =
     then begin
       Flow_state.set_fin_received flow true;
       Flow_state.set_ack flow (Seq32.add (Flow_state.ack flow) 1);
-      send_flow_ack t entry.f_key flow ~ts_ecr:(Flow_state.ts_recent flow);
-      lifecycle_ev t Event.Peer_fin entry.f_key;
+      send_flow_ack t entry.f_tuple flow ~ts_ecr:(Flow_state.ts_recent flow);
+      lifecycle_ev t Event.Peer_fin entry.f_tuple;
       entry.f_cb.peer_closed flow;
       maybe_finish_teardown t entry
     end
@@ -719,21 +695,21 @@ let handle_fin t pkt k =
       && fin_pos = Seq32.add (Flow_state.ack flow) (-1)
     then
       (* Duplicate FIN: re-ack. *)
-      send_flow_ack t entry.f_key flow ~ts_ecr:(Flow_state.ts_recent flow)
+      send_flow_ack t entry.f_tuple flow ~ts_ecr:(Flow_state.ts_recent flow)
 
 let handle_rst t pkt k =
   let tcp = pkt.Packet.tcp in
   lifecycle_ev t Event.Rst k;
-  (match Tuple_tbl.find t.pending k with
+  (match Tbl.find t.pending k with
   | p ->
     cancel_pending_timer t p;
-    Tuple_tbl.remove t.pending k;
+    Tbl.remove t.pending k;
     (* An RST during SYN_SENT is a refusal (nobody listening); during
        SYN_RECEIVED the peer aborted its own half-open attempt. *)
     p.p_cb.failed p.p_opaque
       (match p.p_state with Syn_sent -> Refused | Syn_received -> Reset)
   | exception Not_found -> ());
-  match Tuple_tbl.find t.entries k with
+  match Tbl.find t.entries k with
   | entry ->
     (* Light in-window validation: an RST whose sequence is nowhere near
        what we expect next is a stray (or spoofed) segment and is ignored,
@@ -747,20 +723,17 @@ let handle_rst t pkt k =
   | exception Not_found -> ()
 
 let process_exception t pkt =
-  let tcp = pkt.Packet.tcp and ip = pkt.Packet.ip in
+  let tcp = pkt.Packet.tcp in
   let flags = tcp.Tcp_header.flags in
   let k = t.probe in
-  k.k_local_ip <- ip.Tas_proto.Ipv4_header.dst;
-  k.k_local_port <- tcp.Tcp_header.dst_port;
-  k.k_peer_ip <- ip.Tas_proto.Ipv4_header.src;
-  k.k_peer_port <- tcp.Tcp_header.src_port;
+  Packet.write_tuple_at_receiver pkt k;
   if flags.Tcp_header.rst then handle_rst t pkt k
   else if flags.Tcp_header.syn && flags.Tcp_header.ack then
     handle_synack t pkt k
   else if flags.Tcp_header.syn then handle_syn t pkt k
   else if flags.Tcp_header.fin then handle_fin t pkt k
   else if flags.Tcp_header.ack then begin
-    if Bytes.length pkt.Packet.payload > 0 && Tuple_tbl.mem t.entries k then
+    if Bytes.length pkt.Packet.payload > 0 && Tbl.mem t.entries k then
       (* The flow was installed between fast-path lookup and now: a data
          packet racing connection setup. Put it back on the fast path. *)
       Fast_path.reinject t.fp pkt
@@ -769,13 +742,16 @@ let process_exception t pkt =
 
 (* --- Congestion-control loop -------------------------------------------- *)
 
+(* The CC loop period in RTTs, above [Config.control_interval_min_ns]. *)
+let control_interval_rtts = 2
+
 let control_interval_ns t entry =
   match t.config.Config.control_interval_fixed_ns with
   | Some fixed -> fixed
   | None ->
     let rtt = Flow_state.rtt_est entry.flow in
     max t.config.Config.control_interval_min_ns
-      (t.config.Config.control_interval_rtts * rtt)
+      (control_interval_rtts * rtt)
 
 (* A flow is only declared timed out when snd_una has been frozen for at
    least [timeout_intervals] control intervals AND longer than a few RTTs
@@ -824,10 +800,10 @@ let reap_check t entry now =
     end
     else if now - entry.progress_since >= dt then begin
       t.flows_reaped <- t.flows_reaped + 1;
-      lifecycle_ev t Event.Flow_reaped entry.f_key;
+      lifecycle_ev t Event.Flow_reaped entry.f_tuple;
       if debug_on () then
         Log.debug (fun m -> m "reaped %a" Addr.Four_tuple.pp entry.f_tuple);
-      send_rst t entry.f_key ~seq:(Flow_state.seq flow)
+      send_rst t entry.f_tuple ~seq:(Flow_state.seq flow)
         ~ack_no:(Flow_state.ack flow);
       entry.f_cb.reset flow;
       remove_entry t entry
@@ -912,7 +888,7 @@ let control_tick t =
     t.tick_now <- now;
     t.walk_min <- max_int;
     let before = Fifo.length t.due in
-    Tuple_tbl.filter_map_inplace t.collect_due t.entries;
+    Tbl.filter_map_inplace t.collect_due t.entries;
     (* Entries the batch below will run still count with their current
        due time, so the next tick walks again and finds them rescheduled
        (or still due, as a walk of every tick would). *)
@@ -980,16 +956,16 @@ let scale_tick t ctl =
 let close_step t =
   let flow = Fifo.pop t.closes in
   let k = t.probe in
-  k.k_local_ip <- Nic.ip (Fast_path.nic t.fp);
-  k.k_local_port <- Flow_state.local_port flow;
-  k.k_peer_ip <- Flow_state.peer_ip flow;
-  k.k_peer_port <- Flow_state.peer_port flow;
-  match Tuple_tbl.find t.entries k with
+  k.local_ip <- Nic.ip (Fast_path.nic t.fp);
+  k.local_port <- Flow_state.local_port flow;
+  k.peer_ip <- Flow_state.peer_ip flow;
+  k.peer_port <- Flow_state.peer_port flow;
+  match Tbl.find t.entries k with
   | exception Not_found -> ()
   | entry ->
     if not entry.close_requested then begin
       entry.close_requested <- true;
-      lifecycle_ev t Event.Close_requested entry.f_key;
+      lifecycle_ev t Event.Close_requested entry.f_tuple;
       try_emit_fin t entry
     end
 
@@ -1008,10 +984,9 @@ let create sim ~fast_path ~core ~config =
       arena = Flow_arena.create ~capacity:config.Config.flow_arena_capacity ();
       rings = Ring.Pool.create ();
       listeners = Hashtbl.create 16;
-      pending = Tuple_tbl.create 64;
-      entries = Tuple_tbl.create 1024;
-      probe =
-        { k_local_ip = 0; k_local_port = 0; k_peer_ip = 0; k_peer_port = 0 };
+      pending = Tbl.create 64;
+      entries = Tbl.create 1024;
+      probe = Addr.Four_tuple.probe ();
       feedback =
         {
           Interval_cc.acked_bytes = 0;
@@ -1103,9 +1078,9 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
   Core.run t.core ~cat:Core.Conn ~cycles:t.config.Config.sp_conn_cycles
     (fun () ->
       let k = t.probe in
-      k.k_local_ip <- Nic.ip (Fast_path.nic t.fp);
-      k.k_peer_ip <- dst_ip;
-      k.k_peer_port <- dst_port;
+      k.local_ip <- Nic.ip (Fast_path.nic t.fp);
+      k.peer_ip <- dst_ip;
+      k.peer_port <- dst_port;
       (* Ephemeral port allocation: scan from a rotating base. The stride
          is coprime with the 63,000-port range, so 65,536 probes visit
          every port. *)
@@ -1113,8 +1088,8 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
         if attempt > 65535 then false
         else begin
           t.next_iss <- t.next_iss + 1;
-          k.k_local_port <- 2048 + ((t.next_iss * 7919) mod 63000);
-          if Tuple_tbl.mem t.pending k || Tuple_tbl.mem t.entries k then
+          k.local_port <- 2048 + ((t.next_iss * 7919) mod 63000);
+          if Tbl.mem t.pending k || Tbl.mem t.entries k then
             pick_port (attempt + 1)
           else true
         end
@@ -1135,8 +1110,7 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
       else begin
         let p =
           {
-            p_key = copy_key k;
-            p_tuple = tuple_of_key k;
+            p_tuple = Addr.Four_tuple.copy k;
             p_opaque = opaque;
             p_context = context_id;
             p_iss = fresh_iss t;
@@ -1150,8 +1124,8 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
             p_cb = cb;
           }
         in
-        Tuple_tbl.add t.pending p.p_key p;
-        lifecycle_ev t Event.Syn_sent p.p_key;
+        Tbl.add t.pending p.p_tuple p;
+        lifecycle_ev t Event.Syn_sent p.p_tuple;
         send_syn t p;
         arm_pending_timer t p
       end)

@@ -96,7 +96,8 @@ val rsts_sent : t -> int
     flows. *)
 
 val fin_retry_exhausted : t -> int
-(** Flows forcibly torn down after [Config.fin_retries] unanswered FINs. *)
+(** Flows forcibly torn down after 8 unanswered FIN retransmissions, one
+    every 20 ms. *)
 
 val flows_reaped : t -> int
 (** Flows reaped by the dead-flow timeout ([Config.dead_flow_timeout_ns]). *)

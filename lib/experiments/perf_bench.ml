@@ -172,7 +172,7 @@ let wire ~quick =
 
 (* Sharded flow-table lookup: the per-packet work of hashing a four-tuple's
    fields, routing through the RSS redirection table to the owning shard,
-   and finding the flow record ([find_fields], the fast path's lookup) —
+   and finding the flow record ([find], the fast path's lookup) —
    over a table populated like a busy server (4096 flows across 8 shards).
    Payloads are plain ints so the cost measured is the table's, not the
    record's. *)
@@ -181,7 +181,7 @@ let flow_lookup ~quick =
   let module Shards = Tas_shard.Flow_shards in
   let module Four_tuple = Addr.Four_tuple in
   let rss = Rss.create ~num_queues:8 () in
-  let shards : int Shards.t = Shards.create ~rss () in
+  let shards : int Shards.t = Shards.create ~rss ~absent:(-1) () in
   let n_flows = 4096 in
   let tuples =
     Array.init n_flows (fun i ->
@@ -203,14 +203,7 @@ let flow_lookup ~quick =
            enjoy, like independent per-packet arrivals do. *)
         let j = ref 0 in
         for _ = 1 to iters do
-          let tu = tuples.(!j) in
-          if
-            Shards.find_fields shards ~absent:(-1)
-              ~local_ip:tu.Four_tuple.local_ip
-              ~local_port:tu.Four_tuple.local_port
-              ~peer_ip:tu.Four_tuple.peer_ip ~peer_port:tu.Four_tuple.peer_port
-            < 0
-          then assert false;
+          if Shards.find shards tuples.(!j) < 0 then assert false;
           j := (!j + 2049) land (n_flows - 1)
         done;
         let wall = Unix.gettimeofday () -. t0 in

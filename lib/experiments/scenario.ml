@@ -103,12 +103,7 @@ let build_server sim ~nic ~kind ~total_cores ?(app_cycles = 680)
       | Tas_ll | Tas_so -> assert false
     in
     let config =
-      {
-        E.default_config with
-        E.rx_buf = buf_size;
-        tx_buf = buf_size;
-        recovery = (if kind = Linux then E.Full_ooo else E.Full_ooo);
-      }
+      { E.default_config with E.rx_buf = buf_size; tx_buf = buf_size }
     in
     let placement =
       if kind = Mtcp then SM.Split { stack_cores } else SM.Inline

@@ -41,11 +41,21 @@ let host_id_of_ip ip = ip land 0xffffff
 
 module Four_tuple = struct
   type t = {
-    local_ip : ipv4;
-    local_port : port;
-    peer_ip : ipv4;
-    peer_port : port;
+    mutable local_ip : ipv4;
+    mutable local_port : port;
+    mutable peer_ip : ipv4;
+    mutable peer_port : port;
   }
+
+  let probe () = { local_ip = 0; local_port = 0; peer_ip = 0; peer_port = 0 }
+
+  let copy t =
+    {
+      local_ip = t.local_ip;
+      local_port = t.local_port;
+      peer_ip = t.peer_ip;
+      peer_port = t.peer_port;
+    }
 
   let flip t =
     {
@@ -59,15 +69,11 @@ module Four_tuple = struct
     a.local_ip = b.local_ip && a.local_port = b.local_port
     && a.peer_ip = b.peer_ip && a.peer_port = b.peer_port
 
-  let hash_fields ~local_ip ~local_port ~peer_ip ~peer_port =
-    let h = (local_ip * 31) + local_port in
-    let h = (h * 31) + peer_ip in
-    let h = (h * 31) + peer_port in
-    h land max_int
-
   let hash t =
-    hash_fields ~local_ip:t.local_ip ~local_port:t.local_port
-      ~peer_ip:t.peer_ip ~peer_port:t.peer_port
+    let h = (t.local_ip * 31) + t.local_port in
+    let h = (h * 31) + t.peer_ip in
+    let h = (h * 31) + t.peer_port in
+    h land max_int
 
   let sym_hash_fields ~local_ip ~local_port ~peer_ip ~peer_port =
     let a = (local_ip lxor peer_ip) * 0x9E3779B1 in
@@ -79,6 +85,13 @@ module Four_tuple = struct
   let sym_hash t =
     sym_hash_fields ~local_ip:t.local_ip ~local_port:t.local_port
       ~peer_ip:t.peer_ip ~peer_port:t.peer_port
+
+  module Tbl = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = equal
+    let hash = hash
+  end)
 
   let pp fmt t =
     Format.fprintf fmt "%a:%d<->%a:%d" pp_ipv4 t.local_ip t.local_port pp_ipv4

@@ -31,14 +31,31 @@ val host_mac : int -> mac
 val host_id_of_ip : ipv4 -> int
 (** Inverse of {!host_ip} — stands in for ARP resolution in the simulator. *)
 
-(** A TCP connection 4-tuple, usable as a hash-table key. *)
+(** A TCP connection 4-tuple: the one key type of every table keyed by a
+    connection (the fast path's flow shards, the slow path's handshakes and
+    flows, the baseline TCP stack's connections).
+
+    The fields are mutable for one use only: a table owner keeps one scratch
+    tuple, its probe, and writes a packet's header fields into it to look
+    the packet's connection up without building a tuple per packet. Nothing
+    else is ever written. A tuple stored in a table, as a key or in a
+    record, is never mutated and is never a probe: an insert stores a tuple
+    of its own ({!copy} of the probe where the fields came from one), and a
+    probe is only ever passed to lookups and removals. *)
 module Four_tuple : sig
   type t = {
-    local_ip : ipv4;
-    local_port : port;
-    peer_ip : ipv4;
-    peer_port : port;
+    mutable local_ip : ipv4;
+    mutable local_port : port;
+    mutable peer_ip : ipv4;
+    mutable peer_port : port;
   }
+
+  val probe : unit -> t
+  (** A fresh all-zero tuple: a table owner's scratch probe. *)
+
+  val copy : t -> t
+  (** A fresh tuple with the same fields: what an insert stores when its
+      fields are in a probe. *)
 
   val flip : t -> t
   (** Swap local and peer: the tuple as seen from the other end. *)
@@ -51,14 +68,13 @@ module Four_tuple : sig
       is the hash symmetric receive-side scaling computes, so both
       directions of a connection land on the same NIC queue. *)
 
-  val hash_fields :
-    local_ip:ipv4 -> local_port:port -> peer_ip:ipv4 -> peer_port:port -> int
-  (** {!hash} of the tuple with these fields, without building it. *)
-
   val sym_hash_fields :
     local_ip:ipv4 -> local_port:port -> peer_ip:ipv4 -> peer_port:port -> int
   (** {!sym_hash} of the tuple with these fields, without building it: the
       per-packet RSS hash reads them straight from the headers. *)
+
+  module Tbl : Hashtbl.S with type key = t
+  (** Hash tables keyed by a tuple, hashed with {!hash}. *)
 
   val pp : Format.formatter -> t -> unit
 end

@@ -135,6 +135,12 @@ let four_tuple_at_receiver t =
     peer_port = t.tcp.Tcp_header.src_port;
   }
 
+let write_tuple_at_receiver t (tuple : Addr.Four_tuple.t) =
+  tuple.local_ip <- t.ip.Ipv4_header.dst;
+  tuple.local_port <- t.tcp.Tcp_header.dst_port;
+  tuple.peer_ip <- t.ip.Ipv4_header.src;
+  tuple.peer_port <- t.tcp.Tcp_header.src_port
+
 let flow_hash t =
   Addr.Four_tuple.sym_hash_fields ~local_ip:t.ip.Ipv4_header.dst
     ~local_port:t.tcp.Tcp_header.dst_port ~peer_ip:t.ip.Ipv4_header.src

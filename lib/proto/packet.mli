@@ -146,6 +146,11 @@ val flow_hash : t -> int
 val four_tuple_at_receiver : t -> Addr.Four_tuple.t
 (** The connection key as seen by the host receiving this packet. *)
 
+val write_tuple_at_receiver : t -> Addr.Four_tuple.t -> unit
+(** [write_tuple_at_receiver pkt probe] writes {!four_tuple_at_receiver}'s
+    fields into a table owner's scratch [probe] instead of building a
+    tuple: the per-packet lookup allocates nothing. *)
+
 val to_wire : t -> bytes
 (** Serialize to wire format with correct IP and TCP checksums. *)
 

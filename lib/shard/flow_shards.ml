@@ -1,49 +1,5 @@
 module Four_tuple = Tas_proto.Addr.Four_tuple
-
-(* Table keys are the tuple's four fields in a record of their own, so a
-   lookup can probe with one mutable scratch key written from packet
-   headers instead of building a tuple. Stored keys are never mutated. The
-   hash is [Four_tuple.hash], which keeps bucket and iteration order. *)
-type key = {
-  mutable k_local_ip : int;
-  mutable k_local_port : int;
-  mutable k_peer_ip : int;
-  mutable k_peer_port : int;
-}
-
-module Tbl = Hashtbl.Make (struct
-  type t = key
-
-  let equal a b =
-    a.k_local_ip = b.k_local_ip
-    && a.k_local_port = b.k_local_port
-    && a.k_peer_ip = b.k_peer_ip
-    && a.k_peer_port = b.k_peer_port
-
-  let hash k =
-    Four_tuple.hash_fields ~local_ip:k.k_local_ip ~local_port:k.k_local_port
-      ~peer_ip:k.k_peer_ip ~peer_port:k.k_peer_port
-end)
-
-let key_of (tu : Four_tuple.t) =
-  {
-    k_local_ip = tu.Four_tuple.local_ip;
-    k_local_port = tu.Four_tuple.local_port;
-    k_peer_ip = tu.Four_tuple.peer_ip;
-    k_peer_port = tu.Four_tuple.peer_port;
-  }
-
-let tuple_of k =
-  {
-    Four_tuple.local_ip = k.k_local_ip;
-    local_port = k.k_local_port;
-    peer_ip = k.k_peer_ip;
-    peer_port = k.k_peer_port;
-  }
-
-let key_sym_hash k =
-  Four_tuple.sym_hash_fields ~local_ip:k.k_local_ip ~local_port:k.k_local_port
-    ~peer_ip:k.k_peer_ip ~peer_port:k.k_peer_port
+module Tbl = Four_tuple.Tbl
 
 type 'v shard = {
   tbl : 'v Tbl.t;
@@ -58,7 +14,7 @@ type 'v shard = {
 type 'v t = {
   rss : Rss_table.t;
   shards : 'v shard array;
-  probe : key;  (* scratch key of [find_fields] and [remove] *)
+  absent : 'v;  (* what [find] returns on a miss *)
   mutable migrated_flows : int;
   mutable on_migrate : group:int -> from_q:int -> to_q:int -> moved:int -> unit;
 }
@@ -82,7 +38,7 @@ let migrate_group t ~group ~from_q ~to_q =
   let moving = ref [] in
   Tbl.iter
     (fun k v ->
-      if Rss_table.group_of_hash t.rss (key_sym_hash k) = group then
+      if Rss_table.group_of_hash t.rss (Four_tuple.sym_hash k) = group then
         moving := (k, v) :: !moving)
     src.tbl;
   let moved = List.length !moving in
@@ -101,15 +57,14 @@ let migrate_group t ~group ~from_q ~to_q =
   end;
   t.on_migrate ~group ~from_q ~to_q ~moved
 
-let create ~rss () =
+let create ~rss ~absent () =
   let t =
     {
       rss;
       shards =
         Array.init (Rss_table.num_queues rss) (fun _ ->
             make_shard ());
-      probe =
-        { k_local_ip = 0; k_local_port = 0; k_peer_ip = 0; k_peer_port = 0 };
+      absent;
       migrated_flows = 0;
       on_migrate = (fun ~group:_ ~from_q:_ ~to_q:_ ~moved:_ -> ());
     }
@@ -125,53 +80,31 @@ let set_on_migrate t f = t.on_migrate <- f
 let shard_of t tuple =
   Rss_table.queue_for_hash t.rss (Four_tuple.sym_hash tuple)
 
-(* Owner access: the looking-up core is the one RSS steers the flow to. *)
-let owner_shard t h =
-  let s = t.shards.(Rss_table.queue_for_hash t.rss h) in
+(* Owner access: the looking-up core is the one RSS steers the flow to.
+   Allocates nothing: a miss raises the constant [Not_found]. *)
+let find t tuple =
+  let s = t.shards.(shard_of t tuple) in
   s.lookups <- s.lookups + 1;
   ignore (Spinlock.acquire s.lock ~remote:false);
-  s
-
-let find t tuple =
-  let s = owner_shard t (Four_tuple.sym_hash tuple) in
-  Tbl.find_opt s.tbl (key_of tuple)
-
-let find_fields t ~absent ~local_ip ~local_port ~peer_ip ~peer_port =
-  let s =
-    owner_shard t
-      (Four_tuple.sym_hash_fields ~local_ip ~local_port ~peer_ip ~peer_port)
-  in
-  let k = t.probe in
-  k.k_local_ip <- local_ip;
-  k.k_local_port <- local_port;
-  k.k_peer_ip <- peer_ip;
-  k.k_peer_port <- peer_port;
-  match Tbl.find s.tbl k with v -> v | exception Not_found -> absent
+  match Tbl.find s.tbl tuple with v -> v | exception Not_found -> t.absent
 
 let add t tuple v =
   let s = t.shards.(shard_of t tuple) in
   s.installs <- s.installs + 1;
   (* Slow-path install: a cross-core touch of the owning shard. *)
   ignore (Spinlock.acquire s.lock ~remote:true);
-  Tbl.replace s.tbl (key_of tuple) v
+  Tbl.replace s.tbl tuple v
 
-(* Removal probes with the scratch key too: [Tbl.remove] only compares
-   it against the stored key. *)
 let remove t tuple =
   let s = t.shards.(shard_of t tuple) in
   s.removes <- s.removes + 1;
   ignore (Spinlock.acquire s.lock ~remote:true);
-  let k = t.probe in
-  k.k_local_ip <- tuple.Four_tuple.local_ip;
-  k.k_local_port <- tuple.Four_tuple.local_port;
-  k.k_peer_ip <- tuple.Four_tuple.peer_ip;
-  k.k_peer_port <- tuple.Four_tuple.peer_port;
-  Tbl.remove s.tbl k
+  Tbl.remove s.tbl tuple
 
 let shard_count t i = Tbl.length t.shards.(i).tbl
 let count t = Array.fold_left (fun acc s -> acc + Tbl.length s.tbl) 0 t.shards
 
-let iter_shard t i f = Tbl.iter (fun k v -> f (tuple_of k) v) t.shards.(i).tbl
+let iter_shard t i f = Tbl.iter f t.shards.(i).tbl
 let iter t f = Array.iteri (fun i _ -> iter_shard t i f) t.shards
 
 let lock_cycles t =

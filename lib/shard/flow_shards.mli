@@ -25,11 +25,11 @@
 
 type 'v t
 
-val create : rss:Rss_table.t -> unit -> 'v t
+val create : rss:Rss_table.t -> absent:'v -> unit -> 'v t
 (** One shard per [rss] queue, each lock costed at {!Spinlock.create}'s
-    defaults. Installs itself as the table's [on_move] consumer (see
-    {!Rss_table.set_on_move}); create at most one shard set per
-    redirection table. *)
+    defaults; {!find} returns [absent] on a miss. Installs itself as the
+    table's [on_move] consumer (see {!Rss_table.set_on_move}); create at
+    most one shard set per redirection table. *)
 
 val rss : 'v t -> Rss_table.t
 val num_shards : 'v t -> int
@@ -37,23 +37,15 @@ val num_shards : 'v t -> int
 val shard_of : 'v t -> Tas_proto.Addr.Four_tuple.t -> int
 (** The shard (= RSS queue) currently owning a tuple. *)
 
-val find : 'v t -> Tas_proto.Addr.Four_tuple.t -> 'v option
-(** Owner-core lookup; charges one local lock acquisition. *)
-
-val find_fields :
-  'v t ->
-  absent:'v ->
-  local_ip:Tas_proto.Addr.ipv4 ->
-  local_port:Tas_proto.Addr.port ->
-  peer_ip:Tas_proto.Addr.ipv4 ->
-  peer_port:Tas_proto.Addr.port ->
-  'v
-(** {!find} of the tuple with these fields, without building it and
-    without an option: a miss returns [absent]. The per-packet lookup reads
-    the fields from the headers; allocates nothing. *)
+val find : 'v t -> Tas_proto.Addr.Four_tuple.t -> 'v
+(** Owner-core lookup; charges one local lock acquisition. A miss returns
+    the [absent] value given to {!create}. Allocates nothing: the
+    per-packet lookup passes its scratch probe tuple. *)
 
 val add : 'v t -> Tas_proto.Addr.Four_tuple.t -> 'v -> unit
-(** Slow-path install; charges one remote lock acquisition. *)
+(** Slow-path install; charges one remote lock acquisition. The table
+    stores the given tuple itself as the key: it must never be mutated
+    afterwards (see {!Tas_proto.Addr.Four_tuple}). *)
 
 val remove : 'v t -> Tas_proto.Addr.Four_tuple.t -> unit
 (** Slow-path removal; charges one remote lock acquisition. *)
@@ -65,7 +57,8 @@ val shard_count : 'v t -> int -> int
 
 val iter : 'v t -> (Tas_proto.Addr.Four_tuple.t -> 'v -> unit) -> unit
 (** All shards in index order (within a shard, hashtable order — sort
-    before emitting anything that must be deterministic). *)
+    before emitting anything that must be deterministic), each flow with
+    its stored tuple. *)
 
 val iter_shard :
   'v t -> int -> (Tas_proto.Addr.Four_tuple.t -> 'v -> unit) -> unit

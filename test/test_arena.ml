@@ -716,10 +716,11 @@ let prop_sharded_migration =
               if Hashtbl.mem slots s then
                 QCheck.Test.fail_reportf "slot %d aliased" s;
               Hashtbl.replace slots s ());
-            match Flow_table.find table (tuple i) with
-            | Some f' when f' == f -> ()
-            | Some _ -> QCheck.Test.fail_reportf "lookup %d found wrong flow" i
-            | None -> QCheck.Test.fail_reportf "flow %d missing from table" i)
+            let f' = Flow_table.find table (tuple i) in
+            if f' == Flow_state.absent then
+              QCheck.Test.fail_reportf "flow %d missing from table" i
+            else if f' != f then
+              QCheck.Test.fail_reportf "lookup %d found wrong flow" i)
           model
       in
       List.iter
@@ -750,7 +751,7 @@ let prop_sharded_migration =
               Hashtbl.remove model i
           end
           | `Lookup i ->
-            let found = Flow_table.find table (tuple i) <> None in
+            let found = Flow_table.find table (tuple i) != Flow_state.absent in
             if found <> Hashtbl.mem model i then
               QCheck.Test.fail_reportf "lookup %d disagrees with model" i
           | `Scale n -> Fast_path.set_active_cores fp n);

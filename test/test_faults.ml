@@ -314,8 +314,9 @@ let test_syn_retry_exhaustion () =
 
 let test_fin_retry_cap () =
   (* The a->b link goes dark before the TAS side closes: its FINs are never
-     acked, and after [fin_retries] attempts the flow must be forcibly torn
-     down (counted) instead of re-arming forever. *)
+     acked, and after the slow path's 8 FIN retransmissions (its
+     [fin_retries]) the flow must be forcibly torn down (counted) instead of
+     re-arming forever. *)
   let sim = Sim.create () in
   let net =
     Topology.point_to_point sim

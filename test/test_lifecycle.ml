@@ -10,7 +10,9 @@
      iteration per flow, with feedback), and a warm exception path that
      answers stray segments with pooled RSTs, allocate nothing; a warm
      connect / 64 B echo / close loop stays within a per-connection word
-     bound. *)
+     bound.
+   - Integrity: after connection churn over a lossy link, every tuple the
+     flow table stores still names and finds its own flow. *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -28,6 +30,10 @@ module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
 module Slow_path = Tas_core.Slow_path
 module Flow_state = Tas_core.Flow_state
+module Flow_table = Tas_core.Flow_table
+module Fast_path = Tas_core.Fast_path
+module Four_tuple = Tas_proto.Addr.Four_tuple
+module Rng = Tas_engine.Rng
 module Transport = Tas_apps.Transport
 module Interval_cc = Tas_tcp.Interval_cc
 module J = Tas_telemetry.Json
@@ -320,11 +326,12 @@ let test_rst_answer_allocation () =
 (* TAS<->TAS closed-loop connection churn: 16 clients that connect, echo
    64 B and close, then reconnect. The words per connection (both hosts,
    the test's own handlers included) are pinned at the measured value,
-   729.5 (1623.9 before the slow path went allocation-free): what remains
-   is per-connection state (flow record, entry, pending record, bucket,
-   controller, socket, handlers) and the timer and app-core closures of
-   the handshake and teardown. *)
-let churn_words_per_conn = 730.0
+   657.6 (693.5 while a connection stored its tuple three times, 1623.9
+   before the slow path went allocation-free): what remains is
+   per-connection state (flow record, entry, pending record, tuple,
+   bucket, controller, socket, handlers) and the timer and app-core
+   closures of the handshake and teardown. *)
+let churn_words_per_conn = 660.0
 
 let test_churn_words_per_connection () =
   let sim = Sim.create () in
@@ -356,6 +363,66 @@ let test_churn_words_per_connection () =
     true
     (per_conn <= churn_words_per_conn)
 
+(* Stored-key integrity. Every table keyed by a 4-tuple probes with one
+   scratch tuple that is rewritten for each lookup; a table that kept a
+   probe as a stored key would see that key change under it. TAS<->TAS
+   echo churn over a link dropping 5% each way makes SYN and FIN
+   retransmissions, RSTs and exception packets rewrite every probe many
+   times; afterwards each stored tuple must still name its own flow and
+   find it. *)
+let test_stored_keys_survive_probes () =
+  let sim = Sim.create () in
+  let net =
+    Topology.point_to_point sim ~queues_per_nic:2 ~loss_rate:0.05
+      ~rng:(Rng.create 25) ()
+  in
+  let (tas_a, client), (tas_b, server) = tas_pair sim net in
+  echo_server server;
+  let dst_ip = Nic.ip net.Topology.b.Topology.nic in
+  let closed = ref 0 in
+  let rec loop () =
+    echo_once client ~dst_ip ~msg:(Bytes.make 64 'k') (fun () ->
+        incr closed;
+        loop ())
+  in
+  for _ = 1 to 16 do
+    loop ()
+  done;
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  Alcotest.(check bool) "connections churned" true (!closed > 100);
+  let sp tas = Tas.slow_path tas in
+  Alcotest.(check bool) "losses forced timeouts and RSTs" true
+    (Slow_path.timeout_retransmits (sp tas_a)
+     + Slow_path.timeout_retransmits (sp tas_b)
+     > 0
+    && Slow_path.rsts_sent (sp tas_a) + Slow_path.rsts_sent (sp tas_b) > 0);
+  let check_host name tas nic =
+    let table = Fast_path.flows (Tas.fast_path tas) in
+    Alcotest.(check int)
+      (name ^ ": table and slow path agree")
+      (Slow_path.flow_count (sp tas))
+      (Flow_table.count table);
+    Alcotest.(check bool) (name ^ ": flows in flight") true
+      (Flow_table.count table > 0);
+    Flow_table.iter table (fun tuple flow ->
+        let own =
+          {
+            Four_tuple.local_ip = Nic.ip nic;
+            local_port = Flow_state.local_port flow;
+            peer_ip = Flow_state.peer_ip flow;
+            peer_port = Flow_state.peer_port flow;
+          }
+        in
+        if not (Four_tuple.equal tuple own) then
+          Alcotest.failf "%s: stored key %a names flow %a" name Four_tuple.pp
+            tuple Four_tuple.pp own;
+        if Flow_table.find table (Four_tuple.copy tuple) != flow then
+          Alcotest.failf "%s: %a does not find its flow" name Four_tuple.pp
+            tuple)
+  in
+  check_host "client" tas_a net.Topology.a.Topology.nic;
+  check_host "server" tas_b net.Topology.b.Topology.nic
+
 let suite =
   [
     Alcotest.test_case "lifecycle pcap pinned" `Quick
@@ -370,4 +437,6 @@ let suite =
       test_rst_answer_allocation;
     Alcotest.test_case "connection churn words per connection" `Quick
       test_churn_words_per_connection;
+    Alcotest.test_case "stored tuple keys survive probe rewrites" `Quick
+      test_stored_keys_survive_probes;
   ]

@@ -14,13 +14,13 @@ let test_rate_refill () =
     (RB.tx_budget b ~in_flight:0 ~want:1000);
   Alcotest.(check int) "empty after drain" 0
     (RB.tx_budget b ~in_flight:0 ~want:1000);
-  (match RB.ns_until_bytes b 500 with
-  | Some ns ->
+  (match RB.ns_until_bytes_int b 500 with
+  | -1 -> Alcotest.fail "expected a wait"
+  | ns ->
     Alcotest.(check bool)
       (Printf.sprintf "refill time ~500us (got %dns)" ns)
       true
-      (abs (ns - 500_000) < 2_000)
-  | None -> Alcotest.fail "expected a wait");
+      (abs (ns - 500_000) < 2_000));
   ignore (Sim.schedule sim 500_000 (fun () ->
       Alcotest.(check int) "tokens refilled" 500
         (RB.tx_budget b ~in_flight:0 ~want:10_000)));
@@ -44,7 +44,7 @@ let test_window_mode () =
   Alcotest.(check int) "window exhausted" 0
     (RB.tx_budget b ~in_flight:10_000 ~want:100);
   Alcotest.(check bool) "no timer in window mode" true
-    (RB.ns_until_bytes b 1000 = None)
+    (RB.ns_until_bytes_int b 1000 = -1)
 
 let test_set_control_switches_mode () =
   let sim = Sim.create () in

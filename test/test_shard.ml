@@ -92,7 +92,7 @@ let test_rss_rewrite_moves_groups_in_order () =
 
 let test_shards_route_and_sum () =
   let rss = Rss_table.create ~num_queues:4 () in
-  let s : int Flow_shards.t = Flow_shards.create ~rss () in
+  let s : int Flow_shards.t = Flow_shards.create ~rss ~absent:(-1) () in
   let n = 64 in
   for i = 0 to n - 1 do
     Flow_shards.add s (tuple i) i
@@ -104,9 +104,7 @@ let test_shards_route_and_sum () =
   done;
   Alcotest.(check int) "shard counts sum to count" n !sum;
   for i = 0 to n - 1 do
-    (match Flow_shards.find s (tuple i) with
-    | Some v -> Alcotest.(check int) "payload" i v
-    | None -> Alcotest.fail "flow missing");
+    Alcotest.(check int) "payload" i (Flow_shards.find s (tuple i));
     (* each flow sits on the shard the redirection table names *)
     let q = Flow_shards.shard_of s (tuple i) in
     let on_shard = ref false in
@@ -121,11 +119,11 @@ let test_shards_route_and_sum () =
     (Flow_shards.lock_cycles s - Flow_shards.remote_lock_cycles s);
   Flow_shards.remove s (tuple 0);
   Alcotest.(check int) "removed" (n - 1) (Flow_shards.count s);
-  Alcotest.(check bool) "gone" true (Flow_shards.find s (tuple 0) = None)
+  Alcotest.(check int) "gone" (-1) (Flow_shards.find s (tuple 0))
 
 let test_shards_migration_conserves_flows () =
   let rss = Rss_table.create ~num_queues:4 () in
-  let s : int Flow_shards.t = Flow_shards.create ~rss () in
+  let s : int Flow_shards.t = Flow_shards.create ~rss ~absent:(-1) () in
   let n = 96 in
   for i = 0 to n - 1 do
     Flow_shards.add s (tuple i) i
@@ -143,9 +141,7 @@ let test_shards_migration_conserves_flows () =
   Alcotest.(check int) "hook saw every move" !hook_moved
     (Flow_shards.migrated_flows s);
   for i = 0 to n - 1 do
-    match Flow_shards.find s (tuple i) with
-    | Some v -> Alcotest.(check int) "payload survives" i v
-    | None -> Alcotest.fail "flow lost in migration"
+    Alcotest.(check int) "payload survives" i (Flow_shards.find s (tuple i))
   done;
   (* per-shard migration counters balance *)
   let inn = ref 0 and out = ref 0 in
@@ -165,7 +161,7 @@ let test_shards_migration_conserves_flows () =
 
 let test_shard_metrics_registered () =
   let rss = Rss_table.create ~num_queues:2 () in
-  let s : int Flow_shards.t = Flow_shards.create ~rss () in
+  let s : int Flow_shards.t = Flow_shards.create ~rss ~absent:(-1) () in
   Flow_shards.add s (tuple 0) 0;
   let m = Metrics.create () in
   Flow_shards.register s m ();

@@ -83,12 +83,11 @@ let test_bulk_transfer () =
   Alcotest.(check string)
     "content is intact" (Bytes.to_string payload) (Buffer.contents received)
 
-let bulk_under_loss recovery loss_rate =
+let bulk_under_loss loss_rate =
   let n = 200_000 in
   let payload = Bytes.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
   let rng = Rng.create 42 in
-  let config = { E.default_config with E.recovery } in
-  let sim, a, b = make_pair ~loss_rate ~rng ~config () in
+  let sim, a, b = make_pair ~loss_rate ~rng () in
   let received = Buffer.create n in
   E.listen b ~port:9 (fun _ ->
       {
@@ -123,9 +122,8 @@ let bulk_under_loss recovery loss_rate =
     "stream intact under loss" (Bytes.to_string payload)
     (Buffer.contents received)
 
-let test_loss_full_ooo () = bulk_under_loss E.Full_ooo 0.02
-let test_loss_go_back_n () = bulk_under_loss E.Go_back_n 0.02
-let test_heavy_loss () = bulk_under_loss E.Full_ooo 0.10
+let test_loss_full_ooo () = bulk_under_loss 0.02
+let test_heavy_loss () = bulk_under_loss 0.10
 
 let test_close_handshake () =
   let sim, a, b = make_pair () in
@@ -206,9 +204,8 @@ let suite =
     Alcotest.test_case "handshake and echo" `Quick test_handshake_and_echo;
     Alcotest.test_case "bulk transfer 500KB" `Quick test_bulk_transfer;
     Alcotest.test_case "2% loss, full OOO recovery" `Quick test_loss_full_ooo;
-    Alcotest.test_case "2% loss, go-back-N recovery" `Quick test_loss_go_back_n;
     Alcotest.test_case "10% loss survives" `Quick test_heavy_loss;
     Alcotest.test_case "FIN close handshake" `Quick test_close_handshake;
-    Alcotest.test_case "200 concurrent connections" `Quick test_many_connections;
     Alcotest.test_case "closed-loop RPC round trips" `Quick test_rpc_round_trips;
+    Alcotest.test_case "200 concurrent connections" `Quick test_many_connections;
   ]
