@@ -8,27 +8,26 @@ module Ipv4_header = Tas_proto.Ipv4_header
 module Window_cc = Tas_tcp.Window_cc
 module Rtt = Tas_tcp.Rtt
 module Ring = Tas_buffers.Ring_buffer
+module Ooo = Tas_buffers.Ooo_interval
+module Buf_pool = Tas_buffers.Buf_pool
 
 type config = {
-  mss : int;
   rx_buf : int;
   tx_buf : int;
   algorithm : Window_cc.algorithm;
-  initial_window : int;
   initial_rto_ns : int;
-  wscale : int;
 }
 
 let default_config =
   {
-    mss = 1460;
     rx_buf = 65535;
     tx_buf = 65535;
     algorithm = Window_cc.Dctcp;
-    initial_window = 10 * 1460;
     initial_rto_ns = 10_000_000;
-    wscale = 4;
   }
+
+(* Segment size of every engine connection, sent as the SYN's MSS option. *)
+let mss = 1460
 
 type state =
   | Syn_sent
@@ -66,7 +65,10 @@ type conn = {
   mutable fin_sent : bool;
   (* Receive side. *)
   mutable rcv_nxt : Seq32.t;
-  mutable ooo : (Seq32.t * bytes) list;
+  ooo : Ooo.t;
+  mutable rx : Ring.t;
+      (* out-of-order payload, at stream offset [head + (seq - rcv_nxt)];
+         [Ring.closed] while [ooo] is empty *)
   mutable ts_recent : int;
   mutable peer_wscale : int;
   (* Stats. *)
@@ -90,6 +92,7 @@ and t = {
   probe : Addr.Four_tuple.t;
       (* scratch lookup key of [handle_packet]; never stored *)
   listeners : (int, conn -> callbacks) Hashtbl.t;
+  rx_rings : Ring.Pool.t;
   mutable next_ephemeral : int;
   mutable next_iss : int;
   mutable total_retransmits : int;
@@ -111,6 +114,7 @@ let create sim nic config =
     conns = Tbl.create 256;
     probe = Addr.Four_tuple.probe ();
     listeners = Hashtbl.create 16;
+    rx_rings = Ring.Pool.create ();
     next_ephemeral = 32768;
     next_iss = 1000;
     total_retransmits = 0;
@@ -126,6 +130,7 @@ let cwnd c = Window_cc.cwnd c.cc
 let connection_count t = Tbl.length t.conns
 let total_retransmits t = t.total_retransmits
 let tx_free c = Ring.free c.tx
+let rx_ring_pool t = t.rx_rings
 
 (* First data byte's stream offset 0 corresponds to sequence iss+1. *)
 let offset_of_seq c seq = Seq32.diff seq (Seq32.add c.iss 1)
@@ -137,40 +142,62 @@ let ecn_capable t =
 
 (* --- Packet emission ------------------------------------------------- *)
 
-let emit c ?(flags = Tcp_header.ack_flags) ?(payload = Bytes.empty)
-    ?(seq = c.snd_nxt) ?mss_opt () =
+(* Window-scale shift advertised on the SYN (RFC 1323). *)
+let wscale = 4
+
+(* The SYN options, held once so that refilling a pooled header boxes
+   nothing. *)
+let syn_mss = Some mss
+let syn_wscale = Some wscale
+
+let syn_flags = { Tcp_header.no_flags with syn = true }
+let syn_ack_flags = { Tcp_header.no_flags with syn = true; ack = true }
+let ack_flags_ece = { Tcp_header.ack_flags with ece = true }
+let fin_ack_flags = { Tcp_header.ack_flags with fin = true }
+
+(* Every segment is a packet of the NIC's pool, refilled in place; a
+   payload of at least [Buf_pool.min_len] bytes is the packet's own and
+   goes back to the buffer pool with its last release. *)
+let emit c ~flags ~seq payload =
   let t = c.stack in
-  (* SYN segments advertise the unscaled window and carry the wscale
-     option; everything else advertises rx_buf >> wscale (RFC 1323). *)
-  let window =
-    if flags.Tcp_header.syn then min 65535 t.config.rx_buf
-    else min 65535 (t.config.rx_buf asr t.config.wscale)
-  in
-  let tcp =
-    Tcp_header.make ?mss:mss_opt
-      ?wscale:(if flags.Tcp_header.syn then Some t.config.wscale else None)
-      ~ts:(now_us t land 0xFFFF_FFFF, c.ts_recent)
-      ~src_port:c.tuple.Addr.Four_tuple.local_port
-      ~dst_port:c.tuple.Addr.Four_tuple.peer_port ~seq
-      ~ack:(if flags.Tcp_header.ack then c.rcv_nxt else 0)
-      ~flags ~window ()
-  in
-  let peer_id = Addr.host_id_of_ip c.tuple.Addr.Four_tuple.peer_ip in
+  let syn = flags.Tcp_header.syn in
+  let pkt = Packet.take (Nic.packet_pool t.nic) in
+  (* SYN segments advertise the unscaled window and carry the MSS and
+     wscale options; everything else advertises rx_buf >> wscale. *)
+  Tcp_header.fill pkt.Packet.tcp
+    ?mss:(if syn then syn_mss else None)
+    ?wscale:(if syn then syn_wscale else None)
+    ~src_port:c.tuple.Addr.Four_tuple.local_port
+    ~dst_port:c.tuple.Addr.Four_tuple.peer_port ~seq
+    ~ack:(if flags.Tcp_header.ack then c.rcv_nxt else 0)
+    ~flags
+    ~window:
+      (if syn then min 65535 t.config.rx_buf
+       else min 65535 (t.config.rx_buf asr wscale))
+    ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:c.ts_recent;
   let ecn =
     if Bytes.length payload > 0 && ecn_capable t then Ipv4_header.Ect0
     else Ipv4_header.Not_ect
   in
-  let pkt =
-    Packet.make ~src_mac:(Nic.mac t.nic) ~dst_mac:(Addr.host_mac peer_id)
-      ~src_ip:c.tuple.Addr.Four_tuple.local_ip
-      ~dst_ip:c.tuple.Addr.Four_tuple.peer_ip ~ecn ~tcp ~payload ()
-  in
+  Packet.fill pkt ~src_mac:(Nic.mac t.nic)
+    ~dst_mac:(Addr.host_mac (Addr.host_id_of_ip c.tuple.Addr.Four_tuple.peer_ip))
+    ~src_ip:c.tuple.Addr.Four_tuple.local_ip
+    ~dst_ip:c.tuple.Addr.Four_tuple.peer_ip ~ecn ~payload;
+  if Bytes.length payload >= Buf_pool.min_len then Packet.mark_pooled pkt;
   Nic.transmit t.nic pkt
 
 (* CE marks observed on received data are echoed on the ACK for that data —
    per-packet echo, the behaviour DCTCP requires. *)
 let send_ack ?(ece = false) c =
-  emit c ~flags:{ Tcp_header.ack_flags with ece } ()
+  emit c
+    ~flags:(if ece then ack_flags_ece else Tcp_header.ack_flags)
+    ~seq:c.snd_nxt Bytes.empty
+
+(* SYN while connecting, SYN-ACK while accepting. *)
+let send_syn c =
+  emit c
+    ~flags:(if c.state = Syn_sent then syn_flags else syn_ack_flags)
+    ~seq:c.iss Bytes.empty
 
 (* --- Timers ----------------------------------------------------------- *)
 
@@ -190,17 +217,9 @@ and rto_fire c =
   c.rto_event <- None;
   match c.state with
   | Closed | Time_wait -> ()
-  | Syn_sent ->
+  | Syn_sent | Syn_received ->
     Rtt.backoff c.rtt;
-    emit c
-      ~flags:{ Tcp_header.no_flags with syn = true }
-      ~seq:c.iss ~mss_opt:c.stack.config.mss ();
-    arm_rto c
-  | Syn_received ->
-    Rtt.backoff c.rtt;
-    emit c
-      ~flags:{ Tcp_header.no_flags with syn = true; ack = true }
-      ~seq:c.iss ~mss_opt:c.stack.config.mss ();
+    send_syn c;
     arm_rto c
   | _ ->
     if Seq32.lt c.snd_una c.snd_nxt then begin
@@ -220,22 +239,21 @@ and rto_fire c =
 (* --- Send path --------------------------------------------------------- *)
 
 and send_segment c seq len =
-  let payload = Bytes.create len in
+  let payload = Buf_pool.take (Buf_pool.local ()) len in
   Ring.read_at c.tx ~pos:(offset_of_seq c seq) ~dst:payload ~dst_off:0 ~len;
-  emit c ~flags:Tcp_header.data_flags ~payload ~seq ()
+  emit c ~flags:Tcp_header.data_flags ~seq payload
 
 and try_send c =
   match c.state with
   | Established | Close_wait | Fin_wait_1 | Closing | Last_ack ->
-    let t = c.stack in
     let continue = ref true in
     while !continue do
       let in_flight = Seq32.diff c.snd_nxt c.snd_una in
-      let wnd = min (Window_cc.cwnd c.cc) (max c.snd_wnd t.config.mss) in
+      let wnd = min (Window_cc.cwnd c.cc) (max c.snd_wnd mss) in
       let budget = wnd - in_flight in
       let avail = Ring.head c.tx - offset_of_seq c c.snd_nxt in
       if avail > 0 && budget > 0 then begin
-        let len = min t.config.mss (min avail budget) in
+        let len = min mss (min avail budget) in
         send_segment c c.snd_nxt len;
         c.snd_nxt <- Seq32.add c.snd_nxt len;
         c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
@@ -245,7 +263,7 @@ and try_send c =
         continue := false;
         (* All data sent: emit a queued FIN if the window allows. *)
         if avail <= 0 && c.fin_queued && not c.fin_sent && budget > 0 then begin
-          emit c ~flags:{ Tcp_header.ack_flags with fin = true } ();
+          emit c ~flags:fin_ack_flags ~seq:c.snd_nxt Bytes.empty;
           c.snd_nxt <- Seq32.add c.snd_nxt 1;
           c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
           c.fin_sent <- true;
@@ -257,9 +275,17 @@ and try_send c =
 
 (* --- Connection teardown ---------------------------------------------- *)
 
+(* Give the receive ring back to the stack's pool ([Ring.Pool.give]
+   ignores [Ring.closed]). *)
+let release_rx c =
+  Ring.Pool.give c.stack.rx_rings c.rx;
+  c.rx <- Ring.closed
+
 let remove_conn c =
   cancel_rto c;
   c.state <- Closed;
+  Ooo.reset c.ooo;
+  release_rx c;
   Tbl.remove c.stack.conns c.tuple
 
 let enter_time_wait c =
@@ -271,93 +297,55 @@ let enter_time_wait c =
 
 (* --- Receive path ------------------------------------------------------ *)
 
-let deliver c payload =
-  c.delivered <- c.delivered + Bytes.length payload;
-  c.rcv_nxt <- Seq32.add c.rcv_nxt (Bytes.length payload);
-  c.cb.on_receive c payload
+let deliver c chunk =
+  c.rcv_nxt <- Seq32.add c.rcv_nxt (Bytes.length chunk);
+  c.delivered <- c.delivered + Bytes.length chunk;
+  c.cb.on_receive c chunk
 
-(* Deliver any now-in-order segments held in the out-of-order list. *)
-let drain_ooo c =
-  let continue = ref true in
-  while !continue do
-    match c.ooo with
-    | (seq, data) :: rest when Seq32.leq seq c.rcv_nxt ->
-      c.ooo <- rest;
-      let skip = Seq32.diff c.rcv_nxt seq in
-      if skip < Bytes.length data then
-        deliver c (Bytes.sub data skip (Bytes.length data - skip))
-    | _ -> continue := false
-  done
+(* Copy the last verdict's extent of the segment into the ring. The
+   application consumes delivered bytes at once, so the window is always
+   the whole receive buffer and the ring's head stands for [rcv_nxt]. *)
+let deposit c payload seq =
+  let at = Ooo.write_at c.ooo in
+  Ring.write_at c.rx
+    ~pos:(Ring.head c.rx + Seq32.diff at c.rcv_nxt)
+    payload ~off:(Seq32.diff at seq) ~len:(Ooo.write_len c.ooo)
 
-(* Insert an out-of-order segment, trimming overlap with the window, the
-   delivered stream and existing segments. Keeps the list seq-sorted. *)
-let store_ooo c seq data =
-  let win_end = Seq32.add c.rcv_nxt c.stack.config.rx_buf in
-  let seg_end = Seq32.add seq (Bytes.length data) in
-  let seg_end = if Seq32.gt seg_end win_end then win_end else seg_end in
-  let len = Seq32.diff seg_end seq in
-  if len > 0 then begin
-    let data = if len = Bytes.length data then data else Bytes.sub data 0 len in
-    (* Insert keeping the list sorted and non-overlapping: segments already
-       present win; only the parts of [data] not covered are kept. A
-       leading part is cut against the next stored segment, a trailing part
-       recurses past it. *)
-    let rec insert_seq seq data l =
-      if Bytes.length data = 0 then l
-      else
-        match l with
-        | [] -> [ (seq, data) ]
-        | (s, d) :: rest ->
-          if Seq32.lt seq s then begin
-            let keep = min (Bytes.length data) (Seq32.diff s seq) in
-            if keep <= 0 then l
-            else
-              (seq, Bytes.sub data 0 keep)
-              :: insert_seq (Seq32.add seq keep)
-                   (Bytes.sub data keep (Bytes.length data - keep))
-                   l
-          end
-          else begin
-            let d_end = Seq32.add s (Bytes.length d) in
-            if Seq32.geq seq d_end then (s, d) :: insert_seq seq data rest
-            else begin
-              let skip = Seq32.diff d_end seq in
-              if skip >= Bytes.length data then l
-              else
-                (s, d)
-                :: insert_seq (Seq32.add seq skip)
-                     (Bytes.sub data skip (Bytes.length data - skip))
-                     rest
-            end
-          end
-    in
-    c.ooo <- insert_seq seq data c.ooo
-  end
-
-let process_payload c (tcp : Tcp_header.t) payload ~ce =
-  let len = Bytes.length payload in
-  if len = 0 then ()
-  else begin
-    let seq = tcp.Tcp_header.seq in
-    if Seq32.leq seq c.rcv_nxt then begin
-      (* Possibly partially old data. *)
-      let skip = Seq32.diff c.rcv_nxt seq in
-      if skip < len then begin
-        let fresh = Bytes.sub payload skip (len - skip) in
-        let win = c.stack.config.rx_buf in
-        let fresh =
-          if Bytes.length fresh > win then Bytes.sub fresh 0 win else fresh
-        in
-        deliver c fresh;
-        drain_ooo c
-      end;
-      send_ack ~ece:ce c
-    end
+(* Reassembly as the TAS fast path does it: an interval set decides, and
+   out-of-order bytes wait in a ring taken from the stack's pool at the
+   first store and given back once every range is delivered. In-order
+   data with nothing stored goes straight from the packet. *)
+let process_payload c pkt ~ce =
+  let payload = pkt.Packet.payload in
+  let seg_len = Bytes.length payload in
+  if seg_len > 0 then begin
+    let seq = pkt.Packet.tcp.Tcp_header.seq in
+    let window = c.stack.config.rx_buf in
+    let n = Ooo.in_order c.ooo ~exp:c.rcv_nxt ~window ~seg_start:seq ~seg_len in
+    if n > 0 then deliver c (Bytes.sub payload 0 n)
     else begin
-      (* Out of order. *)
-      store_ooo c seq payload;
-      send_ack ~ece:ce c
-    end
+      match Ooo.handle c.ooo ~exp:c.rcv_nxt ~window ~seg_start:seq ~seg_len with
+      | Ooo.Deliver when c.rx == Ring.closed ->
+        (* Nothing stored: the run is the segment's own bytes. *)
+        deliver c
+          (Bytes.sub payload
+             (Seq32.diff (Ooo.write_at c.ooo) seq)
+             (Ooo.write_len c.ooo))
+      | Ooo.Deliver ->
+        deposit c payload seq;
+        let adv = Ooo.advance c.ooo in
+        Ring.advance_head c.rx adv;
+        let chunk = Bytes.create adv in
+        ignore (Ring.pop c.rx ~dst:chunk ~dst_off:0 ~len:adv);
+        if Ooo.is_empty c.ooo then release_rx c;
+        deliver c chunk
+      | Ooo.Store ->
+        if c.rx == Ring.closed then
+          c.rx <- Ring.Pool.take c.stack.rx_rings window;
+        deposit c payload seq
+      | Ooo.Duplicate | Ooo.Drop -> ()
+    end;
+    send_ack ~ece:ce c
   end
 
 let process_ack c (tcp : Tcp_header.t) ~payload_len =
@@ -397,7 +385,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
       else if c.in_recovery then begin
         (* NewReno partial ACK: the next hole starts at the new snd_una. *)
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min c.stack.config.mss avail in
+        let len = min mss avail in
         if len > 0 then begin
           send_segment c c.snd_una len;
           c.retransmit_count <- c.retransmit_count + 1;
@@ -425,7 +413,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
         c.retransmit_count <- c.retransmit_count + 1;
         c.stack.total_retransmits <- c.stack.total_retransmits + 1;
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min c.stack.config.mss avail in
+        let len = min mss avail in
         if len > 0 then send_segment c c.snd_una len;
         arm_rto c
       end
@@ -442,7 +430,7 @@ let handle_established c pkt (tcp : Tcp_header.t) =
   if flags.Tcp_header.syn then send_ack c;
   process_ack c tcp ~payload_len:(Bytes.length pkt.Packet.payload);
   if c.state <> Closed then begin
-    process_payload c tcp pkt.Packet.payload ~ce;
+    process_payload c pkt ~ce;
     (* FIN processing: only when it is in order. *)
     let fin_seq = Seq32.add tcp.Tcp_header.seq (Bytes.length pkt.Packet.payload) in
     if flags.Tcp_header.fin && fin_seq = c.rcv_nxt then begin
@@ -469,7 +457,42 @@ let handle_fin_ack c =
     | Last_ack -> remove_conn c
     | _ -> ()
 
-let handle_packet t pkt =
+(* Initial congestion window: 10 segments. *)
+let initial_window = 10 * mss
+
+let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
+  let iss = Seq32.of_int (t.next_iss * 64021) in
+  t.next_iss <- t.next_iss + 1;
+  {
+    stack = t;
+    tuple;
+    cb;
+    state;
+    iss;
+    tx = Ring.create t.config.tx_buf;
+    snd_una = iss;
+    snd_nxt = Seq32.add iss 1;
+    snd_max = Seq32.add iss 1;
+    snd_wnd;
+    cc = Window_cc.create t.config.algorithm ~mss ~initial_window;
+    rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
+    rto_event = None;
+    dupacks = 0;
+    in_recovery = false;
+    recover_seq = iss;
+    fin_queued = false;
+    fin_sent = false;
+    rcv_nxt;
+    ooo = Ooo.create ~max_ranges:((t.config.rx_buf / mss) + 1) ();
+    rx = Ring.closed;
+    ts_recent;
+    peer_wscale;
+    delivered = 0;
+    acked_total = 0;
+    retransmit_count = 0;
+  }
+
+let dispatch t pkt =
   let tcp = pkt.Packet.tcp in
   Packet.write_tuple_at_receiver pkt t.probe;
   match Tbl.find t.conns t.probe with
@@ -509,12 +532,9 @@ let handle_packet t pkt =
           handle_established c pkt tcp;
           try_send c
         end
-        else if flags.Tcp_header.syn then begin
+        else if flags.Tcp_header.syn then
           (* Duplicate SYN: resend SYN-ACK. *)
-          emit c
-            ~flags:{ Tcp_header.no_flags with syn = true; ack = true }
-            ~seq:c.iss ~mss_opt:t.config.mss ()
-        end
+          send_syn c
       | Established | Fin_wait_1 | Fin_wait_2 | Close_wait | Closing
       | Last_ack ->
         handle_established c pkt tcp;
@@ -529,52 +549,27 @@ let handle_packet t pkt =
     then begin
       match Hashtbl.find_opt t.listeners tcp.Tcp_header.dst_port with
       | Some accept_fn ->
-        let iss = Seq32.of_int (t.next_iss * 64021) in
-        t.next_iss <- t.next_iss + 1;
         let tuple = Addr.Four_tuple.copy t.probe in
         let c =
-          {
-            stack = t;
-            tuple;
-            cb = null_callbacks;
-            state = Syn_received;
-            iss;
-            tx = Ring.create t.config.tx_buf;
-            snd_una = iss;
-            snd_nxt = Seq32.add iss 1;
-            snd_max = Seq32.add iss 1;
-            snd_wnd = tcp.Tcp_header.window;
-            cc =
-              Window_cc.create t.config.algorithm ~mss:t.config.mss
-                ~initial_window:t.config.initial_window;
-            rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
-            rto_event = None;
-            dupacks = 0;
-            in_recovery = false;
-            recover_seq = iss;
-            fin_queued = false;
-            fin_sent = false;
-            rcv_nxt = Seq32.add tcp.Tcp_header.seq 1;
-            ooo = [];
-            ts_recent =
-              (if tcp.Tcp_header.has_ts then tcp.Tcp_header.ts_val else 0);
-            peer_wscale =
-              (match tcp.Tcp_header.wscale with
-              | Some w -> w
-              | None -> 0);
-            delivered = 0;
-            acked_total = 0;
-            retransmit_count = 0;
-          }
+          new_conn t tuple ~cb:null_callbacks ~state:Syn_received
+            ~snd_wnd:tcp.Tcp_header.window
+            ~rcv_nxt:(Seq32.add tcp.Tcp_header.seq 1)
+            ~ts_recent:
+              (if tcp.Tcp_header.has_ts then tcp.Tcp_header.ts_val else 0)
+            ~peer_wscale:
+              (match tcp.Tcp_header.wscale with Some w -> w | None -> 0)
         in
         c.cb <- accept_fn c;
         Tbl.add t.conns tuple c;
-        emit c
-          ~flags:{ Tcp_header.no_flags with syn = true; ack = true }
-          ~seq:iss ~mss_opt:t.config.mss ();
+        send_syn c;
         arm_rto c
       | None -> () (* No listener: silently drop (no RST storms). *)
     end
+
+(* The engine consumes every packet it is handed. *)
+let handle_packet t pkt =
+  dispatch t pkt;
+  Packet.release pkt
 
 let attach t =
   Nic.set_rx_handler t.nic (fun ~queue:_ pkt -> handle_packet t pkt)
@@ -600,43 +595,12 @@ let connect t ?src_port ~dst_ip ~dst_port cb =
   in
   if Tbl.mem t.conns tuple then
     invalid_arg "Tcp_engine.connect: 4-tuple already in use";
-  let iss = Seq32.of_int (t.next_iss * 64021) in
-  t.next_iss <- t.next_iss + 1;
   let c =
-    {
-      stack = t;
-      tuple;
-      cb;
-      state = Syn_sent;
-      iss;
-      tx = Ring.create t.config.tx_buf;
-      snd_una = iss;
-      snd_nxt = Seq32.add iss 1;
-      snd_max = Seq32.add iss 1;
-      snd_wnd = t.config.mss;
-      cc =
-        Window_cc.create t.config.algorithm ~mss:t.config.mss
-          ~initial_window:t.config.initial_window;
-      rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
-      rto_event = None;
-      dupacks = 0;
-      in_recovery = false;
-      recover_seq = iss;
-      fin_queued = false;
-      fin_sent = false;
-      rcv_nxt = 0;
-      ooo = [];
-      ts_recent = 0;
-      peer_wscale = 0;
-      delivered = 0;
-      acked_total = 0;
-      retransmit_count = 0;
-    }
+    new_conn t tuple ~cb ~state:Syn_sent ~snd_wnd:mss ~rcv_nxt:0 ~ts_recent:0
+      ~peer_wscale:0
   in
   Tbl.add t.conns tuple c;
-  emit c
-    ~flags:{ Tcp_header.no_flags with syn = true }
-    ~seq:iss ~mss_opt:t.config.mss ();
+  send_syn c;
   arm_rto c;
   c
 

@@ -7,8 +7,23 @@
     necessary"). It implements the real protocol: three-way handshake,
     cumulative ACKs with ECN echo, flow control, NewReno or DCTCP congestion
     control, fast retransmit after three duplicate ACKs, retransmission
-    timeouts with exponential backoff, FIN teardown, and full out-of-order
-    buffering (Linux-style).
+    timeouts with exponential backoff, FIN teardown, and out-of-order
+    reassembly.
+
+    Reassembly is TAS's own: an {!Tas_buffers.Ooo_interval} per
+    connection, bounded at [rx_buf / 1460 + 1] disjoint ranges, with the
+    stored bytes in a receive {!Tas_buffers.Ring_buffer} that is taken
+    from the stack's pool ({!rx_ring_pool}) at the first out-of-order
+    segment and given back once every range is delivered or the
+    connection is removed. A segment that would exceed the bound evicts
+    the range furthest from the expected edge when it sits closer, and
+    is dropped otherwise; the sender retransmits what was lost either
+    way. No run of the paper's experiments reaches the bound, so they
+    see Linux-style full reassembly.
+
+    Every segment is a packet of the NIC's {!Tas_netsim.Nic.packet_pool},
+    and {!handle_packet} releases every packet it is handed, following
+    the ownership rule of {!Tas_proto.Packet}.
 
     Connections are keyed by {!Tas_proto.Addr.Four_tuple.t}: each received
     packet is looked up through one scratch probe tuple, so the lookup
@@ -18,22 +33,24 @@ type t
 type conn
 
 type config = {
-  mss : int;
-  rx_buf : int;  (** receive buffer = advertised window, bytes *)
-  tx_buf : int;
-  algorithm : Tas_tcp.Window_cc.algorithm;
-  initial_window : int;
-  initial_rto_ns : int;
-  wscale : int;  (** window-scale shift advertised on SYN (RFC 1323) *)
+  rx_buf : int;
+      (** receive buffer in bytes: the advertised window (shifted by the
+          window scale 4 after the SYN) and the reassembly ring's size *)
+  tx_buf : int;  (** transmit buffer in bytes: what {!send} can queue *)
+  algorithm : Tas_tcp.Window_cc.algorithm;  (** congestion control *)
+  initial_rto_ns : int;  (** retransmission timeout before an RTT sample *)
 }
 
 val default_config : config
-(** MSS 1460, 64 KB buffers, DCTCP, IW 10 segments. *)
+(** 64 KB buffers, DCTCP, a 10 ms initial RTO. Every stack uses MSS 1460,
+    window scale 4 and an initial window of 10 segments. *)
 
 type callbacks = {
   on_connected : conn -> unit;
   on_receive : conn -> bytes -> unit;
-      (** In-order payload delivery; chunks arrive exactly once, in order. *)
+      (** In-order payload delivery; bytes arrive exactly once, in order.
+          A chunk may span several segments: the run a gap-filling
+          segment completes arrives as one. *)
   on_sendable : conn -> int -> unit;
       (** [n] more transmit-buffer bytes were freed by ACKs. *)
   on_closed : conn -> unit;  (** Peer closed or connection reset. *)
@@ -50,7 +67,8 @@ val attach : t -> unit
     cost, no queueing). *)
 
 val handle_packet : t -> Tas_proto.Packet.t -> unit
-(** Protocol processing for one received packet. *)
+(** Protocol processing for one received packet, which it then releases:
+    the caller hands over its reference. *)
 
 val listen : t -> port:int -> (conn -> callbacks) -> unit
 (** Accept connections on [port]; the callback supplies per-connection
@@ -79,3 +97,7 @@ val cwnd : conn -> int
 
 val connection_count : t -> int
 val total_retransmits : t -> int
+
+val rx_ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
+(** The free list of reassembly rings: once no connection holds
+    out-of-order data, it holds every ring it has created. *)

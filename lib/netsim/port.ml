@@ -2,43 +2,7 @@ module Sim = Tas_engine.Sim
 module Packet = Tas_proto.Packet
 module Ipv4_header = Tas_proto.Ipv4_header
 module Span = Tas_telemetry.Span
-
-(* Allocation-free circular packet FIFO (grows by doubling when full). The
-   port sits on every packet's path twice (serialization, then propagation),
-   so per-packet queue cells would dominate the hot-path allocation profile. *)
-type ring = {
-  mutable r_buf : Packet.t array;
-  mutable r_head : int;
-  mutable r_len : int;
-}
-
-let ring_create cap =
-  { r_buf = Array.make cap Packet.sentinel; r_head = 0; r_len = 0 }
-
-let ring_push r pkt =
-  let cap = Array.length r.r_buf in
-  if r.r_len = cap then begin
-    let bigger = Array.make (2 * cap) Packet.sentinel in
-    for i = 0 to r.r_len - 1 do
-      bigger.(i) <- r.r_buf.((r.r_head + i) mod cap)
-    done;
-    r.r_buf <- bigger;
-    r.r_head <- 0
-  end;
-  r.r_buf.((r.r_head + r.r_len) mod Array.length r.r_buf) <- pkt;
-  r.r_len <- r.r_len + 1
-
-(* Returns [Packet.sentinel] when empty: an option would allocate on every
-   pop. *)
-let ring_pop r =
-  if r.r_len = 0 then Packet.sentinel
-  else begin
-    let pkt = r.r_buf.(r.r_head) in
-    r.r_buf.(r.r_head) <- Packet.sentinel;
-    r.r_head <- (r.r_head + 1) mod Array.length r.r_buf;
-    r.r_len <- r.r_len - 1;
-    pkt
-  end
+module Fifo = Tas_buffers.Fifo
 
 type t = {
   mutable span : Span.t;
@@ -47,8 +11,11 @@ type t = {
   delay : int;
   capacity : int;
   ecn_threshold : int option;
-  queue : ring;
-  inflight : ring;  (* serialized, now propagating; delivery is FIFO *)
+  (* Growable rings with [Packet.sentinel] as filler: the port sits on
+     every packet's path twice (serialization, then propagation), so
+     per-packet queue cells would dominate the allocation profile. *)
+  queue : Packet.t Fifo.t;
+  inflight : Packet.t Fifo.t;  (* serialized, now propagating; delivery is FIFO *)
   mutable queued_bytes : int;
   mutable transmitting : bool;
   mutable tx_pkt : Packet.t;  (* the one packet currently serializing *)
@@ -71,8 +38,8 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
       delay;
       capacity = capacity_pkts;
       ecn_threshold;
-      queue = ring_create 64;
-      inflight = ring_create 64;
+      queue = Fifo.create Packet.sentinel;
+      inflight = Fifo.create Packet.sentinel;
       queued_bytes = 0;
       transmitting = false;
       tx_pkt = Packet.sentinel;
@@ -90,9 +57,7 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
   t.deliver_thunk <-
     (fun () ->
       (* Constant propagation delay: deliveries complete in push order. *)
-      let pkt = ring_pop t.inflight in
-      assert (pkt != Packet.sentinel);
-      t.deliver pkt);
+      t.deliver (Fifo.pop t.inflight));
   t
 
 and tx_done t =
@@ -103,7 +68,7 @@ and tx_done t =
   t.tx_bytes <- t.tx_bytes + Packet.wire_size pkt;
   span_hop t pkt Span.Port_out;
   (* Propagation delay, then hand to the far end. *)
-  ring_push t.inflight pkt;
+  Fifo.push t.inflight pkt;
   Sim.post t.sim t.delay t.deliver_thunk;
   start_transmission t
 
@@ -117,9 +82,9 @@ and tx_time_ns t pkt =
   int_of_float (ceil (bits /. t.rate_bps *. 1e9))
 
 and start_transmission t =
-  let pkt = ring_pop t.queue in
-  if pkt == Packet.sentinel then t.transmitting <- false
+  if Fifo.length t.queue = 0 then t.transmitting <- false
   else begin
+    let pkt = Fifo.pop t.queue in
     t.transmitting <- true;
     t.tx_pkt <- pkt;
     let tx = tx_time_ns t pkt in
@@ -134,7 +99,7 @@ let set_deliver t f = t.deliver <- f
 let set_span t span = t.span <- span
 
 let enqueue t pkt =
-  let qlen = t.queue.r_len + if t.transmitting then 1 else 0 in
+  let qlen = Fifo.length t.queue + if t.transmitting then 1 else 0 in
   if qlen >= t.capacity then begin
     t.drops <- t.drops + 1;
     Packet.release pkt
@@ -156,12 +121,12 @@ let enqueue t pkt =
       | _ -> pkt
     in
     span_hop t pkt Span.Port_q;
-    ring_push t.queue pkt;
+    Fifo.push t.queue pkt;
     t.queued_bytes <- t.queued_bytes + Packet.wire_size pkt;
     if not t.transmitting then start_transmission t
   end
 
-let queue_len t = t.queue.r_len + if t.transmitting then 1 else 0
+let queue_len t = Fifo.length t.queue + if t.transmitting then 1 else 0
 let queue_bytes t = t.queued_bytes
 let drops t = t.drops
 let marks t = t.marks

@@ -13,8 +13,8 @@
     hands it on; the stage that consumes it releases it and it goes back
     to the pool it came from — even when that is the other host's NIC.
 
-    - {b Take.} {!take} (or {!make}, for cold paths) yields a packet with
-      one reference, owned by the caller.
+    - {b Take.} {!take} (or {!make}, for tests and fixtures) yields a
+      packet with one reference, owned by the caller.
     - {b Hand on.} Passing a packet down the pipeline (NIC → port → fault
       stage → NIC → fast path) passes its reference; the sender does not
       touch it again.
@@ -24,7 +24,8 @@
       [Fast_path.reinject].
     - {b Release.} Exactly one release per reference. The consumer
       releases: [Fast_path.process] after every verdict, including
-      malformed drops. Every drop site releases the packet it drops:
+      malformed drops, and [Tcp_engine.handle_packet] after every
+      packet. Every drop site releases the packet it drops:
       [Port]'s tail drop, [Fault]'s uniform, bursty and blackout drops,
       [Nic]'s checksum drop, [Switch]'s missing route, and [Tap]'s
       eviction and [Tap.clear].
@@ -34,11 +35,7 @@
       and most uses after release.
     - {b Mutate only what you own alone.} A stage that changes a packet
       ([Port]'s ECN mark, [Fault]'s corruption) first calls {!unshare},
-      so a tapped original keeps its bytes.
-
-    A consumer that keeps the payload itself (the baseline
-    [Tcp_engine] hands it to its application) never releases; the packet
-    then leaves its pool for good and the GC reclaims it. *)
+      so a tapped original keeps its bytes. *)
 
 type t = {
   eth : Eth_header.t;
@@ -82,8 +79,8 @@ val make :
   t
 (** A fresh packet in no pool (its release returns it nowhere), with a
     consistent IP total length. Default ECN codepoint is ECT(0), as DCTCP
-    senders mark all data packets ECN-capable. For cold paths: handshakes,
-    tests, the baseline engine. *)
+    senders mark all data packets ECN-capable. For tests and [perf_bench]
+    fixtures; every stack takes its segments from its NIC's pool. *)
 
 val sentinel : t
 (** A zero-address packet that is never handed out: the filler of vacated

@@ -97,8 +97,7 @@ val make :
   t
 (** A fresh header; [ts] is [(ts_val, ts_ecr)], [sack] the SACK blocks in
     wire order (at most {!max_sack_blocks}, else [Invalid_argument]). For
-    cold paths (handshakes,
-    tests); the data path refills a pooled header with {!fill}. *)
+    tests and fixtures; every stack refills a pooled header with {!fill}. *)
 
 val fill :
   ?mss:int ->

@@ -2,8 +2,19 @@
 
 module Sim = Tas_engine.Sim
 module Rng = Tas_engine.Rng
+module Time_ns = Tas_engine.Time_ns
 module Topology = Tas_netsim.Topology
+module Fault = Tas_netsim.Fault
+module Nic = Tas_netsim.Nic
+module Port = Tas_netsim.Port
+module Packet = Tas_proto.Packet
+module Seq32 = Tas_proto.Seq32
+module Ring_pool = Tas_buffers.Ring_buffer.Pool
 module E = Tas_baseline.Tcp_engine
+module Tas = Tas_core.Tas
+module Libtas = Tas_core.Libtas
+module Config = Tas_core.Config
+module Core = Tas_cpu.Core
 
 let make_pair ?spec ?loss_rate ?rng ?(config = E.default_config) () =
   let sim = Sim.create () in
@@ -199,6 +210,209 @@ let test_rpc_round_trips () =
   Sim.run ~until:(Tas_engine.Time_ns.sec 1) sim;
   Alcotest.(check int) "100 RPCs completed" 100 !completed
 
+(* --- Reassembly and packet ownership under faults ------------------------- *)
+
+(* Reordering, duplication and 2% loss, installed in both directions. *)
+let faulty =
+  {
+    (Fault.uniform_loss 0.02) with
+    Fault.dup_rate = 0.02;
+    reorder =
+      Some
+        {
+          Fault.reorder_rate = 0.05;
+          reorder_window = 4;
+          max_hold_ns = Time_ns.us 50;
+        };
+  }
+
+let pattern n = Bytes.init n (fun i -> Char.chr ((i * 13) land 0xff))
+
+(* An engine on [nic] that accepts on port 9 and collects the stream. *)
+let sink sim nic config =
+  let e = E.create sim nic config in
+  E.attach e;
+  let received = Buffer.create 4096 in
+  E.listen e ~port:9 (fun _ ->
+      {
+        E.null_callbacks with
+        E.on_receive = (fun _ d -> Buffer.add_bytes received d);
+      });
+  (e, received)
+
+(* Delivery is exact; every packet is back in its NIC's pool; and the
+   receiving engine stored out-of-order data and gave back every
+   reassembly ring it took. *)
+let check_drained ~payload ~received ~nics engine =
+  Alcotest.(check int) "all bytes delivered" (Bytes.length payload)
+    (Buffer.length received);
+  Alcotest.(check bool) "stream intact" true
+    (Bytes.to_string payload = Buffer.contents received);
+  List.iter
+    (fun nic ->
+      Alcotest.(check int) "no packet outstanding" 0
+        (Packet.Pool.outstanding (Nic.packet_pool nic)))
+    nics;
+  let rings = E.rx_ring_pool engine in
+  Alcotest.(check bool) "out-of-order data was stored" true
+    (Ring_pool.allocated rings > 0);
+  Alcotest.(check int) "every reassembly ring back in the pool"
+    (Ring_pool.allocated rings) (Ring_pool.held rings)
+
+let faulty_pair () =
+  let sim = Sim.create () in
+  let net =
+    Topology.point_to_point sim ~fault_ab:faulty ~fault_ba:faulty
+      ~rng:(Rng.create 11) ()
+  in
+  (sim, net.Topology.a.Topology.nic, net.Topology.b.Topology.nic)
+
+let test_faulty_engine_to_engine () =
+  let n = 300_000 in
+  let payload = pattern n in
+  let sim, nic_a, nic_b = faulty_pair () in
+  let a = E.create sim nic_a E.default_config in
+  E.attach a;
+  let b, received = sink sim nic_b E.default_config in
+  let sent = ref 0 in
+  let rec push c =
+    if !sent < n then begin
+      let k = E.send c (Bytes.sub payload !sent (min 8192 (n - !sent))) in
+      sent := !sent + k;
+      if k > 0 then push c
+    end
+  in
+  ignore
+    (E.connect a ~dst_ip:(Nic.ip nic_b) ~dst_port:9
+       {
+         E.null_callbacks with
+         E.on_connected = push;
+         E.on_sendable = (fun c _ -> push c);
+       });
+  Sim.run ~until:(Time_ns.sec 10) sim;
+  Alcotest.(check bool) "segments come from the NIC's pool" true
+    (Packet.Pool.created (Nic.packet_pool nic_a) > 0);
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+
+let test_faulty_tas_to_engine () =
+  let n = 300_000 in
+  let payload = pattern n in
+  let sim, nic_a, nic_b = faulty_pair () in
+  let tas = Tas.create sim ~nic:nic_a ~config:Config.default () in
+  let lt =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:100 () |] ~api:Libtas.Sockets
+  in
+  let b, received = sink sim nic_b E.default_config in
+  let sent = ref 0 in
+  let rec push sock =
+    if !sent < n then begin
+      let k = Libtas.send sock (Bytes.sub payload !sent (min 8192 (n - !sent))) in
+      sent := !sent + k;
+      if k > 0 then push sock
+    end
+  in
+  ignore
+    (Libtas.connect lt ~ctx:0 ~dst_ip:(Nic.ip nic_b) ~dst_port:9
+       {
+         Libtas.null_handlers with
+         Libtas.on_connected = push;
+         Libtas.on_sendable = push;
+       });
+  Sim.run ~until:(Time_ns.sec 10) sim;
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+
+(* The disjoint ranges an unbounded receiver would hold, observed on the
+   segments that reach [b]: a sorted list of [(start, stop)] offsets past
+   the in-order edge. Returns the observer and the peak count. *)
+let range_model deliver =
+  let base = ref None and edge = ref 0 and ranges = ref [] and peak = ref 0 in
+  let rec insert s e = function
+    | [] -> [ (s, e) ]
+    | (rs, re) :: rest when re < s -> (rs, re) :: insert s e rest
+    | (rs, _) :: _ as l when e < rs -> (s, e) :: l
+    | (rs, re) :: rest -> insert (min s rs) (max e re) rest
+  in
+  let rec advance = function
+    | (s, e) :: rest when s <= !edge ->
+      edge := max !edge e;
+      advance rest
+    | l -> l
+  in
+  let observe pkt =
+    let tcp = pkt.Packet.tcp in
+    (match !base with
+    | None when tcp.Tas_proto.Tcp_header.flags.Tas_proto.Tcp_header.syn ->
+      base := Some (Seq32.add tcp.Tas_proto.Tcp_header.seq 1)
+    | Some b when Packet.payload_len pkt > 0 ->
+      let s = Seq32.diff tcp.Tas_proto.Tcp_header.seq b in
+      let e = s + Packet.payload_len pkt in
+      if e > !edge then begin
+        ranges := advance (insert (max s !edge) e !ranges);
+        peak := max !peak (List.length !ranges)
+      end
+    | _ -> ());
+    deliver pkt
+  in
+  (observe, peak)
+
+let test_small_writes_beyond_range_bound () =
+  (* 100 B segments into an 8 KB window: 81 segments fit and the store
+     holds at most 8192 / 1460 + 1 = 6 ranges. 10% loss leaves more holes
+     than that, and with half the segments held back, some land closer
+     than the furthest range of a full store and evict it. *)
+  let config = { E.default_config with E.rx_buf = 8192 } in
+  let n = 100_000 and chunk = 100 in
+  let payload = pattern n in
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim () in
+  let nic_a = net.Topology.a.Topology.nic and nic_b = net.Topology.b.Topology.nic in
+  let rng = Rng.create 5 in
+  let lossy port deliver =
+    let spec =
+      {
+        faulty with
+        Fault.uniform_loss = 0.10;
+        reorder =
+          Some
+            {
+              Fault.reorder_rate = 0.5;
+              reorder_window = 16;
+              max_hold_ns = Time_ns.us 50;
+            };
+      }
+    in
+    let stage = Fault.create sim (Rng.split rng) spec in
+    Port.set_deliver port (Fault.wrap stage deliver)
+  in
+  let observe, peak = range_model (Nic.input nic_b) in
+  lossy net.Topology.a.Topology.uplink observe;
+  lossy net.Topology.b.Topology.uplink (Nic.input nic_a);
+  let a = E.create sim nic_a config in
+  E.attach a;
+  let b, received = sink sim nic_b config in
+  (* One 100 B write per segment: write only while the window has room,
+     so that each write leaves at once as its own segment. *)
+  let sent = ref 0 in
+  let rec push c =
+    let in_flight = !sent - E.bytes_acked c in
+    if !sent < n && in_flight + chunk <= min (E.cwnd c) config.E.rx_buf then
+      if E.send c (Bytes.sub payload !sent chunk) = chunk then begin
+        sent := !sent + chunk;
+        push c
+      end
+  in
+  ignore
+    (E.connect a ~dst_ip:(Nic.ip nic_b) ~dst_port:9
+       {
+         E.null_callbacks with
+         E.on_connected = push;
+         E.on_sendable = (fun c _ -> push c);
+       });
+  Sim.run ~until:(Time_ns.sec 20) sim;
+  Alcotest.(check bool) "more holes than the store's bound" true
+    (!peak > (config.E.rx_buf / 1460) + 1);
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+
 let suite =
   [
     Alcotest.test_case "handshake and echo" `Quick test_handshake_and_echo;
@@ -208,4 +422,10 @@ let suite =
     Alcotest.test_case "FIN close handshake" `Quick test_close_handshake;
     Alcotest.test_case "closed-loop RPC round trips" `Quick test_rpc_round_trips;
     Alcotest.test_case "200 concurrent connections" `Quick test_many_connections;
+    Alcotest.test_case "faulty links engine to engine" `Quick
+      test_faulty_engine_to_engine;
+    Alcotest.test_case "faulty links TAS to engine" `Quick
+      test_faulty_tas_to_engine;
+    Alcotest.test_case "small writes beyond the range bound" `Quick
+      test_small_writes_beyond_range_bound;
   ]
