@@ -43,7 +43,6 @@ val closed_loop_clients :
   ?start_at:Tas_engine.Time_ns.t ->
   ?stop_at:Tas_engine.Time_ns.t ->
   ?think_ns:int ->
-  ?request_jitter_ns:int ->
   stats:stats ->
   unit ->
   unit

@@ -26,9 +26,6 @@ let default_config =
     initial_rto_ns = 10_000_000;
   }
 
-(* Segment size of every engine connection, sent as the SYN's MSS option. *)
-let mss = 1460
-
 type state =
   | Syn_sent
   | Syn_received
@@ -142,13 +139,10 @@ let ecn_capable t =
 
 (* --- Packet emission ------------------------------------------------- *)
 
-(* Window-scale shift advertised on the SYN (RFC 1323). *)
-let wscale = 4
-
 (* The SYN options, held once so that refilling a pooled header boxes
    nothing. *)
-let syn_mss = Some mss
-let syn_wscale = Some wscale
+let syn_mss = Some Tcp_header.mss
+let syn_wscale = Some Tcp_header.wscale
 
 let syn_flags = { Tcp_header.no_flags with syn = true }
 let syn_ack_flags = { Tcp_header.no_flags with syn = true; ack = true }
@@ -173,7 +167,7 @@ let emit c ~flags ~seq payload =
     ~flags
     ~window:
       (if syn then min 65535 t.config.rx_buf
-       else min 65535 (t.config.rx_buf asr wscale))
+       else min 65535 (t.config.rx_buf asr Tcp_header.wscale))
     ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:c.ts_recent;
   let ecn =
     if Bytes.length payload > 0 && ecn_capable t then Ipv4_header.Ect0
@@ -249,11 +243,11 @@ and try_send c =
     let continue = ref true in
     while !continue do
       let in_flight = Seq32.diff c.snd_nxt c.snd_una in
-      let wnd = min (Window_cc.cwnd c.cc) (max c.snd_wnd mss) in
+      let wnd = min (Window_cc.cwnd c.cc) (max c.snd_wnd Tcp_header.mss) in
       let budget = wnd - in_flight in
       let avail = Ring.head c.tx - offset_of_seq c c.snd_nxt in
       if avail > 0 && budget > 0 then begin
-        let len = min mss (min avail budget) in
+        let len = min Tcp_header.mss (min avail budget) in
         send_segment c c.snd_nxt len;
         c.snd_nxt <- Seq32.add c.snd_nxt len;
         c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
@@ -385,7 +379,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
       else if c.in_recovery then begin
         (* NewReno partial ACK: the next hole starts at the new snd_una. *)
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min mss avail in
+        let len = min Tcp_header.mss avail in
         if len > 0 then begin
           send_segment c c.snd_una len;
           c.retransmit_count <- c.retransmit_count + 1;
@@ -413,7 +407,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
         c.retransmit_count <- c.retransmit_count + 1;
         c.stack.total_retransmits <- c.stack.total_retransmits + 1;
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min mss avail in
+        let len = min Tcp_header.mss avail in
         if len > 0 then send_segment c c.snd_una len;
         arm_rto c
       end
@@ -458,7 +452,7 @@ let handle_fin_ack c =
     | _ -> ()
 
 (* Initial congestion window: 10 segments. *)
-let initial_window = 10 * mss
+let initial_window = 10 * Tcp_header.mss
 
 let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
   let iss = Seq32.of_int (t.next_iss * 64021) in
@@ -474,7 +468,8 @@ let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
     snd_nxt = Seq32.add iss 1;
     snd_max = Seq32.add iss 1;
     snd_wnd;
-    cc = Window_cc.create t.config.algorithm ~mss ~initial_window;
+    cc =
+      Window_cc.create t.config.algorithm ~mss:Tcp_header.mss ~initial_window;
     rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
     rto_event = None;
     dupacks = 0;
@@ -483,7 +478,7 @@ let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
     fin_queued = false;
     fin_sent = false;
     rcv_nxt;
-    ooo = Ooo.create ~max_ranges:((t.config.rx_buf / mss) + 1) ();
+    ooo = Ooo.create ~max_ranges:((t.config.rx_buf / Tcp_header.mss) + 1) ();
     rx = Ring.closed;
     ts_recent;
     peer_wscale;
@@ -596,8 +591,8 @@ let connect t ?src_port ~dst_ip ~dst_port cb =
   if Tbl.mem t.conns tuple then
     invalid_arg "Tcp_engine.connect: 4-tuple already in use";
   let c =
-    new_conn t tuple ~cb ~state:Syn_sent ~snd_wnd:mss ~rcv_nxt:0 ~ts_recent:0
-      ~peer_wscale:0
+    new_conn t tuple ~cb ~state:Syn_sent ~snd_wnd:Tcp_header.mss ~rcv_nxt:0
+      ~ts_recent:0 ~peer_wscale:0
   in
   Tbl.add t.conns tuple c;
   send_syn c;

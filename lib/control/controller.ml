@@ -11,7 +11,6 @@ type t = {
   actuate : int -> unit;
   mutable p99_probe : (unit -> float) option;
   history : Policy.decision Queue.t;
-  history_limit : int;
   mutable ticks : int;
   mutable scale_ups : int;
   mutable scale_downs : int;
@@ -20,8 +19,10 @@ type t = {
   mutable target : int;
 }
 
-let create ?(policy = Policy.paper_default) ?(history_limit = 256)
-    ?(trace = Trace.disabled ()) ~min_cores ~max_cores ~actuate () =
+let history_limit = 256
+
+let create ?(policy = Policy.paper_default) ?(trace = Trace.disabled ())
+    ~min_cores ~max_cores ~actuate () =
   if min_cores < 1 || max_cores < min_cores then
     invalid_arg "Controller.create: need 1 <= min_cores <= max_cores";
   {
@@ -33,7 +34,6 @@ let create ?(policy = Policy.paper_default) ?(history_limit = 256)
     actuate;
     p99_probe = None;
     history = Queue.create ();
-    history_limit = max 1 history_limit;
     ticks = 0;
     scale_ups = 0;
     scale_downs = 0;
@@ -90,7 +90,7 @@ let tick t (signals : Policy.signals) =
       d_signals = signals;
     }
   in
-  if Queue.length t.history >= t.history_limit then ignore (Queue.pop t.history);
+  if Queue.length t.history >= history_limit then ignore (Queue.pop t.history);
   Queue.push decision t.history;
   decision
 

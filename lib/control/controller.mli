@@ -17,17 +17,16 @@ type t
 
 val create :
   ?policy:Policy.spec ->
-  ?history_limit:int ->
   ?trace:Tas_telemetry.Trace.t ->
   min_cores:int ->
   max_cores:int ->
   actuate:(int -> unit) ->
   unit ->
   t
-(** [policy] defaults to {!Policy.paper_default}; [history_limit] to 256
-    decisions; [trace] to a disabled ring. [actuate n] is called only when
-    a tick changes the core count, with [n] already clamped to
-    [[min_cores, max_cores]].
+(** [policy] defaults to {!Policy.paper_default}; [trace] to a disabled
+    ring. The decision history keeps the last 256 decisions. [actuate n]
+    is called only when a tick changes the core count, with [n] already
+    clamped to [[min_cores, max_cores]].
     @raise Invalid_argument when [min_cores < 1] or [max_cores < min_cores]. *)
 
 val set_p99_probe : t -> (unit -> float) -> unit
@@ -54,7 +53,7 @@ val denied_cooldown : t -> int
 val held_confirm : t -> int
 
 val decisions : t -> Policy.decision list
-(** Bounded history, oldest first (at most [history_limit]). *)
+(** Bounded history, oldest first (at most 256). *)
 
 val register : t -> Tas_telemetry.Metrics.t -> unit
 (** Register [ctl_ticks] / [ctl_scale_ups] / [ctl_scale_downs] /

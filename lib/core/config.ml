@@ -1,6 +1,4 @@
 type t = {
-  mss : int;
-  wscale : int;
   rx_buf_size : int;
   tx_buf_size : int;
   max_fast_path_cores : int;
@@ -9,12 +7,9 @@ type t = {
   control_interval_min_ns : int;
   control_interval_fixed_ns : int option;
   timeout_intervals : int;
-  handshake_rto_ns : int;
   dead_flow_timeout_ns : int option;
   rx_ooo_enabled : bool;
   recovery_policy : Tas_recovery.Policy.kind;
-  tlp_pto_ns : int;
-  context_queue_capacity : int;
   dynamic_scaling : bool;
   scale_check_interval_ns : int;
   scale_policy : Tas_control.Policy.spec;
@@ -34,8 +29,6 @@ type t = {
 
 let default =
   {
-    mss = 1460;
-    wscale = 4;
     rx_buf_size = 65536;
     tx_buf_size = 65536;
     max_fast_path_cores = 4;
@@ -44,17 +37,13 @@ let default =
     control_interval_min_ns = 50_000;
     control_interval_fixed_ns = None;
     timeout_intervals = 2;
-    handshake_rto_ns = 20_000_000;
     dead_flow_timeout_ns = None;
     rx_ooo_enabled = true;
     (* Loss recovery: [Reno] is the paper's dup-ACK go-back-N machinery,
        byte-identical to the seed; [Sack] / [Rack_tlp] grow the receiver
        to 4 out-of-order intervals (advertised as SACK blocks, at most 3
-       on the wire) and drive the sender scoreboard. [tlp_pto_ns] of 0
-       means the RTT-derived default (2*srtt). *)
+       on the wire) and drive the sender scoreboard. *)
     recovery_policy = Tas_recovery.Policy.Reno;
-    tlp_pto_ns = 0;
-    context_queue_capacity = 4096;
     dynamic_scaling = false;
     scale_check_interval_ns = 500_000_000;
     scale_policy = Tas_control.Policy.paper_default;

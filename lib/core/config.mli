@@ -1,8 +1,6 @@
 (** TAS configuration knobs, with the paper's defaults. *)
 
 type t = {
-  mss : int;
-  wscale : int;  (** window-scale shift advertised during handshakes *)
   rx_buf_size : int;  (** per-flow receive payload buffer (fixed, §4.1) *)
   tx_buf_size : int;
   max_fast_path_cores : int;
@@ -17,7 +15,6 @@ type t = {
   timeout_intervals : int;
       (** control intervals without snd_una progress before the slow path
           triggers a retransmission (default 2, §3.2) *)
-  handshake_rto_ns : int;  (** handshake retransmission timeout (20 ms) *)
   dead_flow_timeout_ns : int option;
       (** reap established flows that have in-flight or queued data but make
           no sequence progress for this long (the peer is gone and not even
@@ -38,9 +35,6 @@ type t = {
           option and drives a sender scoreboard with selective
           retransmit. [Rack_tlp] adds time-based loss detection (reordering
           window srtt/4) and tail-loss probes on top of [Sack] *)
-  tlp_pto_ns : int;
-      (** tail-loss-probe timeout; 0 (default) = 2*srtt *)
-  context_queue_capacity : int;
   dynamic_scaling : bool;  (** workload-proportional core scaling, §3.4 *)
   scale_check_interval_ns : int;
   scale_policy : Tas_control.Policy.spec;
@@ -63,7 +57,11 @@ type t = {
   flow_arena_capacity : int;
       (** slots of the off-heap {!Flow_arena} of 102-byte Table-3 records
           that holds all per-flow state; connections beyond this are
-          refused (default 4096) *)
+          refused (default 4096). The one capacity an experiment sizes:
+          context queues grow on demand, and the segment size, window
+          scale and handshake timeout are constants
+          ({!Tas_proto.Tcp_header.mss}, {!Tas_proto.Tcp_header.wscale},
+          [Fast_path.handshake_rto_ns]) *)
   sp_conn_cycles : int;  (** slow-path connection setup/teardown handling *)
   sp_flow_control_cycles : int;  (** slow-path CC loop, per flow *)
   trace_enabled : bool;

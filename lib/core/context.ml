@@ -1,23 +1,27 @@
 type kind = Readable | Writable
 
-(* A fixed circular queue of (kind, flow) events in two parallel arrays:
-   posting stores two fields and allocates nothing. Vacated slots hold
+(* A circular queue of (kind, flow) events in two parallel arrays:
+   posting stores two fields and allocates nothing until the queue fills,
+   when both arrays double in place. Vacated slots hold
    [Flow_state.absent]. *)
 type t = {
   id : int;
-  kinds : kind array;
-  flows : Flow_state.t array;
+  mutable kinds : kind array;
+  mutable flows : Flow_state.t array;
   mutable head : int;
   mutable len : int;
   mutable waker : unit -> unit;
 }
 
-let create ~id ~capacity =
-  if capacity <= 0 then invalid_arg "Context.create: capacity must be positive";
+(* Coalescing bounds a context at two events per flow, so no context with
+   at most 2,048 flows ever grows past this. *)
+let initial_capacity = 4096
+
+let create ~id =
   {
     id;
-    kinds = Array.make capacity Readable;
-    flows = Array.make capacity Flow_state.absent;
+    kinds = Array.make initial_capacity Readable;
+    flows = Array.make initial_capacity Flow_state.absent;
     head = 0;
     len = 0;
     waker = ignore;
@@ -26,13 +30,22 @@ let create ~id ~capacity =
 let id t = t.id
 let set_waker t f = t.waker <- f
 
-let post t kind flow =
+let grow t =
   let cap = Array.length t.flows in
-  if t.len = cap then
-    (* Coalescing bounds the queue at two events per flow; hitting capacity
-       means the context was sized too small for its flow count. *)
-    failwith "Context: queue overflow (capacity < 2 * flows)";
-  let i = (t.head + t.len) mod cap in
+  let kinds = Array.make (2 * cap) Readable
+  and flows = Array.make (2 * cap) Flow_state.absent in
+  for i = 0 to t.len - 1 do
+    let j = (t.head + i) mod cap in
+    kinds.(i) <- t.kinds.(j);
+    flows.(i) <- t.flows.(j)
+  done;
+  t.kinds <- kinds;
+  t.flows <- flows;
+  t.head <- 0
+
+let post t kind flow =
+  if t.len = Array.length t.flows then grow t;
+  let i = (t.head + t.len) mod Array.length t.flows in
   t.kinds.(i) <- kind;
   t.flows.(i) <- flow;
   t.len <- t.len + 1;

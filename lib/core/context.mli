@@ -4,10 +4,10 @@
     Each application thread typically owns one context, so it can poll a
     private queue instead of scanning shared payload buffers. Events are
     edge-triggered and coalesced per flow (at most one pending Readable and
-    one pending Writable per flow), so a bounded queue of one slot per flow
-    can never overflow — matching the paper's observation that context
-    queues only fill when payload is queued for an application that will
-    drain them soon. *)
+    one pending Writable per flow), so a context never holds more than two
+    events per flow. The queue starts at 4,096 slots, enough for 2,048
+    flows, and doubles in place when a post finds it full, so it never
+    refuses an event. *)
 
 type kind =
   | Readable
@@ -17,8 +17,9 @@ type kind =
 
 type t
 
-val create : id:int -> capacity:int -> t
-(** A queue of [capacity] events. Posting and popping allocate nothing. *)
+val create : id:int -> t
+(** An empty queue of 4,096 slots. Posting and popping allocate nothing
+    until a post finds the queue full and doubles it. *)
 
 val id : t -> int
 

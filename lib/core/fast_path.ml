@@ -306,6 +306,7 @@ let install_flow t ~tuple flow = Flow_table.add t.flows tuple flow
 let remove_flow t ~tuple = Flow_table.remove t.flows tuple
 
 let now_us t = Sim.now t.sim / 1000
+let handshake_rto_ns = Tas_engine.Time_ns.ms 20
 
 (* --- Packet construction ---------------------------------------------- *)
 
@@ -319,7 +320,7 @@ let build_packet t flow ~(flags : Tcp_header.flags) ~seq ~payload ~sack =
     ~flags
     ~window:
       (min 65535
-         (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale))
+         (Ring.free (Flow_state.rx_buf flow) asr Tcp_header.wscale))
     ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr:(Flow_state.ts_recent flow);
   (* Before [Packet.fill]: the blocks count in the packet's lengths. *)
   if sack then Ooo.write_sack (Flow_state.ooo flow) pkt.Packet.tcp;
@@ -420,7 +421,7 @@ let rec maybe_send t flow core =
   if avail > 0 && not (Flow_state.fin_sent flow) then begin
     let peer_budget = Flow_state.window flow - Flow_state.tx_sent flow in
     if peer_budget > 0 then begin
-      let want = min t.config.Config.mss (min avail peer_budget) in
+      let want = min Tcp_header.mss (min avail peer_budget) in
       (* Pace whole segments: a rate bucket with only a few tokens must not
          emit tiny packets — wait until a full [want] accumulates. *)
       let granted =
@@ -529,9 +530,7 @@ let rec arm_tlp t flow core =
          its 1 ms floor and probe ahead of the genuine first ACK; fall
          back to the handshake RTO until the estimator warms up. *)
       let srtt = Flow_state.rtt_est flow in
-      if srtt = 0 && t.config.Config.tlp_pto_ns = 0 then
-        t.config.Config.handshake_rto_ns
-      else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt ~configured:t.config.Config.tlp_pto_ns
+      if srtt = 0 then handshake_rto_ns else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt
     in
     if st.Rec.State.tlp_timer == Rec.State.no_timer then
       st.Rec.State.tlp_timer <- tlp_expired t flow st;

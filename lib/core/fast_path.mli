@@ -95,6 +95,11 @@ val flows : t -> Flow_table.t
 val stats : t -> stats
 val rec_stats : t -> rec_stats
 val config : t -> Config.t
+
+val handshake_rto_ns : int
+(** 20 ms: the slow path's SYN / SYN-ACK retransmission timeout, and the
+    tail-loss-probe timeout of a flow that has no RTT sample yet. *)
+
 val nic : t -> Tas_netsim.Nic.t
 val trace : t -> Tas_telemetry.Trace.t
 val span : t -> Tas_telemetry.Span.t

@@ -232,10 +232,7 @@ let create sim ~fast_path ~slow_path ~app_cores ~api () =
     Array.map
       (fun core ->
         {
-          ctx =
-            Context.create
-              ~id:(Fast_path.fresh_context_id fast_path)
-              ~capacity:(Fast_path.config fast_path).Config.context_queue_capacity;
+          ctx = Context.create ~id:(Fast_path.fresh_context_id fast_path);
           core;
           draining = false;
           step = ignore;

@@ -138,8 +138,6 @@ type t = {
   core : Core.t;
   config : Config.t;
   pkt_pool : Packet.Pool.t;  (* the NIC's: control segments are pooled too *)
-  some_mss : int option;  (* the SYN options, built once *)
-  some_wscale : int option;
   arena : Flow_arena.t;
       (* off-heap Table-3 records of every established flow *)
   rings : Ring.Pool.t;
@@ -298,6 +296,11 @@ let now_us t = Sim.now t.sim / 1000
 
 (* --- Slow-path packet construction ------------------------------------ *)
 
+(* The SYN options, held once so that refilling a pooled header boxes
+   nothing. *)
+let syn_mss = Some Tcp_header.mss
+let syn_wscale = Some Tcp_header.wscale
+
 (* A control segment from the NIC's packet pool, headers rewritten in
    place as [Fast_path.build_packet] does: no allocation once the pool is
    warm. *)
@@ -305,8 +308,8 @@ let build t (k : Addr.Four_tuple.t) ~(flags : Tcp_header.flags) ~seq ~ack_no
     ~window ~with_mss ~ts_ecr =
   let pkt = Packet.take t.pkt_pool in
   Tcp_header.fill pkt.Packet.tcp
-    ?mss:(if with_mss then t.some_mss else None)
-    ?wscale:(if flags.Tcp_header.syn then t.some_wscale else None)
+    ?mss:(if with_mss then syn_mss else None)
+    ?wscale:(if flags.Tcp_header.syn then syn_wscale else None)
     ~src_port:k.local_port ~dst_port:k.peer_port ~seq ~ack:ack_no ~flags
     ~window ~ts_val:(now_us t land 0xFFFF_FFFF) ~ts_ecr;
   Packet.fill pkt
@@ -320,7 +323,7 @@ let build t (k : Addr.Four_tuple.t) ~(flags : Tcp_header.flags) ~seq ~ack_no
    the scale we advertised, so it carries the buffer shifted right (as
    [Fast_path.build_packet] does); SYN and SYN-ACK windows are unscaled. *)
 let scaled_window t =
-  min 65535 (t.config.Config.rx_buf_size asr t.config.Config.wscale)
+  min 65535 (t.config.Config.rx_buf_size asr Tcp_header.wscale)
 
 let syn_flags = { Tcp_header.no_flags with Tcp_header.syn = true }
 let synack_flags = { Tcp_header.no_flags with Tcp_header.syn = true; ack = true }
@@ -374,7 +377,7 @@ let rec arm_pending_timer t p =
   cancel_pending_timer t p;
   p.p_timer <-
     Some
-      (Sim.schedule t.sim t.config.Config.handshake_rto_ns (fun () ->
+      (Sim.schedule t.sim Fast_path.handshake_rto_ns (fun () ->
            p.p_timer <- None;
            if Tbl.mem t.pending p.p_tuple then begin
              if p.p_retries >= handshake_retries then begin
@@ -401,14 +404,14 @@ let make_bucket t =
   let initial =
     if Config.rate_mode t.config then
       Interval_cc.Rate_bps t.config.Config.initial_rate_bps
-    else Interval_cc.Window_bytes (10 * t.config.Config.mss)
+    else Interval_cc.Window_bytes (10 * Tcp_header.mss)
   in
   let bucket =
     Rate_bucket.create t.sim
       (match initial with
       | Interval_cc.Rate_bps r -> Rate_bucket.Rate r
       | Interval_cc.Window_bytes w -> Rate_bucket.Window w)
-      ~burst_bytes:(2 * t.config.Config.mss)
+      ~burst_bytes:(2 * Tcp_header.mss)
   in
   (bucket, Interval_cc.create t.config.Config.cc ~initial)
 
@@ -767,7 +770,7 @@ let stall_threshold_ns t entry =
      the effective minimum RTO is ~1 ms (datacenter-tuned Linux uses more). *)
   let rtt_guard = 4 * max (Flow_state.rtt_est flow) 250_000 in
   let pacing_guard =
-    Rate_bucket.ns_to_send (Flow_state.bucket flow) (4 * t.config.Config.mss)
+    Rate_bucket.ns_to_send (Flow_state.bucket flow) (4 * Tcp_header.mss)
   in
   max base (max rtt_guard pacing_guard)
 
@@ -979,8 +982,6 @@ let create sim ~fast_path ~core ~config =
       core;
       config;
       pkt_pool = Nic.packet_pool (Fast_path.nic fast_path);
-      some_mss = Some config.Config.mss;
-      some_wscale = Some config.Config.wscale;
       arena = Flow_arena.create ~capacity:config.Config.flow_arena_capacity ();
       rings = Ring.Pool.create ();
       listeners = Hashtbl.create 16;
@@ -1115,7 +1116,7 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
             p_context = context_id;
             p_iss = fresh_iss t;
             p_peer_isn = 0;
-            p_peer_window = t.config.Config.mss;
+            p_peer_window = Tcp_header.mss;
             p_peer_wscale = 0;
             p_peer_ts = 0;
             p_state = Syn_sent;

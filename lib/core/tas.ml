@@ -46,12 +46,12 @@ let timeline_add_core tl ~role ~interval_ns core =
 (* Frames the timeline ring keeps; the oldest is evicted when full. *)
 let timeline_capacity = 4096
 
-let create sim ~nic ~config ?(span = Span.disabled ()) ?(freq_ghz = 2.1) () =
+let create sim ~nic ~config ?(span = Span.disabled ()) () =
   let fp_cores =
     Array.init config.Config.max_fast_path_cores (fun i ->
-        Core.create sim ~freq_ghz ~id:i ())
+        Core.create sim ~id:i ())
   in
-  let sp_core = Core.create sim ~freq_ghz ~id:1000 () in
+  let sp_core = Core.create sim ~id:1000 () in
   let tracer =
     if config.Config.trace_enabled then
       Trace.create ~enabled:true ~capacity:config.Config.trace_capacity ()

@@ -57,8 +57,10 @@ let client_tas sim ~nic ~span ~trace ~timeline_ns =
   in
   (tas, transport)
 
+let msg_size = 64
+
 let build ?(sample_every = 16) ?(capacity = 65536) ?(n_conns = 8)
-    ?(msg_size = 64) ?(pipeline = 4) ?(trace = false) ?(timeline_ns = 0) () =
+    ?(trace = false) ?(timeline_ns = 0) () =
   let sim = Sim.create () in
   let net = Topology.star sim ~n_clients:1 ~queues_per_nic:8 () in
   let span = Span.create ~enabled:true ~sample_every ~capacity () in
@@ -84,7 +86,7 @@ let build ?(sample_every = 16) ?(capacity = 65536) ?(n_conns = 8)
   let stats = Rpc_echo.make_stats () in
   Rpc_echo.closed_loop_clients sim client_transport ~n:n_conns
     ~dst_ip:(Nic.ip net.Topology.server.Topology.nic)
-    ~dst_port:7 ~msg_size ~pipeline ~stagger_ns:5_000 ~stats ();
+    ~dst_port:7 ~msg_size ~pipeline:4 ~stagger_ns:5_000 ~stats ();
   { sim; span; net; server = server_tas; client = client_tas; stats }
 
 let run t ~duration_ns = Sim.run ~until:duration_ns t.sim

@@ -18,8 +18,6 @@ val build :
   ?sample_every:int ->
   ?capacity:int ->
   ?n_conns:int ->
-  ?msg_size:int ->
-  ?pipeline:int ->
   ?trace:bool ->
   ?timeline_ns:int ->
   unit ->

@@ -96,7 +96,6 @@ let echo_tput_with_api api =
       Config.max_fast_path_cores = 2;
       rx_buf_size = 4096;
       tx_buf_size = 4096;
-      context_queue_capacity = 16384;
       control_interval_min_ns = 500_000;
     }
   in
@@ -148,7 +147,6 @@ let echo_tput_offload ~offload ~fp_cores =
         Config.max_fast_path_cores = max 1 fp_cores;
         rx_buf_size = 4096;
         tx_buf_size = 4096;
-        context_queue_capacity = 16384;
         control_interval_min_ns = 500_000;
         fp_driver_cycles = 0;
         fp_rx_cycles = 1;
@@ -161,7 +159,6 @@ let echo_tput_offload ~offload ~fp_cores =
         Config.max_fast_path_cores = max 1 fp_cores;
         rx_buf_size = 4096;
         tx_buf_size = 4096;
-        context_queue_capacity = 16384;
         control_interval_min_ns = 500_000;
       }
   in

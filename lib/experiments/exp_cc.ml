@@ -103,8 +103,7 @@ let launch_flow sim transport ~dst_ip ~dst_port ~size =
 (* Build a host of the given stack on an endpoint; protocol-level hosts
    (the paper's §5.5 simulations are ns-3: no CPU model), so TAS gets ample
    fast-path cores and zero-cost apps. *)
-let make_host sim ?(tas_initial_bps = 400e6) (endpoint : Topology.endpoint)
-    stack ~buf =
+let make_host sim (endpoint : Topology.endpoint) stack ~buf =
   match stack with
   | Tcp_newreno | Dctcp_window ->
     let algorithm =
@@ -134,7 +133,7 @@ let make_host sim ?(tas_initial_bps = 400e6) (endpoint : Topology.endpoint)
         cc;
         control_interval_fixed_ns = Some tau;
         (* Comparable aggressiveness to DCTCP's IW10 at the simulated RTT. *)
-        initial_rate_bps = tas_initial_bps;
+        initial_rate_bps = 400e6;
         (* Pure protocol simulation: make CPU costs negligible. *)
         fp_driver_cycles = 1;
         fp_rx_cycles = 1;
@@ -159,7 +158,7 @@ type single_link_result = {
   flows_completed : int;
 }
 
-let single_link stack ?(load = 0.75) ?(duration_ms = 200) () =
+let single_link stack ?(duration_ms = 200) () =
   let sim = Sim.create () in
   let rng = Rng.create 2024 in
   (* RTT 100us: 25us propagation each traversal. *)
@@ -184,9 +183,9 @@ let single_link stack ?(load = 0.75) ?(duration_ms = 200) () =
   let rec arrival () =
     let size = draw_size () in
     launch_flow sim sender ~dst_ip ~dst_port:5001 ~size;
-    (* Spacing proportional to size yields exactly the target load. *)
+    (* Spacing proportional to size yields exactly the target load, 75%. *)
     let gap =
-      float_of_int ((size + header_size) * 8) /. (load *. 10e9) *. 1e9
+      float_of_int ((size + header_size) * 8) /. (0.75 *. 10e9) *. 1e9
     in
     let jitter = Rng.exponential rng 1.0 in
     ignore
@@ -251,15 +250,14 @@ type cluster_result = {
   core_utilization : float;  (* mean busy fraction of core-layer links *)
 }
 
-let cluster stack ?(k = 8) ?(duration_ms = 60) ?(per_host_gbps = 0.5)
-    ?(tas_initial_bps = 400e6) () =
+let cluster stack ?(k = 8) ?(duration_ms = 60) () =
   let sim = Sim.create () in
   let rng = Rng.create 77 in
-  let net = Topology.fat_tree sim ~k ~oversubscription:4.0 () in
+  let net = Topology.fat_tree sim ~k () in
   let hosts = net.Topology.ft_hosts in
   let n = Array.length hosts in
   let transports =
-    Array.map (fun ep -> make_host sim ~tas_initial_bps ep stack ~buf:131072) hosts
+    Array.map (fun ep -> make_host sim ep stack ~buf:131072) hosts
   in
   let short = Stats.Hist.create () and long = Stats.Hist.create () in
   let completed = ref 0 in
@@ -275,8 +273,8 @@ let cluster stack ?(k = 8) ?(duration_ms = 60) ?(per_host_gbps = 0.5)
     transports;
   (* On-off traffic: each host launches flows to random other hosts with
      spacing that targets ~30% average load on (oversubscribed) core links:
-     host offered rate ~0.75 Gbps. *)
-  let per_host_bps = per_host_gbps *. 1e9 in
+     host offered rate 0.5 Gbps. *)
+  let per_host_bps = 0.5e9 in
   Array.iteri
     (fun i transport ->
       let host_rng = Rng.split rng in

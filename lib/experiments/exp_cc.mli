@@ -20,8 +20,7 @@ type single_link_result = {
   flows_completed : int;
 }
 
-val single_link : stack -> ?load:float -> ?duration_ms:int -> unit ->
-  single_link_result
+val single_link : stack -> ?duration_ms:int -> unit -> single_link_result
 
 val fig11 : ?quick:bool -> Format.formatter -> unit
 
@@ -32,7 +31,5 @@ type cluster_result = {
   core_utilization : float;  (** mean busy fraction of core-layer links *)
 }
 
-val cluster :
-  stack -> ?k:int -> ?duration_ms:int -> ?per_host_gbps:float ->
-  ?tas_initial_bps:float -> unit -> cluster_result
+val cluster : stack -> ?k:int -> ?duration_ms:int -> unit -> cluster_result
 val fig12 : ?quick:bool -> Format.formatter -> unit

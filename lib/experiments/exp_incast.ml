@@ -54,7 +54,6 @@ let run_one_mode mode ~conns =
               Config.max_fast_path_cores = 2;
               rx_buf_size = 16384;
               tx_buf_size = 16384;
-              context_queue_capacity = 8192;
               control_interval_min_ns = 200_000;
               cc =
                 (if mode = Tas_window_mode then

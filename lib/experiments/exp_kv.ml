@@ -45,8 +45,7 @@ let run_kv kind ~total_cores ~conns ?app_cycles ?workload ?(think_ns = 0)
       ~tas_patch:(fun c ->
         {
           c with
-          Config.context_queue_capacity = (4 * conns) + 4096;
-          control_interval_min_ns = 1_000_000;
+          Config.control_interval_min_ns = 1_000_000;
         })
       ()
   in

@@ -13,7 +13,9 @@ type sample = { t_ms : float; cores : int; mops : float; latency_us : float }
 
 (* Echo server on TAS with dynamic scaling; one client machine joins (and
    later leaves) per phase, each adding a slab of closed-loop load. *)
-let run_trace ?(phase_ms = 200) ?(phases = 5) () =
+let phase_ms = 200
+
+let run_trace ?(phases = 5) () =
   let sim = Sim.create () in
   let n_clients = phases in
   let net = Topology.star sim ~n_clients ~queues_per_nic:16 () in
@@ -26,7 +28,6 @@ let run_trace ?(phase_ms = 200) ?(phases = 5) () =
       idle_block_ns = Time_ns.ms 1;
       rx_buf_size = 4096;
       tx_buf_size = 4096;
-      context_queue_capacity = 16384;
       control_interval_min_ns = 500_000;
       (* Inflated fast-path costs so cores saturate at laptop-scale load
          (see mli). One core then handles ~210 kOps. *)

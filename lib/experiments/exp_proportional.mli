@@ -11,6 +11,6 @@
 
 type sample = { t_ms : float; cores : int; mops : float; latency_us : float }
 
-val run_trace : ?phase_ms:int -> ?phases:int -> unit -> sample list
+val run_trace : ?phases:int -> unit -> sample list
 val fig14 : ?quick:bool -> Format.formatter -> unit
 val fig15 : ?quick:bool -> Format.formatter -> unit

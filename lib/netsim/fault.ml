@@ -5,7 +5,7 @@ module Ipv4_header = Tas_proto.Ipv4_header
 module Trace = Tas_telemetry.Trace
 module Metrics = Tas_telemetry.Metrics
 
-type ge = { p_gb : float; p_bg : float; loss_good : float; loss_bad : float }
+type ge = { p_gb : float; p_bg : float }
 
 type reorder = {
   reorder_rate : float;
@@ -36,9 +36,6 @@ let passthrough =
 
 let uniform_loss rate = { passthrough with uniform_loss = rate }
 
-let bursty_loss ?(loss_good = 0.0) ?(loss_bad = 1.0) ~p_gb ~p_bg () =
-  { passthrough with ge = Some { p_gb; p_bg; loss_good; loss_bad } }
-
 let bursty_of_rate ~rate ~mean_burst_pkts =
   if rate <= 0.0 || rate >= 1.0 then
     invalid_arg "Fault.bursty_of_rate: rate must be in (0, 1)";
@@ -46,7 +43,7 @@ let bursty_of_rate ~rate ~mean_burst_pkts =
     invalid_arg "Fault.bursty_of_rate: mean_burst_pkts must be >= 1";
   let p_bg = 1.0 /. mean_burst_pkts in
   let p_gb = rate *. p_bg /. (1.0 -. rate) in
-  bursty_loss ~p_gb ~p_bg ()
+  { passthrough with ge = Some { p_gb; p_bg } }
 
 let flaps ~first_ns ~down_ns ~up_ns ~count =
   List.init count (fun i ->
@@ -124,15 +121,15 @@ let rec covers now = function
 
 let in_blackout t = covers (Sim.now t.sim) t.spec.blackouts
 
-(* Advance the Gilbert–Elliott chain one step, then draw a drop from the
-   (possibly new) state's loss probability. *)
+(* Advance the Gilbert–Elliott chain one step; the (possibly new) bad
+   state drops the packet. That drop still takes its draw (a certain
+   [coin]), which keeps every later draw of the stream where it is. *)
 let ge_drop t g =
   (if t.ge_bad then begin
      if Rng.coin t.rng g.p_bg then t.ge_bad <- false
    end
    else if Rng.coin t.rng g.p_gb then t.ge_bad <- true);
-  let p = if t.ge_bad then g.loss_bad else g.loss_good in
-  p > 0.0 && Rng.coin t.rng p
+  t.ge_bad && Rng.coin t.rng 1.0
 
 (* Damage the packet in exchange for its reference: in place when the
    stage holds the only one, else on a private copy ([Packet.unshare]), so

@@ -26,10 +26,9 @@
 type ge = {
   p_gb : float;  (** P(good -> bad) per packet *)
   p_bg : float;  (** P(bad -> good) per packet; mean burst = 1/p_bg *)
-  loss_good : float;  (** drop probability in the good state *)
-  loss_bad : float;  (** drop probability in the bad state *)
 }
-(** Gilbert–Elliott two-state Markov loss model. *)
+(** Gilbert–Elliott two-state Markov loss model: the good state drops
+    nothing, the bad state drops every packet. *)
 
 type reorder = {
   reorder_rate : float;  (** probability of holding a packet back *)
@@ -58,14 +57,9 @@ val passthrough : spec
 
 val uniform_loss : float -> spec
 
-val bursty_loss :
-  ?loss_good:float -> ?loss_bad:float -> p_gb:float -> p_bg:float -> unit ->
-  spec
-(** Gilbert–Elliott spec; [loss_good] defaults to 0, [loss_bad] to 1. *)
-
 val bursty_of_rate : rate:float -> mean_burst_pkts:float -> spec
 (** GE parameters whose stationary loss rate is [rate] with mean bad-state
-    burst length [mean_burst_pkts] (loss_good = 0, loss_bad = 1):
+    burst length [mean_burst_pkts]:
     p_bg = 1/mean_burst, p_gb = rate*p_bg/(1-rate). *)
 
 val flaps :

@@ -6,7 +6,6 @@ type route = Single of int | Ecmp of int array
 
 type t = {
   sim : Sim.t;
-  forwarding_delay : int;
   mutable ports : Port.t option array;
   mutable port_count : int;
   routes : (Tas_proto.Addr.ipv4, route) Hashtbl.t;
@@ -14,10 +13,11 @@ type t = {
   mutable span : Span.t;
 }
 
-let create sim ?(forwarding_delay = 500) () =
+let forwarding_delay = 500
+
+let create sim =
   {
     sim;
-    forwarding_delay;
     ports = Array.make 8 None;
     port_count = 0;
     routes = Hashtbl.create 64;
@@ -69,9 +69,7 @@ let input t pkt =
       if pkt.Packet.span >= 0 then
         Span.record t.span ~ts:(Sim.now t.sim) ~id:pkt.Packet.span
           ~hop:Span.Switch_fwd ~core:(-1) ~flow:(-1);
-      if t.forwarding_delay = 0 then Port.enqueue out pkt
-      else
-        Sim.post t.sim t.forwarding_delay (fun () -> Port.enqueue out pkt))
+      Sim.post t.sim forwarding_delay (fun () -> Port.enqueue out pkt))
 
 let no_route_drops t = t.no_route
 

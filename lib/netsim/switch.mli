@@ -8,9 +8,9 @@
 
 type t
 
-val create :
-  Tas_engine.Sim.t -> ?forwarding_delay:Tas_engine.Time_ns.t -> unit -> t
-(** Default forwarding delay 500 ns. *)
+val create : Tas_engine.Sim.t -> t
+(** A switch with no ports, forwarding each packet 500 ns after it
+    arrives. *)
 
 val add_port : t -> Port.t -> int
 (** Attach an output port; returns its port id. *)

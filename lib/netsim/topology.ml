@@ -41,19 +41,12 @@ let make_endpoint sim ~host_id ~queues ~uplink ~downlink =
   Port.set_deliver downlink (fun pkt -> Nic.input nic pkt);
   { nic; host_id; uplink; downlink }
 
-let point_to_point sim ?(spec = link_10g ()) ?(loss_rate = 0.0) ?fault_ab
-    ?fault_ba ?rng ?trace ?(queues_per_nic = 4) () =
+let point_to_point sim ?(spec = link_10g ()) ?fault_ab ?fault_ba ?rng ?trace
+    ?(queues_per_nic = 4) () =
   let a_to_b = make_port sim spec in
   let b_to_a = make_port sim spec in
   let a = make_endpoint sim ~host_id:0 ~queues:queues_per_nic ~uplink:a_to_b ~downlink:b_to_a in
   let b = make_endpoint sim ~host_id:1 ~queues:queues_per_nic ~uplink:b_to_a ~downlink:a_to_b in
-  (* A per-direction fault spec wins over the symmetric [loss_rate]
-     shorthand; either way faults are injected by a counted Fault stage. *)
-  let spec_for explicit =
-    match explicit with
-    | Some s -> Some s
-    | None -> if loss_rate > 0.0 then Some (Fault.uniform_loss loss_rate) else None
-  in
   let install fault_spec deliver port =
     match fault_spec with
     | None -> None
@@ -67,12 +60,8 @@ let point_to_point sim ?(spec = link_10g ()) ?(loss_rate = 0.0) ?fault_ab
         Port.set_deliver port (Fault.wrap stage deliver);
         Some stage
   in
-  let fault_ab =
-    install (spec_for fault_ab) (fun p -> Nic.input b.nic p) a_to_b
-  in
-  let fault_ba =
-    install (spec_for fault_ba) (fun p -> Nic.input a.nic p) b_to_a
-  in
+  let fault_ab = install fault_ab (fun p -> Nic.input b.nic p) a_to_b in
+  let fault_ba = install fault_ba (fun p -> Nic.input a.nic p) b_to_a in
   { a; b; fault_ab; fault_ba }
 
 type star = {
@@ -99,7 +88,7 @@ let star sim ~n_clients ?client_spec ?server_spec ?(queues_per_nic = 16) () =
   let server_spec =
     match server_spec with Some s -> s | None -> link_40g ~ecn_threshold:65 ()
   in
-  let switch = Switch.create sim () in
+  let switch = Switch.create sim in
   let server = attach_host sim switch ~spec:server_spec ~host_id:0 ~queues:queues_per_nic in
   let clients =
     Array.init n_clients (fun i ->
@@ -114,12 +103,11 @@ type fat_tree = {
   ft_core_ports : Port.t list;
 }
 
-let fat_tree sim ~k ?host_spec ?(oversubscription = 4.0) ?(queues_per_nic = 4)
-    () =
+let oversubscription = 4.0
+
+let fat_tree sim ~k ?(queues_per_nic = 4) () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Topology.fat_tree: k must be even";
-  let host_spec =
-    match host_spec with Some s -> s | None -> link_10g ~ecn_threshold:65 ()
-  in
+  let host_spec = link_10g ~ecn_threshold:65 () in
   let uplink_spec =
     { host_spec with rate_bps = host_spec.rate_bps /. oversubscription }
   in
@@ -128,9 +116,9 @@ let fat_tree sim ~k ?host_spec ?(oversubscription = 4.0) ?(queues_per_nic = 4)
   let all_ports = ref [] and core_ports = ref [] in
   (* Switch layers: per pod, [half] edge and [half] aggregation switches;
      globally [half*half] core switches. *)
-  let edge = Array.init k (fun _ -> Array.init half (fun _ -> Switch.create sim ())) in
-  let agg = Array.init k (fun _ -> Array.init half (fun _ -> Switch.create sim ())) in
-  let core = Array.init (half * half) (fun _ -> Switch.create sim ()) in
+  let edge = Array.init k (fun _ -> Array.init half (fun _ -> Switch.create sim)) in
+  let agg = Array.init k (fun _ -> Array.init half (fun _ -> Switch.create sim)) in
+  let core = Array.init (half * half) (fun _ -> Switch.create sim) in
   (* Connect two switches with a bidirectional pair of ports; returns the
      port ids on each side. *)
   let connect sw_a sw_b spec =

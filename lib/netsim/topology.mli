@@ -39,7 +39,6 @@ type point_to_point = {
 val point_to_point :
   Tas_engine.Sim.t ->
   ?spec:link_spec ->
-  ?loss_rate:float ->
   ?fault_ab:Fault.spec ->
   ?fault_ba:Fault.spec ->
   ?rng:Tas_engine.Rng.t ->
@@ -47,10 +46,9 @@ val point_to_point :
   ?queues_per_nic:int ->
   unit ->
   point_to_point
-(** Two directly-wired hosts (ids 0 and 1). [loss_rate] is shorthand for a
-    symmetric uniform-loss {!Fault.spec} in both directions; [fault_ab] /
-    [fault_ba] install arbitrary per-direction fault stages (and override
-    [loss_rate] for their direction). Any fault requires [rng]; each
+(** Two directly-wired hosts (ids 0 and 1). [fault_ab] / [fault_ba]
+    install a fault stage on their direction; symmetric loss passes the
+    same spec to both. Any fault requires [rng]; each
     direction draws from an independent split so the two streams do not
     perturb each other. [trace] is handed to the fault stages for
     fault-injection events. *)
@@ -81,10 +79,9 @@ type fat_tree = {
 val fat_tree :
   Tas_engine.Sim.t ->
   k:int ->
-  ?host_spec:link_spec ->
-  ?oversubscription:float ->
   ?queues_per_nic:int ->
   unit ->
   fat_tree
-(** [k] must be even; yields [k^3/4] hosts. [oversubscription] (default 4.0)
-    divides uplink bandwidth above the edge layer. *)
+(** [k] must be even; yields [k^3/4] hosts on 10G links with ECN threshold
+    65 packets. Uplinks above the edge layer run at a quarter of that rate
+    (4:1 oversubscription). *)

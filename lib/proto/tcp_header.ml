@@ -29,6 +29,8 @@ type t = {
   mutable sack_e2 : Seq32.t;
 }
 
+let mss = 1460
+let wscale = 4
 let max_sack_blocks = 3
 
 let clear_sack t =

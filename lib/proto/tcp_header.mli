@@ -55,6 +55,14 @@ type t = {
     {!max_sack_blocks} blocks of a longer option (a SACK receiver may use
     any subset of the blocks it is sent). *)
 
+val mss : int
+(** 1460: the segment size of every stack, TAS and the comparator engine
+    alike, advertised as the SYN's MSS option. *)
+
+val wscale : int
+(** 4: the window-scale shift every stack advertises on its SYN
+    (RFC 7323). *)
+
 val max_sack_blocks : int
 (** 3. *)
 

@@ -2,8 +2,7 @@ module Seq32 = Tas_proto.Seq32
 
 let reo_wnd_ns ~srtt_ns = max (srtt_ns / 4) 1_000
 
-let pto_ns ~srtt_ns ~configured =
-  if configured > 0 then configured else max (2 * srtt_ns) 1_000_000
+let pto_ns ~srtt_ns = max (2 * srtt_ns) 1_000_000
 
 let on_ack (st : State.t) ~una ~snd_nxt ~sack ~dup_acks ~reo_wnd =
   let rack = st.State.kind = Policy.Rack_tlp in

@@ -29,9 +29,8 @@ val reo_wnd_ns : srtt_ns:int -> int
 (** The reordering window: [max (srtt/4) 1µs] (the RFC's srtt/4 starting
     value). *)
 
-val pto_ns : srtt_ns:int -> configured:int -> int
-(** The probe timeout: [configured] when positive, else
-    [max (2 * srtt) 1ms]. *)
+val pto_ns : srtt_ns:int -> int
+(** The probe timeout: [max (2 * srtt) 1ms]. *)
 
 val on_ack :
   State.t ->

@@ -1,18 +1,15 @@
+let local_cost = 24
+let remote_cost = 96
+
 type t = {
-  local_cycles : int;
-  remote_cycles : int;
   mutable acquisitions : int;
   mutable remote_acquisitions : int;
   mutable cycles : int;
   mutable remote_cycles_total : int;
 }
 
-let create ?(local_cycles = 24) ?(remote_cycles = 96) () =
-  if local_cycles < 0 || remote_cycles < 0 then
-    invalid_arg "Spinlock.create: negative cycle cost";
+let create () =
   {
-    local_cycles;
-    remote_cycles;
     acquisitions = 0;
     remote_acquisitions = 0;
     cycles = 0;
@@ -21,7 +18,7 @@ let create ?(local_cycles = 24) ?(remote_cycles = 96) () =
 
 let acquire t ~remote =
   t.acquisitions <- t.acquisitions + 1;
-  let c = if remote then t.remote_cycles else t.local_cycles in
+  let c = if remote then remote_cost else local_cost in
   t.cycles <- t.cycles + c;
   if remote then begin
     t.remote_acquisitions <- t.remote_acquisitions + 1;

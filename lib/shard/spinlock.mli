@@ -16,10 +16,10 @@
 
 type t
 
-val create : ?local_cycles:int -> ?remote_cycles:int -> unit -> t
-(** Defaults: 24 cycles local, 96 remote (~Table 2's 0.2 kc/request lock
-    line split over the per-packet acquisitions of one request).
-    @raise Invalid_argument on a negative cost. *)
+val create : unit -> t
+(** A lock charging 24 cycles per local acquisition and 96 per remote one
+    (~Table 2's 0.2 kc/request lock line split over the per-packet
+    acquisitions of one request). *)
 
 val acquire : t -> remote:bool -> int
 (** Charge one acquisition; returns the cycles charged. *)

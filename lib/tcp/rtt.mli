@@ -1,20 +1,17 @@
 (** RTT estimation (RFC 6298): smoothed RTT, variance, and the derived
-    retransmission timeout. TAS feeds this from fast-path TCP timestamps;
-    the baseline engine feeds it from ACK round trips. *)
+    retransmission timeout, clamped to [\[1 ms, 4 s\]]. The comparator
+    engine ([Tas_baseline.Tcp_engine]) feeds it from echoed timestamps,
+    which are never ambiguous, so no sample needs Karn's filter. TAS does
+    not use it: the fast path keeps its own EWMA ([rtt_est]) in the
+    Table-3 flow record. *)
 
 type t
 
-val create : ?initial_rto_ns:int -> ?min_rto_ns:int -> unit -> t
-(** Default initial RTO: 10 ms (datacenter-tuned, not the RFC's 1 s).
-    [min_rto_ns] raises the RTO lower bound above the hard 1 ms floor
-    (WAN profiles use a higher floor so spurious timeouts do not defeat
-    time-based loss detection); values below the floor are ignored. *)
+val create : ?initial_rto_ns:int -> unit -> t
+(** Default initial RTO: 10 ms (datacenter-tuned, not the RFC's 1 s). *)
 
-val sample : ?retransmitted:bool -> t -> int -> unit
-(** [sample t rtt_ns] folds in a new RTT measurement.
-    [~retransmitted:true] marks a round trip measured against a segment
-    that was retransmitted: per Karn's algorithm the sample is ambiguous
-    and is discarded entirely (estimator and RTO unchanged). *)
+val sample : t -> int -> unit
+(** [sample t rtt_ns] folds in a new RTT measurement. *)
 
 val srtt_ns : t -> int
 (** Smoothed RTT; 0 before the first sample. *)

@@ -17,13 +17,10 @@ type entry = {
 type t = {
   tbl : (string * labels, entry) Hashtbl.t;
   mutable rev_order : entry list;  (* insertion order, for iteration *)
-  q_points : float list;  (* percentile points for hist summaries *)
 }
 
-let default_quantiles = [ 50.0; 90.0; 99.0; 99.9 ]
-
-let create ?(quantiles = default_quantiles) () =
-  { tbl = Hashtbl.create 64; rev_order = []; q_points = quantiles }
+let quantile_points = [ 50.0; 90.0; 99.0; 99.9 ]
+let create () = { tbl = Hashtbl.create 64; rev_order = [] }
 
 let norm_labels labels =
   List.sort (fun (a, _) (b, _) -> String.compare a b) labels
@@ -136,7 +133,7 @@ let snapshot t =
            s_name = e.name;
            s_labels = e.labels;
            s_help = e.help;
-           s_value = read ~points:t.q_points e.instrument;
+           s_value = read ~points:quantile_points e.instrument;
          })
 
 (* --- Cross-registry merge ----------------------------------------------- *)

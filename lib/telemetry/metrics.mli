@@ -21,14 +21,11 @@ type t
 type labels = (string * string) list
 (** Label sets are normalized (sorted by key) at registration. *)
 
-val default_quantiles : float list
-(** [[50.; 90.; 99.; 99.9]] — the percentile points histogram summaries
-    report unless overridden at {!create}. *)
+val quantile_points : float list
+(** [[50.; 90.; 99.; 99.9]]: the percentile points every histogram summary
+    reports. *)
 
-val create : ?quantiles:float list -> unit -> t
-(** [quantiles] sets the percentile points (in [0,100]) that every
-    histogram summary of this registry reports; defaults to
-    {!default_quantiles}. *)
+val create : unit -> t
 
 val counter_fn : t -> ?labels:labels -> ?help:string -> string -> (unit -> int) -> unit
 (** Register a monotonic counter read through a closure.

@@ -98,12 +98,12 @@ let snap tas =
 (* Bulk echo workload (the determinism suite's exchange-heavy run): [conns]
    engine clients each echo [rounds + i] 600 B messages; optional fault
    stages make it the chaos-style schedule. *)
-let observe ?fault_ab ?fault_ba ?loss_rate ?(trace_capacity = 4096)
+let observe ?fault_ab ?fault_ba ?(trace_capacity = 4096)
     ?(conns = 8) ?(rounds = 20) ?(until_ms = 80) ~seed () =
   let sim = Sim.create () in
   let rng = Rng.create seed in
   let net =
-    Topology.point_to_point sim ?fault_ab ?fault_ba ?loss_rate ~rng
+    Topology.point_to_point sim ?fault_ab ?fault_ba ~rng
       ~queues_per_nic:8 ()
   in
   let config =
@@ -152,7 +152,8 @@ let test_bulk_differential () =
 
 let test_bulk_differential_with_loss () =
   check_pinned ~boxed:"61601ab0d76be8f707fcb93e73a1721d"
-    (observe ~loss_rate:0.02 ~seed:11 ())
+    (observe ~fault_ab:(Fault.uniform_loss 0.02)
+       ~fault_ba:(Fault.uniform_loss 0.02) ~seed:11 ())
 
 (* Chaos-style schedule: bursty loss toward TAS, duplication + reordering
    on the return path — the `ch` experiment's "everything at once" shape,
@@ -304,15 +305,16 @@ let test_schedules_on_two_domains () =
   let chaos = Some (chaos_faults ()) in
   let schedules =
     [
-      ("bulk", "8709c2008144fb7beeb2820dbe20c2f7", 468, 7, None, None);
-      ("loss", "76c2750de8568a745e35f1cd9bf0cfca", 470, 11, Some 0.02, None);
-      ("chaos", "eb6a2e908fc8832de8bc9c1b6ff3c2e6", 494, 23, None, chaos);
+      ("bulk", "8709c2008144fb7beeb2820dbe20c2f7", 468, 7, None);
+      ( "loss", "76c2750de8568a745e35f1cd9bf0cfca", 470, 11,
+        Some (Fault.uniform_loss 0.02, Fault.uniform_loss 0.02) );
+      ("chaos", "eb6a2e908fc8832de8bc9c1b6ff3c2e6", 494, 23, chaos);
     ]
   in
-  let run (_, _, _, seed, loss_rate, faults) =
+  let run (_, _, _, seed, faults) =
     let fault_ab = Option.map fst faults and fault_ba = Option.map snd faults in
     let o =
-      observe ?fault_ab ?fault_ba ?loss_rate ~trace_capacity:8192 ~conns:6
+      observe ?fault_ab ?fault_ba ~trace_capacity:8192 ~conns:6
         ~rounds:16 ~until_ms:40 ~seed ()
     in
     (digest_of o, List.length o.events)
@@ -323,7 +325,7 @@ let test_schedules_on_two_domains () =
         Tas_parallel.Domain_pool.map pool ~f:run units)
   in
   Array.iteri
-    (fun i (name, boxed, events, _, _, _) ->
+    (fun i (name, boxed, events, _, _) ->
       Alcotest.(check (pair string int))
         (name ^ ": digest and trace-event count pinned")
         (boxed, events) results.(i))

@@ -224,15 +224,12 @@ let test_controller_clamps_and_audits () =
         (Controller.create ~min_cores:0 ~max_cores:2 ~actuate:ignore ()))
 
 let test_controller_history_bounded () =
-  let ctl =
-    Controller.create ~history_limit:4 ~min_cores:1 ~max_cores:2
-      ~actuate:ignore ()
-  in
-  for i = 1 to 10 do
+  let ctl = Controller.create ~min_cores:1 ~max_cores:2 ~actuate:ignore () in
+  for i = 1 to 262 do
     ignore (Controller.tick ctl (signals ~ts:i ~active:1 ~idle:0.5 ()))
   done;
   let ds = Controller.decisions ctl in
-  Alcotest.(check int) "history capped" 4 (List.length ds);
+  Alcotest.(check int) "history capped" 256 (List.length ds);
   Alcotest.(check int) "oldest dropped"
     7 (List.hd ds).Policy.d_ts
 

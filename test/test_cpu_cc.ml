@@ -124,39 +124,6 @@ let test_rtt_min_clamp () =
   Rtt.sample rtt 1_000;
   Alcotest.(check bool) "clamped to min 1ms" true (Rtt.rto_ns rtt >= 1_000_000)
 
-let test_rtt_configurable_floor () =
-  (* A raised floor binds even after tiny samples... *)
-  let rtt = Rtt.create ~min_rto_ns:5_000_000 () in
-  for _ = 1 to 50 do
-    Rtt.sample rtt 1_000
-  done;
-  Alcotest.(check bool) "raised floor binds" true (Rtt.rto_ns rtt >= 5_000_000);
-  (* ...and a floor below the hard 1 ms minimum is ignored. *)
-  let rtt = Rtt.create ~min_rto_ns:10 () in
-  for _ = 1 to 50 do
-    Rtt.sample rtt 1_000
-  done;
-  Alcotest.(check bool) "hard floor still binds" true
-    (Rtt.rto_ns rtt >= 1_000_000)
-
-let test_rtt_karn_discards_retransmit_samples () =
-  let rtt = Rtt.create () in
-  for _ = 1 to 20 do
-    Rtt.sample rtt 100_000
-  done;
-  let srtt = Rtt.srtt_ns rtt and var = Rtt.rttvar_ns rtt in
-  let rto = Rtt.rto_ns rtt in
-  (* A wildly wrong sample measured against a retransmitted segment must
-     leave the estimator completely untouched (Karn's algorithm). *)
-  Rtt.sample ~retransmitted:true rtt 900_000_000;
-  Alcotest.(check int) "srtt unchanged" srtt (Rtt.srtt_ns rtt);
-  Alcotest.(check int) "rttvar unchanged" var (Rtt.rttvar_ns rtt);
-  Alcotest.(check int) "rto unchanged" rto (Rtt.rto_ns rtt);
-  (* Karn also applies before the first sample: the estimator stays unseeded. *)
-  let fresh = Rtt.create () in
-  Rtt.sample ~retransmitted:true fresh 900_000_000;
-  Alcotest.(check int) "no first sample taken" 0 (Rtt.srtt_ns fresh)
-
 (* --- Window CC ----------------------------------------------------------------- *)
 
 let test_newreno_slow_start_doubles () =
@@ -343,10 +310,6 @@ let suite =
     Alcotest.test_case "rtt convergence" `Quick test_rtt_convergence;
     Alcotest.test_case "rtt backoff" `Quick test_rtt_backoff;
     Alcotest.test_case "rtt min clamp" `Quick test_rtt_min_clamp;
-    Alcotest.test_case "rtt configurable rto floor" `Quick
-      test_rtt_configurable_floor;
-    Alcotest.test_case "rtt karn discards retransmit samples" `Quick
-      test_rtt_karn_discards_retransmit_samples;
     Alcotest.test_case "newreno slow start" `Quick test_newreno_slow_start_doubles;
     Alcotest.test_case "newreno fast retransmit" `Quick
       test_newreno_fast_retransmit_halves;

@@ -8,6 +8,7 @@ module Time_ns = Tas_engine.Time_ns
 module Rng = Tas_engine.Rng
 module Core = Tas_cpu.Core
 module Topology = Tas_netsim.Topology
+module Fault = Tas_netsim.Fault
 module E = Tas_baseline.Tcp_engine
 module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
@@ -23,11 +24,12 @@ type observation = {
 }
 
 (* One full client/server exchange-heavy run, returning every telemetry
-   export. [loss_rate]/[seed] exercise the RNG-dependent paths. *)
-let observe ?loss_rate ~seed () =
+   export. [fault]/[seed] exercise the RNG-dependent paths. *)
+let observe ?fault ~seed () =
   let sim = Sim.create () in
   let rng = Rng.create seed in
-  let net = Topology.point_to_point sim ?loss_rate ~rng ~queues_per_nic:8 () in
+  let net = Topology.point_to_point sim ?fault_ab:fault ?fault_ba:fault ~rng
+      ~queues_per_nic:8 () in
   let config =
     { Config.default with Config.trace_enabled = true; trace_capacity = 4096 }
   in
@@ -95,15 +97,15 @@ let test_same_seed_identical () =
   Alcotest.(check bool) "some trace events" true (List.length a.events > 100)
 
 let test_same_seed_identical_with_loss () =
-  let a = observe ~loss_rate:0.02 ~seed:11 () in
-  let b = observe ~loss_rate:0.02 ~seed:11 () in
+  let a = observe ~fault:(Fault.uniform_loss 0.02) ~seed:11 () in
+  let b = observe ~fault:(Fault.uniform_loss 0.02) ~seed:11 () in
   check_identical a b
 
 let test_different_seed_diverges_under_loss () =
   (* Loss draws come from the seeded RNG, so different seeds must yield
      observably different packet counts somewhere in the export. *)
-  let a = observe ~loss_rate:0.05 ~seed:1 () in
-  let b = observe ~loss_rate:0.05 ~seed:2 () in
+  let a = observe ~fault:(Fault.uniform_loss 0.05) ~seed:1 () in
+  let b = observe ~fault:(Fault.uniform_loss 0.05) ~seed:2 () in
   Alcotest.(check bool) "exports differ" true (a.json <> b.json)
 
 (* --- span streams -------------------------------------------------------- *)

@@ -25,6 +25,7 @@ module Port = Tas_netsim.Port
 module Tap = Tas_netsim.Tap
 module Pcap = Tas_netsim.Pcap
 module Topology = Tas_netsim.Topology
+module Fault = Tas_netsim.Fault
 module Config = Tas_core.Config
 module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
@@ -373,7 +374,8 @@ let test_churn_words_per_connection () =
 let test_stored_keys_survive_probes () =
   let sim = Sim.create () in
   let net =
-    Topology.point_to_point sim ~queues_per_nic:2 ~loss_rate:0.05
+    Topology.point_to_point sim ~queues_per_nic:2
+      ~fault_ab:(Fault.uniform_loss 0.05) ~fault_ba:(Fault.uniform_loss 0.05)
       ~rng:(Rng.create 25) ()
   in
   let (tas_a, client), (tas_b, server) = tas_pair sim net in

@@ -314,7 +314,7 @@ let fast_path_pair ?fault sim =
   let nic_a = net.Topology.a.Topology.nic
   and nic_b = net.Topology.b.Topology.nic in
   let config =
-    { Config.default with Config.wscale = 7; recovery_policy = Rec.Policy.Rack_tlp }
+    { Config.default with Config.recovery_policy = Rec.Policy.Rack_tlp }
   in
   let fast_path nic id =
     let fp = Fast_path.create sim ~nic ~cores:[| Core.create sim ~id () |] ~config in
@@ -331,7 +331,7 @@ let fast_path_pair ?fault sim =
         ~bucket:(Rate_bucket.create sim (Rate_bucket.Rate 5e8) ~burst_bytes:65536)
         ~rx_buf_size:buf ~tx_buf_size:buf ~local_port ~peer_ip:(Nic.ip peer)
         ~peer_port ~peer_mac:(Nic.mac peer) ~tx_iss ~rx_next ~window:buf
-        ~peer_wscale:config.Config.wscale ()
+        ~peer_wscale:Tcp.wscale ()
     in
     Fast_path.install_flow fp
       ~tuple:

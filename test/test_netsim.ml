@@ -86,7 +86,7 @@ let test_ecn_not_marked_when_not_capable () =
 
 let test_switch_routing () =
   let sim = Sim.create () in
-  let sw = Switch.create sim ~forwarding_delay:0 () in
+  let sw = Switch.create sim in
   let got_a = ref 0 and got_b = ref 0 in
   let port_a = Port.create sim ~rate_bps:1e10 ~delay:0 () in
   let port_b = Port.create sim ~rate_bps:1e10 ~delay:0 () in
@@ -105,7 +105,7 @@ let test_switch_routing () =
 
 let test_switch_ecmp_stable () =
   let sim = Sim.create () in
-  let sw = Switch.create sim ~forwarding_delay:0 () in
+  let sw = Switch.create sim in
   let counts = Array.make 4 0 in
   let ids =
     List.init 4 (fun i ->

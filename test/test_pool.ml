@@ -315,7 +315,7 @@ let test_segment_path_allocation () =
   let net = Topology.point_to_point sim ~queues_per_nic:1 () in
   let nic_a = net.Topology.a.Topology.nic
   and nic_b = net.Topology.b.Topology.nic in
-  let config = { Config.default with Config.wscale = 7 } in
+  let config = Config.default in
   let fast_path nic id =
     let cores = [| Core.create sim ~id () |] in
     let fp = Fast_path.create sim ~nic ~cores ~config in
@@ -332,7 +332,7 @@ let test_segment_path_allocation () =
           (Rate_bucket.create sim (Rate_bucket.Rate 5e9) ~burst_bytes:65536)
         ~rx_buf_size:buf ~tx_buf_size:buf ~local_port ~peer_ip:(Nic.ip peer)
         ~peer_port ~peer_mac:(Nic.mac peer) ~tx_iss ~rx_next ~window:buf
-        ~peer_wscale:config.Config.wscale ()
+        ~peer_wscale:Tcp.wscale ()
     in
     Fast_path.install_flow fp
       ~tuple:
@@ -383,12 +383,9 @@ let test_segment_path_allocation () =
 let test_port_exhaustion_refuses () =
   let sim = Sim.create () in
   let net = Topology.point_to_point sim ~queues_per_nic:1 () in
-  (* Cheap connects and a handshake timeout beyond the run, so no pending
-     handshake gives its port back. *)
-  let config =
-    { Config.default with
-      Config.sp_conn_cycles = 10; handshake_rto_ns = Time_ns.sec 10 }
-  in
+  (* Cheap connects, and a run that ends before the first handshake
+     timeout, so no pending handshake gives its port back. *)
+  let config = { Config.default with Config.sp_conn_cycles = 10 } in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
   let sp = Tas.slow_path tas in
   let dst_ip = Nic.ip net.Topology.b.Topology.nic in
@@ -406,7 +403,7 @@ let test_port_exhaustion_refuses () =
   for i = 1 to 63_001 do
     Slow_path.connect sp ~opaque:i ~context_id:0 ~dst_ip ~dst_port:7 cb
   done;
-  Sim.run ~until:(Time_ns.ms 100) sim;
+  Sim.run ~until:(Fast_path.handshake_rto_ns / 2) sim;
   Alcotest.(check int) "one refusal" 1 (Slow_path.port_exhaustions sp);
   Alcotest.(check bool) "failed through the callback" true
     (!failed = [ Slow_path.Refused ]);

@@ -222,9 +222,9 @@ let test_rack_defaults_and_clock () =
   Alcotest.(check int) "reo_wnd floor" 1_000
     (Rack.reo_wnd_ns ~srtt_ns:0);
   Alcotest.(check int) "pto = 2*srtt" 20_000_000
-    (Rack.pto_ns ~srtt_ns:10_000_000 ~configured:0);
+    (Rack.pto_ns ~srtt_ns:10_000_000);
   Alcotest.(check int) "pto floor 1ms" 1_000_000
-    (Rack.pto_ns ~srtt_ns:1_000 ~configured:0);
+    (Rack.pto_ns ~srtt_ns:1_000);
   let st = State.create Policy.Rack_tlp in
   Scoreboard.on_transmit st.State.sb ~seq:0 ~len:100 ~now_ns:1_000;
   Scoreboard.on_transmit st.State.sb ~seq:100 ~len:100 ~now_ns:200_000;

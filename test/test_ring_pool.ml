@@ -268,18 +268,18 @@ let test_sequential_recycling () =
 (* --- Stale handles -------------------------------------------------------- *)
 
 (* A RACK-TLP sender whose peer goes silent is reaped with data in flight,
-   its tail-loss probe still armed: probes every 300 us, reaping after
-   700 us without progress, and a window-mode controller so the whole
-   flight leaves at once. The held handle must read closed rings,
-   and neither the probe nor a late transmit command may put a segment on
-   the wire — the rings they would have read now belong to the pool. *)
+   its tail-loss probe still armed: reaping after 700 us without progress,
+   well before the first probe (20 ms: the flow has no RTT sample), and a
+   window-mode controller so the whole flight leaves at once. The held
+   handle must read closed rings, and neither the probe nor a late
+   transmit command may put a segment on the wire — the rings they would
+   have read now belong to the pool. *)
 let test_stale_handle () =
   let config =
     {
       Config.default with
       Config.recovery_policy = Tas_recovery.Policy.Rack_tlp;
-      cc = Tas_tcp.Interval_cc.Window_dctcp { mss = Config.default.Config.mss };
-      tlp_pto_ns = Time_ns.us 300;
+      cc = Tas_tcp.Interval_cc.Window_dctcp { mss = Tas_proto.Tcp_header.mss };
       dead_flow_timeout_ns = Some (Time_ns.us 700);
     }
   in

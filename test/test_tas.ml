@@ -7,6 +7,7 @@ module Time_ns = Tas_engine.Time_ns
 module Rng = Tas_engine.Rng
 module Core = Tas_cpu.Core
 module Topology = Tas_netsim.Topology
+module Fault = Tas_netsim.Fault
 module E = Tas_baseline.Tcp_engine
 module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
@@ -21,10 +22,11 @@ type setup = {
   server_ip : Tas_proto.Addr.ipv4;
 }
 
-let make ?(config = Config.default) ?(api = Libtas.Sockets) ?loss_rate ?rng
+let make ?(config = Config.default) ?(api = Libtas.Sockets) ?fault ?rng
     ?(app_cores = 1) () =
   let sim = Sim.create () in
-  let net = Topology.point_to_point sim ?loss_rate ?rng ~queues_per_nic:8 () in
+  let net = Topology.point_to_point sim ?fault_ab:fault ?fault_ba:fault ?rng
+      ~queues_per_nic:8 () in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
   let cores = Array.init app_cores (fun i -> Core.create sim ~id:(100 + i) ()) in
   let lt = Tas.app tas ~app_cores:cores ~api in
@@ -190,7 +192,7 @@ let test_loss_recovery () =
      recovery must still deliver the whole stream. *)
   let n = 300_000 in
   let rng = Rng.create 7 in
-  let s = make ~loss_rate:0.02 ~rng () in
+  let s = make ~fault:(Fault.uniform_loss 0.02) ~rng () in
   let received = Buffer.create n in
   E.listen s.client ~port:9 (fun _ ->
       {

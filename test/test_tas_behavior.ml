@@ -17,9 +17,9 @@ module E = Tas_baseline.Tcp_engine
 module Scenario = Tas_experiments.Scenario
 
 (* TAS host + ideal engine peer over a lossy/able link. *)
-let make ?(config = Config.default) ?loss_rate ?rng () =
+let make ?(config = Config.default) () =
   let sim = Sim.create () in
-  let net = Topology.point_to_point sim ?loss_rate ?rng ~queues_per_nic:4 () in
+  let net = Topology.point_to_point sim ~queues_per_nic:4 () in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
   let core = Core.create sim ~id:100 () in
   let lt = Tas.app tas ~app_cores:[| core |] ~api:Libtas.Sockets in
@@ -297,7 +297,7 @@ let test_core_split_matches_table6 () =
 let test_context_event_coalescing () =
   (* Multiple payload deposits while the app is busy produce a single
      Readable event per flow. *)
-  let ctx = Tas_core.Context.create ~id:0 ~capacity:8 in
+  let ctx = Tas_core.Context.create ~id:0 in
   let sim = Sim.create () in
   let bucket =
     Tas_core.Rate_bucket.create sim (Tas_core.Rate_bucket.Window 65536)
@@ -326,6 +326,72 @@ let test_context_event_coalescing () =
   Tas_core.Context.post_readable ctx flow;
   Alcotest.(check int) "re-armed after pop" 1 (Tas_core.Context.pending ctx)
 
+(* More flows than the queue's initial 4,096 slots hold events for: the
+   queue doubles in place (twice here, with its head mid-array), pops in
+   post order and keeps coalescing. A warm post/pop cycle that fills the
+   initial slots exactly allocates nothing. *)
+let test_context_grows_in_place () =
+  let module Ctx = Tas_core.Context in
+  let n = 5000 in
+  let sim = Sim.create () in
+  let bucket =
+    Tas_core.Rate_bucket.create sim (Tas_core.Rate_bucket.Window 65536)
+      ~burst_bytes:0
+  in
+  let arena = Tas_core.Flow_arena.create ~capacity:n ()
+  and pool = Tas_buffers.Ring_buffer.Pool.create () in
+  let flows =
+    Array.init n (fun i ->
+        Tas_core.Flow_state.create ~arena ~pool ~opaque:i ~context:0 ~bucket
+          ~rx_buf_size:64 ~tx_buf_size:64 ~local_port:1 ~peer_ip:2
+          ~peer_port:3 ~peer_mac:4 ~tx_iss:0 ~rx_next:0 ~window:1000
+          ~peer_wscale:0 ())
+  in
+  let ctx = Ctx.create ~id:0 in
+  for i = 0 to 99 do
+    Ctx.post_readable ctx flows.(i)
+  done;
+  for _ = 1 to 50 do
+    ignore (Ctx.pop ctx)
+  done;
+  for i = 100 to n - 1 do
+    Ctx.post_readable ctx flows.(i)
+  done;
+  Array.iter (Ctx.post_writable ctx) flows;
+  for i = 50 to n - 1 do
+    Ctx.post_readable ctx flows.(i)
+  done;
+  Array.iter (Ctx.post_writable ctx) flows;
+  Alcotest.(check int) "coalesced past the initial size"
+    ((2 * n) - 50) (Ctx.pending ctx);
+  let popped kind lo hi =
+    for i = lo to hi do
+      if Ctx.head_kind ctx <> kind || Ctx.pop ctx != flows.(i) then
+        Alcotest.failf "event %d out of post order" i
+    done
+  in
+  popped Ctx.Readable 50 (n - 1);
+  (* Flows 0..49 were popped before the growth: a new post queues again. *)
+  Ctx.post_readable ctx flows.(0);
+  popped Ctx.Writable 0 (n - 1);
+  popped Ctx.Readable 0 0;
+  Alcotest.(check bool) "drained" true (Ctx.is_empty ctx);
+  let warm = Ctx.create ~id:1 in
+  let cycle () =
+    for i = 0 to 2047 do
+      Ctx.post_readable warm flows.(i);
+      Ctx.post_writable warm flows.(i)
+    done;
+    while not (Ctx.is_empty warm) do
+      ignore (Ctx.pop warm)
+    done
+  in
+  cycle ();
+  let w0 = Gc.minor_words () in
+  cycle ();
+  Alcotest.(check (float 0.0)) "warm cycle allocates nothing" 0.0
+    (Gc.minor_words () -. w0)
+
 let suite =
   [
     Alcotest.test_case "receiver OOO interval heals a drop" `Quick
@@ -342,4 +408,6 @@ let suite =
       test_core_split_matches_table6;
     Alcotest.test_case "context event coalescing" `Quick
       test_context_event_coalescing;
+    Alcotest.test_case "context queue grows in place" `Quick
+      test_context_grows_in_place;
   ]

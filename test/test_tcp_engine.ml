@@ -16,9 +16,11 @@ module Libtas = Tas_core.Libtas
 module Config = Tas_core.Config
 module Core = Tas_cpu.Core
 
-let make_pair ?spec ?loss_rate ?rng ?(config = E.default_config) () =
+let make_pair ?spec ?fault ?rng ?(config = E.default_config) () =
   let sim = Sim.create () in
-  let net = Topology.point_to_point sim ?spec ?loss_rate ?rng () in
+  let net =
+    Topology.point_to_point sim ?spec ?fault_ab:fault ?fault_ba:fault ?rng ()
+  in
   let a = E.create sim net.Topology.a.Topology.nic config in
   let b = E.create sim net.Topology.b.Topology.nic config in
   E.attach a;
@@ -26,8 +28,8 @@ let make_pair ?spec ?loss_rate ?rng ?(config = E.default_config) () =
   (sim, a, b)
 
 (* Echo server on [b]; send [payload] from [a]; expect it echoed back. *)
-let run_echo ?spec ?loss_rate ?rng ?config ~payload () =
-  let sim, a, b = make_pair ?spec ?loss_rate ?rng ?config () in
+let run_echo ?spec ?fault ?rng ?config ~payload () =
+  let sim, a, b = make_pair ?spec ?fault ?rng ?config () in
   let received_at_b = Buffer.create 64 and received_at_a = Buffer.create 64 in
   E.listen b ~port:7 (fun _conn ->
       {
@@ -98,7 +100,7 @@ let bulk_under_loss loss_rate =
   let n = 200_000 in
   let payload = Bytes.init n (fun i -> Char.chr ((i * 7) land 0xff)) in
   let rng = Rng.create 42 in
-  let sim, a, b = make_pair ~loss_rate ~rng () in
+  let sim, a, b = make_pair ~fault:(Fault.uniform_loss loss_rate) ~rng () in
   let received = Buffer.create n in
   E.listen b ~port:9 (fun _ ->
       {

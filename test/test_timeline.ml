@@ -285,17 +285,17 @@ let test_hist_merge_exact () =
       h.Metrics.max_v
   | _ -> Alcotest.fail "expected one merged hist sample"
 
-let test_quantile_configuration () =
-  Alcotest.(check bool) "p99.9 is a default" true
-    (List.mem 99.9 Metrics.default_quantiles);
-  let m = Metrics.create ~quantiles:[ 50.0; 99.9 ] () in
+let test_quantile_points () =
+  Alcotest.(check bool) "p99.9 is a quantile point" true
+    (List.mem 99.9 Metrics.quantile_points);
+  let m = Metrics.create () in
   let h = Metrics.hist m "lat" in
   for i = 1 to 1000 do
     Stats.Hist.add h (float_of_int i)
   done;
   match Metrics.snapshot m with
   | [ ({ Metrics.s_value = Metrics.Hist s; _ } as sample) ] ->
-    Alcotest.(check int) "two points" 2 (List.length s.Metrics.quantiles);
+    Alcotest.(check int) "four points" 4 (List.length s.Metrics.quantiles);
     let j = Json.to_string (Metrics.sample_to_json sample) in
     let contains needle =
       let ln = String.length needle and lh = String.length j in
@@ -350,8 +350,8 @@ let suite =
       test_chrome_counters_shape;
     Alcotest.test_case "hist merge exact from buckets" `Quick
       test_hist_merge_exact;
-    Alcotest.test_case "quantile list configurable, p999 default" `Quick
-      test_quantile_configuration;
+    Alcotest.test_case "p999 quantile point exported" `Quick
+      test_quantile_points;
     Alcotest.test_case "same-seed timeline byte-identical" `Quick
       test_same_seed_identical;
     Alcotest.test_case "serial vs -j4 timelines identical" `Slow
