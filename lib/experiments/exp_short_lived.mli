@@ -5,4 +5,6 @@
 
 val run : ?quick:bool -> Format.formatter -> unit
 
-val throughput_at : Scenario.kind -> rpcs_per_conn:int -> float
+val throughput_at : Scenario.kind -> rpcs_per_conn:int -> float * int
+(** Measured RPC throughput (ops/s) for one configuration, and the
+    connections the server's flow arena refused over the run. *)

@@ -137,6 +137,11 @@ let client_transport sim endpoint ?(buf_size = 16384) () =
   E.attach engine;
   Transport.of_engine engine
 
+let arena_refusals server =
+  match server.tas with
+  | Some tas -> Tas_core.Slow_path.arena_refusals (Tas_core.Tas.slow_path tas)
+  | None -> 0
+
 let measure_rate sim ~warmup ~measure counter =
   Sim.run ~until:(Sim.now sim + warmup) sim;
   let before = counter () in

@@ -47,6 +47,9 @@ val client_transport :
   Tas_apps.Transport.t
 (** Ideal (cost-free) client host. *)
 
+val arena_refusals : server -> int
+(** Connections the server's flow arena refused (0 on a baseline stack). *)
+
 val measure_rate :
   Tas_engine.Sim.t ->
   warmup:Tas_engine.Time_ns.t ->

@@ -169,6 +169,66 @@ let test_kv_key_padding () =
   (* keys are fixed-size: verified indirectly through the codec tests. *)
   ()
 
+(* --- RPC echo on TAS: closing on EOF ------------------------------------ *)
+
+(* 128 clients one after another, each connecting, doing one RPC and
+   closing, against a TAS echo server whose arena has 32 slots. A client
+   starts 100 us after the previous one closed, so the server's 1 ms
+   TIME_WAIT keeps at most about ten slots. Only a server that closes when
+   its client does gives each slot back: one that stays half-open fills
+   the arena and refuses the 33rd client. After the drain no arena slot is
+   live and the ring pool holds every ring. *)
+let test_rpc_echo_server_closes_on_eof () =
+  let module Config = Tas_core.Config in
+  let module Slow_path = Tas_core.Slow_path in
+  let module Ring_pool = Tas_buffers.Ring_buffer.Pool in
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~queues_per_nic:2 () in
+  let config = { Config.default with Config.flow_arena_capacity = 32 } in
+  let tas =
+    Tas_core.Tas.create sim ~nic:net.Topology.a.Topology.nic ~config ()
+  in
+  let lt =
+    Tas_core.Tas.app tas ~app_cores:[| Core.create sim ~id:100 () |]
+      ~api:Tas_core.Libtas.Sockets
+  in
+  Rpc_echo.server
+    (Transport.of_libtas lt ~ctx_of_conn:(fun _ -> 0))
+    ~port:7 ~msg_size:64 ~app_cycles:0;
+  let engine = E.create sim net.Topology.b.Topology.nic E.default_config in
+  E.attach engine;
+  let client = Transport.of_engine engine in
+  let server_ip = Tas_netsim.Nic.ip net.Topology.a.Topology.nic in
+  let served = ref 0 in
+  let rec next () =
+    if !served < 128 then
+      Transport.connect client ~dst_ip:server_ip ~dst_port:7 (fun _ ->
+          let got = ref 0 in
+          {
+            Transport.null_handlers with
+            Transport.on_connected =
+              (fun conn -> ignore (Transport.send conn (Bytes.make 64 'q')));
+            Transport.on_data =
+              (fun conn data ->
+                got := !got + Bytes.length data;
+                if !got = 64 then begin
+                  incr served;
+                  Transport.close conn;
+                  ignore (Sim.schedule sim (Time_ns.us 100) next)
+                end);
+          })
+  in
+  next ();
+  Sim.run ~until:(Time_ns.ms 200) sim;
+  let sp = Tas_core.Tas.slow_path tas in
+  Alcotest.(check int) "every client served" 128 !served;
+  Alcotest.(check int) "no connection refused" 0 (Slow_path.arena_refusals sp);
+  Alcotest.(check int) "no arena slot live" 0
+    (Tas_core.Flow_arena.live (Slow_path.arena sp));
+  let rings = Slow_path.ring_pool sp in
+  Alcotest.(check int) "the ring pool holds every ring"
+    (Ring_pool.allocated rings) (Ring_pool.held rings)
+
 let suite =
   [
     Alcotest.test_case "kv get/set workload" `Quick test_kv_get_set;
@@ -180,4 +240,6 @@ let suite =
     Alcotest.test_case "mTCP split placement adds batching delay" `Quick
       test_mtcp_split_adds_batching_delay;
     Alcotest.test_case "kv key padding" `Quick test_kv_key_padding;
+    Alcotest.test_case "rpc echo server closes on peer EOF" `Quick
+      test_rpc_echo_server_closes_on_eof;
   ]
