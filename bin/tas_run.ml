@@ -32,6 +32,13 @@ let apply_opts bench_dir trace_capacity =
   Option.iter Run_opts.set_bench_dir bench_dir;
   Option.iter Run_opts.set_trace_capacity trace_capacity
 
+(* The invocation's one domain pool: [-j N] participants serve every
+   fan-out (the registry's batch and those nested inside experiments). *)
+let with_jobs jobs f =
+  Tas_parallel.Domain_pool.with_pool ~jobs:(max 1 jobs) (fun pool ->
+      Run_opts.set_pool pool;
+      f ())
+
 (* --- run (default) ------------------------------------------------------ *)
 
 let list_cmd () =
@@ -41,7 +48,7 @@ let list_cmd () =
     Registry.all;
   0
 
-let run_cmd quick jobs ids =
+let run_cmd quick ids =
   let fmt = Format.std_formatter in
   let unknown, entries =
     List.partition_map
@@ -57,8 +64,8 @@ let run_cmd quick jobs ids =
     unknown;
   let failed =
     match ids with
-    | [] -> Registry.run_all ~quick ~jobs fmt
-    | _ -> Registry.run_selection ~quick ~jobs entries fmt
+    | [] -> Registry.run_all ~quick fmt
+    | _ -> Registry.run_selection ~quick entries fmt
   in
   List.iter
     (fun ((e : Registry.entry), (g : Report.gate)) ->
@@ -107,9 +114,9 @@ let flows_cmd duration_ms shard watch =
 (* --- stats -------------------------------------------------------------- *)
 
 let stats_cmd duration_ms runs jobs =
-  Run_opts.set_jobs jobs;
   let b =
-    Diagnostics.batch_stats ~runs ~duration_ns:(Time_ns.ms duration_ms) ()
+    with_jobs jobs (fun () ->
+        Diagnostics.batch_stats ~runs ~duration_ns:(Time_ns.ms duration_ms) ())
   in
   Printf.printf
     "merged telemetry over %d diagnostic runs (%d ms each, jobs=%d)\n"
@@ -589,18 +596,16 @@ let ids_arg =
 
 let jobs_arg =
   let doc =
-    "Run the selected experiments on $(docv) domains in parallel. Output \
-     and artifacts are merged in submission order, so everything except \
-     per-artifact timing is identical to a serial run."
+    "Run on one pool of $(docv) domains for the whole invocation: the \
+     selected experiments and the independent sub-runs inside them share \
+     it. Output and artifacts are merged in submission order, so \
+     everything except per-artifact timing is identical to a serial run."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let run_main quick jobs bench_dir trace_capacity ids =
   apply_opts bench_dir trace_capacity;
-  (* Experiments with internal independent sub-runs (chaos schedules)
-     consult the recorded jobs setting for their own fan-out. *)
-  Run_opts.set_jobs jobs;
-  run_cmd quick jobs ids
+  with_jobs jobs (fun () -> run_cmd quick ids)
 
 (* Default term: no positionals (cmdliner groups reserve the first
    positional for command dispatch) — `tas_run` runs every experiment;

@@ -139,14 +139,11 @@ let batch_member ~duration_ns i =
   (samples, events, completed)
 
 let batch_stats ?(runs = 4) ~duration_ns () =
-  let jobs = max 1 (min (Run_opts.jobs ()) runs) in
+  let pool = Run_opts.pool () in
+  let jobs = max 1 (min (Tas_parallel.Domain_pool.jobs pool) runs) in
   let results =
-    let idx = Array.init runs (fun i -> i) in
-    if jobs <= 1 then Array.map (batch_member ~duration_ns) idx
-    else
-      Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-          Tas_parallel.Domain_pool.map pool ~f:(batch_member ~duration_ns)
-            idx)
+    Tas_parallel.Domain_pool.map pool ~f:(batch_member ~duration_ns)
+      (Array.init runs (fun i -> i))
   in
   (* Submission-order merge: [Metrics.merge] output is sorted by
      (name, labels) and [Trace.merge] is a stable sort by timestamp, so the

@@ -49,7 +49,7 @@ val chrome : t -> spans:Tas_telemetry.Span.event list -> Tas_telemetry.Json.t
     cross-domain view behind [tas_run stats]. *)
 type batch_stats = {
   runs : int;
-  jobs : int;  (** pool size the batch actually used *)
+  jobs : int;  (** participants the batch could use: pool size, capped at [runs] *)
   completed : int;  (** RPCs finished, summed over runs *)
   metrics : Tas_telemetry.Metrics.sample list;
       (** {!Tas_telemetry.Metrics.merge} over every host registry of every
@@ -64,6 +64,6 @@ val batch_stats :
 (** Run [runs] (default 4) independent trace-enabled diagnostics
     simulations of increasing connection count, each for [duration_ns],
     and merge every host's metrics registry and trace ring into one
-    report. The batch fans out over a domain pool of {!Run_opts.jobs}
-    domains; the merge is in submission order and the merged snapshot is
-    sorted, so the result is byte-identical for any jobs setting. *)
+    report. The batch fans out over {!Run_opts.pool}; the merge is in
+    submission order and the merged snapshot is sorted, so the result is
+    byte-identical for any pool size. *)

@@ -353,17 +353,13 @@ let run ?(quick = false) ?only fmt =
     | Some names -> List.filter (fun s -> List.mem s.name names) schedules
   in
   (* Schedules are independent seeded simulations: fan them out over the
-     domain pool when the run was given [-j N]. Results come back in
-     submission order, and all reporting below happens serially on this
-     domain — output and artifact are byte-identical to a serial run. *)
-  let jobs = min (Run_opts.jobs ()) (List.length schedules) in
+     run's domain pool. Results come back in submission order, and all
+     reporting below happens serially on this domain — output and artifact
+     are byte-identical to a serial run. *)
   let evals =
-    let arr = Array.of_list schedules in
-    if jobs <= 1 then Array.map (eval_schedule ~seed ~quick) arr
-    else
-      Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-          Tas_parallel.Domain_pool.map pool ~f:(eval_schedule ~seed ~quick)
-            arr)
+    Tas_parallel.Domain_pool.map (Run_opts.pool ())
+      ~f:(eval_schedule ~seed ~quick)
+      (Array.of_list schedules)
   in
   let violations = ref 0 in
   let details = ref [] in

@@ -9,9 +9,9 @@
     never raised; a run over all schedules ends with the [violations]
     gate, which fails when the count is nonzero.
 
-    Schedules are independent seeded simulations; with
-    {!Run_opts.set_jobs}[ N > 1] they run in parallel on a domain pool and
-    are merged in submission order, so the report and artifact are
+    Schedules are independent seeded simulations; they run on
+    {!Run_opts.pool} (in parallel when it has more than one participant)
+    and are merged in submission order, so the report and artifact are
     byte-identical to a serial run. *)
 
 val run : ?quick:bool -> ?only:string list -> Format.formatter -> unit

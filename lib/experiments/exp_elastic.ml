@@ -421,7 +421,9 @@ let run ?(quick = false) fmt =
   (* Serial pass (the reference) and a parallel pass over the same members:
      the merged timelines must be byte-identical. *)
   let serial = Array.map member idx in
-  let jobs = max 2 (Run_opts.jobs ()) in
+  (* A private two-participant pool, not the run's: the pass is truly
+     parallel even at -j 1, and the body reads the same for every -j. *)
+  let jobs = 2 in
   let parallel =
     Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
         Tas_parallel.Domain_pool.map pool ~f:member idx)

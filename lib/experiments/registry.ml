@@ -180,16 +180,13 @@ let run_entry ?quick e fmt =
   emit_result ?quick fmt e ~timing r;
   elapsed
 
-let run_selection ?quick ?(jobs = 1) entries fmt =
+let run_selection ?quick entries fmt =
   let entries_arr = Array.of_list entries in
+  let pool = Run_opts.pool () in
+  let jobs = Tas_parallel.Domain_pool.jobs pool in
   let t0 = Unix.gettimeofday () in
   let results =
-    if jobs <= 1 then Array.map (fun e -> run_captured ?quick e) entries_arr
-    else
-      Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-          Tas_parallel.Domain_pool.map pool
-            ~f:(fun e -> run_captured ?quick e)
-            entries_arr)
+    Tas_parallel.Domain_pool.map pool ~f:(run_captured ?quick) entries_arr
   in
   let run_wall = Unix.gettimeofday () -. t0 in
   let serial_estimate =
@@ -215,4 +212,4 @@ let run_selection ?quick ?(jobs = 1) entries fmt =
        (fun i e -> List.map (fun g -> (e, g)) results.(i).failed)
        entries)
 
-let run_all ?quick ?jobs fmt = run_selection ?quick ?jobs all fmt
+let run_all ?quick fmt = run_selection ?quick all fmt

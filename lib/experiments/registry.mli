@@ -15,20 +15,17 @@ val run_entry : ?quick:bool -> entry -> Format.formatter -> float
     directory), and return the elapsed wall-clock seconds. *)
 
 val run_selection :
-  ?quick:bool ->
-  ?jobs:int ->
-  entry list ->
-  Format.formatter ->
-  (entry * Report.gate) list
+  ?quick:bool -> entry list -> Format.formatter -> (entry * Report.gate) list
 (** Run a list of experiments, one [BENCH_<id>.json] each, and return the
-    gates ({!Report.gate}) that failed, in submission order. With [jobs > 1]
-    the experiments run in parallel on a domain pool; outputs and artifacts
-    are merged in submission order, so everything except each artifact's
-    trailing ["timing"] object is byte-identical to a serial run. Each
-    artifact's ["timing"] records the job's own wall-clock ([elapsed_s]) and
-    the batch's [run_wall_s], [serial_estimate_s] (sum of per-job
-    wall-clocks) and [speedup]. Default [jobs = 1] (serial). *)
+    gates ({!Report.gate}) that failed, in submission order. The
+    experiments run on {!Run_opts.pool} (serial unless a larger pool is
+    installed); outputs and artifacts are merged in submission order, so
+    everything except each artifact's trailing ["timing"] object is
+    byte-identical to a serial run. Each artifact's ["timing"] records the
+    job's own wall-clock ([elapsed_s]) and the batch's [jobs],
+    [run_wall_s], [serial_estimate_s] (sum of per-job wall-clocks) and
+    [speedup]. *)
 
 val run_all :
-  ?quick:bool -> ?jobs:int -> Format.formatter -> (entry * Report.gate) list
+  ?quick:bool -> Format.formatter -> (entry * Report.gate) list
 (** {!run_selection} over {!all}. *)

@@ -16,14 +16,15 @@ val set_trace_capacity : int -> unit
 val trace_capacity : default:int -> int
 (** CLI override if set, else [default]. *)
 
-val set_jobs : int -> unit
-(** Record the batch's [-j]/[--jobs] setting (floored at 1). *)
+val set_pool : Tas_parallel.Domain_pool.t -> unit
+(** Install the run's domain pool ([tas_run] builds one from [-j N]). *)
 
-val jobs : unit -> int
-(** The recorded parallelism (default 1). Experiments with internal
-    independent sub-runs (chaos schedules, stats batches) fan out over
-    their own domain pool of this size; the deterministic merge keeps
-    their output byte-identical to a serial run. *)
+val pool : unit -> Tas_parallel.Domain_pool.t
+(** The installed pool (default: one participant, running every batch
+    inline). The registry's experiment batch and every fan-out inside an
+    experiment (chaos schedules, stats runs) map on it, nesting; the
+    deterministic merge keeps their output byte-identical to a serial
+    run. *)
 
 val set_timeline_interval_ns : int -> unit
 (** Record the CLI's [--interval] timeline sampling override (ns). *)

@@ -1,150 +1,117 @@
-(* Fixed-size pool of OCaml 5 domains executing batches of independent jobs.
+(* Fixed-size pool of OCaml 5 domains running batches of independent jobs.
 
-   One work-stealing deque per participant (the submitting domain is
-   participant 0). A batch is submitted by distributing jobs round-robin
-   across the deques while every worker is asleep, then waking the workers:
-   each participant drains its own deque bottom-first and steals from the
-   others when it runs dry. Jobs never spawn jobs, so a participant whose
-   steal sweep comes up empty is done with the batch.
+   A batch is a job count and a claim counter. Every participant (the
+   submitting domain and the [jobs - 1] worker domains) takes the next
+   index with [fetch_and_add] and runs that job, until the counter passes
+   the end. The jobs this pool runs are coarse (whole simulations, 0.1 s
+   and up), so one counter per batch balances them as well as work
+   stealing would.
 
-   Results land in a per-batch array at each job's submission index, which
-   makes the merge deterministic: [map] returns results in submission order
-   no matter which domain ran what, so parallel output can be byte-identical
-   to a serial run. Exceptions are captured per job ([map_result]) and never
-   kill a worker, so a raising job cannot deadlock the pool. *)
+   Results land at each job's submission index, so [map] returns them in
+   submission order whichever domain ran what, and parallel output is
+   byte-identical to a serial run. A raising job yields [Error] at its
+   index and never kills a worker.
+
+   Maps nest: a job may call [map] on its own pool. Open batches sit in a
+   list, newest first, and an idle worker helps the newest one that still
+   has an unclaimed job. A waiting submitter runs only its own batch's
+   jobs: the job it is inside holds per-domain state (an experiment's
+   artifact capture, the domain's buffer pool) that another batch's job
+   must not see. A job runs wholly on the domain that claimed it, so no
+   more than [jobs] domains ever run the pool's jobs. *)
+
+type batch = {
+  n : int;
+  run : int -> unit;  (* runs job [i] and stores its result; never raises *)
+  next : int Atomic.t;  (* next unclaimed index *)
+  left : int Atomic.t;  (* jobs not yet finished *)
+}
 
 type t = {
   size : int;  (* participants, including the submitting domain *)
-  deques : (unit -> unit) Work_deque.t array;
-  mutable workers : unit Domain.t array;
   lock : Mutex.t;
-  work_available : Condition.t;
-  batch_done : Condition.t;
-  mutable generation : int;
-  mutable busy_workers : int;  (* workers not yet back in [Condition.wait] *)
-  unfinished : int Atomic.t;
+  changed : Condition.t;  (* a batch opened or finished, or [stop] was set *)
+  mutable open_batches : batch list;  (* newest first *)
+  mutable workers : unit Domain.t array;
   mutable stop : bool;
 }
 
-let recommended_jobs () = max 1 (Domain.recommended_domain_count ())
-
 let jobs t = t.size
 
-(* Drain own deque, then steal from the others (cyclic sweep starting after
-   our own index so thieves spread out). Returns when no work is visible. *)
-let participate t idx =
-  let rec run_own () =
-    match Work_deque.pop t.deques.(idx) with
-    | Some job ->
-      job ();
-      run_own ()
-    | None -> sweep 1
-  and sweep k =
-    if k < t.size then
-      match Work_deque.steal t.deques.((idx + k) mod t.size) with
-      | Some job ->
-        job ();
-        run_own ()
-      | None -> sweep (k + 1)
-  in
-  run_own ()
+let has_work b = Atomic.get b.next < b.n
 
-let worker_loop t idx =
-  let seen = ref 0 in
+(* Claim and run jobs of [b] until every one is claimed. *)
+let drain t b =
+  let rec loop () =
+    let i = Atomic.fetch_and_add b.next 1 in
+    if i < b.n then begin
+      b.run i;
+      if Atomic.fetch_and_add b.left (-1) = 1 then
+        Mutex.protect t.lock (fun () -> Condition.broadcast t.changed);
+      loop ()
+    end
+  in
+  loop ()
+
+let worker_loop t =
   Mutex.lock t.lock;
   while not t.stop do
-    if t.generation > !seen then begin
-      seen := t.generation;
+    match List.find_opt has_work t.open_batches with
+    | Some b ->
       Mutex.unlock t.lock;
-      participate t idx;
-      Mutex.lock t.lock;
-      (* Back to quiescence: the submitter may only start the next batch
-         (and push into the deques) once every worker has stopped
-         stealing, so report in under the lock. *)
-      t.busy_workers <- t.busy_workers - 1;
-      if t.busy_workers = 0 then Condition.broadcast t.batch_done
-    end
-    else Condition.wait t.work_available t.lock
+      drain t b;
+      Mutex.lock t.lock
+    | None -> Condition.wait t.changed t.lock
   done;
   Mutex.unlock t.lock
 
-let create ?jobs () =
-  let size =
-    match jobs with
-    | None -> recommended_jobs ()
-    | Some n when n < 1 -> invalid_arg "Domain_pool.create: jobs < 1"
-    | Some n -> n
-  in
+let create ~jobs =
+  if jobs < 1 then invalid_arg "Domain_pool.create: jobs < 1";
   let t =
     {
-      size;
-      deques = Array.init size (fun _ -> Work_deque.create ());
-      workers = [||];
+      size = jobs;
       lock = Mutex.create ();
-      work_available = Condition.create ();
-      batch_done = Condition.create ();
-      generation = 0;
-      busy_workers = 0;
-      unfinished = Atomic.make 0;
+      changed = Condition.create ();
+      open_batches = [];
+      workers = [||];
       stop = false;
     }
   in
-  t.workers <-
-    Array.init (size - 1) (fun i -> Domain.spawn (fun () -> worker_loop t (i + 1)));
+  t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let shutdown t =
-  Mutex.lock t.lock;
-  t.stop <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.lock;
+  Mutex.protect t.lock (fun () ->
+      t.stop <- true;
+      Condition.broadcast t.changed);
   Array.iter Domain.join t.workers;
   t.workers <- [||]
 
-let with_pool ?jobs f =
-  let t = create ?jobs () in
+let with_pool ~jobs f =
+  let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
 let map_result t ~f inputs =
   let n = Array.length inputs in
   let results = Array.make n (Error Not_found) in
-  if n = 0 then results
-  else begin
-    let finish_job () =
-      if Atomic.fetch_and_add t.unfinished (-1) = 1 then begin
-        Mutex.lock t.lock;
-        Condition.broadcast t.batch_done;
-        Mutex.unlock t.lock
-      end
-    in
-    (* Distribute while every worker is quiescent (push must not race with
-       steal); round-robin gives an even start, stealing rebalances. *)
-    Array.iteri
-      (fun i x ->
-        Work_deque.push
-          t.deques.(i mod t.size)
-          (fun () ->
-            results.(i) <- (try Ok (f x) with e -> Error e);
-            finish_job ()))
-      inputs;
-    Atomic.set t.unfinished n;
-    Mutex.lock t.lock;
-    t.generation <- t.generation + 1;
-    t.busy_workers <- t.size - 1;
-    Condition.broadcast t.work_available;
-    Mutex.unlock t.lock;
-    (* The submitting domain is participant 0. *)
-    participate t 0;
-    (* Wait for both every job's completion and every worker's return to
-       the wait loop, so the next batch's pushes cannot race a straggling
-       steal sweep. *)
-    Mutex.lock t.lock;
-    while Atomic.get t.unfinished > 0 || t.busy_workers > 0 do
-      Condition.wait t.batch_done t.lock
-    done;
-    Mutex.unlock t.lock;
-    results
-  end
+  let b =
+    {
+      n;
+      run = (fun i -> results.(i) <- (try Ok (f inputs.(i)) with e -> Error e));
+      next = Atomic.make 0;
+      left = Atomic.make n;
+    }
+  in
+  Mutex.protect t.lock (fun () ->
+      t.open_batches <- b :: t.open_batches;
+      Condition.broadcast t.changed);
+  drain t b;
+  Mutex.protect t.lock (fun () ->
+      t.open_batches <- List.filter (fun o -> o != b) t.open_batches;
+      while Atomic.get b.left > 0 do
+        Condition.wait t.changed t.lock
+      done);
+  results
 
 let map t ~f inputs =
   Array.map

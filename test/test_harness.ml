@@ -136,7 +136,7 @@ let temp_dir tag =
    the failing gates. The run happens on a fresh domain: a pool's caller
    runs jobs too, and the per-domain buffer pool those jobs warm would
    otherwise change what later tests on the main domain allocate. *)
-let run_quick_in_temp ?jobs entries =
+let run_quick_in_temp ?(jobs = 1) entries =
   let dir = temp_dir "tas_gates" in
   Tas_experiments.Run_opts.set_bench_dir dir;
   let failed =
@@ -145,8 +145,9 @@ let run_quick_in_temp ?jobs entries =
       (fun () ->
         Domain.join
           (Domain.spawn (fun () ->
-               Registry.run_selection ~quick:true ?jobs entries
-                 (Format.make_formatter (fun _ _ _ -> ()) ignore))))
+               Test_parallel.with_run_pool ~jobs (fun () ->
+                   Registry.run_selection ~quick:true entries
+                     (Format.make_formatter (fun _ _ _ -> ()) ignore)))))
   in
   (dir, failed)
 

@@ -1,9 +1,8 @@
-(* Multicore execution subsystem: work-stealing deque semantics, domain-pool
-   ordered map and fault containment, the -j1 vs -jN determinism contract of
-   the experiment runner, and the hot-path allocation machinery it pairs
-   with (buffer pool, packet payload refcounting). *)
+(* Multicore execution subsystem: the domain pool's ordered map, nesting
+   and fault containment, the -j1 vs -jN determinism contract of the
+   experiment runner, and the hot-path allocation machinery it pairs with
+   (buffer pool, packet payload refcounting). *)
 
-module Work_deque = Tas_parallel.Work_deque
 module Domain_pool = Tas_parallel.Domain_pool
 module Registry = Tas_experiments.Registry
 module Run_opts = Tas_experiments.Run_opts
@@ -12,84 +11,6 @@ module Packet = Tas_proto.Packet
 module Addr = Tas_proto.Addr
 module Tcp = Tas_proto.Tcp_header
 module Sim = Tas_engine.Sim
-
-(* --- Work_deque ------------------------------------------------------------ *)
-
-let test_deque_lifo_pop_fifo_steal () =
-  let d = Work_deque.create () in
-  List.iter (Work_deque.push d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "size" 5 (Work_deque.size d);
-  Alcotest.(check (option int)) "pop takes newest" (Some 5) (Work_deque.pop d);
-  Alcotest.(check (option int)) "steal takes oldest" (Some 1)
-    (Work_deque.steal d);
-  Alcotest.(check (option int)) "steal next oldest" (Some 2)
-    (Work_deque.steal d);
-  Alcotest.(check (option int)) "pop next newest" (Some 4) (Work_deque.pop d);
-  Alcotest.(check (option int)) "last element" (Some 3) (Work_deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Work_deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Work_deque.steal d)
-
-let test_deque_grows_past_capacity_hint () =
-  let d = Work_deque.create ~capacity:2 () in
-  let n = 1000 in
-  for i = 1 to n do
-    Work_deque.push d i
-  done;
-  let sum = ref 0 and count = ref 0 in
-  let rec drain () =
-    match Work_deque.pop d with
-    | Some v ->
-      sum := !sum + v;
-      incr count;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "every push popped" n !count;
-  Alcotest.(check int) "values intact" (n * (n + 1) / 2) !sum
-
-let test_deque_concurrent_steal_exactly_once () =
-  (* All pushes happen before the thieves start (the pool's batch
-     discipline); then 3 stealers race the owner's pops. Every element must
-     surface exactly once across all four participants. *)
-  let d = Work_deque.create () in
-  let n = 20_000 in
-  for i = 1 to n do
-    Work_deque.push d i
-  done;
-  let go = Atomic.make false in
-  let stealer () =
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    let got = ref [] in
-    let rec loop () =
-      match Work_deque.steal d with
-      | Some v ->
-        got := v :: !got;
-        loop ()
-      | None -> if Work_deque.size d > 0 then loop ()
-    in
-    loop ();
-    !got
-  in
-  let thieves = Array.init 3 (fun _ -> Domain.spawn stealer) in
-  Atomic.set go true;
-  let mine = ref [] in
-  let rec pop_all () =
-    match Work_deque.pop d with
-    | Some v ->
-      mine := v :: !mine;
-      pop_all ()
-    | None -> ()
-  in
-  pop_all ();
-  let stolen = Array.to_list (Array.map Domain.join thieves) in
-  let all = List.concat (!mine :: stolen) in
-  Alcotest.(check int) "element count conserved" n (List.length all);
-  let sorted = List.sort compare all in
-  Alcotest.(check bool) "each element exactly once" true
-    (List.equal ( = ) sorted (List.init n (fun i -> i + 1)))
 
 (* --- Domain_pool ----------------------------------------------------------- *)
 
@@ -103,12 +24,72 @@ let test_pool_map_submission_order () =
       (* A second batch on the same pool works: workers return to idle. *)
       let out2 = Domain_pool.map pool ~f:(fun i -> i + 1) inputs in
       Alcotest.(check bool) "pool reusable across batches" true
-        (out2 = Array.init 100 (fun i -> i + 1)))
+        (out2 = Array.init 100 (fun i -> i + 1));
+      (* Jobs that map on their own pool: each inner batch comes back in
+         its own submission order, and outer and inner jobs together run
+         on no more domains than the pool has participants. [outer] marks
+         the outer job a domain is inside: a job must never start inside
+         another batch's job, only inside its own submitter or on an idle
+         domain. *)
+      let self () = (Domain.self () :> int) in
+      let outer = Domain.DLS.new_key (fun () -> ref (-1)) in
+      let nested =
+        Domain_pool.map pool
+          ~f:(fun i ->
+            let mark = Domain.DLS.get outer in
+            let clean = !mark = -1 in
+            mark := i;
+            let inner =
+              Domain_pool.map pool
+                ~f:(fun j ->
+                  let m = !(Domain.DLS.get outer) in
+                  Unix.sleepf 0.001;
+                  (self (), (10 * i) + j, m = -1 || m = i))
+                (Array.init 8 Fun.id)
+            in
+            mark := -1;
+            (self (), clean, inner))
+          (Array.init 8 Fun.id)
+      in
+      Array.iteri
+        (fun i (_, clean, inner) ->
+          Alcotest.(check bool) "outer job started on an idle domain" true
+            clean;
+          Alcotest.(check (array int)) "inner results in submission order"
+            (Array.init 8 (fun j -> (10 * i) + j))
+            (Array.map (fun (_, v, _) -> v) inner);
+          Alcotest.(check bool) "inner jobs ran only beside their own batch"
+            true
+            (Array.for_all (fun (_, _, ok) -> ok) inner))
+        nested;
+      let ids =
+        Array.to_list nested
+        |> List.concat_map (fun (o, _, inner) ->
+               o :: Array.to_list (Array.map (fun (d, _, _) -> d) inner))
+        |> List.sort_uniq compare
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains ran outer and inner jobs (<= 4)"
+           (List.length ids))
+        true
+        (List.length ids <= 4))
 
 let test_pool_jobs_one_runs_inline () =
   Domain_pool.with_pool ~jobs:1 (fun pool ->
       let out = Domain_pool.map pool ~f:(fun i -> 2 * i) [| 1; 2; 3 |] in
-      Alcotest.(check bool) "inline map" true (out = [| 2; 4; 6 |]))
+      Alcotest.(check bool) "inline map" true (out = [| 2; 4; 6 |]);
+      let caller = Domain.self () in
+      let nested =
+        Domain_pool.map pool
+          ~f:(fun i ->
+            Domain_pool.map pool
+              ~f:(fun j -> (Domain.self () = caller, i + j))
+              [| 10; 20 |])
+          [| 1; 2 |]
+      in
+      Alcotest.(check bool) "nested map runs inline on the caller" true
+        (nested
+        = [| [| (true, 11); (true, 21) |]; [| (true, 12); (true, 22) |] |]))
 
 exception Boom of int
 
@@ -135,15 +116,49 @@ let test_pool_exceptions_contained () =
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom 0 -> ()
       | exception e -> raise e);
-      (* ...and the pool survives both faulty batches without deadlock. *)
+      (* A raising job inside a nested batch is contained at its own
+         index of the inner result... *)
+      let nested =
+        Domain_pool.map pool
+          ~f:(fun i ->
+            Domain_pool.map_result pool
+              ~f:(fun j -> if j = i then raise (Boom j) else j)
+              (Array.init 4 Fun.id))
+          (Array.init 4 Fun.id)
+      in
+      Array.iteri
+        (fun i inner ->
+          Array.iteri
+            (fun j r ->
+              match r with
+              | Ok v ->
+                Alcotest.(check bool) "nested: other indices ok" true
+                  (j <> i && v = j)
+              | Error (Boom k) ->
+                Alcotest.(check bool) "nested: error at its own index" true
+                  (j = i && k = i)
+              | Error e -> raise e)
+            inner)
+        nested;
+      (* ...and the pool survives every faulty batch without deadlock. *)
       let out2 = Domain_pool.map pool ~f:(fun i -> i + 1) [| 1; 2; 3; 4 |] in
       Alcotest.(check bool) "pool alive after exceptions" true
         (out2 = [| 2; 3; 4; 5 |]))
 
 (* --- Experiment-runner determinism: -j1 vs -j4 ----------------------------- *)
 
-(* Cheap experiments keep the test fast; the contract is the same for all. *)
-let determinism_ids = [ "tm"; "sp"; "x3" ]
+(* Install a [jobs]-participant pool as the run's pool for the duration of
+   [f], the way [tas_run -j] does. *)
+let with_run_pool ~jobs f =
+  let prev = Run_opts.pool () in
+  Domain_pool.with_pool ~jobs (fun pool ->
+      Run_opts.set_pool pool;
+      Fun.protect ~finally:(fun () -> Run_opts.set_pool prev) f)
+
+(* Cheap experiments keep the test fast; the contract is the same for all.
+   [ch] fans its schedules out on the run's pool from inside its own job,
+   so the nested path is covered too. *)
+let determinism_ids = [ "tm"; "sp"; "x3"; "ch" ]
 
 let run_into_dir ~jobs dir =
   let entries =
@@ -155,7 +170,8 @@ let run_into_dir ~jobs dir =
   Run_opts.set_bench_dir dir;
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  ignore (Registry.run_selection ~quick:true ~jobs entries fmt);
+  with_run_pool ~jobs (fun () ->
+      ignore (Registry.run_selection ~quick:true entries fmt));
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
@@ -297,12 +313,6 @@ let test_sim_post_ordering () =
 
 let suite =
   [
-    Alcotest.test_case "deque: LIFO pop, FIFO steal" `Quick
-      test_deque_lifo_pop_fifo_steal;
-    Alcotest.test_case "deque: grows past capacity hint" `Quick
-      test_deque_grows_past_capacity_hint;
-    Alcotest.test_case "deque: concurrent steal exactly-once" `Quick
-      test_deque_concurrent_steal_exactly_once;
     Alcotest.test_case "pool: map in submission order" `Quick
       test_pool_map_submission_order;
     Alcotest.test_case "pool: jobs=1 inline" `Quick test_pool_jobs_one_runs_inline;

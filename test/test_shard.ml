@@ -299,17 +299,15 @@ let test_trace_merge_stable () =
 (* --- Parallel consumers ---------------------------------------------------- *)
 
 module Exp_chaos = Tas_experiments.Exp_chaos
-module Run_opts = Tas_experiments.Run_opts
 module Diagnostics = Tas_experiments.Diagnostics
 
 let test_chaos_parallel_matches_serial () =
   let capture jobs =
-    Run_opts.set_jobs jobs;
     let buf = Buffer.create 4096 in
     let fmt = Format.formatter_of_buffer buf in
-    Exp_chaos.run ~quick:true ~only:[ "bursty-loss"; "dup-reorder" ] fmt;
+    Test_parallel.with_run_pool ~jobs (fun () ->
+        Exp_chaos.run ~quick:true ~only:[ "bursty-loss"; "dup-reorder" ] fmt);
     Format.pp_print_flush fmt ();
-    Run_opts.set_jobs 1;
     Buffer.contents buf
   in
   let serial = capture 1 in
@@ -319,10 +317,8 @@ let test_chaos_parallel_matches_serial () =
 
 let test_batch_stats_parallel_matches_serial () =
   let snap jobs =
-    Run_opts.set_jobs jobs;
-    let b = Diagnostics.batch_stats ~runs:2 ~duration_ns:(Time_ns.ms 2) () in
-    Run_opts.set_jobs 1;
-    b
+    Test_parallel.with_run_pool ~jobs (fun () ->
+        Diagnostics.batch_stats ~runs:2 ~duration_ns:(Time_ns.ms 2) ())
   in
   let s = snap 1 and p = snap 2 in
   Alcotest.(check int) "completed" s.Diagnostics.completed
