@@ -103,7 +103,7 @@ let () =
   Printf.printf "# artifact: %s (open in wireshark/tcpdump)\n\n" pcap_path;
 
   (* Flow-state introspection: the paper's Table-3 record, ss-style and as
-     JSON (what `tas_run flows` prints). *)
+     JSON (the [flows] item of BENCH_dg.json). *)
   print_endline "TAS flow table mid-connection (ss -ti style):";
   print_string !mid_text;
   print_endline "\nSame state as JSON (paper Table 3 fields):";

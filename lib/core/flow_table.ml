@@ -26,7 +26,7 @@ let migrated_flows = Flow_shards.migrated_flows
 let set_on_migrate = Flow_shards.set_on_migrate
 let register = Flow_shards.register
 
-let dump ?shard t =
+let dump t =
   let module J = Tas_telemetry.Json in
   let rows = ref [] in
   let collect tuple fl =
@@ -42,8 +42,6 @@ let dump ?shard t =
     in
     rows := (Flow_state.opaque fl, j) :: !rows
   in
-  (match shard with
-  | None -> Flow_shards.iter t collect
-  | Some i -> Flow_shards.iter_shard t i collect);
+  Flow_shards.iter t collect;
   let rows = List.sort (fun (a, _) (b, _) -> compare a b) !rows in
   J.List (List.map snd rows)

@@ -59,8 +59,8 @@ val register :
   unit -> unit
 (** Per-shard [fp_shard_*] counters and [fp_shard_flows] gauges. *)
 
-val dump : ?shard:int -> t -> Tas_telemetry.Json.t
+val dump : t -> Tas_telemetry.Json.t
 (** All per-flow records as a JSON list (each {!Flow_state.to_json} plus its
     4-tuple), sorted by opaque id so output is deterministic regardless of
     hash-table iteration order — and therefore identical between sharded
-    and single-table instances. [shard] restricts to one shard's flows. *)
+    and single-table instances. *)

@@ -214,7 +214,7 @@ let shard_summary ft =
              ("lock_cycles", Json.Int s.Tas_shard.Flow_shards.lock_cycles);
            ]))
 
-let flows ?shard t =
+let flows t =
   let ft = Fast_path.flows t.fp in
   Json.Obj
     [
@@ -224,7 +224,7 @@ let flows ?shard t =
           (Tas_recovery.Policy.name t.config.Config.recovery_policy) );
       ("count", Json.Int (Flow_table.count ft));
       ("shards", shard_summary ft);
-      ("flows", Flow_table.dump ?shard ft);
+      ("flows", Flow_table.dump ft);
       ("lifecycle", Slow_path.lifecycle_json t.sp);
     ]
 

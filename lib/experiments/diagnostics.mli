@@ -1,9 +1,9 @@
-(** The diagnostics scenario behind [tas_run flows] / [trace] / [top] and
-    the "sp" experiment: an RPC-echo workload with TAS on both the client
-    and the server host of a star topology, and one span collector wired
-    into every hop (libTAS, fast path, NICs, link ports, switch), so
-    sampled packets produce causal spans covering the full
-    app-to-app path. *)
+(** The diagnostics scenario and the "dg" experiment: an RPC-echo workload
+    with TAS on both the client and the server host of a star topology, one
+    span collector wired into every hop (libTAS, fast path, NICs, link
+    ports, switch) so sampled packets produce causal spans covering the
+    full app-to-app path, and both hosts' trace rings and 1 ms timelines
+    on. *)
 
 type t = {
   sim : Tas_engine.Sim.t;
@@ -14,56 +14,27 @@ type t = {
   stats : Tas_apps.Rpc_echo.stats;
 }
 
-val build :
-  ?sample_every:int ->
-  ?capacity:int ->
-  ?n_conns:int ->
-  ?trace:bool ->
-  ?timeline_ns:int ->
-  unit ->
-  t
-(** Defaults: sample 1 packet in 16 per origin, 65536-event ring, 8
-    connections of 64-byte pipelined (depth 4) echo RPCs. [trace] enables
-    both hosts' structured trace rings (default off); [timeline_ns]
-    (default 0 = off) turns on both hosts' timeline flight recorders at
-    that frame interval. Deterministic: same parameters, same event
-    stream. *)
+val build : unit -> t
+(** 8 connections of 64-byte echo RPCs pipelined 4 deep; spans sample 1
+    packet origin in 16 into a 65,536-event ring; both hosts trace into
+    65,536-event rings and record 1 ms timeline frames. Deterministic:
+    every build yields the same event stream. *)
 
 val run : t -> duration_ns:Tas_engine.Time_ns.t -> unit
 
-val run_with_tick :
-  t ->
-  duration_ns:Tas_engine.Time_ns.t ->
-  every_ns:Tas_engine.Time_ns.t ->
-  (unit -> unit) ->
-  unit
-(** Like {!run} but invokes the callback every [every_ns] of simulated time
-    (the refresh driver for [tas_run top]). *)
+val duration_ns : quick:bool -> Tas_engine.Time_ns.t
+(** How long the "dg" experiment runs: 10 ms, 5 ms with [quick]. *)
 
 val chrome : t -> spans:Tas_telemetry.Span.event list -> Tas_telemetry.Json.t
-(** The document [tas_run trace] writes: the given (drained) span events,
-    then the server's and the client's trace ring (drained here) and
-    timeline frames, through {!Tas_telemetry.Chrome.to_json}. *)
+(** The Chrome trace-event document: the given (drained) span events, then
+    the server's and the client's trace ring (drained here) and timeline
+    frames, through {!Tas_telemetry.Chrome.to_json}. *)
 
-(** Aggregated telemetry over a batch of independent diagnostics runs — the
-    cross-domain view behind [tas_run stats]. *)
-type batch_stats = {
-  runs : int;
-  jobs : int;  (** participants the batch could use: pool size, capped at [runs] *)
-  completed : int;  (** RPCs finished, summed over runs *)
-  metrics : Tas_telemetry.Metrics.sample list;
-      (** {!Tas_telemetry.Metrics.merge} over every host registry of every
-          run (counters/gauges summed, histograms combined) *)
-  trace_events : int;
-  trace_counts : (Tas_telemetry.Trace.kind * int) list;
-      (** kind histogram of the merged trace streams *)
-}
-
-val batch_stats :
-  ?runs:int -> duration_ns:Tas_engine.Time_ns.t -> unit -> batch_stats
-(** Run [runs] (default 4) independent trace-enabled diagnostics
-    simulations of increasing connection count, each for [duration_ns],
-    and merge every host's metrics registry and trace ring into one
-    report. The batch fans out over {!Run_opts.pool}; the merge is in
-    submission order and the merged snapshot is sorted, so the result is
-    byte-identical for any pool size. *)
+val experiment : ?quick:bool -> Format.formatter -> unit
+(** The "dg" experiment: one run of {!build} for {!duration_ns}. Prints the
+    per-hop span table, throughput, latency, the server's cycle breakdown
+    and trace counts per host; attaches both hosts' flow tables, their
+    merged metrics, their health reports, the span summary and the
+    {!chrome} document; stages both timelines for [TIMELINE_dg.json].
+    Gates each host's health (no rule fires) and the span decomposition
+    (hop sums equal end-to-end totals). *)

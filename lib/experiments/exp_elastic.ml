@@ -391,7 +391,7 @@ let policy_json sched r =
 
 let run ?(quick = false) fmt =
   let sched = if quick then quick_schedule else full_schedule in
-  let interval_ns = Run_opts.timeline_interval_ns ~default:1_000_000 in
+  let interval_ns = Health.frame_ns in
   let slo_target_us = 60.0 in
   Report.section fmt
     "Elastic controller: diurnal autoscaling under pluggable policies";

@@ -168,7 +168,7 @@ let frames_json frames =
 
 let run ?(quick = false) fmt =
   let sched = if quick then quick_schedule else full_schedule in
-  let interval_ns = Run_opts.timeline_interval_ns ~default:1_000_000 in
+  let interval_ns = Health.frame_ns in
   Report.section fmt
     "Timeline: flight recorder determinism, load tracking, health watchdog";
   Report.note fmt

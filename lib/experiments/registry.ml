@@ -50,10 +50,8 @@ let all =
       run = Exp_ablation.x4_nic_offload };
     { id = "ch"; title = "Chaos: KV workload under seeded fault schedules";
       run = (fun ?quick fmt -> Exp_chaos.run ?quick fmt) };
-    { id = "tm"; title = "Telemetry: metrics registry + cycle breakdown + trace";
-      run = Exp_telemetry.run };
-    { id = "sp"; title = "Span tracing: per-hop latency decomposition";
-      run = Exp_span.run };
+    { id = "dg"; title = "Diagnostics: spans, cycles, trace, flows and health";
+      run = Diagnostics.experiment };
     { id = "sh"; title = "Sharding: fast-path core scaling with per-queue shards";
       run = Exp_sharding.run };
     { id = "tl"; title = "Timeline: flight recorder under ramp + flash crowd + chaos";

@@ -9,15 +9,6 @@ let bench_dir () =
     | Some d when d <> "" -> d
     | _ -> ".")
 
-let trace_capacity_override = ref None
-let set_trace_capacity n = trace_capacity_override := Some n
-let trace_capacity ~default = Option.value !trace_capacity_override ~default
-
 let pool_setting = ref (Tas_parallel.Domain_pool.create ~jobs:1)
 let set_pool p = pool_setting := p
 let pool () = !pool_setting
-
-let timeline_interval_override = ref None
-let set_timeline_interval_ns n = timeline_interval_override := Some n
-let timeline_interval_ns ~default =
-  Option.value !timeline_interval_override ~default

@@ -40,6 +40,8 @@ type thresholds = {
   flap_changes : int;
 }
 
+let frame_ns = 1_000_000
+
 let default_thresholds =
   {
     retransmit_burst = 8;

@@ -50,6 +50,11 @@ type thresholds = {
 
 val default_thresholds : thresholds
 
+val frame_ns : int
+(** 1 ms: the timeline frame interval the default thresholds are written
+    for — bursts and drops are counted per frame. Every experiment that
+    runs the watchdog records its timelines at this interval. *)
+
 type violation = {
   v_rule : rule;
   v_seq : int;  (** frame sequence number the rule fired on *)

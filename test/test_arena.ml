@@ -20,7 +20,8 @@
      state), preserve per-flow payload ordering for interleaved flows, and
      handle empty/oversized bursts.
 
-   Plus a JSON-shape regression pinning the [tas_run flows] output. *)
+   Plus a JSON-shape regression pinning the [Tas.flows] output (the
+   [flows] item of BENCH_dg.json). *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -973,7 +974,7 @@ let test_flows_json_shape () =
       "fin_sent";
     ]
     (obj_keys (Flow_state.to_json flow));
-  (* Full-stack snapshot: top-level shape of `tas_run flows`. *)
+  (* Full-stack snapshot: top-level shape of `Tas.flows`. *)
   let sim = Sim.create () in
   let net = Topology.point_to_point sim ~queues_per_nic:2 () in
   let tas =

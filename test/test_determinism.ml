@@ -122,7 +122,7 @@ let span_event =
     ( = )
 
 let observe_spans () =
-  let d = Diagnostics.build ~sample_every:8 ~n_conns:4 () in
+  let d = Diagnostics.build () in
   Diagnostics.run d ~duration_ns:(Time_ns.ms 3);
   (Span.drain d.Diagnostics.span, d)
 

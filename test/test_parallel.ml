@@ -158,7 +158,7 @@ let with_run_pool ~jobs f =
 (* Cheap experiments keep the test fast; the contract is the same for all.
    [ch] fans its schedules out on the run's pool from inside its own job,
    so the nested path is covered too. *)
-let determinism_ids = [ "tm"; "sp"; "x3"; "ch" ]
+let determinism_ids = [ "dg"; "x3"; "ch" ]
 
 let run_into_dir ~jobs dir =
   let entries =
@@ -190,14 +190,16 @@ let stable_prefix artifact =
 
 let strip_wall_clock text =
   (* Per-entry "  (1.2s)" lines and the batch summary line are wall-clock;
-     artifact paths differ because each run writes to its own temp dir. *)
+     artifact and timeline paths differ because each run writes to its own
+     temp dir. *)
   Str.global_replace (Str.regexp "([0-9.]+s)") "(T)" text
   |> Str.global_replace
        (Str.regexp "Ran [0-9]+ experiments in .*$")
        "Ran (summary)"
   |> Str.global_replace
-       (Str.regexp "# artifact: .*/\\(BENCH_[a-z0-9]+\\.json\\)")
-       "# artifact: \\1"
+       (Str.regexp
+          "# \\(artifact\\|timeline\\): .*/\\([A-Z]+_[a-z0-9]+\\.json\\)")
+       "# \\1: \\2"
 
 let test_parallel_output_matches_serial () =
   let tmp tag =
@@ -224,7 +226,15 @@ let test_parallel_output_matches_serial () =
       Alcotest.(check string)
         (Printf.sprintf "%s: artifact identical before timing" name)
         (stable_prefix a1) (stable_prefix a4))
-    determinism_ids
+    determinism_ids;
+  Alcotest.(check string) "TIMELINE_dg.json identical"
+    (read_file (Filename.concat dir1 "TIMELINE_dg.json"))
+    (read_file (Filename.concat dir4 "TIMELINE_dg.json"));
+  List.iter
+    (fun d ->
+      Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
+      Sys.rmdir d)
+    [ dir1; dir4 ]
 
 (* --- Buf_pool -------------------------------------------------------------- *)
 

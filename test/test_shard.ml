@@ -2,7 +2,7 @@
    shards with drain-in-place migration, the accounting-only spinlock cost
    model, the sharded-vs-single-table determinism contract, and the
    cross-domain telemetry merges ([Metrics.merge] / [Trace.merge]) plus the
-   parallel consumers built on them (chaos -jN, [Diagnostics.batch_stats]). *)
+   parallel consumer built on them (chaos -jN). *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -299,7 +299,6 @@ let test_trace_merge_stable () =
 (* --- Parallel consumers ---------------------------------------------------- *)
 
 module Exp_chaos = Tas_experiments.Exp_chaos
-module Diagnostics = Tas_experiments.Diagnostics
 
 let test_chaos_parallel_matches_serial () =
   let capture jobs =
@@ -314,24 +313,6 @@ let test_chaos_parallel_matches_serial () =
   let parallel = capture 2 in
   Alcotest.(check bool) "produced output" true (String.length serial > 0);
   Alcotest.(check string) "ch -j2 identical to serial" serial parallel
-
-let test_batch_stats_parallel_matches_serial () =
-  let snap jobs =
-    Test_parallel.with_run_pool ~jobs (fun () ->
-        Diagnostics.batch_stats ~runs:2 ~duration_ns:(Time_ns.ms 2) ())
-  in
-  let s = snap 1 and p = snap 2 in
-  Alcotest.(check int) "completed" s.Diagnostics.completed
-    p.Diagnostics.completed;
-  Alcotest.(check int) "trace events" s.Diagnostics.trace_events
-    p.Diagnostics.trace_events;
-  Alcotest.(check bool) "nonempty" true (s.Diagnostics.trace_events > 0);
-  Alcotest.(check string) "merged metrics identical"
-    (J.to_string
-       (J.List (List.map Metrics.sample_to_json s.Diagnostics.metrics)))
-    (J.to_string
-       (J.List (List.map Metrics.sample_to_json p.Diagnostics.metrics)));
-  Alcotest.(check int) "jobs recorded" 2 p.Diagnostics.jobs
 
 let suite =
   [
@@ -357,6 +338,4 @@ let suite =
       test_trace_merge_stable;
     Alcotest.test_case "chaos: -j2 output identical to serial" `Quick
       test_chaos_parallel_matches_serial;
-    Alcotest.test_case "diagnostics: batch merge jobs-invariant" `Quick
-      test_batch_stats_parallel_matches_serial;
   ]

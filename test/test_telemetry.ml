@@ -346,12 +346,10 @@ let test_ring_record_allocation () =
     (Span.dropped sp);
   Alcotest.(check int) "span offers counted" (2 * n) (Span.recorded sp)
 
-(* The document [tas_run trace] writes carries all three event kinds:
+(* The Chrome document in BENCH_dg.json carries all three event kinds:
    span slices, trace-ring instants and timeline counters. *)
 let test_trace_document_phases () =
-  let d =
-    Diagnostics.build ~n_conns:2 ~trace:true ~timeline_ns:(Time_ns.us 100) ()
-  in
+  let d = Diagnostics.build () in
   Diagnostics.run d ~duration_ns:(Time_ns.ms 1);
   let doc = Diagnostics.chrome d ~spans:(Span.drain d.Diagnostics.span) in
   let events =
@@ -370,6 +368,21 @@ let test_trace_document_phases () =
   Alcotest.(check bool) "trace instants (i)" true (has "i" "tas_trace");
   Alcotest.(check bool) "timeline counters (C)" true (has "C" "");
   Alcotest.(check bool) "process names (M)" true (has "M" "")
+
+(* The "dg" run keeps every event it records: over its full duration
+   neither host's trace ring nor the shared span ring drops one, so the
+   Chrome document and the trace counts cover the whole run. *)
+let test_diagnostics_run_drops_nothing () =
+  let d = Diagnostics.build () in
+  Diagnostics.run d ~duration_ns:(Diagnostics.duration_ns ~quick:false);
+  List.iter
+    (fun (host, tas) ->
+      let tr = Tas_core.Tas.trace tas in
+      Alcotest.(check bool) (host ^ " trace events recorded") true
+        (Trace.recorded tr > 0);
+      Alcotest.(check int) (host ^ " trace drops") 0 (Trace.dropped tr))
+    [ ("server", d.Diagnostics.server); ("client", d.Diagnostics.client) ];
+  Alcotest.(check int) "span drops" 0 (Span.dropped d.Diagnostics.span)
 
 let suite =
   [
@@ -407,4 +420,6 @@ let suite =
       test_ring_record_allocation;
     Alcotest.test_case "trace document has X, i and C events" `Quick
       test_trace_document_phases;
+    Alcotest.test_case "diagnostics run drops no trace or span event" `Quick
+      test_diagnostics_run_drops_nothing;
   ]

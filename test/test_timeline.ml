@@ -308,16 +308,16 @@ let test_quantile_points () =
 
 (* --- determinism on the real scenario ------------------------------------ *)
 
-let diag_timeline_bytes n_conns =
-  let d = Diagnostics.build ~n_conns ~timeline_ns:500_000 () in
-  Diagnostics.run d ~duration_ns:(Tas_engine.Time_ns.ms 5);
+let diag_timeline_bytes duration_ms =
+  let d = Diagnostics.build () in
+  Diagnostics.run d ~duration_ns:(Tas_engine.Time_ns.ms duration_ms);
   match Tas.timeline d.Diagnostics.server with
   | Some tl -> Json.to_string (Timeline.to_json tl)
   | None -> Alcotest.fail "diagnostics recorded no timeline"
 
 let test_same_seed_identical () =
   Alcotest.(check bool) "byte-identical timelines" true
-    (String.equal (diag_timeline_bytes 6) (diag_timeline_bytes 6))
+    (String.equal (diag_timeline_bytes 5) (diag_timeline_bytes 5))
 
 let test_parallel_matches_serial () =
   let idx = Array.init 4 (fun i -> 4 + i) in
