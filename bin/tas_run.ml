@@ -3,16 +3,16 @@
      tas_run run [IDS..]   run experiments (default: all; --jobs N parallel);
                            exit 1 on a failed gate
      tas_run list          list experiment ids
-     tas_run perf          hot-path perf suite + regression gate (--check)
      tas_run timeline FILE per-series sparklines from a TIMELINE_* artifact
 
    Every diagnostic view of a run (flow tables, merged metrics, health
    verdicts, spans and the Chrome trace document) is in the BENCH_dg.json
-   that `tas_run run dg` writes. *)
+   that `tas_run run dg` writes. The real cost of the code (wall clock,
+   allocation) is measured by benchmark/main.exe, which compares paired
+   runs of two builds; allocation figures are pinned in the test suite. *)
 
 module Registry = Tas_experiments.Registry
 module Report = Tas_experiments.Report
-module Perf_bench = Tas_experiments.Perf_bench
 module Run_opts = Tas_experiments.Run_opts
 module Json = Tas_telemetry.Json
 module Timeline = Tas_telemetry.Timeline
@@ -290,51 +290,6 @@ let run_cmd_v =
   Cmd.v (Cmd.info "run" ~doc ~man)
     Term.(const run_main $ quick $ jobs_arg $ bench_dir_arg $ ids_arg)
 
-let perf_cmd_v =
-  let doc = "run the hot-path perf suite (and optionally the regression gate)" in
-  let check =
-    let doc =
-      "Gate against the committed baseline and exit non-zero on regression."
-    in
-    Arg.(value & flag & info [ "check" ] ~doc)
-  in
-  let baseline =
-    let doc =
-      "Baseline artifact to gate against (default with $(b,--check): \
-       bench/baseline_perf.json)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-  in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Measures the packet hot path on the host wall clock: bulk \
-         TAS<->TAS packet operations and minor words per packet, pipelined \
-         RPC rate, wire-format round trips, and simulator event churn, \
-         and writes them to BENCH_perf.json. With $(b,--check), compares \
-         against a saved baseline: wall-clock throughput gets a generous \
-         tolerance band (machine dependent), allocations per operation a \
-         tight one (machine independent); exits 1 on regression.";
-    ]
-  in
-  let perf_main quick check baseline bench_dir =
-    apply_opts bench_dir;
-    let baseline =
-      match baseline with
-      | Some p -> Some p
-      | None -> if check then Some "bench/baseline_perf.json" else None
-    in
-    let fmt = Format.std_formatter in
-    let ok = Perf_bench.run ~quick ?baseline fmt in
-    Format.pp_print_flush fmt ();
-    if ok then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "perf" ~doc ~man)
-    Term.(const perf_main $ quick $ check $ baseline $ bench_dir_arg)
-
 let list_cmd_v =
   let doc = "list available experiment ids" in
   Cmd.v (Cmd.info "list" ~doc) Term.(const (fun () -> list_cmd ()) $ const ())
@@ -371,6 +326,6 @@ let cmd =
   let doc = "reproduce the TAS (EuroSys'19) evaluation" in
   let info = Cmd.info "tas_run" ~doc in
   Cmd.group ~default:run_term info
-    [ run_cmd_v; list_cmd_v; perf_cmd_v; timeline_cmd_v ]
+    [ run_cmd_v; list_cmd_v; timeline_cmd_v ]
 
 let () = exit (Cmd.eval' cmd)

@@ -79,8 +79,8 @@ val make :
   t
 (** A fresh packet in no pool (its release returns it nowhere), with a
     consistent IP total length. Default ECN codepoint is ECT(0), as DCTCP
-    senders mark all data packets ECN-capable. For tests and [perf_bench]
-    fixtures; every stack takes its segments from its NIC's pool. *)
+    senders mark all data packets ECN-capable. For test fixtures; every
+    stack takes its segments from its NIC's pool. *)
 
 val sentinel : t
 (** A zero-address packet that is never handed out: the filler of vacated

@@ -1,7 +1,7 @@
 (** Minimal JSON document type and deterministic serializer.
 
-    Hand-rolled (no external dependency) because the telemetry exporters only
-    need emission, never parsing. Serialization is deterministic: field order
+    Hand-rolled (no external dependency): the exporters need emission and
+    the artifact readers a small parser. Serialization is deterministic: field order
     is the construction order, floats render via a fixed format, and
     non-finite floats become [null]. Determinism matters — the byte-identical
     telemetry snapshots of two same-seed runs are a test invariant. *)
@@ -26,9 +26,10 @@ val float_repr : float -> string
 exception Parse_error of string
 
 val of_string : string -> t
-(** Parse a JSON document (the dual of {!to_string}; also reads the
-    committed perf baselines back in for the regression gate). Integral
-    numbers parse as [Int], others as [Float].
+(** Parse a JSON document (the dual of {!to_string}; reads TIMELINE_*
+    artifacts back for [tas_run timeline], and [BENCHMARK.json] and result
+    files for [benchmark/main.exe compare]). Integral numbers parse as
+    [Int], others as [Float].
     @raise Parse_error on malformed input. *)
 
 val member : string -> t -> t option

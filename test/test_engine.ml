@@ -73,6 +73,35 @@ let test_post_int_allocation () =
   Alcotest.(check int) "arguments delivered" (2 * 500_500) !sum;
   Alcotest.(check (float 0.)) "0 words per event" 0. words
 
+(* 32 chains of fire-and-forget [post] events, each re-posting one
+   persistent closure: the shape of the per-packet event storm
+   (serialization, propagation, core dispatch, pacing). Once the event
+   table has grown, an event allocates nothing. *)
+let test_post_chain_allocation () =
+  let sim = Sim.create () in
+  let remaining = ref 0 in
+  let rec tick () =
+    if !remaining > 0 then begin
+      decr remaining;
+      Sim.post sim 10 tick
+    end
+  in
+  let chains n =
+    remaining := n;
+    for i = 1 to 32 do
+      Sim.post sim i tick
+    done;
+    Sim.run sim
+  in
+  chains 10_000;
+  let e0 = Sim.events_fired sim in
+  let w0 = Gc.minor_words () in
+  chains 100_000;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every event fired" (100_000 + 32)
+    (Sim.events_fired sim - e0);
+  Alcotest.(check (float 0.)) "0 words per event" 0. words
+
 let test_cancel () =
   let sim = Sim.create () in
   let fired = ref false in
@@ -550,6 +579,8 @@ let suite =
     Alcotest.test_case "int-argument events" `Quick test_post_int;
     Alcotest.test_case "int-argument events allocate nothing" `Quick
       test_post_int_allocation;
+    Alcotest.test_case "posted event chains allocate nothing" `Quick
+      test_post_chain_allocation;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire_is_noop;
     Alcotest.test_case "run ~until" `Quick test_run_until;

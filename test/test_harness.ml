@@ -1,5 +1,5 @@
 (* Tests of the experiment harness itself: registry completeness, report
-   rendering, measurement windows, the perf gate's bands, and wire-format
+   rendering, measurement windows, experiment gates, and wire-format
    fuzzing. *)
 
 module Registry = Tas_experiments.Registry
@@ -55,76 +55,6 @@ let test_measure_rate () =
     (Printf.sprintf "rate ~1e6 (got %.0f)" rate)
     true
     (abs_float (rate -. 1e6) < 1e4)
-
-(* The perf gate holds alloc kinds to the baseline exactly, in both
-   directions, and only against a baseline of the same mode. *)
-let test_perf_gate_bands () =
-  let module P = Tas_experiments.Perf_bench in
-  let module J = Tas_telemetry.Json in
-  let baseline =
-    J.Obj
-      [
-        ("quick", J.Bool true);
-        ( "metrics",
-          J.Obj
-            [
-              ("words", J.Obj [ ("value", J.Float 51.2294865445) ]);
-              ("rate", J.Obj [ ("value", J.Float 1000.0) ]);
-            ] );
-      ]
-  in
-  let gate ?quick words rate =
-    List.map
-      (fun (g : Report.gate) -> (g.name, g.ok))
-      (P.check ?quick ~baseline
-         [
-           { P.name = "words"; value = words; units = "w"; kind = P.Alloc };
-           {
-             P.name = "rate"; value = rate; units = "1/s"; kind = P.Throughput;
-           };
-         ])
-  in
-  let verdicts = Alcotest.(list (pair string bool)) in
-  Alcotest.check verdicts "equal up to printed digits"
-    [ ("words", true); ("rate", true) ]
-    (gate 51.22948654452 300.0);
-  Alcotest.check verdicts "one word more fails"
-    [ ("words", false); ("rate", true) ]
-    (gate 52.2294865445 1000.0);
-  Alcotest.check verdicts "a saving fails too"
-    [ ("words", false); ("rate", true) ]
-    (gate 51.2 1000.0);
-  Alcotest.check verdicts "throughput fails below 25%"
-    [ ("words", true); ("rate", false) ]
-    (gate 51.2294865445 240.0);
-  Alcotest.check verdicts "other mode: alloc not gated" [ ("rate", true) ]
-    (gate ~quick:false 60.0 1000.0)
-
-(* With a baseline, the perf gate fails closed and names the path. *)
-let test_perf_gate_fails_closed () =
-  let module P = Tas_experiments.Perf_bench in
-  let current =
-    [ { P.name = "rate"; value = 1.0; units = "1/s"; kind = P.Throughput } ]
-  in
-  let closed label path =
-    match P.check_file ~quick:true ~baseline:path current with
-    | [ g ] ->
-      Alcotest.(check bool) (label ^ ": fails") false g.Report.ok;
-      Alcotest.(check bool) (label ^ ": names the path") true
-        (Str.string_match
-           (Str.regexp (".*" ^ Str.quote path))
-           (g.Report.observed ^ " " ^ g.Report.expected)
-           0)
-    | gs -> Alcotest.failf "%s: %d gates, expected 1" label (List.length gs)
-  in
-  let missing = Filename.temp_file "tas_baseline" ".json" in
-  Sys.remove missing;
-  closed "missing" missing;
-  let malformed = Filename.temp_file "tas_baseline" ".json" in
-  Out_channel.with_open_text malformed (fun oc ->
-      output_string oc "{\"metrics\": {");
-  closed "malformed" malformed;
-  Sys.remove malformed
 
 let temp_dir tag =
   let d = Filename.temp_file tag "" in
@@ -247,9 +177,6 @@ let suite =
     Alcotest.test_case "registry ids unique" `Quick test_registry_ids_unique;
     Alcotest.test_case "report table renders" `Quick test_report_table_renders;
     Alcotest.test_case "measure_rate windows" `Quick test_measure_rate;
-    Alcotest.test_case "perf gate bands" `Quick test_perf_gate_bands;
-    Alcotest.test_case "perf gate fails closed" `Quick
-      test_perf_gate_fails_closed;
     Alcotest.test_case "experiment gates pass (quick, -j 2)" `Quick
       test_experiment_gates_pass;
     Alcotest.test_case "failing gate reported" `Quick

@@ -9,8 +9,8 @@
    - Allocation: a warm control tick over 64 flows (running one control
      iteration per flow, with feedback), and a warm exception path that
      answers stray segments with pooled RSTs, allocate nothing; a warm
-     connect / 64 B echo / close loop stays within a per-connection word
-     bound.
+     connect / 64 B echo / close loop is pinned at its minor and major
+     words per connection.
    - Integrity: after connection churn over a lossy link, every tuple the
      flow table stores still names and finds its own flow. *)
 
@@ -325,44 +325,52 @@ let test_rst_answer_allocation () =
   Alcotest.(check int) "all answered" 2100 !rsts
 
 (* TAS<->TAS closed-loop connection churn: 16 clients that connect, echo
-   64 B and close, then reconnect. The words per connection (both hosts,
-   the test's own handlers included) are pinned at the measured value,
-   657.6 (693.5 while a connection stored its tuple three times, 1623.9
-   before the slow path went allocation-free): what remains is
-   per-connection state (flow record, entry, pending record, tuple,
-   bucket, controller, socket, handlers) and the timer and app-core
-   closures of the handshake and teardown. *)
-let churn_words_per_conn = 660.0
+   64 B and close, then reconnect, on [Test_pool.wide_pair]. The words per
+   connection (both hosts, the test's own handlers included) are pinned at
+   the measured values, 643.3125 minor and 0 major (693.5 minor while a
+   connection stored its tuple three times, 1623.9 before the slow path
+   went allocation-free): what remains is per-connection state (flow
+   record, entry, pending record, tuple, bucket, controller, socket,
+   handlers) and the timer and app-core closures of the handshake and
+   teardown. *)
+let churn_minor_words_per_conn = 643.3125
+let churn_major_words_per_conn = 0.0
 
 let test_churn_words_per_connection () =
   let sim = Sim.create () in
-  let net = Topology.point_to_point sim ~queues_per_nic:2 () in
-  let (_, client), (_, server) = tas_pair sim net in
+  let net, (_, client), (_, server) = Test_pool.wide_pair sim in
   echo_server server;
   let dst_ip = Nic.ip net.Topology.b.Topology.nic in
+  let msg = Bytes.make 64 'c' in
   let closed = ref 0 in
-  let rec loop () =
-    echo_once client ~dst_ip ~msg:(Bytes.make 64 'c') (fun () ->
-        incr closed;
-        loop ())
+  let rec cycle () =
+    let got = ref 0 in
+    Transport.connect client ~dst_ip ~dst_port:7 (fun _ ->
+        {
+          Transport.null_handlers with
+          Transport.on_connected =
+            (fun conn -> ignore (Transport.send conn msg));
+          Transport.on_data =
+            (fun conn d ->
+              got := !got + Bytes.length d;
+              if !got = Bytes.length msg then Transport.close conn);
+          Transport.on_closed =
+            (fun _ ->
+              incr closed;
+              cycle ());
+        })
   in
   for _ = 1 to 16 do
-    loop ()
+    cycle ()
   done;
   Sim.run ~until:(Time_ns.ms 10) sim;
   let c0 = !closed in
-  let words =
-    minor_words_during (fun () ->
-        Sim.run ~until:(Sim.now sim + Time_ns.ms 20) sim)
-  in
-  let n = !closed - c0 in
-  Alcotest.(check bool) "connections churned" true (n > 250);
-  let per_conn = words /. float_of_int n in
-  Alcotest.(check bool)
-    (Printf.sprintf "<= %.0f words per connection (%.1f)" churn_words_per_conn
-       per_conn)
-    true
-    (per_conn <= churn_words_per_conn)
+  let minor, major = Test_pool.words_per_op sim ~ops:(fun () -> !closed) in
+  Alcotest.(check bool) "connections churned" true (!closed - c0 > 150);
+  Alcotest.(check (float 0.)) "minor words per connection"
+    churn_minor_words_per_conn minor;
+  Alcotest.(check (float 0.)) "major words per connection"
+    churn_major_words_per_conn major
 
 (* Stored-key integrity. Every table keyed by a 4-tuple probes with one
    scratch tuple that is rewritten for each lookup; a table that kept a

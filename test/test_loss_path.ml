@@ -7,9 +7,10 @@
      before the ACK and receive paths were merged across policies.
    - Allocation: the fault stage under uniform loss, the out-of-order
      interval set (store, merge, evict, deliver, SACK blocks into a
-     header), the RACK-TLP ACK engine with SACK blocks and the tail-loss
-     probe's re-arm on every cumulative ACK allocate nothing once warm; a
-     warm lossy RACK-TLP transfer stays within a per-segment word bound. *)
+     header), the RACK-TLP ACK engine with SACK blocks, the tail-loss
+     probe's re-arm on every cumulative ACK and a lossy fast-path transfer
+     allocate nothing once warm; a warm lossy RACK-TLP transfer stays
+     within a per-segment word bound. *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -270,35 +271,41 @@ let test_ooo_allocation () =
   Alcotest.(check int) "every verdict as expected" 0 !bad;
   Alcotest.(check (float 0.)) "0 words per round" 0. words
 
-(* [Rack_tlp.on_ack] digesting a duplicate ACK with two SACK blocks over a
-   90-segment flight: the cumulative trim, the SACK scan and the
-   dupthresh and RACK time-rule scans, outcome in the state. *)
+(* [Rack_tlp.on_ack] digesting a duplicate ACK over a 90-segment flight
+   whose front segment is a hole: the cumulative trim, the SACK scan and
+   the dupthresh and RACK time-rule scans, outcome in the state. Two
+   shapes: two SACK blocks with a second hole between them, and one block
+   covering everything above the front hole. *)
 let test_rack_on_ack_allocation () =
   let len = 1448 and flight = 90 in
-  let st = Rec.State.create Rec.Policy.Rack_tlp in
-  for i = 0 to flight - 1 do
-    Rec.Scoreboard.on_transmit st.Rec.State.sb ~seq:(i * len) ~len
-      ~now_ns:(i * 1_000)
-  done;
   let snd_nxt = flight * len in
-  let sack =
-    Tcp.make ~sack:[ (40 * len, snd_nxt); (len, 30 * len) ] ~src_port:80
-      ~dst_port:1234 ~seq:0 ~ack:0 ~flags:Tcp.ack_flags ~window:65535 ()
+  let replay ~blocks ~sacked =
+    let st = Rec.State.create Rec.Policy.Rack_tlp in
+    for i = 0 to flight - 1 do
+      Rec.Scoreboard.on_transmit st.Rec.State.sb ~seq:(i * len) ~len
+        ~now_ns:(i * 1_000)
+    done;
+    let sack =
+      Tcp.make ~sack:blocks ~src_port:80 ~dst_port:1234 ~seq:0 ~ack:0
+        ~flags:Tcp.ack_flags ~window:65535 ()
+    in
+    let ack () =
+      Rec.Rack_tlp.on_ack st ~una:0 ~snd_nxt ~sack ~dup_acks:3 ~reo_wnd:1_000
+    in
+    ack ();
+    Alcotest.(check int) "first ACK sacks every block" sacked
+      st.Rec.State.newly_sacked;
+    Alcotest.(check bool) "and enters recovery" true st.Rec.State.entered;
+    let words =
+      minor_words_during (fun () ->
+          for _ = 1 to 10_000 do
+            ack ()
+          done)
+    in
+    Alcotest.(check (float 0.)) "0 words per ACK" 0. words
   in
-  let ack () =
-    Rec.Rack_tlp.on_ack st ~una:0 ~snd_nxt ~sack ~dup_acks:3 ~reo_wnd:1_000
-  in
-  ack ();
-  Alcotest.(check int) "first ACK sacks both blocks" 79
-    st.Rec.State.newly_sacked;
-  Alcotest.(check bool) "and enters recovery" true st.Rec.State.entered;
-  let words =
-    minor_words_during (fun () ->
-        for _ = 1 to 10_000 do
-          ack ()
-        done)
-  in
-  Alcotest.(check (float 0.)) "0 words per ACK" 0. words
+  replay ~blocks:[ (40 * len, snd_nxt); (len, 30 * len) ] ~sacked:79;
+  replay ~blocks:[ (len, snd_nxt) ] ~sacked:89
 
 (* Two fast paths joined by a link, one RACK-TLP flow each way of one
    connection, no slow path or application: host a's transmit ring feeds
@@ -390,6 +397,28 @@ let test_tlp_rearm_allocation () =
     (Sim.events_fired sim - e0 > 4 * n);
   Alcotest.(check (float 0.)) "0 words per segment" 0. words
 
+(* The same pair under 2% uniform loss each way: the receiver stores
+   segments out of order, answers with SACK-carrying duplicate ACKs and
+   delivers each filled gap in one advance; the sender's RACK marks,
+   selective retransmissions, reordering timer and probes repair the
+   losses without the slow path. Warm, all of it allocates nothing. *)
+let test_lossy_pair_allocation () =
+  let sim = Sim.create () in
+  let transfer, fp_a, a =
+    fast_path_pair ~fault:(Fault.uniform_loss 0.02) sim
+  in
+  transfer 1_000_000;
+  transfer 1_000_000;
+  let repairs () =
+    (Fast_path.rec_stats fp_a).Fast_path.rec_selective_retransmits
+  in
+  let r0 = repairs () in
+  let words = minor_words_during (fun () -> transfer 1_000_000) in
+  Alcotest.(check int) "all acknowledged" 0 (Flow_state.tx_sent a);
+  Alcotest.(check bool) "losses repaired selectively" true
+    (repairs () - r0 > 10);
+  Alcotest.(check (float 0.)) "0 words" 0. words
+
 (* TAS<->TAS RACK-TLP under 2% uniform loss each way: the fast paths'
    SACK, RACK and probe work, the slow path's control loop and the test's
    application, warm. The words per data segment (both hosts, the test's
@@ -445,6 +474,8 @@ let suite =
         test_rack_on_ack_allocation;
       Alcotest.test_case "tlp re-arm allocates nothing" `Quick
         test_tlp_rearm_allocation;
+      Alcotest.test_case "lossy fast-path transfer allocates nothing" `Quick
+        test_lossy_pair_allocation;
       Alcotest.test_case "lossy transfer words per segment" `Quick
         test_lossy_transfer_words;
     ]

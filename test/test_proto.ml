@@ -316,6 +316,33 @@ let test_flow_hash_symmetric () =
   Alcotest.(check int) "both directions hash alike" (Packet.flow_hash fwd)
     (Packet.flow_hash rev)
 
+(* --- Allocation ------------------------------------------------------------ *)
+
+(* A warm serialize + parse round trip of a 512 B segment with the
+   timestamp option: the wire image, the parsed headers and the payload
+   copy. Pinned at the measured 187 words. *)
+let wire_roundtrip_words = 187.0
+
+let test_wire_roundtrip_words () =
+  let tcp =
+    Tcp.make ~ts:(1, 2) ~src_port:1234 ~dst_port:80 ~seq:7 ~ack:9
+      ~flags:Tcp.data_flags ~window:1024 ()
+  in
+  let pkt =
+    Packet.make ~src_mac:(Addr.host_mac 0) ~dst_mac:(Addr.host_mac 1)
+      ~src_ip:0x0a000001 ~dst_ip:0x0a000002 ~tcp
+      ~payload:(Bytes.make 512 'x') ()
+  in
+  let roundtrip () = ignore (Packet.of_wire (Packet.to_wire pkt)) in
+  roundtrip ();
+  let n = 1_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    roundtrip ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Alcotest.(check (float 0.)) "words per round trip" wire_roundtrip_words words
+
 let suite =
   [
     Alcotest.test_case "ipv4 string round-trip" `Quick test_ipv4_roundtrip;
@@ -339,6 +366,8 @@ let suite =
     Alcotest.test_case "wire checksum catches corruption" `Quick
       test_wire_checksum_detects_payload_corruption;
     Alcotest.test_case "flow hash symmetric" `Quick test_flow_hash_symmetric;
+    Alcotest.test_case "wire round trip allocates 187 words" `Quick
+      test_wire_roundtrip_words;
     QCheck_alcotest.to_alcotest prop_seq_add_diff;
     QCheck_alcotest.to_alcotest prop_seq_ordering_antisym;
     QCheck_alcotest.to_alcotest prop_tcp_header_roundtrip;

@@ -156,6 +156,31 @@ let test_shards_migration_conserves_flows () =
   Alcotest.(check int) "spread again" (spread 0 + spread 1 + spread 2 + spread 3)
     n
 
+(* [find], the fast path's per-packet lookup (hash the tuple, route it
+   through the redirection table, probe the owning shard), over 4096 flows
+   in 8 shards. The stride, coprime with the table size, touches every
+   flow the way independent arrivals do. *)
+let test_shards_find_allocation () =
+  let rss = Rss_table.create ~num_queues:8 () in
+  let s : int Flow_shards.t = Flow_shards.create ~rss ~absent:(-1) () in
+  let n = 4096 in
+  let tuples = Array.init n tuple in
+  Array.iteri (fun i t -> Flow_shards.add s t i) tuples;
+  let misses = ref 0 in
+  let lookups k =
+    let j = ref 0 in
+    for _ = 1 to k do
+      if Flow_shards.find s tuples.(!j) < 0 then incr misses;
+      j := (!j + 2049) land (n - 1)
+    done
+  in
+  lookups n;
+  let w0 = Gc.minor_words () in
+  lookups 200_000;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every lookup hits" 0 !misses;
+  Alcotest.(check (float 0.)) "0 words per lookup" 0. words
+
 let test_shard_metrics_registered () =
   let rss = Rss_table.create ~num_queues:2 () in
   let s : int Flow_shards.t = Flow_shards.create ~rss ~absent:(-1) () in
@@ -326,6 +351,8 @@ let suite =
       test_shards_route_and_sum;
     Alcotest.test_case "shards: scale-down migration conserves flows" `Quick
       test_shards_migration_conserves_flows;
+    Alcotest.test_case "shards: warm lookup allocates nothing" `Quick
+      test_shards_find_allocation;
     Alcotest.test_case "shards: per-shard metrics registered" `Quick
       test_shard_metrics_registered;
     Alcotest.test_case "fast path: sharded == single-table" `Quick
