@@ -726,12 +726,10 @@ let process_ack t flow pkt core =
       (match Flow_state.recovery_kind flow with
       | Rec.Policy.Reno -> Flow_state.set_in_recovery flow false
       | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-        (* Cumulative progress restarts the probe/reorder clocks: bump the
-           generation so pending timers dissolve, then re-arm below. *)
+        (* Cumulative progress restarts the probe/reorder clocks: disarm
+           the pending timers, then re-arm below. *)
         let st = Flow_state.recovery flow in
-        Rec.State.bump_gen st;
-        st.Rec.State.tlp_armed <- false;
-        st.Rec.State.reo_armed <- false;
+        Rec.State.disarm st;
         recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~sack:tcp
           ~dup_acks:0);
       if Flow_state.tx_interest flow then begin

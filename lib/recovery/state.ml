@@ -47,13 +47,16 @@ let reno = make Policy.Reno
 
 let create = function Policy.Reno -> reno | kind -> make kind
 
-let bump_gen t = t.gen <- t.gen + 1
+let disarm t =
+  t.gen <- t.gen + 1;
+  t.tlp_armed <- false;
+  t.reo_armed <- false
 
 let reset t =
   Scoreboard.reset t.sb;
   t.in_rec <- false;
   t.rack_ts <- -1;
-  bump_gen t
+  disarm t
 
 let to_json t =
   J.Obj

@@ -21,8 +21,8 @@ type t = {
   mutable reo_armed : bool;  (** a RACK reordering timer is pending *)
   mutable tlp_armed : bool;  (** a tail-loss-probe timer is pending *)
   mutable gen : int;
-      (** timer generation: bumped on cumulative progress and on RTO
-          reset, invalidating pending timers *)
+      (** timer generation, bumped by {!disarm}: a pending timer whose
+          generation is older dissolves when it fires *)
   mutable tlp_timer : int -> unit;
   mutable reo_timer : int -> unit;
       (** the flow's timer events, made by the fast path at each timer's
@@ -47,10 +47,14 @@ val no_timer : int -> unit
 val create : Policy.kind -> t
 (** A fresh state; for [Reno], the one shared state (never written). *)
 
-val bump_gen : t -> unit
+val disarm : t -> unit
+(** Invalidate the pending tail-loss-probe and reordering timers: bump the
+    generation, so their events dissolve when they fire, and mark both
+    unarmed, so the next arm posts a fresh event. Cumulative progress,
+    an RTO rewind and teardown all disarm. *)
 
 val reset : t -> unit
-(** RTO rewind: clear the scoreboard and the episode, invalidate timers.
+(** RTO rewind: clear the scoreboard and the episode, and {!disarm}.
     Cumulative counters survive (they feed telemetry). *)
 
 val to_json : t -> Tas_telemetry.Json.t

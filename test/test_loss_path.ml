@@ -419,6 +419,32 @@ let test_lossy_pair_allocation () =
     (repairs () - r0 > 10);
   Alcotest.(check (float 0.)) "0 words" 0. words
 
+(* A tail-loss probe is pending when an RTO rewinds the sender: the
+   rewind disarms it and the re-send arms a fresh probe, which fires one
+   PTO after the rewind. A blackout both ways keeps every ACK away, so
+   nothing else clears the armed flag. *)
+let test_tlp_rearms_after_rewind () =
+  let sim = Sim.create () in
+  let blackout =
+    { Fault.passthrough with Fault.blackouts = [ (0, Time_ns.sec 1) ] }
+  in
+  let _, fp_a, a = fast_path_pair ~fault:blackout sim in
+  ignore
+    (Ring.push (Flow_state.tx_buf a) (Bytes.make 14_480 'r') ~off:0
+       ~len:14_480);
+  Fast_path.notify_tx fp_a a;
+  let probes () = (Fast_path.rec_stats fp_a).Fast_path.rec_tlp_probes in
+  Sim.run ~until:(Time_ns.ms 5) sim;
+  Alcotest.(check bool) "data in flight, probe pending" true
+    (Flow_state.tx_sent a > 0 && (Flow_state.recovery a).Rec.State.tlp_armed);
+  Fast_path.trigger_retransmit fp_a a;
+  (* Without an RTT sample the PTO is the 20 ms handshake RTO: the first
+     probe was due at 20 ms, the re-armed one at 25 ms. *)
+  Sim.run ~until:(Time_ns.ms 24) sim;
+  Alcotest.(check int) "the stale probe dissolved" 0 (probes ());
+  Sim.run ~until:(Time_ns.ms 26) sim;
+  Alcotest.(check int) "the re-armed probe fired" 1 (probes ())
+
 (* TAS<->TAS RACK-TLP under 2% uniform loss each way: the fast paths'
    SACK, RACK and probe work, the slow path's control loop and the test's
    application, warm. The words per data segment (both hosts, the test's
@@ -476,6 +502,8 @@ let suite =
         test_tlp_rearm_allocation;
       Alcotest.test_case "lossy fast-path transfer allocates nothing" `Quick
         test_lossy_pair_allocation;
+      Alcotest.test_case "tlp re-armed after an rto rewind" `Quick
+        test_tlp_rearms_after_rewind;
       Alcotest.test_case "lossy transfer words per segment" `Quick
         test_lossy_transfer_words;
     ]
