@@ -28,7 +28,7 @@ val sp_core : t -> Tas_cpu.Core.t
 val metrics : t -> Tas_telemetry.Metrics.t
 (** The instance's metrics registry. Fast path, slow path, NIC, per-core
     busy breakdowns, and (as they attach) applications all register here;
-    export with {!Tas_telemetry.Metrics.to_prometheus} or [to_json]. *)
+    export with {!Tas_telemetry.Metrics.to_json}. *)
 
 val trace : t -> Tas_telemetry.Trace.t
 (** The instance's trace ring (shared by fast and slow path). Disabled — a

@@ -19,10 +19,6 @@ val to_string : ?pretty:bool -> t -> string
 (** [to_string t] is the compact encoding; [~pretty:true] indents with two
     spaces for human-readable artifact files. *)
 
-val float_repr : float -> string
-(** The serializer's float rendering (exposed for exporters that format
-    numbers outside a document, e.g. Prometheus text). *)
-
 exception Parse_error of string
 
 val of_string : string -> t

@@ -184,68 +184,6 @@ let merge snapshots =
 
 (* --- Exporters ---------------------------------------------------------- *)
 
-let prom_labels = function
-  | [] -> ""
-  | labels ->
-    let body =
-      List.map
-        (fun (k, v) ->
-          let b = Buffer.create 16 in
-          Buffer.add_string b k;
-          Buffer.add_string b "=\"";
-          String.iter
-            (function
-              | '"' -> Buffer.add_string b "\\\""
-              | '\\' -> Buffer.add_string b "\\\\"
-              | '\n' -> Buffer.add_string b "\\n"
-              | c -> Buffer.add_char b c)
-            v;
-          Buffer.add_char b '"';
-          Buffer.contents b)
-        labels
-    in
-    "{" ^ String.concat "," body ^ "}"
-
-let to_prometheus t =
-  let b = Buffer.create 1024 in
-  let last_name = ref "" in
-  let header name help typ =
-    if name <> !last_name then begin
-      last_name := name;
-      if help <> "" then
-        Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" name help);
-      Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n" name typ)
-    end
-  in
-  List.iter
-    (fun s ->
-      let ls = prom_labels s.s_labels in
-      match s.s_value with
-      | Counter v ->
-        header s.s_name s.s_help "counter";
-        Buffer.add_string b (Printf.sprintf "%s%s %d\n" s.s_name ls v)
-      | Gauge v ->
-        header s.s_name s.s_help "gauge";
-        Buffer.add_string b
-          (Printf.sprintf "%s%s %s\n" s.s_name ls (Json.float_repr v))
-      | Hist h ->
-        header s.s_name s.s_help "summary";
-        let q quant v =
-          let labels = s.s_labels @ [ ("quantile", quant) ] in
-          Buffer.add_string b
-            (Printf.sprintf "%s%s %s\n" s.s_name (prom_labels labels)
-               (Json.float_repr v))
-        in
-        List.iter
-          (fun (p, v) -> q (Printf.sprintf "%g" (p /. 100.0)) v)
-          h.quantiles;
-        Buffer.add_string b
-          (Printf.sprintf "%s_count%s %d\n" s.s_name ls h.count);
-        Buffer.add_string b
-          (Printf.sprintf "%s_max%s %s\n" s.s_name ls (Json.float_repr h.max_v)))
-    (snapshot t);
-  Buffer.contents b
-
 let sample_to_json s =
   let base =
     [

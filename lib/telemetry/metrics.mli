@@ -86,11 +86,6 @@ val merge : sample list list -> sample list
 
 (** {2 Exporters} *)
 
-val to_prometheus : t -> string
-(** Prometheus text exposition format; histograms export as summaries with
-    one quantile series per configured point (default
-    0.5/0.9/0.99/0.999) plus [_count] and [_max] series. *)
-
 val sample_to_json : sample -> Json.t
 (** One snapshot (or merged) sample as the same JSON shape {!to_json}
     emits per entry. *)

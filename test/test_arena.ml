@@ -56,7 +56,6 @@ module J = Tas_telemetry.Json
 
 type observation = {
   json : string;
-  prometheus : string;
   events : Trace.event list;
   breakdown : (string * int) list;
   flows_dump : string;
@@ -67,7 +66,6 @@ type observation = {
 let digest_of o =
   let b = Buffer.create 65536 in
   Buffer.add_string b o.json;
-  Buffer.add_string b o.prometheus;
   List.iter
     (fun e ->
       Buffer.add_string b
@@ -87,7 +85,6 @@ let check_pinned ~boxed o =
 let snap tas =
   {
     json = Metrics.to_json_string ~pretty:true (Tas.metrics tas);
-    prometheus = Metrics.to_prometheus (Tas.metrics tas);
     events = Trace.drain (Tas.trace tas);
     breakdown =
       List.map
@@ -148,11 +145,11 @@ let observe ?fault_ab ?fault_ba ?(trace_capacity = 4096)
 
 let test_bulk_differential () =
   let a = observe ~seed:7 () in
-  check_pinned ~boxed:"ec05e4abdec5e337bbe40aa863946403" a;
+  check_pinned ~boxed:"621b7ce5c9640a5b072a8a0cb768fab2" a;
   Alcotest.(check bool) "some trace events" true (List.length a.events > 100)
 
 let test_bulk_differential_with_loss () =
-  check_pinned ~boxed:"61601ab0d76be8f707fcb93e73a1721d"
+  check_pinned ~boxed:"1c885ec5fae48d6f1a9c809ea9a1cfce"
     (observe ~fault_ab:(Fault.uniform_loss 0.02)
        ~fault_ba:(Fault.uniform_loss 0.02) ~seed:11 ())
 
@@ -183,7 +180,7 @@ let chaos_faults () =
 
 let test_chaos_differential () =
   let fault_ab, fault_ba = chaos_faults () in
-  check_pinned ~boxed:"e3658b88e3334454f882b3f972e9ac9d"
+  check_pinned ~boxed:"74f36fd47cb5d43c7769e31aff80503b"
     (observe ~fault_ab ~fault_ba ~seed:23 ())
 
 (* Sharded scale-down: a saturated RPC-echo server on 4 active cores,
@@ -284,7 +281,7 @@ let observe_churn () =
 
 let test_churn_differential () =
   let a, sp = observe_churn () in
-  check_pinned ~boxed:"a865c0317ac9f66b8df197acc19b10e6" a;
+  check_pinned ~boxed:"3a45e1049d2a38002fc5d2fc6bb7d33a" a;
   Alcotest.(check bool) "some trace events" true (List.length a.events > 100);
   let pool = Slow_path.ring_pool sp in
   Alcotest.(check (list int)) "40 connections set up and torn down"
@@ -306,10 +303,10 @@ let test_schedules_on_two_domains () =
   let chaos = Some (chaos_faults ()) in
   let schedules =
     [
-      ("bulk", "8709c2008144fb7beeb2820dbe20c2f7", 468, 7, None);
-      ( "loss", "76c2750de8568a745e35f1cd9bf0cfca", 470, 11,
+      ("bulk", "6fefedf870788fafd3b12cf4a148257d", 468, 7, None);
+      ( "loss", "5ea1543d82f69ff73af496b4a25347b6", 470, 11,
         Some (Fault.uniform_loss 0.02, Fault.uniform_loss 0.02) );
-      ("chaos", "eb6a2e908fc8832de8bc9c1b6ff3c2e6", 494, 23, chaos);
+      ("chaos", "935abb6015a17f575b7f64ec4e04c083", 494, 23, chaos);
     ]
   in
   let run (_, _, _, seed, faults) =

@@ -1,5 +1,5 @@
 (* Determinism of the telemetry subsystem: two identically-seeded runs of a
-   full TAS stack must export byte-identical metrics (JSON and Prometheus)
+   full TAS stack must export byte-identical metrics JSON
    and identical trace-event streams. This pins down the registry's sorted
    snapshots and the simulation's virtual-time determinism end to end. *)
 
@@ -18,7 +18,6 @@ module Trace = Tas_telemetry.Trace
 
 type observation = {
   json : string;
-  prometheus : string;
   events : Trace.event list;
   breakdown : (string * int) list;
 }
@@ -65,7 +64,6 @@ let observe ?fault ~seed () =
   Sim.run ~until:(Time_ns.ms 80) sim;
   {
     json = Metrics.to_json_string ~pretty:true (Tas.metrics tas);
-    prometheus = Metrics.to_prometheus (Tas.metrics tas);
     events = Trace.drain (Tas.trace tas);
     breakdown =
       List.map
@@ -82,8 +80,6 @@ let event =
 
 let check_identical a b =
   Alcotest.(check string) "metrics JSON byte-identical" a.json b.json;
-  Alcotest.(check string) "prometheus export byte-identical" a.prometheus
-    b.prometheus;
   Alcotest.(check (list event)) "trace event streams identical" a.events
     b.events;
   Alcotest.(check (list (pair string int)))

@@ -499,9 +499,13 @@ let test_port_exhaustion_refuses () =
   Alcotest.(check int) "one refusal" 1 (Slow_path.port_exhaustions sp);
   Alcotest.(check bool) "failed through the callback" true
     (!failed = [ Slow_path.Refused ]);
-  let prom = Tas_telemetry.Metrics.to_prometheus (Tas.metrics tas) in
+  let module Metrics = Tas_telemetry.Metrics in
   Alcotest.(check bool) "counter registered once it counts" true
-    (List.mem "sp_port_exhaustions 1" (String.split_on_char '\n' prom))
+    (List.exists
+       (fun smp ->
+         smp.Metrics.s_name = "sp_port_exhaustions"
+         && smp.Metrics.s_value = Metrics.Counter 1)
+       (Metrics.snapshot (Tas.metrics tas)))
 
 let suite =
   [

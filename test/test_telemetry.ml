@@ -1,5 +1,5 @@
 (* Unit tests of the telemetry subsystem: registry semantics (closures,
-   labels, duplicates, get-or-create), exporter formats, JSON rendering,
+   labels, duplicates, get-or-create), the JSON export and rendering,
    and the bounded trace and span rings, including their per-event
    allocation. *)
 
@@ -63,28 +63,6 @@ let test_hist_get_or_create () =
   let h2 = Metrics.hist m "latency_us" in
   Stats.Hist.add h1 10.0;
   Alcotest.(check int) "same histogram instance" 1 (Stats.Hist.count h2)
-
-let test_prometheus_format () =
-  let m = Metrics.create () in
-  Metrics.counter_fn m ~help:"packets received" ~labels:[ ("core", "3") ]
-    "rx_total" (fun () -> 12);
-  Metrics.gauge_fn m "depth" (fun () -> 2.5);
-  let h = Metrics.hist m "lat_us" in
-  List.iter (Stats.Hist.add h) [ 1.0; 2.0; 3.0 ];
-  let text = Metrics.to_prometheus m in
-  List.iter
-    (fun needle ->
-      if not (contains text needle) then
-        Alcotest.failf "prometheus output missing %S in:\n%s" needle text)
-    [
-      "# TYPE rx_total counter";
-      "# HELP rx_total packets received";
-      "rx_total{core=\"3\"} 12";
-      "# TYPE depth gauge";
-      "depth 2.5";
-      "lat_us{quantile=\"0.5\"}";
-      "lat_us_count 3";
-    ]
 
 let test_snapshot_sorted_deterministic () =
   (* Insertion order must not leak into exports. *)
@@ -394,8 +372,6 @@ let suite =
       test_label_order_normalized;
     Alcotest.test_case "invalid name raises" `Quick test_invalid_name_raises;
     Alcotest.test_case "hist get-or-create" `Quick test_hist_get_or_create;
-    Alcotest.test_case "prometheus exposition format" `Quick
-      test_prometheus_format;
     Alcotest.test_case "snapshot order deterministic" `Quick
       test_snapshot_sorted_deterministic;
     Alcotest.test_case "json rendering" `Quick test_json_rendering;
