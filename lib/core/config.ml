@@ -1,3 +1,8 @@
+type autoscale = {
+  policy : Tas_control.Policy.spec;
+  check_interval_ns : int;
+}
+
 type t = {
   rx_buf_size : int;
   tx_buf_size : int;
@@ -10,9 +15,7 @@ type t = {
   dead_flow_timeout_ns : int option;
   rx_ooo_enabled : bool;
   recovery_policy : Tas_recovery.Policy.kind;
-  dynamic_scaling : bool;
-  scale_check_interval_ns : int;
-  scale_policy : Tas_control.Policy.spec;
+  autoscale : autoscale option;
   idle_block_ns : int;
   fp_driver_cycles : int;
   fp_rx_cycles : int;
@@ -44,9 +47,7 @@ let default =
        to 4 out-of-order intervals (advertised as SACK blocks, at most 3
        on the wire) and drive the sender scoreboard. *)
     recovery_policy = Tas_recovery.Policy.Reno;
-    dynamic_scaling = false;
-    scale_check_interval_ns = 500_000_000;
-    scale_policy = Tas_control.Policy.paper_default;
+    autoscale = None;
     idle_block_ns = 10_000_000;
     (* Table 1: TAS spends 0.09 kc driver + 0.81 kc TCP per request (one
        data RX incl. ACK generation, one data TX, one ACK RX). *)

@@ -1,5 +1,14 @@
 (** TAS configuration knobs, with the paper's defaults. *)
 
+(** Workload-proportional core scaling (§3.4): the elastic controller
+    evaluates [policy] every [check_interval_ns]. *)
+type autoscale = {
+  policy : Tas_control.Policy.spec;
+      (** e.g. {!Tas_control.Policy.paper_default}, the paper's 1.25/0.2
+          idle-core thresholds *)
+  check_interval_ns : int;
+}
+
 type t = {
   rx_buf_size : int;  (** per-flow receive payload buffer (fixed, §4.1) *)
   tx_buf_size : int;
@@ -35,12 +44,9 @@ type t = {
           option and drives a sender scoreboard with selective
           retransmit. [Rack_tlp] adds time-based loss detection (reordering
           window srtt/4) and tail-loss probes on top of [Sack] *)
-  dynamic_scaling : bool;  (** workload-proportional core scaling, §3.4 *)
-  scale_check_interval_ns : int;
-  scale_policy : Tas_control.Policy.spec;
-      (** autoscaling policy evaluated every [scale_check_interval_ns] by
-          the elastic controller; default {!Tas_control.Policy.paper_default}
-          (the paper's 1.25/0.2 idle-core thresholds) *)
+  autoscale : autoscale option;
+      (** [Some] runs the elastic core controller, starting from one
+          active fast-path core; [None] (default) keeps every core active *)
   idle_block_ns : int;
       (** fast-path thread blocks after this idle time; waking it again
           costs a fixed 5 us ([Fast_path]'s [wakeup_ns]) *)

@@ -180,7 +180,7 @@ type t = {
   mutable registry : Metrics.t option;
   mutable scale_observer : Tas_engine.Time_ns.t -> int -> unit;
   mutable controller : Tas_control.Controller.t option;
-      (* the elastic core controller; [Some] iff [Config.dynamic_scaling] *)
+      (* the elastic core controller; [Some] iff [Config.autoscale] is *)
 }
 
 let lifecycle_create () =
@@ -912,8 +912,7 @@ let control_tick t =
    (lib/control): this tick only gathers the per-interval signals; the
    policy decides and the controller actuates via the closure wired in
    [create] (Fast_path.set_active_cores -> RSS rewrite -> migration). *)
-let scale_tick t ctl =
-  let window = t.config.Config.scale_check_interval_ns in
+let scale_tick t ctl ~window =
   let core_idle = Fast_path.core_idle_fractions t.fp ~window_ns:window in
   let active = Fast_path.active_cores t.fp in
   let idle = ref 0.0 in
@@ -1055,9 +1054,11 @@ let create sim ~fast_path ~core ~config =
     | None -> config.Config.control_interval_min_ns
   in
   ignore (Sim.periodic sim tick_interval (fun () -> control_tick t));
-  if config.Config.dynamic_scaling then begin
+  (match config.Config.autoscale with
+  | None -> ()
+  | Some { Config.policy; check_interval_ns } ->
     let ctl =
-      Tas_control.Controller.create ~policy:config.Config.scale_policy
+      Tas_control.Controller.create ~policy
         ~trace:(Fast_path.trace fast_path) ~min_cores:1
         ~max_cores:config.Config.max_fast_path_cores
         ~actuate:(fun n ->
@@ -1068,9 +1069,8 @@ let create sim ~fast_path ~core ~config =
     in
     t.controller <- Some ctl;
     ignore
-      (Sim.periodic sim config.Config.scale_check_interval_ns (fun () ->
-           scale_tick t ctl))
-  end;
+      (Sim.periodic sim check_interval_ns (fun () ->
+           scale_tick t ctl ~window:check_interval_ns)));
   t
 
 let listen t ~port accept_fn = Hashtbl.replace t.listeners port accept_fn

@@ -145,8 +145,8 @@ val set_scale_observer : t -> (Tas_engine.Time_ns.t -> int -> unit) -> unit
 
 val controller : t -> Tas_control.Controller.t option
 (** The elastic core controller driving all dynamic scaling
-    ([Config.scale_policy] evaluated every [scale_check_interval_ns]);
-    [None] unless [Config.dynamic_scaling]. Exposes the decision audit
+    ([Config.autoscale]'s policy evaluated every check interval); [None]
+    unless [Config.autoscale] is set. Exposes the decision audit
     trail and accepts a p99 latency probe for the [Slo] policy. *)
 
 val kick_control_loop : t -> unit

@@ -66,7 +66,8 @@ let create sim ~nic ~config ?(span = Span.disabled ()) () =
   Tas_netsim.Nic.set_trace nic tracer;
   (* Start with a single active core when scaling dynamically; at the
      configured maximum otherwise. *)
-  if config.Config.dynamic_scaling then Fast_path.set_active_cores fp 1
+  if Option.is_some config.Config.autoscale then
+    Fast_path.set_active_cores fp 1
   else Fast_path.set_active_cores fp config.Config.max_fast_path_cores;
   let sp = Slow_path.create sim ~fast_path:fp ~core:sp_core ~config in
   let metrics = Metrics.create () in

@@ -49,9 +49,7 @@ let inflate_fp c =
 let elastic_patch policy c =
   {
     (inflate_fp c) with
-    Config.dynamic_scaling = true;
-    scale_check_interval_ns = scale_check_ns;
-    scale_policy = policy;
+    Config.autoscale = Some { Config.policy; check_interval_ns = scale_check_ns };
   }
 
 (* Diurnal schedule: a small overnight-baseline group runs the whole time,

@@ -23,8 +23,12 @@ let run_trace ?(phases = 5) () =
     {
       Config.default with
       Config.max_fast_path_cores = 10;
-      dynamic_scaling = true;
-      scale_check_interval_ns = Time_ns.ms 10;
+      autoscale =
+        Some
+          {
+            Config.policy = Tas_control.Policy.paper_default;
+            check_interval_ns = Time_ns.ms 10;
+          };
       idle_block_ns = Time_ns.ms 1;
       rx_buf_size = 4096;
       tx_buf_size = 4096;

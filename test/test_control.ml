@@ -292,8 +292,12 @@ let test_controller_shrink_conserves_flows () =
     {
       Config.default with
       Config.max_fast_path_cores = 4;
-      dynamic_scaling = true;
-      scale_check_interval_ns = Time_ns.ms 5;
+      autoscale =
+        Some
+          {
+            Config.policy = Tas_control.Policy.paper_default;
+            check_interval_ns = Time_ns.ms 5;
+          };
       fp_rx_cycles = 20_000;
       fp_tx_cycles = 10_000;
       fp_ack_rx_cycles = 5_000;
@@ -304,7 +308,7 @@ let test_controller_shrink_conserves_flows () =
   let lt = Tas.app tas ~app_cores:[| app_core |] ~api:Libtas.Sockets in
   let peer = E.create sim net.Topology.b.Topology.nic E.default_config in
   E.attach peer;
-  Alcotest.(check bool) "controller wired when dynamic_scaling" true
+  Alcotest.(check bool) "controller wired when autoscale is set" true
     (Option.is_some (Slow_path.controller (Tas.slow_path tas)));
   Libtas.listen lt ~port:7 ~ctx_of_tuple:(fun _ -> 0) (fun _ ->
       {

@@ -234,8 +234,12 @@ let test_dynamic_scaling_up_down () =
     {
       Config.default with
       Config.max_fast_path_cores = 4;
-      dynamic_scaling = true;
-      scale_check_interval_ns = Time_ns.ms 5;
+      autoscale =
+        Some
+          {
+            Config.policy = Tas_control.Policy.paper_default;
+            check_interval_ns = Time_ns.ms 5;
+          };
       (* Inflate costs so modest load saturates a core. *)
       fp_rx_cycles = 20_000;
       fp_tx_cycles = 10_000;
