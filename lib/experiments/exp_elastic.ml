@@ -49,7 +49,8 @@ let inflate_fp c =
 let elastic_patch policy c =
   {
     (inflate_fp c) with
-    Config.autoscale = Some { Config.policy; check_interval_ns = scale_check_ns };
+    Config.autoscale =
+      Some { Config.policy; check_interval_ns = scale_check_ns };
   }
 
 (* Diurnal schedule: a small overnight-baseline group runs the whole time,

@@ -1,10 +1,11 @@
 (** Minimal JSON document type and deterministic serializer.
 
     Hand-rolled (no external dependency): the exporters need emission and
-    the artifact readers a small parser. Serialization is deterministic: field order
-    is the construction order, floats render via a fixed format, and
-    non-finite floats become [null]. Determinism matters — the byte-identical
-    telemetry snapshots of two same-seed runs are a test invariant. *)
+    the artifact readers a small parser. Serialization is deterministic:
+    field order is the construction order, floats render via a fixed
+    format, and non-finite floats become [null]. Determinism matters — the
+    byte-identical telemetry snapshots of two same-seed runs are a test
+    invariant. *)
 
 type t =
   | Null

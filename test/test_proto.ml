@@ -316,7 +316,7 @@ let test_flow_hash_symmetric () =
   Alcotest.(check int) "both directions hash alike" (Packet.flow_hash fwd)
     (Packet.flow_hash rev)
 
-(* --- Allocation ------------------------------------------------------------ *)
+(* --- Allocation ----------------------------------------------------------- *)
 
 (* A warm serialize + parse round trip of a 512 B segment with the
    timestamp option: the wire image, the parsed headers and the payload
