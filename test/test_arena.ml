@@ -1052,8 +1052,6 @@ let suite =
       test_burst_interleave_ordering;
     Alcotest.test_case "empty and oversized bursts" `Quick
       test_burst_empty_and_oversized;
-    Alcotest.test_case "warm stale burst allocates nothing" `Quick
-      test_burst_allocation;
     Alcotest.test_case "flows JSON shape pinned" `Quick test_flows_json_shape;
     Alcotest.test_case "connect/close churn: arena == boxed" `Quick
       test_churn_differential;
@@ -1063,4 +1061,6 @@ let suite =
       test_stale_handle_isolation;
     Alcotest.test_case "release allocates less than boxed copy-back" `Quick
       test_release_allocation;
+    Alcotest.test_case "warm stale burst allocates nothing" `Quick
+      test_burst_allocation;
   ]
