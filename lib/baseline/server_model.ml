@@ -42,14 +42,16 @@ let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
       committed = Hashtbl.create 64;
     }
   in
-  let rx_core_for pkt =
-    match t.placement with
-    | Inline ->
-      let h = Packet.flow_hash pkt in
-      t.app_cores.(h mod Array.length t.app_cores)
-    | Split { stack_cores } ->
-      let h = Packet.flow_hash pkt in
-      stack_cores.(h mod Array.length stack_cores)
+  (* Data packets run on the flow's app core (inline) or stack core. *)
+  let rx_queues =
+    Array.map
+      (fun core ->
+        let q = Core.queue core ~dummy:Packet.sentinel in
+        Core.set_handler q (Tcp_engine.handle_packet engine);
+        q)
+      (match placement with
+      | Inline -> app_cores
+      | Split { stack_cores } -> stack_cores)
   in
   Nic.set_rx_handler nic (fun ~queue:_ pkt ->
       if Bytes.length pkt.Packet.payload = 0 then
@@ -71,8 +73,8 @@ let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
           + profile.Cost_model.tcp_rx_cycles
           + (t.cached_extra / 2)
         in
-        let core = rx_core_for pkt in
-        Core.run core ~cycles (fun () -> Tcp_engine.handle_packet engine pkt)
+        let h = Packet.flow_hash pkt in
+        Core.submit rx_queues.(h mod Array.length rx_queues) ~cycles pkt
       end);
   t
 

@@ -1,8 +1,7 @@
 (** A growable FIFO ring that allocates nothing once it has grown to its
-    peak length: the staging queue between a producer and the persistent
-    thunk that consumes one element per queued work item (the fast path's
-    receive backlogs and transmit staging, the slow path's exception,
-    close and control-loop handoffs). *)
+    peak length: the item store of a core's work queue ([Core.queue]), the
+    fast path's receive backlogs and the slow path's control-loop
+    snapshots. *)
 
 type 'a t
 

@@ -25,8 +25,7 @@ type t = {
   flow_arena_capacity : int;
   sp_conn_cycles : int;
   sp_flow_control_cycles : int;
-  trace_enabled : bool;
-  trace_capacity : int;
+  trace_capacity : int option;
   timeline_interval_ns : int;
 }
 
@@ -59,8 +58,7 @@ let default =
     flow_arena_capacity = 4096;
     sp_conn_cycles = 3000;
     sp_flow_control_cycles = 80;
-    trace_enabled = false;
-    trace_capacity = 8192;
+    trace_capacity = None;
     timeline_interval_ns = 0;
   }
 

@@ -70,10 +70,10 @@ type t = {
           [Fast_path.handshake_rto_ns]) *)
   sp_conn_cycles : int;  (** slow-path connection setup/teardown handling *)
   sp_flow_control_cycles : int;  (** slow-path CC loop, per flow *)
-  trace_enabled : bool;
-      (** record structured telemetry trace events; when [false] (default)
-          the trace ring costs one boolean test per would-be event *)
-  trace_capacity : int;  (** bounded trace ring size (events) *)
+  trace_capacity : int option;
+      (** [Some n] records structured telemetry trace events into a bounded
+          ring of [n] events; [None] (default) costs one boolean test per
+          would-be event *)
   timeline_interval_ns : int;
       (** capture a {!Tas_telemetry.Timeline} frame (counter deltas, gauges,
           per-core utilization, shard/arena occupancy) every this many ns of

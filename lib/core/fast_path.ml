@@ -83,104 +83,18 @@ type t = {
          through the vector pass *)
   drain_armed : bool array;
   mutable drain_thunks : (unit -> unit) array;
-  (* Per-core transmit staging: a data segment is pushed here and handed to
-     the NIC by the core's persistent tx thunk. Per-core FIFO order means
-     each thunk firing pops exactly the packet whose [Core.run] scheduled
-     it — identical behaviour to capturing the packet in a closure, minus
-     the per-packet closure. *)
-  tx_queues : Packet.t Fifo.t array;
-  mutable tx_thunks : (unit -> unit) array;
-  (* Per-core TX commands ([notify_tx]) and RTO rewinds
-     ([trigger_retransmit]): the same discipline, one flow per command. *)
-  tx_cmds : Flow_state.t Fifo.t array;
-  mutable tx_cmd_thunks : (unit -> unit) array;
-  rto_cmds : Flow_state.t Fifo.t array;
-  mutable rto_cmd_thunks : (unit -> unit) array;
+  (* Per-core work queues: data segments for the NIC, TX commands
+     ([notify_tx]), RTO rewinds ([trigger_retransmit]) and packets the
+     slow path hands back ([reinject]). *)
+  tx_queues : Packet.t Core.queue array;
+  tx_cmds : Flow_state.t Core.queue array;
+  rto_cmds : Flow_state.t Core.queue array;
+  reinjects : Packet.t Core.queue array;
   memo : memo;
   probe : Addr.Four_tuple.t;
       (* scratch lookup key of [lookup_flow] and [reinject]; never stored *)
   scratch : Packet.t array;  (* vector-pass staging, fp_burst_size slots *)
 }
-
-let create ?trace ?span sim ~nic ~cores ~config =
-  if Array.length cores = 0 then invalid_arg "Fast_path.create: no cores";
-  let flows =
-    (* Sharded by RSS queue: one shard per queue, following the NIC's
-       redirection table. *)
-    Flow_table.create_sharded ~rss:(Nic.rss nic) ()
-  in
-  let n = Array.length cores in
-  let t =
-  {
-    sim;
-    nic;
-    cores;
-    config;
-    flows;
-    contexts = Hashtbl.create 16;
-    pkt_pool = Nic.packet_pool nic;
-    next_context_id = 0;
-    active = n;
-    rss_synced = false;
-    exception_handler = ignore;
-    stats =
-      {
-        rx_data_packets = 0;
-        rx_ack_packets = 0;
-        tx_data_packets = 0;
-        acks_sent = 0;
-        ooo_stored = 0;
-        payload_drops = 0;
-        fast_retransmits = 0;
-        exceptions_forwarded = 0;
-        malformed_drops = 0;
-        rx_bursts = 0;
-        rx_burst_packets = 0;
-      };
-    rec_stats =
-      {
-        rec_episodes = 0;
-        rec_sacked_segments = 0;
-        rec_lost_marked = 0;
-        rec_selective_retransmits = 0;
-        rec_tlp_probes = 0;
-        rec_reo_timeouts = 0;
-      };
-    trace = (match trace with Some tr -> tr | None -> Trace.disabled ());
-    span = (match span with Some sp -> sp | None -> Span.disabled ());
-    busy_snapshot = Array.make n 0;
-    last_rx_time = Array.make n 0;
-    backlogs = Array.init n (fun _ -> Fifo.create Packet.sentinel);
-    drain_armed = Array.make n false;
-    drain_thunks = [||];
-    tx_queues = Array.init n (fun _ -> Fifo.create Packet.sentinel);
-    tx_thunks = [||];
-    tx_cmds = Array.init n (fun _ -> Fifo.create Flow_state.absent);
-    tx_cmd_thunks = [||];
-    rto_cmds = Array.init n (fun _ -> Fifo.create Flow_state.absent);
-    rto_cmd_thunks = [||];
-    memo =
-      {
-        m_flow = Flow_state.absent;
-        m_src_ip = -1;
-        m_src_port = -1;
-        m_dst_ip = -1;
-        m_dst_port = -1;
-      };
-    probe = Addr.Four_tuple.probe ();
-    scratch = Array.make (max 1 config.Config.fp_burst_size) Packet.sentinel;
-  }
-  in
-  Flow_table.set_on_migrate t.flows (fun ~group ~from_q:_ ~to_q ~moved ->
-      (* One event per flow group whose state actually moved shards; [core]
-         is the destination queue, [flow] the group id. *)
-      if moved > 0 && Trace.enabled t.trace then
-        Trace.record t.trace ~ts:(Sim.now t.sim) ~kind:Trace.Shard_migrate
-          ~core:to_q ~flow:group);
-  t.tx_thunks <-
-    Array.init n (fun idx ->
-        fun () -> Nic.transmit t.nic (Fifo.pop t.tx_queues.(idx)));
-  t
 
 let flows t = t.flows
 let stats t = t.stats
@@ -292,7 +206,7 @@ let context t id =
   | Some ctx -> ctx
   | None -> invalid_arg "Fast_path.context: unknown context id"
 
-let core_of_flow t flow =
+let core_index_of_flow t flow =
   let queue =
     Nic.queue_for_hash t.nic
       (Addr.Four_tuple.sym_hash_fields ~local_ip:(Nic.ip t.nic)
@@ -300,7 +214,7 @@ let core_of_flow t flow =
          ~peer_ip:(Flow_state.peer_ip flow)
          ~peer_port:(Flow_state.peer_port flow))
   in
-  t.cores.(queue mod Array.length t.cores)
+  queue mod Array.length t.cores
 
 let install_flow t ~tuple flow = Flow_table.add t.flows tuple flow
 let remove_flow t ~tuple = Flow_table.remove t.flows tuple
@@ -333,7 +247,7 @@ let build_packet t flow ~(flags : Tcp_header.flags) ~seq ~payload ~sack =
 
 let send_raw t pkt = Nic.transmit t.nic pkt
 
-(* [maybe_send]'s core is always an element of [t.cores] ([core_of_flow] or
+(* [maybe_send]'s core is always an element of [t.cores] (the flow's or
    the drain pass's core); the scan is over at most a handful of cores. *)
 let rec core_index_from t core i =
   if i >= Array.length t.cores - 1 || t.cores.(i) == core then i
@@ -352,7 +266,7 @@ let send_ack t flow ~ece =
   t.stats.acks_sent <- t.stats.acks_sent + 1;
   if Trace.enabled t.trace then
     Trace.record t.trace ~ts:(Sim.now t.sim) ~kind:Trace.Ack_tx
-      ~core:(Core.id (core_of_flow t flow))
+      ~core:(Core.id t.cores.(core_index_of_flow t flow))
       ~flow:(Flow_state.opaque flow);
   (* Under a SACK-class policy advertise the out-of-order intervals (at
      most 3 blocks beside the 10-byte timestamp option); Reno flows emit
@@ -409,9 +323,8 @@ let emit_segment t flow core ~seq ~off ~len ~span =
     Span.record t.span ~ts:(Sim.now t.sim) ~id:span ~hop:Span.Fp_tx
       ~core:(Core.id core) ~flow:(Flow_state.opaque flow)
   end;
-  let idx = core_index t core in
-  Fifo.push t.tx_queues.(idx) pkt;
-  Core.run core ~cat:Core.Tx ~cycles:(tx_cycles t) t.tx_thunks.(idx)
+  Core.submit t.tx_queues.(core_index t core) ~cat:Core.Tx
+    ~cycles:(tx_cycles t) pkt
 
 (* Drain the flow's bucket: segment and transmit as much buffered payload as
    congestion/flow control allows; in rate mode arm a pacing timer when the
@@ -629,18 +542,11 @@ let recovery_on_ack t flow core ~una ~sack ~dup_acks =
   end;
   retransmit_lost t flow core
 
-(* TX commands and RTO rewinds wait in their core's FIFO, one flow per
-   command, for the core's persistent thunk: [Core.run] posts a core's
-   work at a time that only grows, so FIFO order is fire order. *)
-let run_tx_cmd t idx =
-  let core = t.cores.(idx) in
-  let flow = Fifo.pop t.tx_cmds.(idx) in
+let run_tx_cmd t core flow =
   maybe_send t flow core;
   arm_tlp t flow core
 
-let run_rto_cmd t idx =
-  let core = t.cores.(idx) in
-  let flow = Fifo.pop t.rto_cmds.(idx) in
+let run_rto_cmd t core flow =
   (* RTO-class rewind: forget the scoreboard (segments re-register as
      they are re-sent) and invalidate pending RACK/TLP timers. *)
   (match Flow_state.recovery_kind flow with
@@ -655,27 +561,14 @@ let run_rto_cmd t idx =
   maybe_send t flow core;
   arm_tlp t flow core
 
-(* Made at the first command: [create] comes before what they run. *)
-let cmd_core t flow =
-  if Array.length t.tx_cmd_thunks = 0 then begin
-    let n = Array.length t.cores in
-    t.tx_cmd_thunks <- Array.init n (fun idx () -> run_tx_cmd t idx);
-    t.rto_cmd_thunks <- Array.init n (fun idx () -> run_rto_cmd t idx)
-  end;
-  core_of_flow t flow
-
 (* The TX command costs a few cycles of fast-path attention. *)
 let notify_tx t flow =
-  let core = cmd_core t flow in
-  let idx = core_index t core in
-  Fifo.push t.tx_cmds.(idx) flow;
-  Core.run core ~cat:Core.Tx ~cycles:50 t.tx_cmd_thunks.(idx)
+  Core.submit t.tx_cmds.(core_index_of_flow t flow) ~cat:Core.Tx ~cycles:50
+    flow
 
 let trigger_retransmit t flow =
-  let core = cmd_core t flow in
-  let idx = core_index t core in
-  Fifo.push t.rto_cmds.(idx) flow;
-  Core.run core ~cat:Core.Tx ~cycles:100 t.rto_cmd_thunks.(idx)
+  Core.submit t.rto_cmds.(core_index_of_flow t flow) ~cat:Core.Tx
+    ~cycles:100 flow
 
 (* --- Receive processing ------------------------------------------------ *)
 
@@ -1015,16 +908,98 @@ let reinject t pkt =
   Packet.write_tuple_at_receiver pkt t.probe;
   let flow = Flow_table.find t.flows t.probe in
   if flow != Flow_state.absent then begin
-    let core = core_of_flow t flow in
     let cat =
-      if Bytes.length pkt.Packet.payload = 0 then Core.Ack_rx
-      else Core.Driver_rx
+      if Bytes.length pkt.Packet.payload = 0 then some_ack_rx
+      else some_driver_rx
     in
     (* The reinjected packet goes through [process] (and its release) a
        second time; hold a reference across the scheduling gap. *)
     Packet.retain pkt;
-    Core.run core ~cat ~cycles:(rx_cost t pkt) (fun () -> process t pkt core)
+    Core.submit t.reinjects.(core_index_of_flow t flow) ?cat
+      ~cycles:(rx_cost t pkt) pkt
   end
+
+let create ?trace ?span sim ~nic ~cores ~config =
+  if Array.length cores = 0 then invalid_arg "Fast_path.create: no cores";
+  let flows =
+    (* Sharded by RSS queue: one shard per queue, following the NIC's
+       redirection table. *)
+    Flow_table.create_sharded ~rss:(Nic.rss nic) ()
+  in
+  let n = Array.length cores in
+  let t =
+  {
+    sim;
+    nic;
+    cores;
+    config;
+    flows;
+    contexts = Hashtbl.create 16;
+    pkt_pool = Nic.packet_pool nic;
+    next_context_id = 0;
+    active = n;
+    rss_synced = false;
+    exception_handler = ignore;
+    stats =
+      {
+        rx_data_packets = 0;
+        rx_ack_packets = 0;
+        tx_data_packets = 0;
+        acks_sent = 0;
+        ooo_stored = 0;
+        payload_drops = 0;
+        fast_retransmits = 0;
+        exceptions_forwarded = 0;
+        malformed_drops = 0;
+        rx_bursts = 0;
+        rx_burst_packets = 0;
+      };
+    rec_stats =
+      {
+        rec_episodes = 0;
+        rec_sacked_segments = 0;
+        rec_lost_marked = 0;
+        rec_selective_retransmits = 0;
+        rec_tlp_probes = 0;
+        rec_reo_timeouts = 0;
+      };
+    trace = (match trace with Some tr -> tr | None -> Trace.disabled ());
+    span = (match span with Some sp -> sp | None -> Span.disabled ());
+    busy_snapshot = Array.make n 0;
+    last_rx_time = Array.make n 0;
+    backlogs = Array.init n (fun _ -> Fifo.create Packet.sentinel);
+    drain_armed = Array.make n false;
+    drain_thunks = [||];
+    tx_queues = Array.map (Core.queue ~dummy:Packet.sentinel) cores;
+    tx_cmds = Array.map (Core.queue ~dummy:Flow_state.absent) cores;
+    rto_cmds = Array.map (Core.queue ~dummy:Flow_state.absent) cores;
+    reinjects = Array.map (Core.queue ~dummy:Packet.sentinel) cores;
+    memo =
+      {
+        m_flow = Flow_state.absent;
+        m_src_ip = -1;
+        m_src_port = -1;
+        m_dst_ip = -1;
+        m_dst_port = -1;
+      };
+    probe = Addr.Four_tuple.probe ();
+    scratch = Array.make (max 1 config.Config.fp_burst_size) Packet.sentinel;
+  }
+  in
+  Flow_table.set_on_migrate t.flows (fun ~group ~from_q:_ ~to_q ~moved ->
+      (* One event per flow group whose state actually moved shards; [core]
+         is the destination queue, [flow] the group id. *)
+      if moved > 0 && Trace.enabled t.trace then
+        Trace.record t.trace ~ts:(Sim.now t.sim) ~kind:Trace.Shard_migrate
+          ~core:to_q ~flow:group);
+  Array.iteri
+    (fun idx core ->
+      Core.set_handler t.tx_queues.(idx) (Nic.transmit nic);
+      Core.set_handler t.tx_cmds.(idx) (run_tx_cmd t core);
+      Core.set_handler t.rto_cmds.(idx) (run_rto_cmd t core);
+      Core.set_handler t.reinjects.(idx) (fun pkt -> process t pkt core))
+    cores;
+  t
 
 (* Per-core idle fraction over the window since the previous call, for
    every configured core. Active cores report clamped [0,1] idle from
@@ -1040,12 +1015,3 @@ let core_idle_fractions t ~window_ns =
         max 0.0
           (min 1.0 (1.0 -. (float_of_int delta /. float_of_int window_ns)))
       else 1.0)
-
-let idle_core_total t ~window_ns =
-  let active = t.active in
-  let fractions = core_idle_fractions t ~window_ns in
-  let total = ref 0.0 in
-  for i = 0 to active - 1 do
-    total := !total +. fractions.(i)
-  done;
-  !total

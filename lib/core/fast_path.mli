@@ -118,9 +118,6 @@ val set_active_cores : t -> int -> unit
     first call: a repeat with the unchanged (clamped) count is a no-op and
     does not rewrite the redirection table. *)
 
-val core_of_flow : t -> Flow_state.t -> Tas_cpu.Core.t
-(** The core currently owning the flow (RSS steering). *)
-
 val install_flow :
   t -> tuple:Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit
 (** Slow path installs an established flow's state. *)
@@ -166,10 +163,4 @@ val core_idle_fractions : t -> window_ns:int -> float array
 (** Per-core idle fraction over the last [window_ns], one entry per
     configured core (inactive cores read 1.0) — the elastic controller's
     per-core signal. Advances the shared per-core busy snapshots, so one
-    consumer per instance: {!idle_core_total} is a sum over this. *)
-
-val idle_core_total : t -> window_ns:int -> float
-(** Aggregate idle cores over the last [window_ns] (sum of
-    {!core_idle_fractions} over the active cores): the input to the
-    workload-proportionality controller. Uses per-core busy time since the
-    previous call. *)
+    consumer per instance. *)

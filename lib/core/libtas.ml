@@ -18,7 +18,8 @@ type t = {
   sim : Sim.t;
   fp : Fast_path.t;
   sp : Slow_path.t;
-  contexts : app_context array;
+  mutable contexts : app_context array;
+      (* set once in [create]: their queues' dummy socket needs [t] *)
   api : api;
   api_cycles : int;  (* per context-queue event *)
   epoll_cycles : int;
@@ -34,7 +35,12 @@ and app_context = {
   mutable draining : bool;
   (* Persistent event-loop step: one closure per context for the lifetime
      of the app, not one per dispatched event. *)
-  mutable step : unit -> unit;
+  step : unit -> unit;
+  (* Slow-path connection events, run on [core] with an API charge. *)
+  connected : socket Core.queue;
+  failures : (socket * Slow_path.conn_error) Core.queue;
+  resets : socket Core.queue;
+  closes : socket Core.queue;
 }
 
 and socket = {
@@ -70,9 +76,6 @@ let null_handlers =
 
 let sock_id s = s.id
 let is_open s = (not s.closed) && s.flow <> None
-let num_contexts t = Array.length t.contexts
-let context_core t i = t.contexts.(i).core
-let api_event_cycles t = t.api_cycles
 let stats t = t.stats
 
 let register t m ?(labels = []) () =
@@ -172,16 +175,19 @@ let wake t actx =
 (* --- Slow-path callback plumbing ----------------------------------------- *)
 
 (* Slow-path events are re-scheduled onto the socket's application core with
-   a wake + API charge, like any other notification. *)
-let on_app_core ?(cat = Core.Api) sock cycles k =
-  let core = sock.owner.contexts.(sock.ctx_index).core in
-  Core.run core ~cat ~cycles k
+   an API charge, like any other notification. *)
+let app_context sock = sock.owner.contexts.(sock.ctx_index)
+
+(* The socket is gone for the slow path: no further event names it. *)
+let forget sockets sock =
+  Hashtbl.remove sockets sock.id;
+  sock.closed <- true
 
 (* One callbacks record per instance, over its socket table: each event
    finds its socket by the connection's opaque, the socket id. A socket
-   stays in [sockets] from its creation until its [closed] callback, the
-   last one to fire. *)
-let conn_callbacks sockets fp ~api_cycles =
+   stays in [sockets] from its creation until its [closed] or [failed]
+   callback, the last one to fire. *)
+let conn_callbacks sockets fp =
   {
     Slow_path.established =
       (fun flow ->
@@ -189,15 +195,19 @@ let conn_callbacks sockets fp ~api_cycles =
         | exception Not_found -> ()
         | sock ->
           sock.flow <- Some flow;
-          on_app_core sock api_cycles (fun () ->
-              if not sock.closed then sock.handlers.on_connected sock));
+          (* Closed while the handshake was pending: [close] had no flow
+             to close, so the close goes out now. *)
+          if sock.closed then Slow_path.close sock.owner.sp flow;
+          Core.submit (app_context sock).connected ~cat:Core.Api
+            ~cycles:sock.owner.api_cycles sock);
     failed =
       (fun opaque err ->
         match Hashtbl.find sockets opaque with
         | exception Not_found -> ()
         | sock ->
-          on_app_core sock api_cycles (fun () ->
-              sock.handlers.on_connect_failed sock err));
+          forget sockets sock;
+          Core.submit (app_context sock).failures ~cat:Core.Api
+            ~cycles:sock.owner.api_cycles (sock, err));
     reset =
       (fun flow ->
         (* Abort notification; [closed] follows as the slow path removes the
@@ -205,8 +215,8 @@ let conn_callbacks sockets fp ~api_cycles =
         match Hashtbl.find sockets (Flow_state.opaque flow) with
         | exception Not_found -> ()
         | sock ->
-          on_app_core sock api_cycles (fun () ->
-              if not sock.closed then sock.handlers.on_reset sock));
+          Core.submit (app_context sock).resets ~cat:Core.Api
+            ~cycles:sock.owner.api_cycles sock);
     peer_closed =
       (fun flow ->
         (* Order EOF behind any undelivered payload via the context queue;
@@ -219,65 +229,75 @@ let conn_callbacks sockets fp ~api_cycles =
         match Hashtbl.find sockets (Flow_state.opaque flow) with
         | exception Not_found -> ()
         | sock ->
-          Hashtbl.remove sockets sock.id;
-          sock.closed <- true;
-          on_app_core sock 100 (fun () -> sock.handlers.on_closed sock));
+          forget sockets sock;
+          Core.submit (app_context sock).closes ~cat:Core.Api ~cycles:100 sock);
   }
 
 (* --- Construction -------------------------------------------------------- *)
 
+let socket t ~id ~ctx_index handlers =
+  {
+    id;
+    owner = t;
+    ctx_index;
+    flow = None;
+    handlers;
+    eof_delivered = false;
+    closed = false;
+  }
+
 let create sim ~fast_path ~slow_path ~app_cores ~api () =
   if Array.length app_cores = 0 then invalid_arg "Libtas.create: no app cores";
-  let contexts =
-    Array.map
-      (fun core ->
-        {
-          ctx = Context.create ~id:(Fast_path.fresh_context_id fast_path);
-          core;
-          draining = false;
-          step = ignore;
-        })
-      app_cores
-  in
-  let sockets = Hashtbl.create 256 and api_cycles = cycles_of_api api in
+  let sockets = Hashtbl.create 256 in
   let t =
     {
       sim;
       fp = fast_path;
       sp = slow_path;
-      contexts;
+      contexts = [||];
       api;
-      api_cycles;
+      api_cycles = cycles_of_api api;
       epoll_cycles = 150;
       sockets;
       next_id = 1;
       stats =
         { events_dispatched = 0; sockets_opened = 0; rx_bytes = 0; tx_bytes = 0 };
-      callbacks = conn_callbacks sockets fast_path ~api_cycles;
+      callbacks = conn_callbacks sockets fast_path;
     }
   in
-  Array.iter
-    (fun actx ->
-      actx.step <- (fun () -> drain_step t actx);
-      Fast_path.register_context fast_path actx.ctx;
-      Context.set_waker actx.ctx (fun () -> wake t actx))
-    contexts;
+  let dummy = socket t ~id:0 ~ctx_index:0 null_handlers in
+  t.contexts <-
+    Array.map
+      (fun core ->
+        let rec actx =
+          {
+            ctx = Context.create ~id:(Fast_path.fresh_context_id fast_path);
+            core;
+            draining = false;
+            step = (fun () -> drain_step t actx);
+            connected = Core.queue core ~dummy;
+            failures = Core.queue core ~dummy:(dummy, Slow_path.Timeout);
+            resets = Core.queue core ~dummy;
+            closes = Core.queue core ~dummy;
+          }
+        in
+        Core.set_handler actx.connected (fun sock ->
+            if not sock.closed then sock.handlers.on_connected sock);
+        Core.set_handler actx.failures (fun (sock, err) ->
+            sock.handlers.on_connect_failed sock err);
+        Core.set_handler actx.resets (fun sock ->
+            if not sock.closed then sock.handlers.on_reset sock);
+        Core.set_handler actx.closes (fun sock -> sock.handlers.on_closed sock);
+        Fast_path.register_context fast_path actx.ctx;
+        Context.set_waker actx.ctx (fun () -> wake t actx);
+        actx)
+      app_cores;
   t
 
 let fresh_socket t ~ctx_index ~handlers =
   let id = t.next_id in
   t.next_id <- t.next_id + 1;
-  let sock =
-    {
-      id;
-      owner = t;
-      ctx_index;
-      flow = None;
-      handlers;
-      eof_delivered = false;
-      closed = false;
-    }
-  in
+  let sock = socket t ~id ~ctx_index handlers in
   Hashtbl.replace t.sockets id sock;
   t.stats.sockets_opened <- t.stats.sockets_opened + 1;
   sock
@@ -337,7 +357,8 @@ let close sock =
     | Some flow -> Slow_path.close sock.owner.sp flow
   end
 
-let app_cycles sock cycles k = on_app_core ~cat:Core.App sock cycles k
+let app_cycles sock cycles k =
+  Core.run (app_context sock).core ~cat:Core.App ~cycles k
 
 (* Application exit: the slow path detects the hangup on the UNIX domain
    socket and cleans up every connection the application still holds

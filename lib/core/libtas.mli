@@ -25,7 +25,8 @@ type handlers = {
   on_closed : socket -> unit;  (** Connection fully gone. *)
   on_connect_failed : socket -> Slow_path.conn_error -> unit;
       (** Connection attempt failed: handshake timeout, RST refusal, or a
-          reset racing establishment (the errno of a failed [connect]). *)
+          reset racing establishment (the errno of a failed [connect]).
+          The socket is closed: no other event follows. *)
   on_reset : socket -> unit;
       (** Established connection aborted (peer RST or dead-flow reaping) —
           the ECONNRESET notification. [on_closed] still follows. *)
@@ -44,9 +45,6 @@ val create :
   unit ->
   t
 (** One context (and context queue) per application core. *)
-
-val num_contexts : t -> int
-val context_core : t -> int -> Tas_cpu.Core.t
 
 val listen : t -> port:int -> ctx_of_tuple:(Tas_proto.Addr.Four_tuple.t -> int)
   -> (socket -> handlers) -> unit
@@ -71,6 +69,8 @@ val want_sendable : socket -> unit
     transmit space (EPOLLOUT subscription without a short write). *)
 
 val close : socket -> unit
+(** A socket closed before its handshake completes gets no [on_connected];
+    its flow is closed as soon as it is established. *)
 
 val sock_id : socket -> int
 val is_open : socket -> bool
@@ -78,9 +78,6 @@ val app_cycles : socket -> int -> (unit -> unit) -> unit
 (** [app_cycles sock cycles k] charges application-level work on the
     socket's context core, then runs [k] — how applications account their
     own per-request processing. *)
-
-val api_event_cycles : t -> int
-(** Per-event API cost currently charged (sockets vs low-level). *)
 
 type stats = {
   mutable events_dispatched : int;

@@ -26,11 +26,6 @@ let debug_on () =
 
 type conn_error = Timeout | Refused | Reset
 
-let conn_error_name = function
-  | Timeout -> "timeout"
-  | Refused -> "refused"
-  | Reset -> "reset"
-
 type conn_callbacks = {
   established : Flow_state.t -> unit;
   failed : int -> conn_error -> unit;
@@ -150,14 +145,11 @@ type t = {
          ever passed to lookups, never stored *)
   feedback : Interval_cc.feedback;  (* refilled by every control iteration *)
   lifecycle : lifecycle;
-  exceptions : Packet.t Fifo.t;  (* handed over, awaiting [exception_step] *)
-  mutable exception_step : unit -> unit;
-  closes : Flow_state.t Fifo.t;  (* close requests awaiting [close_step] *)
-  mutable close_step : unit -> unit;
+  exceptions : Packet.t Core.queue;  (* packets the fast path handed over *)
+  closes : Flow_state.t Core.queue;  (* close requests *)
   due : flow_entry option Fifo.t;
       (* control iterations snapshotted by ticks, as each entry's [self] *)
-  due_batches : int Fifo.t;  (* entries per tick snapshot, oldest first *)
-  mutable cc_step : unit -> unit;
+  due_batches : int Core.queue;  (* entries per tick snapshot *)
   mutable collect_due : Addr.Four_tuple.t -> flow_entry -> flow_entry option;
       (* the tick's table-walk callback, built once *)
   mutable tick_now : int;  (* the running tick's clock, for [collect_due] *)
@@ -862,8 +854,8 @@ let run_control_iteration t entry =
 
 (* One tick's snapshot of due flows, run as one batch on the slow-path
    core; see [control_tick]. *)
-let cc_step t =
-  for _ = 1 to Fifo.pop t.due_batches do
+let run_due_batch t n =
+  for _ = 1 to n do
     match Fifo.pop t.due with
     | Some entry when not entry.removed ->
       run_control_iteration t entry;
@@ -873,8 +865,8 @@ let cc_step t =
 
 (* Snapshot the due flows into [t.due] and queue one batch for them. The
    batch runs once the slow-path core gets to it, possibly after the next
-   tick has queued another: batches pop their entries in tick order, since
-   one core's queued work runs in the order it was queued. Entries run in
+   tick has queued another: batches pop their entries in tick order, the
+   order of their submissions (see [Core.queue]). Entries run in
    the reverse of the table's iteration order (the order of the list this
    snapshot replaced).
 
@@ -899,10 +891,9 @@ let control_tick t =
     let n = Fifo.length t.due - before in
     if n > 0 then begin
       Fifo.reverse_last t.due n;
-      Fifo.push t.due_batches n;
-      Core.run t.core ~cat:Core.Cc
+      Core.submit t.due_batches ~cat:Core.Cc
         ~cycles:(n * t.config.Config.sp_flow_control_cycles)
-        t.cc_step
+        n
     end
   end
 
@@ -955,8 +946,7 @@ let scale_tick t ctl ~window =
 
 (* --- Close -------------------------------------------------------------- *)
 
-let close_step t =
-  let flow = Fifo.pop t.closes in
+let close_flow t flow =
   let k = t.probe in
   k.local_ip <- Nic.ip (Fast_path.nic t.fp);
   k.local_port <- Flow_state.local_port flow;
@@ -997,13 +987,10 @@ let create sim ~fast_path ~core ~config =
           interval_ns = 0;
         };
       lifecycle = lifecycle_create ();
-      exceptions = Fifo.create Packet.sentinel;
-      exception_step = ignore;
-      closes = Fifo.create Flow_state.absent;
-      close_step = ignore;
+      exceptions = Core.queue core ~dummy:Packet.sentinel;
+      closes = Core.queue core ~dummy:Flow_state.absent;
       due = Fifo.create None;
-      due_batches = Fifo.create 0;
-      cc_step = ignore;
+      due_batches = Core.queue core ~dummy:0;
       collect_due = (fun _ e -> e.self);
       tick_now = 0;
       next_due = max_int;
@@ -1022,15 +1009,13 @@ let create sim ~fast_path ~core ~config =
       controller = None;
     }
   in
-  (* The persistent thunks and the table-walk callback: built once here,
-     so neither a packet, a close, nor a tick builds a closure. *)
-  t.exception_step <-
-    (fun () ->
-      let pkt = Fifo.pop t.exceptions in
+  (* The queue handlers and the table-walk callback: built once here, so
+     neither a packet, a close, nor a tick builds a closure. *)
+  Core.set_handler t.exceptions (fun pkt ->
       process_exception t pkt;
       Packet.release pkt);
-  t.close_step <- (fun () -> close_step t);
-  t.cc_step <- (fun () -> cc_step t);
+  Core.set_handler t.closes (close_flow t);
+  Core.set_handler t.due_batches (run_due_batch t);
   t.collect_due <-
     (fun _ entry ->
       let due = entry.next_cc_due in
@@ -1041,13 +1026,10 @@ let create sim ~fast_path ~core ~config =
   Fast_path.set_exception_handler t.fp (fun pkt ->
       (* The handler returns before the deferred work runs; hold a reference
          so the fast path's own release cannot recycle the payload under the
-         pending slow-path processing. The FIFO hands the packets to
-         [exception_step] in arrival order: the core runs queued work in
-         the order it was queued. *)
+         pending slow-path processing. *)
       Packet.retain pkt;
-      Fifo.push t.exceptions pkt;
-      Core.run t.core ~cat:Core.Conn ~cycles:config.Config.sp_conn_cycles
-        t.exception_step);
+      Core.submit t.exceptions ~cat:Core.Conn
+        ~cycles:config.Config.sp_conn_cycles pkt);
   let tick_interval =
     match config.Config.control_interval_fixed_ns with
     | Some fixed -> max fixed 10_000
@@ -1132,8 +1114,5 @@ let connect t ~opaque ~context_id ~dst_ip ~dst_port cb =
       end)
 
 let close t flow =
-  Fifo.push t.closes flow;
-  Core.run t.core ~cat:Core.Conn ~cycles:t.config.Config.sp_conn_cycles
-    t.close_step
-
-let kick_control_loop t = control_tick t
+  Core.submit t.closes ~cat:Core.Conn ~cycles:t.config.Config.sp_conn_cycles
+    flow

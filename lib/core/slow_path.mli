@@ -19,8 +19,6 @@ type conn_error =
   | Refused  (** peer answered the SYN with an RST (nobody listening) *)
   | Reset  (** peer aborted the half-open handshake *)
 
-val conn_error_name : conn_error -> string
-
 (** Callbacks a connection owner (libTAS) registers for slow-path events.
     All fire in slow-path context; libTAS re-schedules onto app cores. Every
     callback identifies its connection — by the flow, whose
@@ -148,6 +146,3 @@ val controller : t -> Tas_control.Controller.t option
     ([Config.autoscale]'s policy evaluated every check interval); [None]
     unless [Config.autoscale] is set. Exposes the decision audit
     trail and accepts a p99 latency probe for the [Slo] policy. *)
-
-val kick_control_loop : t -> unit
-(** Force an immediate control-loop pass (testing). *)

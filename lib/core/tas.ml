@@ -53,9 +53,9 @@ let create sim ~nic ~config ?(span = Span.disabled ()) () =
   in
   let sp_core = Core.create sim ~id:1000 () in
   let tracer =
-    if config.Config.trace_enabled then
-      Trace.create ~enabled:true ~capacity:config.Config.trace_capacity ()
-    else Trace.disabled ()
+    match config.Config.trace_capacity with
+    | Some capacity -> Trace.create ~capacity ()
+    | None -> Trace.disabled ()
   in
   let fp =
     Fast_path.create ~trace:tracer ~span sim ~nic ~cores:fp_cores ~config

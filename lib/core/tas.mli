@@ -33,7 +33,7 @@ val metrics : t -> Tas_telemetry.Metrics.t
 val trace : t -> Tas_telemetry.Trace.t
 (** The instance's trace ring (shared by fast and slow path). Disabled — a
     single boolean test per would-be event — unless
-    [config.trace_enabled]. *)
+    [config.trace_capacity] is [Some]. *)
 
 val span : t -> Tas_telemetry.Span.t
 (** The instance's latency-span collector (see {!create}). *)

@@ -1,4 +1,5 @@
 module Sim = Tas_engine.Sim
+module Fifo = Tas_buffers.Fifo
 
 type category = Driver_rx | Ack_rx | Tx | Conn | Cc | Api | App | Other
 
@@ -51,8 +52,6 @@ let enable_util_buckets t ~interval_ns =
   if interval_ns <= 0 then invalid_arg "Core.enable_util_buckets: interval <= 0";
   t.util_interval <- interval_ns;
   if Array.length t.util_buckets = 0 then t.util_buckets <- Array.make 64 0
-
-let util_interval_ns t = t.util_interval
 
 let util_busy_ns t ~bucket =
   if bucket < 0 || bucket >= Array.length t.util_buckets then 0
@@ -122,6 +121,28 @@ let run_after t ?(cat = Other) ~delay ~cycles f =
 
 let busy_ns t = t.busy_ns
 let busy_ns_of t cat = t.busy_by.(cat_index cat)
-let breakdown t = List.map (fun c -> (c, busy_ns_of t c)) categories
-let busy_until t = max t.busy_until (Sim.now t.sim)
 let backlog_ns t = max 0 (t.busy_until - Sim.now t.sim)
+
+type 'a queue = {
+  q_core : t;
+  items : 'a Fifo.t;
+  mutable handler : 'a -> unit;
+  drain : unit -> unit;  (* the one thunk every submission posts *)
+}
+
+let queue core ~dummy =
+  let rec q =
+    {
+      q_core = core;
+      items = Fifo.create dummy;
+      handler = (fun _ -> invalid_arg "Core.submit: queue has no handler");
+      drain = (fun () -> q.handler (Fifo.pop q.items));
+    }
+  in
+  q
+
+let set_handler q f = q.handler <- f
+
+let submit q ?cat ~cycles x =
+  Fifo.push q.items x;
+  run q.q_core ?cat ~cycles q.drain

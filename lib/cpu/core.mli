@@ -41,20 +41,47 @@ val run_after :
 (** Work item that becomes runnable only after [delay] (e.g. wakeup IPI). *)
 
 val charge : t -> cat:category -> cycles:int -> unit
-(** Account [cycles] of busy time (extending [busy_until] exactly as {!run}
-    would) without scheduling a completion event. For batched processing
+(** Account [cycles] of busy time (extending the core's queue exactly as
+    {!run} would) without scheduling a completion event. For batched processing
     where one already-scheduled pass will perform the work of many charged
     items — the accounting stays per-item while the events amortize. *)
+
+(** {2 Work queues}
+
+    A work queue hands items to one handler on one core, each item a
+    work item of its own: [submit q ~cycles x] charges [cycles] exactly as
+    {!run} does and calls the handler on [x] at the item's completion
+    time. The queue pushes [x] onto a FIFO and posts one persistent drain
+    thunk that pops the oldest item, so a submission allocates nothing once
+    the FIFO has grown to its peak length.
+
+    Popping at fire time hands each firing its own item because a core's
+    work fires in the order it was queued: [busy_until], the completion
+    time of the core's last queued item, never decreases, so every {!run},
+    {!run_after} and {!submit} on a core posts its event no earlier than
+    the one before it, and {!Tas_engine.Sim} fires events with the same
+    timestamp in the order they were posted. This holds across any number
+    of queues on the core and across {!run_after} delays. *)
+
+type 'a queue
+
+val queue : t -> dummy:'a -> 'a queue
+(** An empty queue on the core. Vacated FIFO slots hold [dummy], so the
+    queue keeps no reference to an item it handed out. *)
+
+val set_handler : 'a queue -> ('a -> unit) -> unit
+(** Install the handler: set once, before the first submission fires,
+    typically right after the owner that the handler closes over is built.
+    A submission that fires without one raises [Invalid_argument]. *)
+
+val submit : 'a queue -> ?cat:category -> cycles:int -> 'a -> unit
+(** [submit q ~cycles x]: {!run} [~cycles], then the handler on [x]. *)
 
 val busy_ns : t -> int
 (** Cumulative busy nanoseconds. Diff snapshots for windowed utilization. *)
 
 val busy_ns_of : t -> category -> int
 (** Cumulative busy nanoseconds attributed to one category. *)
-
-val breakdown : t -> (category * int) list
-(** Per-category busy nanoseconds, in {!categories} order; sums to
-    {!busy_ns}. *)
 
 val enable_util_buckets : t -> interval_ns:int -> unit
 (** Turn on per-interval busy-time accounting: from now on every charged
@@ -67,14 +94,8 @@ val enable_util_buckets : t -> interval_ns:int -> unit
     are defined over.
     @raise Invalid_argument when [interval_ns <= 0]. *)
 
-val util_interval_ns : t -> int
-(** The configured interval, 0 when per-interval accounting is off. *)
-
 val util_busy_ns : t -> bucket:int -> int
 (** Busy nanoseconds attributed to interval [bucket]; 0 out of range. *)
-
-val busy_until : t -> Tas_engine.Time_ns.t
-(** Completion time of the last queued item ([now] when idle). *)
 
 val backlog_ns : t -> int
 (** How far the core is behind: [busy_until - now], 0 when idle. *)

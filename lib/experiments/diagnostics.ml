@@ -45,14 +45,13 @@ type t = {
 let duration_ns ~quick = if quick then Time_ns.ms 5 else Time_ns.ms 10
 
 (* Both hosts' trace rings and timelines. The ring holds 65,536 events:
-   over the 10 ms run the server records 17,124, so the 8,192-event default
+   over the 10 ms run the server records 17,124, so an 8,192-event ring
    would keep only the last half; at 40 ms even this size overflows and the
    [ring_drops] health rule fires. *)
 let patch c =
   {
     c with
-    Config.trace_enabled = true;
-    trace_capacity = 65_536;
+    Config.trace_capacity = Some 65_536;
     timeline_interval_ns = Health.frame_ns;
   }
 

@@ -105,10 +105,10 @@ type event = {
 
 type t = { enabled : bool; ring : Event_ring.t }
 
-let create ?(enabled = true) ~capacity () =
-  { enabled; ring = Event_ring.create (max 1 capacity) }
+let create ~capacity () =
+  { enabled = true; ring = Event_ring.create (max 1 capacity) }
 
-let disabled () = create ~enabled:false ~capacity:1 ()
+let disabled () = { enabled = false; ring = Event_ring.create 1 }
 
 let enabled t = t.enabled
 let length t = Event_ring.length t.ring

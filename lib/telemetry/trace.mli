@@ -58,7 +58,9 @@ type event = {
 
 type t
 
-val create : ?enabled:bool -> capacity:int -> unit -> t
+val create : capacity:int -> unit -> t
+(** An enabled ring of [capacity] events (at least 1). *)
+
 val disabled : unit -> t
 (** A permanently-off ring (capacity 1); the default wired into components
     when no tracing is requested. *)

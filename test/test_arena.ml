@@ -107,8 +107,7 @@ let observe ?fault_ab ?fault_ba ?(trace_capacity = 4096)
   let config =
     {
       Config.default with
-      Config.trace_enabled = true;
-      trace_capacity;
+      Config.trace_capacity = Some trace_capacity;
     }
   in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
@@ -234,8 +233,7 @@ let observe_churn () =
   let config =
     {
       Config.default with
-      Config.trace_enabled = true;
-      trace_capacity = 4096;
+      Config.trace_capacity = Some 4096;
     }
   in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in

@@ -30,7 +30,7 @@ let observe ?fault ~seed () =
   let net = Topology.point_to_point sim ?fault_ab:fault ?fault_ba:fault ~rng
       ~queues_per_nic:8 () in
   let config =
-    { Config.default with Config.trace_enabled = true; trace_capacity = 4096 }
+    { Config.default with Config.trace_capacity = Some 4096 }
   in
   let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
   let app_core = Core.create sim ~id:100 () in

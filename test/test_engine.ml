@@ -4,6 +4,7 @@ module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
 module Rng = Tas_engine.Rng
 module Stats = Tas_engine.Stats
+module Core = Tas_cpu.Core
 
 let test_event_ordering () =
   let sim = Sim.create () in
@@ -572,6 +573,96 @@ let test_time_pp () =
   Alcotest.(check string) "ms" "2.00ms" (render (Time_ns.ms 2));
   Alcotest.(check string) "s" "3.000s" (render (Time_ns.sec 3))
 
+(* --- Core work queues -------------------------------------------------- *)
+
+type core_op =
+  | Submit of int * int  (* queue, cycles *)
+  | Work of int * int  (* [run_after] delay (0: [run]), cycles *)
+  | Advance of int  (* [Sim.run ~until:(now + d)] *)
+
+let show_core_op = function
+  | Submit (q, c) -> Printf.sprintf "submit q%d ~cycles:%d" q c
+  | Work (0, c) -> Printf.sprintf "run ~cycles:%d" c
+  | Work (d, c) -> Printf.sprintf "run_after ~delay:%d ~cycles:%d" d c
+  | Advance d -> Printf.sprintf "advance %d" d
+
+let gen_core_op =
+  let open QCheck.Gen in
+  let cycles = frequency [ (1, return 0); (3, int_range 1 300) ] in
+  frequency
+    [
+      (6, map2 (fun q c -> Submit (q, c)) (int_range 0 2) cycles);
+      (2, map (fun c -> Work (0, c)) cycles);
+      (2, map2 (fun d c -> Work (d, c)) (int_range 1 500) cycles);
+      (1, map (fun d -> Advance d) (int_range 0 400));
+    ]
+
+(* One script on one core; returns every item's (time, queue, item) in
+   firing order, queue -1 for plain work. Submissions go through [queues]
+   work queues, or, in the [twin] run, through one [Core.run] closure
+   each. *)
+let core_queue_log ~queues ~twin ops =
+  let sim = Sim.create () in
+  let core = Core.create sim ~id:0 () in
+  let log = ref [] in
+  let record q i = log := (Sim.now sim, q, i) :: !log in
+  let qs =
+    Array.init queues (fun q ->
+        let wq = Core.queue core ~dummy:(-1) in
+        Core.set_handler wq (record q);
+        wq)
+  in
+  List.iteri
+    (fun i op ->
+      match op with
+      | Submit (q, cycles) ->
+        let q = q mod queues in
+        if twin then Core.run core ~cycles (fun () -> record q i)
+        else Core.submit qs.(q) ~cycles i
+      | Work (0, cycles) -> Core.run core ~cycles (fun () -> record (-1) i)
+      | Work (delay, cycles) ->
+        Core.run_after core ~delay ~cycles (fun () -> record (-1) i)
+      | Advance d -> Sim.run ~until:(Sim.now sim + d) sim)
+    ops;
+  Sim.run sim;
+  List.rev !log
+
+let prop_core_queue_matches_closures =
+  QCheck.Test.make ~name:"work queues fire as closure Core.run" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (queues, ops) ->
+          String.concat "\n"
+            (Printf.sprintf "%d queues" queues :: List.map show_core_op ops))
+        Gen.(pair (int_range 2 3) (list_size (int_range 1 120) gen_core_op)))
+    (fun (queues, ops) ->
+      let items =
+        List.length (List.filter (function Advance _ -> false | _ -> true) ops)
+      in
+      let log = core_queue_log ~queues ~twin:false ops in
+      List.length log = items && log = core_queue_log ~queues ~twin:true ops)
+
+(* Once the queue's FIFO has grown, a submission allocates nothing: no
+   closure, and no option for the constant category. *)
+let test_core_queue_allocation () =
+  let sim = Sim.create () in
+  let core = Core.create sim ~id:0 () in
+  let sum = ref 0 in
+  let q = Core.queue core ~dummy:0 in
+  Core.set_handler q (fun x -> sum := !sum + x);
+  let burst () =
+    for i = 1 to 1_000 do
+      Core.submit q ~cat:Core.Tx ~cycles:(i land 7) i
+    done;
+    Sim.run sim
+  in
+  burst ();
+  let w0 = Gc.minor_words () in
+  burst ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "items delivered" (2 * 500_500) !sum;
+  Alcotest.(check (float 0.)) "0 words per submission" 0. words
+
 let suite =
   [
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
@@ -609,4 +700,7 @@ let suite =
     Alcotest.test_case "time pretty-printing" `Quick test_time_pp;
     QCheck_alcotest.to_alcotest prop_hist_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_summary_mean_bounded;
+    QCheck_alcotest.to_alcotest prop_core_queue_matches_closures;
+    Alcotest.test_case "warm work-queue submissions allocate nothing" `Quick
+      test_core_queue_allocation;
   ]

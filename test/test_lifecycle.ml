@@ -327,12 +327,13 @@ let test_rst_answer_allocation () =
 (* TAS<->TAS closed-loop connection churn: 16 clients that connect, echo
    64 B and close, then reconnect, on [Test_pool.wide_pair]. The words per
    connection (both hosts, the test's own handlers included) are pinned at
-   the measured values, 643.3125 minor and 0 major: per-connection state
+   the measured values, 612.0625 minor and 0 major: per-connection state
    (flow record, entry, pending record, tuple, bucket, controller, socket,
-   handlers) and the timer and app-core closures of the handshake and
-   teardown. The client's handlers are part of the figure, which is why
+   handlers) and the timer closures of the handshake and teardown; the
+   connection events reach the app cores through work queues
+   ([Core.queue]). The client's handlers are part of the figure, which is why
    it does not go through [echo_once] (whose continuation adds 3 words). *)
-let churn_minor_words_per_conn = 643.3125
+let churn_minor_words_per_conn = 612.0625
 let churn_major_words_per_conn = 0.0
 
 let test_churn_words_per_connection () =

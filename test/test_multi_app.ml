@@ -95,9 +95,84 @@ let test_app_shutdown_cleans_flows () =
     (Slow_path.flow_count (Tas.slow_path tas));
   Alcotest.(check int) "peers saw FINs" 8 !closed_at_peer
 
+let open_sockets tas =
+  let module Metrics = Tas_telemetry.Metrics in
+  List.fold_left
+    (fun acc smp ->
+      match smp.Metrics.s_value with
+      | Metrics.Gauge v when smp.Metrics.s_name = "lt_open_sockets" -> acc +. v
+      | _ -> acc)
+    0. (Metrics.snapshot (Tas.metrics tas))
+
+(* Connects to a port nobody listens on: the handshake times out, and a
+   socket whose connect failed is gone from libTAS's table whether or not
+   its handler closes it. *)
+let test_failed_connect_forgets_socket () =
+  let sim, net, tas, _peer = setup () in
+  let app =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:101 () |] ~api:Libtas.Sockets
+  in
+  let failed = ref [] in
+  for i = 1 to 3 do
+    ignore
+      (Libtas.connect app ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+         ~dst_port:9
+         {
+           Libtas.null_handlers with
+           Libtas.on_connect_failed =
+             (fun sock err ->
+               failed := err :: !failed;
+               if i <> 3 then Libtas.close sock);
+         })
+  done;
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  Alcotest.(check int) "three timeouts" 3
+    (List.length (List.filter (( = ) Slow_path.Timeout) !failed));
+  Alcotest.(check (float 0.)) "no socket left open" 0. (open_sockets tas)
+
+(* A close issued while the handshake is still pending: the flow is closed
+   once it is established, so its state goes and the peer sees a FIN. *)
+let test_close_before_established () =
+  let sim, net, tas, peer = setup () in
+  let app =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:101 () |] ~api:Libtas.Sockets
+  in
+  let connected = ref 0 and closed_at_peer = ref 0 and closed = ref 0 in
+  E.listen peer ~port:7001 (fun _ ->
+      {
+        E.null_callbacks with
+        E.on_closed =
+          (fun c ->
+            incr closed_at_peer;
+            E.close c);
+      });
+  let sock =
+    Libtas.connect app ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+      ~dst_port:7001
+      {
+        Libtas.null_handlers with
+        Libtas.on_connected = (fun _ -> incr connected);
+        Libtas.on_closed = (fun _ -> incr closed);
+      }
+  in
+  Libtas.close sock;
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  let sp = Tas.slow_path tas in
+  Alcotest.(check int) "flow removed" 0 (Slow_path.flow_count sp);
+  Alcotest.(check int) "arena slot returned" 0
+    (Tas_core.Flow_arena.live (Slow_path.arena sp));
+  Alcotest.(check int) "peer saw the FIN" 1 !closed_at_peer;
+  Alcotest.(check int) "no on_connected after close" 0 !connected;
+  Alcotest.(check int) "on_closed delivered" 1 !closed;
+  Alcotest.(check (float 0.)) "no socket left open" 0. (open_sockets tas)
+
 let suite =
   [
     Alcotest.test_case "two apps share one TAS" `Quick test_two_apps_one_tas;
     Alcotest.test_case "app shutdown cleans flows" `Quick
       test_app_shutdown_cleans_flows;
+    Alcotest.test_case "failed connects forget their sockets" `Quick
+      test_failed_connect_forgets_socket;
+    Alcotest.test_case "close before the handshake closes the flow" `Quick
+      test_close_before_established;
   ]
