@@ -54,7 +54,10 @@ type conn = {
   mutable snd_wnd : int;
   cc : Window_cc.t;
   rtt : Rtt.t;
-  mutable rto_event : Sim.event option;
+  mutable timer : Sim.event;
+      (* the RTO, or TIME_WAIT's end; [Sim.no_event] while unarmed *)
+  mutable fire : unit -> unit;
+      (* set once, by [new_conn]: a [let rec] record is allocated twice *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover_seq : Seq32.t;
@@ -68,10 +71,7 @@ type conn = {
          [Ring.closed] while [ooo] is empty *)
   mutable ts_recent : int;
   mutable peer_wscale : int;
-  (* Stats. *)
-  mutable delivered : int;
-  mutable acked_total : int;
-  mutable retransmit_count : int;
+  mutable acked_total : int;  (* payload bytes acknowledged *)
 }
 
 and callbacks = {
@@ -92,7 +92,6 @@ and t = {
   rx_rings : Ring.Pool.t;
   mutable next_ephemeral : int;
   mutable next_iss : int;
-  mutable total_retransmits : int;
 }
 
 let null_callbacks =
@@ -114,18 +113,13 @@ let create sim nic config =
     rx_rings = Ring.Pool.create ();
     next_ephemeral = 32768;
     next_iss = 1000;
-    total_retransmits = 0;
   }
 
 let tuple c = c.tuple
-let is_established c = c.state = Established
-let bytes_delivered c = c.delivered
 let bytes_acked c = c.acked_total
-let retransmits c = c.retransmit_count
 let srtt_ns c = Rtt.srtt_ns c.rtt
 let cwnd c = Window_cc.cwnd c.cc
 let connection_count t = Tbl.length t.conns
-let total_retransmits t = t.total_retransmits
 let tx_free c = Ring.free c.tx
 let rx_ring_pool t = t.rx_rings
 
@@ -193,24 +187,41 @@ let send_syn c =
     ~flags:(if c.state = Syn_sent then syn_flags else syn_ack_flags)
     ~seq:c.iss Bytes.empty
 
-(* --- Timers ----------------------------------------------------------- *)
+(* --- The connection timer ------------------------------------------- *)
+
+(* One timer per connection, re-armed in place with the connection's own
+   [fire]: the RTO while data, a SYN or a FIN is outstanding, then the end
+   of TIME_WAIT. *)
+let rto_armed c = c.timer != Sim.no_event
 
 let cancel_rto c =
-  match c.rto_event with
-  | Some ev ->
-    Sim.cancel c.stack.sim ev;
-    c.rto_event <- None
-  | None -> ()
+  Sim.cancel c.stack.sim c.timer;
+  c.timer <- Sim.no_event
 
-let rec arm_rto c =
+let arm c dt =
+  Sim.cancel c.stack.sim c.timer;
+  c.timer <- Sim.schedule c.stack.sim dt c.fire
+
+(* Give the receive ring back to the stack's pool ([Ring.Pool.give]
+   ignores [Ring.closed]). *)
+let release_rx c =
+  Ring.Pool.give c.stack.rx_rings c.rx;
+  c.rx <- Ring.closed
+
+let remove_conn c =
   cancel_rto c;
-  c.rto_event <-
-    Some (Sim.schedule c.stack.sim (Rtt.rto_ns c.rtt) (fun () -> rto_fire c))
+  c.state <- Closed;
+  Ooo.reset c.ooo;
+  release_rx c;
+  Tbl.remove c.stack.conns c.tuple
+
+let rec arm_rto c = arm c (Rtt.rto_ns c.rtt)
 
 and rto_fire c =
-  c.rto_event <- None;
+  c.timer <- Sim.no_event;
   match c.state with
-  | Closed | Time_wait -> ()
+  | Closed -> ()
+  | Time_wait -> remove_conn c
   | Syn_sent | Syn_received ->
     Rtt.backoff c.rtt;
     send_syn c;
@@ -220,14 +231,12 @@ and rto_fire c =
       (* Timeout: collapse to go-back-N from snd_una. *)
       Window_cc.on_timeout c.cc;
       Rtt.backoff c.rtt;
-      c.retransmit_count <- c.retransmit_count + 1;
-      c.stack.total_retransmits <- c.stack.total_retransmits + 1;
       c.in_recovery <- false;
       c.dupacks <- 0;
       c.snd_nxt <- c.snd_una;
       if c.fin_sent then c.fin_sent <- false;
       try_send c;
-      if c.rto_event = None then arm_rto c
+      if not (rto_armed c) then arm_rto c
     end
 
 (* --- Send path --------------------------------------------------------- *)
@@ -251,7 +260,7 @@ and try_send c =
         send_segment c c.snd_nxt len;
         c.snd_nxt <- Seq32.add c.snd_nxt len;
         c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
-        if c.rto_event = None then arm_rto c
+        if not (rto_armed c) then arm_rto c
       end
       else begin
         continue := false;
@@ -261,7 +270,7 @@ and try_send c =
           c.snd_nxt <- Seq32.add c.snd_nxt 1;
           c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
           c.fin_sent <- true;
-          if c.rto_event = None then arm_rto c
+          if not (rto_armed c) then arm_rto c
         end
       end
     done
@@ -269,31 +278,16 @@ and try_send c =
 
 (* --- Connection teardown ---------------------------------------------- *)
 
-(* Give the receive ring back to the stack's pool ([Ring.Pool.give]
-   ignores [Ring.closed]). *)
-let release_rx c =
-  Ring.Pool.give c.stack.rx_rings c.rx;
-  c.rx <- Ring.closed
-
-let remove_conn c =
-  cancel_rto c;
-  c.state <- Closed;
-  Ooo.reset c.ooo;
-  release_rx c;
-  Tbl.remove c.stack.conns c.tuple
-
 let enter_time_wait c =
-  cancel_rto c;
   c.state <- Time_wait;
   (* Abbreviated TIME_WAIT: datacenter RTTs make 2MSL of 1 ms plenty for
      the simulation; keeps 96K-connection churn experiments bounded. *)
-  ignore (Sim.schedule c.stack.sim 1_000_000 (fun () -> remove_conn c))
+  arm c 1_000_000
 
 (* --- Receive path ------------------------------------------------------ *)
 
 let deliver c chunk =
   c.rcv_nxt <- Seq32.add c.rcv_nxt (Bytes.length chunk);
-  c.delivered <- c.delivered + Bytes.length chunk;
   c.cb.on_receive c chunk
 
 (* Copy the last verdict's extent of the segment into the ring. The
@@ -380,11 +374,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
         (* NewReno partial ACK: the next hole starts at the new snd_una. *)
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
         let len = min Tcp_header.mss avail in
-        if len > 0 then begin
-          send_segment c c.snd_una len;
-          c.retransmit_count <- c.retransmit_count + 1;
-          c.stack.total_retransmits <- c.stack.total_retransmits + 1
-        end
+        if len > 0 then send_segment c c.snd_una len
       end;
       if acked > 0 && not c.in_recovery then
         Window_cc.on_ack c.cc ~acked ~ecn:tcp.Tcp_header.flags.Tcp_header.ece;
@@ -404,8 +394,6 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
         c.in_recovery <- true;
         c.recover_seq <- c.snd_nxt;
         Window_cc.on_fast_retransmit c.cc;
-        c.retransmit_count <- c.retransmit_count + 1;
-        c.stack.total_retransmits <- c.stack.total_retransmits + 1;
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
         let len = min Tcp_header.mss avail in
         if len > 0 then send_segment c c.snd_una len;
@@ -457,35 +445,38 @@ let initial_window = 10 * Tcp_header.mss
 let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
   let iss = Seq32.of_int (t.next_iss * 64021) in
   t.next_iss <- t.next_iss + 1;
-  {
-    stack = t;
-    tuple;
-    cb;
-    state;
-    iss;
-    tx = Ring.create t.config.tx_buf;
-    snd_una = iss;
-    snd_nxt = Seq32.add iss 1;
-    snd_max = Seq32.add iss 1;
-    snd_wnd;
-    cc =
-      Window_cc.create t.config.algorithm ~mss:Tcp_header.mss ~initial_window;
-    rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
-    rto_event = None;
-    dupacks = 0;
-    in_recovery = false;
-    recover_seq = iss;
-    fin_queued = false;
-    fin_sent = false;
-    rcv_nxt;
-    ooo = Ooo.create ~max_ranges:((t.config.rx_buf / Tcp_header.mss) + 1) ();
-    rx = Ring.closed;
-    ts_recent;
-    peer_wscale;
-    delivered = 0;
-    acked_total = 0;
-    retransmit_count = 0;
-  }
+  let c =
+    {
+      stack = t;
+      tuple;
+      cb;
+      state;
+      iss;
+      tx = Ring.create t.config.tx_buf;
+      snd_una = iss;
+      snd_nxt = Seq32.add iss 1;
+      snd_max = Seq32.add iss 1;
+      snd_wnd;
+      cc =
+        Window_cc.create t.config.algorithm ~mss:Tcp_header.mss ~initial_window;
+      rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
+      timer = Sim.no_event;
+      fire = ignore;
+      dupacks = 0;
+      in_recovery = false;
+      recover_seq = iss;
+      fin_queued = false;
+      fin_sent = false;
+      rcv_nxt;
+      ooo = Ooo.create ~max_ranges:((t.config.rx_buf / Tcp_header.mss) + 1) ();
+      rx = Ring.closed;
+      ts_recent;
+      peer_wscale;
+      acked_total = 0;
+    }
+  in
+  c.fire <- (fun () -> rto_fire c);
+  c
 
 let dispatch t pkt =
   let tcp = pkt.Packet.tcp in

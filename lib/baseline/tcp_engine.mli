@@ -86,17 +86,11 @@ val tx_free : conn -> int
 val close : conn -> unit
 
 val tuple : conn -> Tas_proto.Addr.Four_tuple.t
-val is_established : conn -> bool
-val bytes_delivered : conn -> int
-(** Total in-order payload bytes handed to the application. *)
-
 val bytes_acked : conn -> int
-val retransmits : conn -> int
 val srtt_ns : conn -> int
 val cwnd : conn -> int
 
 val connection_count : t -> int
-val total_retransmits : t -> int
 
 val rx_ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
 (** The free list of reassembly rings: once no connection holds

@@ -39,7 +39,8 @@ and app_context = {
   (* Slow-path connection events, run on [core] with an API charge. *)
   connected : socket Core.queue;
   failures : (socket * Slow_path.conn_error) Core.queue;
-  resets : socket Core.queue;
+  resets : (socket * bool) Core.queue;
+      (* whether to deliver: the app had not closed the socket *)
   closes : socket Core.queue;
 }
 
@@ -210,13 +211,15 @@ let conn_callbacks sockets fp =
             ~cycles:sock.owner.api_cycles (sock, err));
     reset =
       (fun flow ->
-        (* Abort notification; [closed] follows as the slow path removes the
-           entry. *)
+        (* Abort notification; [closed] follows at once as the slow path
+           removes the flow and forgets the socket, so whether the app had
+           closed it is decided now. *)
         match Hashtbl.find sockets (Flow_state.opaque flow) with
         | exception Not_found -> ()
         | sock ->
           Core.submit (app_context sock).resets ~cat:Core.Api
-            ~cycles:sock.owner.api_cycles sock);
+            ~cycles:sock.owner.api_cycles
+            (sock, not sock.closed));
     peer_closed =
       (fun flow ->
         (* Order EOF behind any undelivered payload via the context queue;
@@ -277,7 +280,7 @@ let create sim ~fast_path ~slow_path ~app_cores ~api () =
             step = (fun () -> drain_step t actx);
             connected = Core.queue core ~dummy;
             failures = Core.queue core ~dummy:(dummy, Slow_path.Timeout);
-            resets = Core.queue core ~dummy;
+            resets = Core.queue core ~dummy:(dummy, false);
             closes = Core.queue core ~dummy;
           }
         in
@@ -285,8 +288,8 @@ let create sim ~fast_path ~slow_path ~app_cores ~api () =
             if not sock.closed then sock.handlers.on_connected sock);
         Core.set_handler actx.failures (fun (sock, err) ->
             sock.handlers.on_connect_failed sock err);
-        Core.set_handler actx.resets (fun sock ->
-            if not sock.closed then sock.handlers.on_reset sock);
+        Core.set_handler actx.resets (fun (sock, deliver) ->
+            if deliver then sock.handlers.on_reset sock);
         Core.set_handler actx.closes (fun sock -> sock.handlers.on_closed sock);
         Fast_path.register_context fast_path actx.ctx;
         Context.set_waker actx.ctx (fun () -> wake t actx);
@@ -352,8 +355,9 @@ let want_sendable sock =
 
 let close sock =
   if not sock.closed then begin
+    sock.closed <- true;
     match sock.flow with
-    | None -> sock.closed <- true
+    | None -> ()
     | Some flow -> Slow_path.close sock.owner.sp flow
   end
 

@@ -28,8 +28,9 @@ type handlers = {
           reset racing establishment (the errno of a failed [connect]).
           The socket is closed: no other event follows. *)
   on_reset : socket -> unit;
-      (** Established connection aborted (peer RST or dead-flow reaping) —
-          the ECONNRESET notification. [on_closed] still follows. *)
+      (** Established connection aborted (peer RST or dead-flow reaping)
+          before the app closed it — the ECONNRESET notification.
+          [on_closed] follows. *)
 }
 
 val null_handlers : handlers
@@ -58,7 +59,8 @@ val connect :
 
 val send : socket -> bytes -> int
 (** Copy bytes into the flow's transmit payload buffer and post a TX command;
-    returns bytes accepted. Arms [on_sendable] when short. *)
+    returns bytes accepted (0 before the handshake completes and after
+    {!close}). Arms [on_sendable] when short. *)
 
 val tx_free : socket -> int
 (** Free transmit-buffer bytes (0 when not connected, and once the flow
@@ -69,8 +71,10 @@ val want_sendable : socket -> unit
     transmit space (EPOLLOUT subscription without a short write). *)
 
 val close : socket -> unit
-(** A socket closed before its handshake completes gets no [on_connected];
-    its flow is closed as soon as it is established. *)
+(** Closes the socket for the app at once: a later {!send} accepts nothing
+    and a second [close] does nothing. A socket closed before its handshake
+    completes gets no [on_connected]; its flow is closed as soon as it is
+    established. *)
 
 val sock_id : socket -> int
 val is_open : socket -> bool

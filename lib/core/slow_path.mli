@@ -73,15 +73,20 @@ val close : t -> Flow_state.t -> unit
     The fast path hands every segment it cannot handle (SYN, FIN, RST, or
     a tuple with no installed flow) to the slow path, which processes it
     [sp_conn_cycles] later on its own core. The handoff takes one
-    reference ({!Tas_proto.Packet.retain}) and queues the packet in a FIFO
-    that one persistent thunk per slow path drains, one packet per queued
-    work item; the packet is released right after it is processed (or
-    re-injected into the fast path, which takes its own reference). Order
-    is arrival order: one core runs its queued work in the order it was
-    queued. Close requests take the same route through a FIFO of flows,
-    and the control loop's ticks through a FIFO of snapshotted flows (a
-    batch queued by a tick may still be waiting when the next tick fires).
-    None of it allocates once warm. *)
+    reference ({!Tas_proto.Packet.retain}) and submits the packet to a
+    work queue of that core ({!Tas_cpu.Core.queue}); the packet is
+    released right after it is processed (or re-injected into the fast
+    path, which takes its own reference). Order is arrival order: one core
+    runs its queued work in the order it was queued. Connect and close
+    requests take the same route, and so do the control loop's batches of
+    due flows (a batch queued by a tick may still be waiting when the next
+    tick fires).
+
+    Each connection is one record in one table keyed by its 4-tuple, from
+    its SYN to its removal, with one timer: the SYN or SYN-ACK
+    retransmission, then the FIN retransmission, then TIME_WAIT. A
+    segment costs one lookup. None of it allocates once warm, beyond the
+    records themselves. *)
 
 val flow_count : t -> int
 

@@ -17,6 +17,10 @@ val create : unit -> t
 val now : t -> Time_ns.t
 (** [now sim] is the current virtual time. *)
 
+val no_event : event
+(** A handle that names no event: what a timer field holds while nothing is
+    armed. Cancelling it is a no-op. *)
+
 val schedule : t -> Time_ns.t -> (unit -> unit) -> event
 (** [schedule sim dt f] schedules [f] to run [dt] nanoseconds from now.
     [dt] must be non-negative.

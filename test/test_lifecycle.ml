@@ -12,7 +12,11 @@
      connect / 64 B echo / close loop is pinned at its minor and major
      words per connection.
    - Integrity: after connection churn over a lossy link, every tuple the
-     flow table stores still names and finds its own flow. *)
+     flow table stores still names and finds its own flow.
+   - One timer per connection: a duplicated final ACK does not delay the
+     removal, a passive handshake whose SYN-ACKs all drop times out after
+     5 retransmissions, and the pending-handshakes gauge counts only
+     handshakes. *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -327,13 +331,14 @@ let test_rst_answer_allocation () =
 (* TAS<->TAS closed-loop connection churn: 16 clients that connect, echo
    64 B and close, then reconnect, on [Test_pool.wide_pair]. The words per
    connection (both hosts, the test's own handlers included) are pinned at
-   the measured values, 612.0625 minor and 0 major: per-connection state
-   (flow record, entry, pending record, tuple, bucket, controller, socket,
-   handlers) and the timer closures of the handshake and teardown; the
-   connection events reach the app cores through work queues
+   the measured values, 521.4375 minor and 0 major: per-connection state
+   (flow record, the slow path's one connection record with its tuple,
+   its [Some] and its timer's one closure, bucket, controller, socket,
+   handlers); the timers re-arm in place, and the connects, closes and
+   connection events reach their cores through work queues
    ([Core.queue]). The client's handlers are part of the figure, which is why
    it does not go through [echo_once] (whose continuation adds 3 words). *)
-let churn_minor_words_per_conn = 612.0625
+let churn_minor_words_per_conn = 521.4375
 let churn_major_words_per_conn = 0.0
 
 let test_churn_words_per_connection () =
@@ -433,6 +438,161 @@ let test_stored_keys_survive_probes () =
   check_host "client" tas_a net.Topology.a.Topology.nic;
   check_host "server" tas_b net.Topology.b.Topology.nic
 
+(* --- One timer per connection ------------------------------------------ *)
+
+(* A host's lifecycle log as (timestamp, event) pairs, oldest first. *)
+let log_events tas =
+  match J.member "events" (Slow_path.lifecycle_json (Tas.slow_path tas)) with
+  | Some (J.List evs) ->
+    List.map
+      (fun ev ->
+        match (J.member "ts_ns" ev, J.member "event" ev) with
+        | Some (J.Int ts), Some (J.Str name) -> (ts, name)
+        | _ -> Alcotest.fail "malformed lifecycle event")
+      evs
+  | _ -> Alcotest.fail "no lifecycle events"
+
+let times_of name evs =
+  List.filter_map (fun (ts, n) -> if n = name then Some ts else None) evs
+
+(* One of the host's gauges, from its metrics registry. *)
+let gauge tas name =
+  let module Metrics = Tas_telemetry.Metrics in
+  List.fold_left
+    (fun acc smp ->
+      match smp.Metrics.s_value with
+      | Metrics.Gauge v when smp.Metrics.s_name = name -> acc +. v
+      | _ -> acc)
+    0. (Metrics.snapshot (Tas.metrics tas))
+
+(* Every client->server segment arrives twice, so the server, which closes
+   passively, gets the ACK of its FIN twice. The duplicate is logged as a
+   second [fin_acked] but does not re-arm the connection's timer: the flow
+   goes 1 ms after the first. *)
+let test_duplicated_final_ack () =
+  let sim = Sim.create () in
+  let net =
+    Topology.point_to_point sim ~queues_per_nic:2
+      ~fault_ab:{ Fault.passthrough with Fault.dup_rate = 1.0 }
+      ~rng:(Rng.create 3) ()
+  in
+  let (_, client), (tas_b, server) = tas_pair sim net in
+  echo_server server;
+  let done_ = ref false in
+  echo_once client ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+    ~msg:(Bytes.make 64 'd') (fun () -> done_ := true);
+  Sim.run ~until:(Time_ns.ms 20) sim;
+  Alcotest.(check bool) "echo done" true !done_;
+  let evs = log_events tas_b in
+  let peer_fin = times_of "peer_fin" evs
+  and fin_acked = times_of "fin_acked" evs
+  and closed = times_of "closed" evs in
+  Alcotest.(check int) "the final ACK arrived twice" 2 (List.length fin_acked);
+  Alcotest.(check bool) "the client's FIN came first" true
+    (List.hd peer_fin < List.hd fin_acked);
+  Alcotest.(check (list int)) "removed 1 ms after the first final ACK"
+    [ List.hd fin_acked + 1_000_000 ]
+    closed;
+  Alcotest.(check int) "no flow left" 0
+    (Slow_path.flow_count (Tas.slow_path tas_b))
+
+(* Two TAS hosts, each with one libTAS app; [fault_ab] and [fault_ba] as
+   given. *)
+let libtas_pair sim ~fault_ab ~fault_ba =
+  let net =
+    Topology.point_to_point sim ~queues_per_nic:2 ~fault_ab ~fault_ba
+      ~rng:(Rng.create 5) ()
+  in
+  let mk nic core_id =
+    let tas = Tas.create sim ~nic ~config:Config.default () in
+    let lt =
+      Tas.app tas ~app_cores:[| Core.create sim ~id:core_id () |]
+        ~api:Libtas.Sockets
+    in
+    (tas, lt)
+  in
+  (net, mk net.Topology.a.Topology.nic 500, mk net.Topology.b.Topology.nic 600)
+
+let blackout_from ns =
+  { Fault.passthrough with Fault.blackouts = [ (ns, Time_ns.sec 10) ] }
+
+(* The server hears one SYN and none of its SYN-ACKs get through: its
+   timer resends the SYN-ACK every 20 ms, 5 times, and then fails the
+   passive socket with [Timeout] and forgets it. *)
+let test_passive_handshake_timeout () =
+  let sim = Sim.create () in
+  let net, (_, lt_a), (tas_b, lt_b) =
+    libtas_pair sim ~fault_ab:(blackout_from (Time_ns.ms 1))
+      ~fault_ba:(blackout_from 0)
+  in
+  let failed = ref [] in
+  Libtas.listen lt_b ~port:7 ~ctx_of_tuple:(fun _ -> 0) (fun _ ->
+      {
+        Libtas.null_handlers with
+        Libtas.on_connect_failed = (fun _ err -> failed := err :: !failed);
+      });
+  ignore
+    (Libtas.connect lt_a ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+       ~dst_port:7 Libtas.null_handlers);
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  Alcotest.(check bool) "passive socket failed with Timeout" true
+    (!failed = [ Slow_path.Timeout ]);
+  let evs = log_events tas_b in
+  Alcotest.(check (list int)) "failed 6 handshake RTOs after the SYN"
+    (List.map (fun ts -> ts + (6 * Fast_path.handshake_rto_ns))
+       (times_of "syn_received" evs))
+    (times_of "handshake_failed" evs);
+  let dropped =
+    match net.Topology.fault_ba with
+    | Some f -> (Fault.counters f).Fault.blackout_drops
+    | None -> -1
+  in
+  Alcotest.(check int) "a SYN-ACK and 5 retransmissions" 6 dropped;
+  Alcotest.(check (float 0.)) "socket forgotten" 0.
+    (gauge tas_b "lt_open_sockets");
+  Alcotest.(check (float 0.)) "no handshake pending" 0.
+    (gauge tas_b "sp_pending_handshakes")
+
+(* Four connections establish; then the server's segments stop getting
+   through and two more connects start. While those two wait, each host
+   counts 2 pending handshakes beside its 4 flows; once they time out,
+   none. *)
+let test_pending_handshakes_gauge () =
+  let sim = Sim.create () in
+  let net, (tas_a, lt_a), (tas_b, lt_b) =
+    libtas_pair sim ~fault_ab:Fault.passthrough
+      ~fault_ba:(blackout_from (Time_ns.ms 5))
+  in
+  Libtas.listen lt_b ~port:7 ~ctx_of_tuple:(fun _ -> 0) (fun _ ->
+      Libtas.null_handlers);
+  let connect () =
+    ignore
+      (Libtas.connect lt_a ~ctx:0
+         ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+         ~dst_port:7 Libtas.null_handlers)
+  in
+  for _ = 1 to 4 do
+    connect ()
+  done;
+  Sim.run ~until:(Time_ns.ms 5) sim;
+  let check_host name tas ~pending ~flows =
+    Alcotest.(check (float 0.)) (name ^ ": pending handshakes") pending
+      (gauge tas "sp_pending_handshakes");
+    Alcotest.(check (float 0.)) (name ^ ": flows") flows (gauge tas "sp_flows");
+    Alcotest.(check int) (name ^ ": flow count") (int_of_float flows)
+      (Slow_path.flow_count (Tas.slow_path tas))
+  in
+  check_host "client, established" tas_a ~pending:0. ~flows:4.;
+  check_host "server, established" tas_b ~pending:0. ~flows:4.;
+  connect ();
+  connect ();
+  Sim.run ~until:(Time_ns.ms 50) sim;
+  check_host "client, waiting" tas_a ~pending:2. ~flows:4.;
+  check_host "server, waiting" tas_b ~pending:2. ~flows:4.;
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  check_host "client, timed out" tas_a ~pending:0. ~flows:4.;
+  check_host "server, timed out" tas_b ~pending:0. ~flows:4.
+
 let suite =
   [
     Alcotest.test_case "lifecycle pcap pinned" `Quick
@@ -449,4 +609,10 @@ let suite =
       test_churn_words_per_connection;
     Alcotest.test_case "stored tuple keys survive probe rewrites" `Quick
       test_stored_keys_survive_probes;
+    Alcotest.test_case "a duplicated final ack does not delay the removal"
+      `Quick test_duplicated_final_ack;
+    Alcotest.test_case "passive handshake times out and forgets its socket"
+      `Quick test_passive_handshake_timeout;
+    Alcotest.test_case "pending handshakes gauge counts only handshakes"
+      `Quick test_pending_handshakes_gauge;
   ]

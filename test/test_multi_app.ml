@@ -166,6 +166,83 @@ let test_close_before_established () =
   Alcotest.(check int) "on_closed delivered" 1 !closed;
   Alcotest.(check (float 0.)) "no socket left open" 0. (open_sockets tas)
 
+(* A flow whose peer goes silent with data in flight is reaped
+   ([Config.dead_flow_timeout_ns]): the app, which never closed the
+   socket, sees [on_reset] and then [on_closed]. *)
+let test_reaped_flow_resets_socket () =
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~queues_per_nic:4 () in
+  let config =
+    { Config.default with Config.dead_flow_timeout_ns = Some (Time_ns.ms 50) }
+  in
+  let tas = Tas.create sim ~nic:net.Topology.a.Topology.nic ~config () in
+  let peer_nic = net.Topology.b.Topology.nic in
+  let peer = E.create sim peer_nic E.default_config in
+  E.attach peer;
+  E.listen peer ~port:7001 (fun _ -> E.null_callbacks);
+  let app =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:101 () |] ~api:Libtas.Sockets
+  in
+  let events = ref [] in
+  ignore
+    (Libtas.connect app ~ctx:0 ~dst_ip:(Nic.ip peer_nic) ~dst_port:7001
+       {
+         Libtas.null_handlers with
+         Libtas.on_connected =
+           (fun sock ->
+             (* From here on the peer drops everything it receives. *)
+             Nic.set_rx_handler peer_nic (fun ~queue:_ pkt ->
+                 Tas_proto.Packet.release pkt);
+             ignore (Libtas.send sock (Bytes.make 1000 'r')));
+         Libtas.on_reset = (fun _ -> events := "reset" :: !events);
+         Libtas.on_closed = (fun _ -> events := "closed" :: !events);
+       });
+  Sim.run ~until:(Time_ns.ms 300) sim;
+  let sp = Tas.slow_path tas in
+  Alcotest.(check int) "flow reaped" 1 (Slow_path.flows_reaped sp);
+  Alcotest.(check (list string)) "reset, then closed" [ "reset"; "closed" ]
+    (List.rev !events);
+  Alcotest.(check (float 0.)) "no socket left open" 0. (open_sockets tas)
+
+(* [close] on an established socket closes it for the app at once: a
+   [send] right after it takes nothing, and the peer receives no payload,
+   only the FIN. *)
+let test_send_after_close () =
+  let sim, net, tas, peer = setup () in
+  let app =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:101 () |] ~api:Libtas.Sockets
+  in
+  let received = ref 0 and closed_at_peer = ref 0 and closed = ref 0 in
+  E.listen peer ~port:7001 (fun _ ->
+      {
+        E.null_callbacks with
+        E.on_receive = (fun _ d -> received := !received + Bytes.length d);
+        E.on_closed =
+          (fun c ->
+            incr closed_at_peer;
+            E.close c);
+      });
+  let accepted = ref (-1) in
+  ignore
+    (Libtas.connect app ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+       ~dst_port:7001
+       {
+         Libtas.null_handlers with
+         Libtas.on_connected =
+           (fun sock ->
+             Libtas.close sock;
+             accepted := Libtas.send sock (Bytes.make 100 's');
+             Libtas.close sock);
+         Libtas.on_closed = (fun _ -> incr closed);
+       });
+  Sim.run ~until:(Time_ns.ms 100) sim;
+  Alcotest.(check int) "send after close takes nothing" 0 !accepted;
+  Alcotest.(check int) "the peer got no payload" 0 !received;
+  Alcotest.(check int) "the peer saw the FIN" 1 !closed_at_peer;
+  Alcotest.(check int) "on_closed delivered" 1 !closed;
+  Alcotest.(check int) "flow removed" 0
+    (Slow_path.flow_count (Tas.slow_path tas))
+
 let suite =
   [
     Alcotest.test_case "two apps share one TAS" `Quick test_two_apps_one_tas;
@@ -175,4 +252,8 @@ let suite =
       test_failed_connect_forgets_socket;
     Alcotest.test_case "close before the handshake closes the flow" `Quick
       test_close_before_established;
+    Alcotest.test_case "a reaped flow delivers on_reset, then on_closed"
+      `Quick test_reaped_flow_resets_socket;
+    Alcotest.test_case "send after close takes nothing" `Quick
+      test_send_after_close;
   ]
