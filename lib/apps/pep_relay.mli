@@ -11,7 +11,10 @@
     Close handling is relay-shaped: when one side's peer closes, the relay
     finishes draining that direction's queue and then closes the onward
     side, so no accepted byte is lost. (True half-close is not modeled —
-    matching {!Transport.close}'s full-close semantics.) *)
+    matching {!Transport.close}'s full-close semantics.) A pair is retired
+    only on [on_closed], which only TAS fires ({!Transport.handlers}), so
+    both [front] and [back] must be TAS transports; every [wan] PEP run
+    uses TAS on both sides. *)
 
 type stats = {
   mutable accepted : int;  (** client connections accepted *)

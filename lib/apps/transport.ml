@@ -3,7 +3,6 @@ module SM = Tas_baseline.Server_model
 module Libtas = Tas_core.Libtas
 
 type conn = {
-  id : int;
   send : bytes -> int;
   close : unit -> unit;
   charge : int -> (unit -> unit) -> unit;
@@ -36,216 +35,142 @@ let listen t = t.listen_impl
 let connect t = t.connect_impl
 let send c = c.send
 let close c = c.close ()
-let conn_id c = c.id
 let charge_app c = c.charge
+
+(* Each adapter has one [attach gen] that builds a connection over the
+   stack's own: the wrapper, then the application's handlers from [gen],
+   then the stack's callbacks over both. [listen] hands it to the stack as
+   the accept function; [connect] opens the stack's connection with no
+   callbacks and sets them from [attach], before any event can fire. *)
+
+let over_engine engine attach =
+  {
+    listen_impl = (fun ~port gen -> E.listen engine ~port (attach gen));
+    connect_impl =
+      (fun ~dst_ip ~dst_port gen ->
+        let econn = E.connect engine ~dst_ip ~dst_port E.null_callbacks in
+        E.set_callbacks econn (attach gen econn));
+  }
 
 (* --- Ideal engine host (clients) ---------------------------------------- *)
 
 let of_engine engine =
-  let next_id = ref 0 in
-  let wrap econn =
-    incr next_id;
-    {
-      id = !next_id;
-      send = (fun data -> E.send econn data);
-      close = (fun () -> E.close econn);
-      charge = (fun _cycles k -> k ());
-    }
-  in
-  let to_cb h c =
+  let attach gen econn =
+    let c =
+      {
+        send = (fun data -> E.send econn data);
+        close = (fun () -> E.close econn);
+        charge = (fun _cycles k -> k ());
+      }
+    in
+    let h = gen c in
     {
       E.on_connected = (fun _ -> h.on_connected c);
-      E.on_receive = (fun _ data -> h.on_data c data);
-      E.on_sendable = (fun _ _ -> h.on_sendable c);
-      E.on_closed = (fun _ -> h.on_peer_closed c);
+      on_receive = (fun _ data -> h.on_data c data);
+      on_sendable = (fun _ _ -> h.on_sendable c);
+      on_closed = (fun _ -> h.on_peer_closed c);
     }
   in
-  {
-    listen_impl =
-      (fun ~port gen ->
-        E.listen engine ~port (fun econn ->
-            let c = wrap econn in
-            to_cb (gen c) c));
-    connect_impl =
-      (fun ~dst_ip ~dst_port gen ->
-        (* Tie the knot: the conn wrapper needs the engine conn and the
-           handlers need the wrapper. *)
-        let cref = ref None in
-        let href = ref null_handlers in
-        let cb =
-          {
-            E.on_connected =
-              (fun _ ->
-                match !cref with Some c -> !href.on_connected c | None -> ());
-            E.on_receive =
-              (fun _ data ->
-                match !cref with Some c -> !href.on_data c data | None -> ());
-            E.on_sendable =
-              (fun _ _ ->
-                match !cref with Some c -> !href.on_sendable c | None -> ());
-            E.on_closed =
-              (fun _ ->
-                match !cref with Some c -> !href.on_peer_closed c | None -> ());
-          }
-        in
-        let econn = E.connect engine ~dst_ip ~dst_port cb in
-        let c = wrap econn in
-        cref := Some c;
-        href := gen c);
-  }
+  over_engine engine attach
 
 (* --- Cost-charged baseline server ---------------------------------------- *)
 
 let of_server_model sm =
-  let engine = SM.engine sm in
-  let next_id = ref 0 in
-  (* EPOLLOUT semantics: a sendable notification costs API cycles, so it is
-     delivered only when the application armed it with a short send. *)
-  let wrap econn =
-    incr next_id;
+  let attach gen econn =
+    (* EPOLLOUT semantics: a sendable notification costs API cycles, so it
+       is delivered only when the application armed it with a short send. *)
     let want_sendable = ref false in
-    let send data =
-      let n = SM.send sm econn data in
-      if n < Bytes.length data then want_sendable := true;
-      n
-    in
-    ( {
-        id = !next_id;
-        send;
-        close = (fun () -> E.close econn);
+    let closed = ref false in
+    let c =
+      {
+        send =
+          (fun data ->
+            if !closed then 0
+            else begin
+              let n = SM.send sm econn data in
+              if n < Bytes.length data then want_sendable := true;
+              n
+            end);
+        close =
+          (fun () ->
+            closed := true;
+            SM.close sm econn);
         charge = (fun cycles k -> SM.charge_app sm econn ~cycles k);
-      },
-      want_sendable )
-  in
-  let to_cb h c econn want_sendable =
+      }
+    in
+    let h = gen c in
     (* epoll-style batching: packets arriving while the app is busy are
        delivered in one wakeup, amortizing the API cost over the batch. *)
     let rx_pending = Buffer.create 256 in
     let rx_scheduled = ref false in
+    (* The four deliveries, built once per connection. *)
+    let connected () = h.on_connected c in
+    let readable () =
+      rx_scheduled := false;
+      let batch = Buffer.to_bytes rx_pending in
+      Buffer.clear rx_pending;
+      if Bytes.length batch > 0 then h.on_data c batch
+    in
+    let sendable () = h.on_sendable c in
+    let peer_closed () = h.on_peer_closed c in
     {
-      E.on_connected = (fun _ -> SM.deliver_to_app sm econn (fun () -> h.on_connected c));
-      E.on_receive =
+      E.on_connected = (fun _ -> SM.deliver_to_app sm econn connected);
+      on_receive =
         (fun _ data ->
           Buffer.add_bytes rx_pending data;
           if not !rx_scheduled then begin
             rx_scheduled := true;
-            SM.deliver_to_app sm econn (fun () ->
-                rx_scheduled := false;
-                let batch = Buffer.to_bytes rx_pending in
-                Buffer.clear rx_pending;
-                if Bytes.length batch > 0 then h.on_data c batch)
+            SM.deliver_to_app sm econn readable
           end);
-      E.on_sendable =
+      on_sendable =
         (fun _ _ ->
           if !want_sendable then begin
             want_sendable := false;
-            SM.deliver_to_app sm econn (fun () -> h.on_sendable c)
+            SM.deliver_to_app sm econn sendable
           end);
-      E.on_closed =
-        (fun _ -> SM.deliver_to_app sm econn (fun () -> h.on_peer_closed c));
+      on_closed = (fun _ -> SM.deliver_to_app sm econn peer_closed);
     }
   in
-  {
-    listen_impl =
-      (fun ~port gen ->
-        E.listen engine ~port (fun econn ->
-            let c, want_sendable = wrap econn in
-            to_cb (gen c) c econn want_sendable));
-    connect_impl =
-      (fun ~dst_ip ~dst_port gen ->
-        let cref = ref None and href = ref null_handlers in
-        let deliver k =
-          match !cref with None -> () | Some (c, econn, _) ->
-            SM.deliver_to_app sm econn (fun () -> k c)
-        in
-        let rx_pending = Buffer.create 256 in
-        let rx_scheduled = ref false in
-        let cb =
-          {
-            E.on_connected = (fun _ -> deliver (fun c -> !href.on_connected c));
-            E.on_receive =
-              (fun _ data ->
-                Buffer.add_bytes rx_pending data;
-                if not !rx_scheduled then begin
-                  rx_scheduled := true;
-                  deliver (fun c ->
-                      rx_scheduled := false;
-                      let batch = Buffer.to_bytes rx_pending in
-                      Buffer.clear rx_pending;
-                      if Bytes.length batch > 0 then !href.on_data c batch)
-                end);
-            E.on_sendable =
-              (fun _ _ ->
-                match !cref with
-                | Some (c, econn, want_sendable) when !want_sendable ->
-                  want_sendable := false;
-                  SM.deliver_to_app sm econn (fun () -> !href.on_sendable c)
-                | _ -> ());
-            E.on_closed = (fun _ -> deliver (fun c -> !href.on_peer_closed c));
-          }
-        in
-        let econn = E.connect engine ~dst_ip ~dst_port cb in
-        let c, want_sendable = wrap econn in
-        cref := Some (c, econn, want_sendable);
-        href := gen c)
-  }
+  over_engine (SM.engine sm) attach
 
-(* --- TAS via libTAS -------------------------------------------------------- *)
+(* --- TAS over libTAS ------------------------------------------------------- *)
 
 let of_libtas lt ~ctx_of_conn =
-  let counter = ref 0 in
-  let wrap sock =
-    {
-      id = Libtas.sock_id sock;
-      send = (fun data -> Libtas.send sock data);
-      close = (fun () -> Libtas.close sock);
-      charge = (fun cycles k -> Libtas.app_cycles sock cycles k);
-    }
-  in
-  let to_handlers h c =
+  let attach gen sock =
+    let c =
+      {
+        send = (fun data -> Libtas.send sock data);
+        close = (fun () -> Libtas.close sock);
+        charge = (fun cycles k -> Libtas.app_cycles sock cycles k);
+      }
+    in
+    let h = gen c in
     {
       Libtas.on_connected = (fun _ -> h.on_connected c);
-      Libtas.on_data = (fun _ data -> h.on_data c data);
-      Libtas.on_sendable = (fun _ -> h.on_sendable c);
-      Libtas.on_peer_closed = (fun _ -> h.on_peer_closed c);
-      Libtas.on_closed = (fun _ -> h.on_closed c);
-      Libtas.on_connect_failed = (fun _ _err -> h.on_closed c);
+      on_data = (fun _ data -> h.on_data c data);
+      on_sendable = (fun _ -> h.on_sendable c);
+      on_peer_closed = (fun _ -> h.on_peer_closed c);
+      on_closed = (fun _ -> h.on_closed c);
+      on_connect_failed = (fun _ _err -> h.on_closed c);
       (* A reset is surfaced to transport users as the on_closed that
          follows when the flow is removed. *)
-      Libtas.on_reset = (fun _ -> ());
+      on_reset = (fun _ -> ());
     }
+  in
+  let counter = ref 0 in
+  let next_ctx () =
+    incr counter;
+    ctx_of_conn !counter
   in
   {
     listen_impl =
       (fun ~port gen ->
-        Libtas.listen lt ~port
-          ~ctx_of_tuple:(fun _ ->
-            incr counter;
-            ctx_of_conn !counter)
-          (fun sock ->
-            let c = wrap sock in
-            to_handlers (gen c) c));
+        Libtas.listen lt ~port ~ctx_of_tuple:(fun _ -> next_ctx ()) (attach gen));
     connect_impl =
       (fun ~dst_ip ~dst_port gen ->
-        incr counter;
-        let ctx = ctx_of_conn !counter in
-        let cref = ref None and href = ref null_handlers in
-        let via k = match !cref with Some c -> k c | None -> () in
-        let handlers =
-          {
-            Libtas.on_connected = (fun _ -> via (fun c -> !href.on_connected c));
-            Libtas.on_data = (fun _ d -> via (fun c -> !href.on_data c d));
-            Libtas.on_sendable = (fun _ -> via (fun c -> !href.on_sendable c));
-            Libtas.on_peer_closed =
-              (fun _ -> via (fun c -> !href.on_peer_closed c));
-            Libtas.on_closed = (fun _ -> via (fun c -> !href.on_closed c));
-            Libtas.on_connect_failed =
-              (fun _ _err -> via (fun c -> !href.on_closed c));
-            Libtas.on_reset = (fun _ -> ());
-          }
+        let sock =
+          Libtas.connect lt ~ctx:(next_ctx ()) ~dst_ip ~dst_port
+            Libtas.null_handlers
         in
-        let sock = Libtas.connect lt ~ctx ~dst_ip ~dst_port handlers in
-        let c = wrap sock in
-        cref := Some c;
-        href := gen c)
+        Libtas.set_handlers sock (attach gen sock));
   }

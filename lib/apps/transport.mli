@@ -3,7 +3,9 @@
     The paper's applications run unmodified on Linux and TAS (and, modified,
     on IX/mTCP). This record-of-functions plays the role of the sockets
     layer: the same application code drives the TAS stack, the CPU-charged
-    baseline server models, and ideal (cost-free) client hosts. *)
+    baseline server models, and ideal (cost-free) client hosts. Each stack
+    has one adapter, which builds a connection the same way for {!listen}
+    and {!connect}. *)
 
 type conn
 
@@ -14,6 +16,21 @@ type handlers = {
   on_peer_closed : conn -> unit;
   on_closed : conn -> unit;
 }
+(** Which handler fires when depends on the stack:
+    - [on_connected]: the handshake completed, on every stack.
+    - [on_data]: in-order payload, on every stack. The server model
+      delivers what arrived while the application was busy as one batch.
+    - [on_sendable]: on the engine, each ACK that frees transmit space;
+      on the server model and on TAS, only after a short {!send} armed it.
+    - [on_peer_closed]: on the engine and the server model, the peer's FIN
+      arriving before this side closed, or a reset of an open connection;
+      a FIN after this side's {!close} fires nothing. On TAS, the EOF once
+      every byte was delivered, whether or not this side closed first.
+    - [on_closed]: only on TAS, once the connection is gone. A failed
+      connect arrives as [on_closed]; a reset fires nothing itself and is
+      folded into the [on_closed] that follows. The engine and the server
+      model never fire it, and a connect they do not complete fires
+      nothing. *)
 
 val null_handlers : handlers
 
@@ -24,8 +41,12 @@ val connect : t -> dst_ip:Tas_proto.Addr.ipv4 -> dst_port:int ->
   (conn -> handlers) -> unit
 
 val send : conn -> bytes -> int
+(** Bytes accepted, bounded by the free transmit buffer; 0 after {!close}. *)
+
 val close : conn -> unit
-val conn_id : conn -> int
+(** Full close. On the server model it waits for the connection's queued
+    sends to reach the engine, so a reply sent just before it is not
+    lost. *)
 
 val charge_app : conn -> int -> (unit -> unit) -> unit
 (** Account application-level work (cycles) on the connection's core before

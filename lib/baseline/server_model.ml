@@ -13,19 +13,19 @@ type t = {
   profile : Cost_model.t;
   app_cores : Core.t array;
   placement : placement;
-  cache_bytes : int;
   (* The cache penalty depends on the live connection count; recomputing a
      log per packet is wasteful, so refresh it lazily. *)
   mutable cached_extra : int;
   mutable extra_refresh : int;
-  (* Bytes accepted from the app but not yet pushed into the engine (the
-     charge is still queued on a core); needed so concurrent sends cannot
-     overcommit the transmit buffer. *)
-  committed : (Addr.Four_tuple.t, int) Hashtbl.t;
+  (* Connections with sends accepted from the app but not yet pushed into
+     the engine (the charge is still queued on a core): concurrent sends
+     cannot overcommit the transmit buffer, and a close waits for them. *)
+  committed : (Addr.Four_tuple.t, in_flight) Hashtbl.t;
 }
 
-let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
-    ?(cache_bytes = Cost_model.l3_cache_bytes) () =
+and in_flight = { mutable bytes : int; mutable close_after : bool }
+
+let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline) () =
   if Array.length app_cores = 0 then
     invalid_arg "Server_model.create: no app cores";
   let engine = Tcp_engine.create sim nic config in
@@ -36,7 +36,6 @@ let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
       profile;
       app_cores;
       placement;
-      cache_bytes;
       cached_extra = 0;
       extra_refresh = 0;
       committed = Hashtbl.create 64;
@@ -63,7 +62,7 @@ let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
           t.cached_extra <-
             Cost_model.cache_extra_cycles profile
               ~conns:(Tcp_engine.connection_count engine)
-              ~cache_bytes:t.cache_bytes;
+              ~cache_bytes:Cost_model.l3_cache_bytes;
           t.extra_refresh <- 1024
         end;
         t.extra_refresh <- t.extra_refresh - 1;
@@ -79,8 +78,6 @@ let create sim ~nic ~config ~profile ~app_cores ?(placement = Inline)
   t
 
 let engine t = t.engine
-let profile t = t.profile
-let app_cores t = t.app_cores
 
 let core_of_conn t conn =
   let h = Addr.Four_tuple.sym_hash (Tcp_engine.tuple conn) in
@@ -125,17 +122,27 @@ let send t conn data =
      partial sends and wait for on_sendable, as with a real socket. In-flight
      (charged but not yet executed) sends count against the free space. *)
   let tuple = Tcp_engine.tuple conn in
-  let in_flight = Option.value ~default:0 (Hashtbl.find_opt t.committed tuple) in
+  let pending = Hashtbl.find_opt t.committed tuple in
+  let in_flight = match pending with Some p -> p.bytes | None -> 0 in
   let n = min (Bytes.length data) (Tcp_engine.tx_free conn - in_flight) in
   if n <= 0 then 0
   else begin
-    Hashtbl.replace t.committed tuple (in_flight + n);
+    let p =
+      match pending with
+      | Some p -> p
+      | None ->
+        let p = { bytes = 0; close_after = false } in
+        Hashtbl.replace t.committed tuple p;
+        p
+    in
+    p.bytes <- p.bytes + n;
     let slice = if n = Bytes.length data then data else Bytes.sub data 0 n in
+    (* Commits run in send order: the one that empties [p] is the last. *)
     let commit () =
-      let cur = Option.value ~default:0 (Hashtbl.find_opt t.committed tuple) in
-      if cur - n <= 0 then Hashtbl.remove t.committed tuple
-      else Hashtbl.replace t.committed tuple (cur - n);
-      ignore (Tcp_engine.send conn slice)
+      p.bytes <- p.bytes - n;
+      if p.bytes = 0 then Hashtbl.remove t.committed tuple;
+      ignore (Tcp_engine.send conn slice);
+      if p.bytes = 0 && p.close_after then Tcp_engine.close conn
     in
     (match t.placement with
     | Inline ->
@@ -150,8 +157,7 @@ let send t conn data =
     n
   end
 
-let stack_busy_ns t =
-  match t.placement with
-  | Inline -> 0
-  | Split { stack_cores } ->
-    Array.fold_left (fun acc c -> acc + Core.busy_ns c) 0 stack_cores
+let close t conn =
+  match Hashtbl.find_opt t.committed (Tcp_engine.tuple conn) with
+  | Some p -> p.close_after <- true
+  | None -> Tcp_engine.close conn

@@ -26,18 +26,12 @@ val create :
   profile:Tas_cpu.Cost_model.t ->
   app_cores:Tas_cpu.Core.t array ->
   ?placement:placement ->
-  ?cache_bytes:int ->
   unit ->
   t
-(** Default placement [Inline]; default cache 33 MB (the testbed L3). *)
+(** Default placement [Inline]. The cache the connection state competes
+    for is the testbed's 33 MB L3. *)
 
 val engine : t -> Tcp_engine.t
-val profile : t -> Tas_cpu.Cost_model.t
-val app_cores : t -> Tas_cpu.Core.t array
-val core_of_conn : t -> Tcp_engine.conn -> Tas_cpu.Core.t
-
-val api_cycles : t -> int
-(** Per-request API-layer cost (sockets + misc from the profile). *)
 
 val deliver_to_app : t -> Tcp_engine.conn -> (unit -> unit) -> unit
 (** Run an application-bound event on the connection's app core, charging
@@ -48,10 +42,11 @@ val charge_app : t -> Tcp_engine.conn -> cycles:int -> (unit -> unit) -> unit
 (** Charge application work on the connection's core, then continue. *)
 
 val send : t -> Tcp_engine.conn -> bytes -> int
-(** Transmit-side charge + [Tcp_engine.send]. Returns bytes accepted
-    immediately for [Inline]. For [Split] the data is handed to a stack core
-    at the next flush and the function returns the length (the application
-    buffer hand-off always succeeds). *)
+(** Transmit-side charge + [Tcp_engine.send]. Returns the bytes accepted at
+    call time, bounded by the free transmit buffer less the sends still
+    queued; those reach the engine once their charge has run ([Inline]) or
+    at the next flush ([Split]). *)
 
-val stack_busy_ns : t -> int
-(** Total busy time of stack cores ([Split]) or 0 ([Inline]). *)
+val close : t -> Tcp_engine.conn -> unit
+(** [Tcp_engine.close] once the connection's queued sends have reached the
+    engine: at once when none are queued. *)

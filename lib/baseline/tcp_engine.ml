@@ -117,8 +117,8 @@ let create sim nic config =
 
 let tuple c = c.tuple
 let bytes_acked c = c.acked_total
-let srtt_ns c = Rtt.srtt_ns c.rtt
 let cwnd c = Window_cc.cwnd c.cc
+let set_callbacks c cb = c.cb <- cb
 let connection_count t = Tbl.length t.conns
 let tx_free c = Ring.free c.tx
 let rx_ring_pool t = t.rx_rings

@@ -78,6 +78,10 @@ val connect :
   t -> ?src_port:int -> dst_ip:Tas_proto.Addr.ipv4 -> dst_port:int ->
   callbacks -> conn
 
+val set_callbacks : conn -> callbacks -> unit
+(** Replace the connection's callbacks. {!connect} fires none before it
+    returns, so callbacks set right after it see every event. *)
+
 val send : conn -> bytes -> int
 (** Queue bytes for transmission; returns how many were accepted (bounded by
     free transmit-buffer space). *)
@@ -87,7 +91,6 @@ val close : conn -> unit
 
 val tuple : conn -> Tas_proto.Addr.Four_tuple.t
 val bytes_acked : conn -> int
-val srtt_ns : conn -> int
 val cwnd : conn -> int
 
 val connection_count : t -> int

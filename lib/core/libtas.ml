@@ -75,7 +75,7 @@ let null_handlers =
     on_reset = ignore;
   }
 
-let sock_id s = s.id
+let set_handlers s h = s.handlers <- h
 let is_open s = (not s.closed) && s.flow <> None
 let stats t = t.stats
 

@@ -57,6 +57,11 @@ val connect :
   t -> ctx:int -> dst_ip:Tas_proto.Addr.ipv4 -> dst_port:int -> handlers ->
   socket
 
+val set_handlers : socket -> handlers -> unit
+(** Replace the socket's handlers. Every event reaches the application
+    through a queue, so handlers set right after {!connect} returns see
+    all of the socket's events. *)
+
 val send : socket -> bytes -> int
 (** Copy bytes into the flow's transmit payload buffer and post a TX command;
     returns bytes accepted (0 before the handshake completes and after
@@ -76,7 +81,6 @@ val close : socket -> unit
     completes gets no [on_connected]; its flow is closed as soon as it is
     established. *)
 
-val sock_id : socket -> int
 val is_open : socket -> bool
 val app_cycles : socket -> int -> (unit -> unit) -> unit
 (** [app_cycles sock cycles k] charges application-level work on the

@@ -21,11 +21,9 @@ let kind_name = function
 type server = {
   transport : Transport.t;
   ip : Tas_proto.Addr.ipv4;
-  kind : kind;
   app_cores : Core.t array;
   stack_cores : Core.t array;
   tas : Tas.t option;
-  sm : SM.t option;
 }
 
 (* Per-request cycle costs on each side of the app/stack split, from the
@@ -88,11 +86,9 @@ let build_server sim ~nic ~kind ~total_cores ?(app_cycles = 680)
     {
       transport;
       ip = Tas_netsim.Nic.ip nic;
-      kind;
       app_cores;
       stack_cores = Tas.fp_cores tas;
       tas = Some tas;
-      sm = None;
     }
   | Linux | Ix | Mtcp ->
     let profile =
@@ -108,17 +104,13 @@ let build_server sim ~nic ~kind ~total_cores ?(app_cycles = 680)
     let placement =
       if kind = Mtcp then SM.Split { stack_cores } else SM.Inline
     in
-    let sm =
-      SM.create sim ~nic ~config ~profile ~app_cores ~placement ()
-    in
+    let sm = SM.create sim ~nic ~config ~profile ~app_cores ~placement () in
     {
       transport = Transport.of_server_model sm;
       ip = Tas_netsim.Nic.ip nic;
-      kind;
       app_cores;
       stack_cores;
       tas = None;
-      sm = Some sm;
     }
 
 let client_transport sim endpoint ?(buf_size = 16384) () =

@@ -9,11 +9,9 @@ val kind_name : kind -> string
 type server = {
   transport : Tas_apps.Transport.t;
   ip : Tas_proto.Addr.ipv4;
-  kind : kind;
   app_cores : Tas_cpu.Core.t array;
   stack_cores : Tas_cpu.Core.t array;  (** TAS fast-path / mTCP stack cores *)
   tas : Tas_core.Tas.t option;
-  sm : Tas_baseline.Server_model.t option;
 }
 
 val core_split : kind -> total:int -> app_cycles:int -> int * int

@@ -331,14 +331,16 @@ let test_rst_answer_allocation () =
 (* TAS<->TAS closed-loop connection churn: 16 clients that connect, echo
    64 B and close, then reconnect, on [Test_pool.wide_pair]. The words per
    connection (both hosts, the test's own handlers included) are pinned at
-   the measured values, 521.4375 minor and 0 major: per-connection state
+   the measured values, 492.765625 minor and 0 major: per-connection state
    (flow record, the slow path's one connection record with its tuple,
    its [Some] and its timer's one closure, bucket, controller, socket,
-   handlers); the timers re-arm in place, and the connects, closes and
-   connection events reach their cores through work queues
-   ([Core.queue]). The client's handlers are part of the figure, which is why
-   it does not go through [echo_once] (whose continuation adds 3 words). *)
-let churn_minor_words_per_conn = 521.4375
+   handlers, and on each host the transport's wrapper and callbacks); the
+   timers re-arm in place, and the connects, closes and connection events
+   reach their cores through work queues ([Core.queue]), and no transport
+   adapter builds a closure per delivered event. The client's handlers
+   are part of the figure, which is why it does not go through
+   [echo_once] (whose continuation adds 3 words). *)
+let churn_minor_words_per_conn = 492.765625
 let churn_major_words_per_conn = 0.0
 
 let test_churn_words_per_connection () =
