@@ -4,8 +4,10 @@ Usage: python3 .github/compare_bodies.py BASE_DIR HEAD_DIR
 
 Every BENCH_<id>.json in BASE_DIR is compared with HEAD_DIR's by its body,
 the document without its "timing" key (the only wall-clock part); every
-TIMELINE_*.json must match byte for byte. Prints one line per file and a
-summary, and exits 1 when anything differs or is missing.
+TIMELINE_*.json must match token for token: the same keys in the same
+order and the same number text, so only whitespace may differ (artifacts
+were pretty-printed before they were written compact). Prints one line
+per file and a summary, and exits 1 when anything differs or is missing.
 """
 
 import glob
@@ -17,6 +19,10 @@ import sys
 def body(path):
     doc = json.load(open(path))
     return {k: v for k, v in doc.items() if k != "timing"}
+
+
+def tokens(path):
+    return json.load(open(path), object_pairs_hook=list, parse_float=str, parse_int=str)
 
 
 def main(base, head):
@@ -36,7 +42,7 @@ def main(base, head):
     for p in timelines:
         name = os.path.basename(p)
         other = f"{head}/{name}"
-        same = os.path.exists(other) and open(p, "rb").read() == open(other, "rb").read()
+        same = os.path.exists(other) and tokens(p) == tokens(other)
         bad += not same
         print(name, "equal" if same else "DIFFERS")
     print(f"{len(ids)} experiments, {len(timelines)} timelines, {bad} differ")

@@ -15,7 +15,21 @@
     reads only bytes the application pushed. A fresh buffer's
     [Bytes.create] garbage and a recycled buffer's previous stream are
     therefore equally unobservable, which is what lets {!Pool} hand a ring
-    to a new connection without clearing it. *)
+    to a new connection without clearing it.
+
+    {b Storage only while it holds bytes.} A ring keeps its capacity but
+    holds a backing store of that size only while some written byte is
+    not yet consumed: the first write into an unbacked ring takes a store
+    from a free list of its capacity, and the {!pop} or {!advance_tail}
+    that consumes the last such byte gives it back. Bytes {!write_at}
+    deposited beyond [head] count, so out-of-order data survives a drain
+    of the in-order part. The free list is per domain (one per
+    capacity, like {!Buf_pool.local}), unbounded, and never holds more
+    stores than were backed at once; a warm take and give allocate nothing.
+    By the invariant above a store's previous contents are never read, and
+    the window still comes from the capacity, so storage sharing changes
+    no byte and no advertised window. An idle connection's rings cost
+    their record only. *)
 
 type t
 
@@ -30,9 +44,12 @@ val closed : t
     value is shared. *)
 
 val reset : t -> unit
-(** Empty the buffer and restart its stream at offset 0 ([head = tail =
-    0]). The old bytes stay in place but, by the invariant above, are
-    never read. *)
+(** Empty the buffer, give its store back, and restart its stream at
+    offset 0 ([head = tail = 0]). *)
+
+val backed : t -> bool
+(** Whether the ring holds a store: true exactly while some written byte
+    is not yet consumed. *)
 
 val capacity : t -> int
 
@@ -77,11 +94,13 @@ val advance_tail : t -> int -> unit
 (** Discard [n] bytes from the tail (transmit-buffer reclamation on ACK,
     §3.1). @raise Invalid_argument if [n > used]. *)
 
-(** Free list of rings for reuse across connections: one LIFO stack per
-    capacity, no size limit. A pool retains exactly the rings given back
-    and not yet taken, so its size is bounded by the peak number of rings
-    live at once. {!Pool.take} and {!Pool.give} allocate nothing once a
-    stack has room (a stack's array doubles when it fills). A pool is not
+(** Free list of ring records for reuse across connections: one LIFO
+    stack per capacity, no size limit. A pool retains exactly the rings
+    given back and not yet taken, so its size is bounded by the peak
+    number of rings live at once. A pooled ring holds no store (
+    {!Pool.give} resets it), so the pool keeps records, not payload
+    memory. {!Pool.take} and {!Pool.give} allocate nothing once a stack has
+    room (a stack's array doubles when it fills). A pool is not
     synchronized: each owner (one TAS slow path) keeps its own. *)
 module Pool : sig
   type ring := t
@@ -90,13 +109,14 @@ module Pool : sig
   val create : unit -> t
 
   val take : t -> int -> ring
-  (** [take p capacity] pops a free ring of that capacity and {!reset}s
-      it, or creates a fresh one when the stack is empty. *)
+  (** [take p capacity] pops a free ring of that capacity, empty and at
+      offset 0, or creates a fresh one when the stack is empty. *)
 
   val give : t -> ring -> unit
-  (** Push a ring for reuse; the caller must not touch it afterwards.
-      {!closed} is ignored, so releasing a torn-down flow again (its rings
-      already swapped for {!closed}) gives nothing. *)
+  (** {!reset} a ring, which returns its store, and push it for reuse; the
+      caller must not touch it afterwards. {!closed} is ignored, so
+      releasing a torn-down flow again (its rings already swapped for
+      {!closed}) gives nothing. *)
 
   val held : t -> int
   (** Rings currently free in the pool, all capacities. *)

@@ -72,7 +72,9 @@ let bench_dir = Run_opts.bench_dir
    byte-identical across serial and parallel runs of the same build. The
    trailing "timing" object isolates the only nondeterministic data
    (wall-clock measurements), so consumers can diff artifacts by cutting
-   at the "timing" key. *)
+   at the "timing" key. Artifacts are compact JSON, which every consumer
+   parses; indenting would make the diagnostics artifact 2.5 times as
+   large. *)
 let write_artifact e ~quick ~timing body =
   let j =
     J.Obj
@@ -88,7 +90,7 @@ let write_artifact e ~quick ~timing body =
     Filename.concat (bench_dir ()) (Printf.sprintf "BENCH_%s.json" e.id)
   in
   let oc = open_out path in
-  output_string oc (J.to_string ~pretty:true j);
+  output_string oc (J.to_string j);
   output_char oc '\n';
   close_out oc;
   path
@@ -113,7 +115,7 @@ let write_timelines e timelines =
     Filename.concat (bench_dir ()) (Printf.sprintf "TIMELINE_%s.json" e.id)
   in
   let oc = open_out path in
-  output_string oc (J.to_string ~pretty:true j);
+  output_string oc (J.to_string j);
   output_char oc '\n';
   close_out oc;
   path

@@ -64,41 +64,110 @@ let test_ring_bounds_checks () =
        false
      with Invalid_argument _ -> true)
 
+(* A model of the stream: the byte written at each offset since the last
+   reset, plus [head] and [tail]. Random pushes, out-of-order deposits
+   beyond [head], [advance_head] over deposited bytes, pops (often to
+   empty), tail discards and resets. Every popped byte matches the model,
+   and the ring holds a store exactly while some written byte is at or
+   beyond [tail]. *)
 let prop_ring_fifo =
-  (* Interleaved pushes and pops preserve byte order (reference: Buffer). *)
-  QCheck.Test.make ~name:"ring buffer is FIFO under random ops" ~count:200
-    QCheck.(list (pair bool (int_range 1 32)))
+  let cap = 64 in
+  QCheck.Test.make ~name:"ring buffer is FIFO under random ops" ~count:300
+    QCheck.(list (triple (int_range 0 6) (int_range 1 32) (int_range 0 24)))
     (fun ops ->
-      let r = Ring.create 64 in
-      let reference = Queue.create () in
-      let next = ref 0 in
+      let r = Ring.create cap in
+      let written = Hashtbl.create 64 in
+      let head = ref 0 and tail = ref 0 and next = ref 0 in
       let ok = ref true in
+      let fresh len =
+        Bytes.init len (fun _ ->
+            incr next;
+            Char.chr (!next land 0xff))
+      in
+      let deposit pos data =
+        Bytes.iteri (fun i c -> Hashtbl.replace written (pos + i) c) data
+      in
+      let consume n =
+        for o = !tail to !tail + n - 1 do
+          Hashtbl.remove written o
+        done;
+        tail := !tail + n
+      in
       List.iter
-        (fun (is_push, len) ->
-          if is_push then begin
-            let data =
-              Bytes.init len (fun _ ->
-                  incr next;
-                  Char.chr (!next land 0xff))
-            in
-            let accepted = Ring.push r data ~off:0 ~len in
-            for i = 0 to accepted - 1 do
-              Queue.add (Bytes.get data i) reference
+        (fun (op, len, gap) ->
+          (match op with
+          | 0 | 1 ->
+            let data = fresh len in
+            let n = Ring.push r data ~off:0 ~len in
+            deposit !head (Bytes.sub data 0 n);
+            head := !head + n
+          | 2 ->
+            (* Out of order: [gap] bytes past [head], clipped to the window. *)
+            let pos = !head + gap in
+            let len = min len (!tail + cap - pos) in
+            if len > 0 then begin
+              let data = fresh len in
+              Ring.write_at r ~pos data ~off:0 ~len;
+              deposit pos data
+            end
+          | 3 ->
+            (* Make deposited bytes contiguous, as the receive path does. *)
+            let n = ref 0 in
+            while !n < len && Hashtbl.mem written (!head + !n) do
+              incr n
             done;
-            (* Rewind [next] for bytes not accepted so streams agree. *)
-            next := !next - (len - accepted)
-          end
-          else begin
+            Ring.advance_head r !n;
+            head := !head + !n
+          | 4 | 5 ->
+            (* Every other pop asks for everything. *)
+            let len = if op = 5 then cap else len in
             let dst = Bytes.create len in
             let got = Ring.pop r ~dst ~dst_off:0 ~len in
+            if got <> min len (!head - !tail) then ok := false;
             for i = 0 to got - 1 do
-              match Queue.take_opt reference with
-              | Some c -> if c <> Bytes.get dst i then ok := false
-              | None -> ok := false
-            done
-          end)
+              if Hashtbl.find_opt written (!tail + i) <> Some (Bytes.get dst i)
+              then ok := false
+            done;
+            consume got
+          | _ ->
+            if gap mod 2 = 0 then begin
+              Ring.reset r;
+              Hashtbl.reset written;
+              head := 0;
+              tail := 0
+            end
+            else begin
+              let n = min len (!head - !tail) in
+              Ring.advance_tail r n;
+              consume n
+            end);
+          let stored = Hashtbl.length written > 0 in
+          if Ring.backed r <> stored || Ring.head r <> !head
+             || Ring.tail r <> !tail
+          then ok := false)
         ops;
-      !ok && Ring.used r = Queue.length reference)
+      !ok)
+
+(* Out-of-order bytes beyond a hole keep the store through a pop of the
+   in-order part to empty: a release rule that looked only at [used = 0]
+   would hand the store back and lose them. *)
+let test_ring_ooo_survives_drain () =
+  let r = Ring.create 16 in
+  Alcotest.(check bool) "fresh ring holds no store" false (Ring.backed r);
+  ignore (Ring.push r (Bytes.of_string "abcd") ~off:0 ~len:4);
+  Ring.write_at r ~pos:8 (Bytes.of_string "wxyz") ~off:0 ~len:4;
+  let dst = Bytes.create 4 in
+  ignore (Ring.pop r ~dst ~dst_off:0 ~len:4);
+  Alcotest.(check int) "in-order part drained" 0 (Ring.used r);
+  Alcotest.(check bool) "store kept for the out-of-order bytes" true
+    (Ring.backed r);
+  Ring.write_at r ~pos:4 (Bytes.of_string "HOLE") ~off:0 ~len:4;
+  Ring.advance_head r 8;
+  let dst = Bytes.create 8 in
+  ignore (Ring.pop r ~dst ~dst_off:0 ~len:8);
+  Alcotest.(check string) "hole and out-of-order bytes in order" "HOLEwxyz"
+    (Bytes.to_string dst);
+  Alcotest.(check bool) "store given back once drained" false (Ring.backed r)
 
 (* --- Event ring --------------------------------------------------------------- *)
 
@@ -599,6 +668,8 @@ let suite =
     Alcotest.test_case "ring partial push" `Quick test_ring_partial_push;
     Alcotest.test_case "ring out-of-order deposit" `Quick test_ring_write_at_ooo;
     Alcotest.test_case "ring bounds checks" `Quick test_ring_bounds_checks;
+    Alcotest.test_case "ring out-of-order bytes survive a drain" `Quick
+      test_ring_ooo_survives_drain;
     Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
     Alcotest.test_case "spsc full" `Quick test_spsc_full;
     Alcotest.test_case "spsc drain" `Quick test_spsc_drain;

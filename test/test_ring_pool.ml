@@ -2,8 +2,11 @@
    flow's rx/tx rings to the next connection, and the torn-down flow reads
    the closed ring from then on.
 
-   - The pool itself: LIFO reuse per capacity, [reset] on take, the closed
-     ring ignored, and zero allocation once warm.
+   - The pool itself: LIFO reuse per capacity, a taken ring empty at
+     offset 0, the closed ring ignored, and zero allocation once warm;
+     a ring's store round trip is allocation-free too.
+   - Idle connections hold no ring storage and under 1,000 live words
+     each.
    - Sequential TAS<->TAS connections with rings small enough to wrap
      several times: exact delivery every time, and every connection after
      the first runs on the first one's rings, starting at offset 0.
@@ -106,6 +109,32 @@ let test_pool_no_alloc () =
   Alcotest.(check (float 0.)) "take/give cycles allocate nothing" 0. words;
   Alcotest.(check int) "no fresh rings once warm" 16 (Pool.allocated p);
   Alcotest.(check int) "all rings back" 16 (Pool.held p)
+
+(* A warm ring's store round trip is allocation-free: each push into the
+   empty ring takes a store from the domain's free list and the pop that
+   empties it gives the store back, 10^4 times on one ring. *)
+let test_store_no_alloc () =
+  let r = Ring.create 8192 in
+  let src = Bytes.make 1460 's' and dst = Bytes.create 1460 in
+  let cycle () =
+    ignore (Ring.push r src ~off:0 ~len:1460);
+    ignore (Ring.pop r ~dst ~dst_off:0 ~len:1460)
+  in
+  cycle ();
+  let cycles = 10_000 in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to cycles do
+          cycle ()
+        done)
+  in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  Alcotest.(check (float 0.)) "calibration" 0. (minor_words_during ignore);
+  Alcotest.(check (float 0.)) "store round trips allocate no minor words" 0.
+    words;
+  Alcotest.(check (float 0.)) "nor major words" 0. major;
+  Alcotest.(check bool) "drained ring holds no store" false (Ring.backed r)
 
 (* --- TAS<->TAS harness ---------------------------------------------------- *)
 
@@ -264,6 +293,62 @@ let test_sequential_recycling () =
         [ 0; 2; 2 ]
         [ live_flows h; Pool.held (pool h); Pool.allocated (pool h) ])
     hosts
+
+(* --- Idle footprint ------------------------------------------------------- *)
+
+(* Connections that have exchanged one message and gone idle hold no ring
+   storage: every TAS flow's rx and tx rings are unbacked, and what a
+   connection keeps live (both hosts' flow state, sockets and table
+   entries) stays under 1,000 words at 8 KB buffers, where four backed
+   rings alone would be about 4,100. The figure is the live-word growth
+   from [n] to [2n] idle connections after a full major collection, so
+   the fixed cost of the simulation and the hosts cancels out. *)
+let test_idle_footprint () =
+  let n = 64 in
+  let config =
+    { Config.default with Config.rx_buf_size = 8192; tx_buf_size = 8192 }
+  in
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~queues_per_nic:2 () in
+  let client = host sim ~config ~id:0 net.Topology.a
+  and server = host sim ~config ~id:1 net.Topology.b in
+  let echoed = ref 0 in
+  Libtas.listen server.lt ~port:7 ~ctx_of_tuple:(fun _ -> 0) (fun _ ->
+      {
+        Libtas.null_handlers with
+        Libtas.on_data = (fun sock d -> ignore (Libtas.send sock d));
+      });
+  let open_idle k =
+    for _ = 1 to k do
+      ignore
+        (Libtas.connect client.lt ~ctx:0 ~dst_ip:(server_ip net) ~dst_port:7
+           {
+             Libtas.null_handlers with
+             Libtas.on_connected =
+               (fun sock -> ignore (Libtas.send sock (Bytes.make 64 'm')));
+             on_data = (fun _ d -> echoed := !echoed + Bytes.length d);
+           })
+    done;
+    Sim.run ~until:(Sim.now sim + Time_ns.ms 50) sim;
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live_n = open_idle n in
+  let live_2n = open_idle n in
+  Alcotest.(check int) "every message echoed" (2 * n * 64) !echoed;
+  Alcotest.(check (pair int int)) "every connection still open" (2 * n, 2 * n)
+    (live_flows client, live_flows server);
+  let stored = ref 0 in
+  List.iter
+    (fun h ->
+      Flow_table.iter (Fast_path.flows (Tas.fast_path h.tas)) (fun _ f ->
+          if Ring.backed (Flow_state.rx_buf f) then incr stored;
+          if Ring.backed (Flow_state.tx_buf f) then incr stored))
+    [ client; server ];
+  Alcotest.(check int) "no idle ring holds a store" 0 !stored;
+  let per_conn = (live_2n - live_n) / n in
+  if per_conn > 1_000 then
+    Alcotest.failf "%d live words per idle connection, over 1000" per_conn
 
 (* --- Stale handles -------------------------------------------------------- *)
 
@@ -439,6 +524,8 @@ let suite =
     Alcotest.test_case "closed ring is inert" `Quick test_closed_ring;
     Alcotest.test_case "pool: warm take/give allocates nothing" `Quick
       test_pool_no_alloc;
+    Alcotest.test_case "warm store round trip allocates nothing" `Quick
+      test_store_no_alloc;
     Alcotest.test_case "sequential connections recycle rings exactly" `Quick
       test_sequential_recycling;
     Alcotest.test_case "stale handle reads closed rings, sends nothing" `Quick
@@ -447,4 +534,6 @@ let suite =
       test_churn_bound;
     Alcotest.test_case "handshake ACK window is scaled" `Quick
       test_handshake_ack_window;
+    Alcotest.test_case "idle connections hold no ring storage" `Quick
+      test_idle_footprint;
   ]
