@@ -921,11 +921,7 @@ let reinject t pkt =
 
 let create ?trace ?span sim ~nic ~cores ~config =
   if Array.length cores = 0 then invalid_arg "Fast_path.create: no cores";
-  let flows =
-    (* Sharded by RSS queue: one shard per queue, following the NIC's
-       redirection table. *)
-    Flow_table.create_sharded ~rss:(Nic.rss nic) ()
-  in
+  let flows = Flow_table.create ~rss:(Nic.rss nic) in
   let n = Array.length cores in
   let t =
   {
@@ -986,9 +982,10 @@ let create ?trace ?span sim ~nic ~cores ~config =
     scratch = Array.make (max 1 config.Config.fp_burst_size) Packet.sentinel;
   }
   in
-  Flow_table.set_on_migrate t.flows (fun ~group ~from_q:_ ~to_q ~moved ->
-      (* One event per flow group whose state actually moved shards; [core]
-         is the destination queue, [flow] the group id. *)
+  Tas_netsim.Rss_table.set_on_move (Nic.rss nic) (fun ~group ~from_q ~to_q ->
+      (* One event per remapped flow group that holds flows; [core] is the
+         destination queue, [flow] the group id. *)
+      let moved = Flow_table.move_group flows ~group ~from_q ~to_q in
       if moved > 0 && Trace.enabled t.trace then
         Trace.record t.trace ~ts:(Sim.now t.sim) ~kind:Trace.Shard_migrate
           ~core:to_q ~flow:group);

@@ -919,7 +919,7 @@ let scale_tick t ctl ~window =
     else begin
       let max_s = ref 0 in
       for i = 0 to n - 1 do
-        let s = (Flow_table.shard_stats ft i).Tas_shard.Flow_shards.flows in
+        let s = Flow_table.shard_count ft i in
         if s > !max_s then max_s := s
       done;
       float_of_int !max_s /. (float_of_int flows /. float_of_int n)

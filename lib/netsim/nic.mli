@@ -50,17 +50,15 @@ val input : t -> Tas_proto.Packet.t -> unit
 val transmit : t -> Tas_proto.Packet.t -> unit
 (** Packet leaving the host. *)
 
-val rss : t -> Tas_shard.Rss_table.t
-(** The NIC's RSS redirection table — shared with the host's per-queue
-    flow-table shards, whose migration hook fires on every rewrite. *)
+val rss : t -> Rss_table.t
+(** The NIC's RSS redirection table. The host's fast path installs its
+    migration hook, which fires on every rewrite. *)
 
 val set_active_queues : t -> int -> unit
 (** Rewrite the RSS redirection table to spread flows over the first [n]
     queues (eager re-steering during fast-path core scale up/down). Fires
     the table's group-migration hook for every remapped flow group.
     @raise Invalid_argument if [n] is not within [1, num_queues]. *)
-
-val active_queues : t -> int
 
 val queue_for_hash : t -> int -> int
 (** The RSS queue the current redirection table assigns to a flow hash —

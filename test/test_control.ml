@@ -10,7 +10,7 @@ module Time_ns = Tas_engine.Time_ns
 module Core = Tas_cpu.Core
 module Topology = Tas_netsim.Topology
 module Nic = Tas_netsim.Nic
-module Rss_table = Tas_shard.Rss_table
+module Rss_table = Tas_netsim.Rss_table
 module Config = Tas_core.Config
 module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
