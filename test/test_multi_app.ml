@@ -243,6 +243,50 @@ let test_send_after_close () =
   Alcotest.(check int) "flow removed" 0
     (Slow_path.flow_count (Tas.slow_path tas))
 
+(* [close] shuts the sending side: the app sends 64 B, arms [on_sendable]
+   and closes at once. The ACK freeing the transmit space fires nothing,
+   while the peer's echo and FIN still arrive as [on_data] and
+   [on_peer_closed], then [on_closed]. *)
+let test_closed_socket_still_receives () =
+  let sim, net, tas, peer = setup () in
+  let app =
+    Tas.app tas ~app_cores:[| Core.create sim ~id:101 () |] ~api:Libtas.Sockets
+  in
+  let echoed = ref 0 in
+  E.listen peer ~port:7001 (fun _ ->
+      {
+        E.null_callbacks with
+        E.on_receive =
+          (fun c d -> echoed := !echoed + E.send c (Bytes.copy d));
+        E.on_closed = E.close;
+      });
+  let events = ref [] in
+  let note e = events := e :: !events in
+  ignore
+    (Libtas.connect app ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+       ~dst_port:7001
+       {
+         Libtas.on_connected =
+           (fun sock ->
+             ignore (Libtas.send sock (Bytes.make 64 'c'));
+             Libtas.want_sendable sock;
+             Libtas.close sock);
+         on_data = (fun _ d -> note (Printf.sprintf "data %d" (Bytes.length d)));
+         on_sendable = (fun _ -> note "sendable");
+         on_peer_closed = (fun _ -> note "peer_closed");
+         on_closed = (fun _ -> note "closed");
+         on_connect_failed = (fun _ _ -> note "failed");
+         on_reset = (fun _ -> note "reset");
+       });
+  Sim.run ~until:(Time_ns.ms 100) sim;
+  Alcotest.(check int) "the peer echoed" 64 !echoed;
+  Alcotest.(check (list string)) "no on_sendable after close"
+    [ "data 64"; "peer_closed"; "closed" ]
+    (List.rev !events);
+  Alcotest.(check int) "the echo was consumed" 64 (Libtas.stats app).rx_bytes;
+  Alcotest.(check int) "flow removed" 0
+    (Slow_path.flow_count (Tas.slow_path tas))
+
 let suite =
   [
     Alcotest.test_case "two apps share one TAS" `Quick test_two_apps_one_tas;
@@ -256,4 +300,6 @@ let suite =
       `Quick test_reaped_flow_resets_socket;
     Alcotest.test_case "send after close takes nothing" `Quick
       test_send_after_close;
+    Alcotest.test_case "a closed socket still receives, sends nothing" `Quick
+      test_closed_socket_still_receives;
   ]
