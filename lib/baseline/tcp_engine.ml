@@ -66,9 +66,9 @@ type conn = {
   (* Receive side. *)
   mutable rcv_nxt : Seq32.t;
   ooo : Ooo.t;
-  mutable rx : Ring.t;
+  rx : Ring.t;
       (* out-of-order payload, at stream offset [head + (seq - rcv_nxt)];
-         [Ring.closed] while [ooo] is empty *)
+         it holds a store only while it holds bytes *)
   mutable ts_recent : int;
   mutable peer_wscale : int;
   mutable acked_total : int;  (* payload bytes acknowledged *)
@@ -89,7 +89,6 @@ and t = {
   probe : Addr.Four_tuple.t;
       (* scratch lookup key of [handle_packet]; never stored *)
   listeners : (int, conn -> callbacks) Hashtbl.t;
-  rx_rings : Ring.Pool.t;
   mutable next_ephemeral : int;
   mutable next_iss : int;
 }
@@ -110,7 +109,6 @@ let create sim nic config =
     conns = Tbl.create 256;
     probe = Addr.Four_tuple.probe ();
     listeners = Hashtbl.create 16;
-    rx_rings = Ring.Pool.create ();
     next_ephemeral = 32768;
     next_iss = 1000;
   }
@@ -121,7 +119,7 @@ let cwnd c = Window_cc.cwnd c.cc
 let set_callbacks c cb = c.cb <- cb
 let connection_count t = Tbl.length t.conns
 let tx_free c = Ring.free c.tx
-let rx_ring_pool t = t.rx_rings
+let rx_backed c = Ring.backed c.rx
 
 (* First data byte's stream offset 0 corresponds to sequence iss+1. *)
 let offset_of_seq c seq = Seq32.diff seq (Seq32.add c.iss 1)
@@ -202,17 +200,11 @@ let arm c dt =
   Sim.cancel c.stack.sim c.timer;
   c.timer <- Sim.schedule c.stack.sim dt c.fire
 
-(* Give the receive ring back to the stack's pool ([Ring.Pool.give]
-   ignores [Ring.closed]). *)
-let release_rx c =
-  Ring.Pool.give c.stack.rx_rings c.rx;
-  c.rx <- Ring.closed
-
 let remove_conn c =
   cancel_rto c;
   c.state <- Closed;
   Ooo.reset c.ooo;
-  release_rx c;
+  Ring.reset c.rx;
   Tbl.remove c.stack.conns c.tuple
 
 let rec arm_rto c = arm c (Rtt.rto_ns c.rtt)
@@ -300,9 +292,9 @@ let deposit c payload seq =
     payload ~off:(Seq32.diff at seq) ~len:(Ooo.write_len c.ooo)
 
 (* Reassembly as the TAS fast path does it: an interval set decides, and
-   out-of-order bytes wait in a ring taken from the stack's pool at the
-   first store and given back once every range is delivered. In-order
-   data with nothing stored goes straight from the packet. *)
+   out-of-order bytes wait in the connection's receive ring, which holds a
+   store only while it holds bytes. In-order data with nothing stored goes
+   straight from the packet. *)
 let process_payload c pkt ~ce =
   let payload = pkt.Packet.payload in
   let seg_len = Bytes.length payload in
@@ -313,7 +305,7 @@ let process_payload c pkt ~ce =
     if n > 0 then deliver c (Bytes.sub payload 0 n)
     else begin
       match Ooo.handle c.ooo ~exp:c.rcv_nxt ~window ~seg_start:seq ~seg_len with
-      | Ooo.Deliver when c.rx == Ring.closed ->
+      | Ooo.Deliver when not (Ring.backed c.rx) ->
         (* Nothing stored: the run is the segment's own bytes. *)
         deliver c
           (Bytes.sub payload
@@ -325,12 +317,11 @@ let process_payload c pkt ~ce =
         Ring.advance_head c.rx adv;
         let chunk = Bytes.create adv in
         ignore (Ring.pop c.rx ~dst:chunk ~dst_off:0 ~len:adv);
-        if Ooo.is_empty c.ooo then release_rx c;
+        (* Bytes of evicted ranges may remain beyond [head]: with no range
+           left, drop them with the store. *)
+        if Ooo.is_empty c.ooo then Ring.reset c.rx;
         deliver c chunk
-      | Ooo.Store ->
-        if c.rx == Ring.closed then
-          c.rx <- Ring.Pool.take c.stack.rx_rings window;
-        deposit c payload seq
+      | Ooo.Store -> deposit c payload seq
       | Ooo.Duplicate | Ooo.Drop -> ()
     end;
     send_ack ~ece:ce c
@@ -469,7 +460,7 @@ let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
       fin_sent = false;
       rcv_nxt;
       ooo = Ooo.create ~max_ranges:((t.config.rx_buf / Tcp_header.mss) + 1) ();
-      rx = Ring.closed;
+      rx = Ring.create t.config.rx_buf;
       ts_recent;
       peer_wscale;
       acked_total = 0;

@@ -12,9 +12,9 @@
 
     Reassembly is TAS's own: an {!Tas_buffers.Ooo_interval} per
     connection, bounded at [rx_buf / 1460 + 1] disjoint ranges, with the
-    stored bytes in a receive {!Tas_buffers.Ring_buffer} that is taken
-    from the stack's pool ({!rx_ring_pool}) at the first out-of-order
-    segment and given back once every range is delivered or the
+    stored bytes in the connection's receive {!Tas_buffers.Ring_buffer},
+    which holds a store only while it holds bytes: from the first
+    out-of-order segment until every range is delivered or the
     connection is removed. A segment that would exceed the bound evicts
     the range furthest from the expected edge when it sits closer, and
     is dropped otherwise; the sender retransmits what was lost either
@@ -95,6 +95,7 @@ val cwnd : conn -> int
 
 val connection_count : t -> int
 
-val rx_ring_pool : t -> Tas_buffers.Ring_buffer.Pool.t
-(** The free list of reassembly rings: once no connection holds
-    out-of-order data, it holds every ring it has created. *)
+val rx_backed : conn -> bool
+(** Whether the connection's receive ring holds a store: true exactly
+    while out-of-order bytes wait in it. *)
+

@@ -9,7 +9,6 @@ module Nic = Tas_netsim.Nic
 module Port = Tas_netsim.Port
 module Packet = Tas_proto.Packet
 module Seq32 = Tas_proto.Seq32
-module Ring_pool = Tas_buffers.Ring_buffer.Pool
 module E = Tas_baseline.Tcp_engine
 module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
@@ -230,36 +229,51 @@ let faulty =
 
 let pattern n = Bytes.init n (fun i -> Char.chr ((i * 13) land 0xff))
 
+(* What a [sink] received: the stream, its longest delivered chunk, and
+   the connections it accepted. *)
+type received = {
+  stream : Buffer.t;
+  mutable longest : int;
+  mutable conns : E.conn list;
+}
+
 (* An engine on [nic] that accepts on port 9 and collects the stream. *)
 let sink sim nic config =
   let e = E.create sim nic config in
   E.attach e;
-  let received = Buffer.create 4096 in
-  E.listen e ~port:9 (fun _ ->
+  let r = { stream = Buffer.create 4096; longest = 0; conns = [] } in
+  E.listen e ~port:9 (fun c ->
+      r.conns <- c :: r.conns;
       {
         E.null_callbacks with
-        E.on_receive = (fun _ d -> Buffer.add_bytes received d);
+        E.on_receive =
+          (fun _ d ->
+            Buffer.add_bytes r.stream d;
+            r.longest <- max r.longest (Bytes.length d));
       });
-  (e, received)
+  (e, r)
 
-(* Delivery is exact; every packet is back in its NIC's pool; and the
-   receiving engine stored out-of-order data and gave back every
-   reassembly ring it took. *)
-let check_drained ~payload ~received ~nics engine =
+(* Delivery is exact; every packet is back in its NIC's pool; the
+   receiver stored out-of-order data (in-order data arrives one segment of
+   at most [segment] bytes at a time, so a longer chunk is a run the ring
+   held); and no receive ring holds a store once the stream is drained. *)
+let check_drained ~payload ~received ~nics ~segment =
   Alcotest.(check int) "all bytes delivered" (Bytes.length payload)
-    (Buffer.length received);
+    (Buffer.length received.stream);
   Alcotest.(check bool) "stream intact" true
-    (Bytes.to_string payload = Buffer.contents received);
+    (Bytes.to_string payload = Buffer.contents received.stream);
   List.iter
     (fun nic ->
       Alcotest.(check int) "no packet outstanding" 0
         (Packet.Pool.outstanding (Nic.packet_pool nic)))
     nics;
-  let rings = E.rx_ring_pool engine in
   Alcotest.(check bool) "out-of-order data was stored" true
-    (Ring_pool.allocated rings > 0);
-  Alcotest.(check int) "every reassembly ring back in the pool"
-    (Ring_pool.allocated rings) (Ring_pool.held rings)
+    (received.longest > segment);
+  Alcotest.(check bool) "accepted a connection" true (received.conns <> []);
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) "no receive store held" false (E.rx_backed c))
+    received.conns
 
 let faulty_pair () =
   let sim = Sim.create () in
@@ -275,7 +289,7 @@ let test_faulty_engine_to_engine () =
   let sim, nic_a, nic_b = faulty_pair () in
   let a = E.create sim nic_a E.default_config in
   E.attach a;
-  let b, received = sink sim nic_b E.default_config in
+  let _, received = sink sim nic_b E.default_config in
   let sent = ref 0 in
   let rec push c =
     if !sent < n then begin
@@ -294,7 +308,7 @@ let test_faulty_engine_to_engine () =
   Sim.run ~until:(Time_ns.sec 10) sim;
   Alcotest.(check bool) "segments come from the NIC's pool" true
     (Packet.Pool.created (Nic.packet_pool nic_a) > 0);
-  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] ~segment:1460
 
 let test_faulty_tas_to_engine () =
   let n = 300_000 in
@@ -304,7 +318,7 @@ let test_faulty_tas_to_engine () =
   let lt =
     Tas.app tas ~app_cores:[| Core.create sim ~id:100 () |] ~api:Libtas.Sockets
   in
-  let b, received = sink sim nic_b E.default_config in
+  let _, received = sink sim nic_b E.default_config in
   let sent = ref 0 in
   let rec push sock =
     if !sent < n then begin
@@ -321,7 +335,7 @@ let test_faulty_tas_to_engine () =
          Libtas.on_sendable = push;
        });
   Sim.run ~until:(Time_ns.sec 10) sim;
-  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] ~segment:1460
 
 (* The disjoint ranges an unbounded receiver would hold, observed on the
    segments that reach [b]: a sorted list of [(start, stop)] offsets past
@@ -391,7 +405,7 @@ let test_small_writes_beyond_range_bound () =
   lossy net.Topology.b.Topology.uplink (Nic.input nic_a);
   let a = E.create sim nic_a config in
   E.attach a;
-  let b, received = sink sim nic_b config in
+  let _, received = sink sim nic_b config in
   (* One 100 B write per segment: write only while the window has room,
      so that each write leaves at once as its own segment. *)
   let sent = ref 0 in
@@ -413,7 +427,7 @@ let test_small_writes_beyond_range_bound () =
   Sim.run ~until:(Time_ns.sec 20) sim;
   Alcotest.(check bool) "more holes than the store's bound" true
     (!peak > (config.E.rx_buf / 1460) + 1);
-  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] b
+  check_drained ~payload ~received ~nics:[ nic_a; nic_b ] ~segment:chunk
 
 let suite =
   [
