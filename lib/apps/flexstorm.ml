@@ -65,7 +65,6 @@ let create sim config ~demux ~workers ~mux =
   }
 
 let set_output t conn = t.out_conn <- Some conn
-let shed_tuples t = t.shed
 let input_wait t = t.input_wait
 let processing t = t.processing
 let output_wait t = t.output_wait

@@ -39,9 +39,6 @@ val handle_input : t -> bytes -> unit
 val pump : t -> unit
 (** Resume a stalled output (call from the connection's [on_sendable]). *)
 
-val shed_tuples : t -> int
-(** Tuples dropped by input backpressure. *)
-
 val input_wait : t -> Tas_engine.Stats.Summary.t
 (** Arrival → worker-start wait, µs. *)
 

@@ -121,7 +121,7 @@ val set_peer_wscale : t -> int -> int -> unit
 val get_flags : t -> int -> int
 (** Packed booleans, bit layout: 0 in_recovery, 1 rx_notified,
     2 tx_notified, 3 tx_interest, 4 tx_timer_armed, 5 fin_received,
-    6 fin_sent, 7 rx_closed. *)
+    6 fin_sent; bit 7 is unused. *)
 
 val set_flags : t -> int -> int -> unit
 val get_flag : t -> int -> bit:int -> bool

@@ -10,7 +10,6 @@ let bit_tx_interest = 3
 let bit_tx_timer_armed = 4
 let bit_fin_received = 5
 let bit_fin_sent = 6
-let bit_rx_closed = 7
 
 type t = {
   mutable rx_buf : Ring.t;
@@ -160,8 +159,6 @@ let fin_received t = get_flag t bit_fin_received
 let set_fin_received t v = set_flag t bit_fin_received v
 let fin_sent t = get_flag t bit_fin_sent
 let set_fin_sent t v = set_flag t bit_fin_sent v
-let rx_closed t = get_flag t bit_rx_closed
-let set_rx_closed t v = set_flag t bit_rx_closed v
 
 let rx_buf t = t.rx_buf
 let tx_buf t = t.tx_buf
@@ -172,7 +169,6 @@ let set_tx_timer_thunk t f = t.tx_timer_thunk <- f
 let tx_timer_core t = t.tx_timer_core
 let set_tx_timer_core t i = t.tx_timer_core <- i
 let bucket t = t.bucket
-let set_bucket t b = t.bucket <- b
 let recovery t = t.rec_state
 let recovery_kind t = t.rec_state.Tas_recovery.State.kind
 

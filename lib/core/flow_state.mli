@@ -174,8 +174,6 @@ val fin_received : t -> bool
 val set_fin_received : t -> bool -> unit
 val fin_sent : t -> bool
 val set_fin_sent : t -> bool -> unit
-val rx_closed : t -> bool
-val set_rx_closed : t -> bool -> unit
 
 val tx_span : t -> int
 (** Pending latency-span id carried from the app's send across the
@@ -210,7 +208,6 @@ val tx_timer_core : t -> int
 val set_tx_timer_core : t -> int -> unit
 
 val bucket : t -> Rate_bucket.t
-val set_bucket : t -> Rate_bucket.t -> unit
 
 val recovery : t -> Tas_recovery.State.t
 (** Loss-recovery companion: policy kind, episode flag, and (for SACK-class

@@ -6,8 +6,6 @@ type t = {
   mutable on_message : Libtas.socket -> bytes -> unit;
 }
 
-let pending_bytes t = Buffer.length t.buf
-
 let feed t sock data =
   Buffer.add_bytes t.buf data;
   let progress = ref true in

@@ -33,5 +33,3 @@ val send_message : Libtas.socket -> bytes -> bool
     partially queued, so framing cannot desynchronize.
     @raise Invalid_argument if the message exceeds {!max_message_size}. *)
 
-val pending_bytes : t -> int
-(** Bytes of the current partial frame buffered in user space. *)

@@ -138,21 +138,6 @@ module Hist = struct
     (match max_v with Some m -> t.max_v <- m | None -> ());
     t
 
-  let bucket_mid = value_of_bucket
-
-  let cdf_points t ?(points = 200) () =
-    ignore points;
-    if t.n = 0 then []
-    else begin
-      let acc = ref 0 and out = ref [] in
-      for b = 0 to bucket_count - 1 do
-        if t.counts.(b) > 0 then begin
-          acc := !acc + t.counts.(b);
-          out := (value_of_bucket b, float_of_int !acc /. float_of_int t.n) :: !out
-        end
-      done;
-      List.rev !out
-    end
 end
 
 module Series = struct

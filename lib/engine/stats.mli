@@ -42,9 +42,6 @@ module Hist : sig
   val merge : t -> t -> t
   (** Bucket-wise sum; exact (histograms with identical bucketing). *)
 
-  val cdf_points : t -> ?points:int -> unit -> (float * float) list
-  (** [(value, cumulative_fraction)] pairs suitable for plotting a CDF. *)
-
   val buckets : t -> (int * int) list
   (** Sparse raw buckets: [(bucket index, count)] for every non-empty
       bucket, ascending by index. Together with {!of_buckets} this is a
@@ -57,10 +54,6 @@ module Hist : sig
       [sum] restores the exact mean, [max_v] the exact maximum; quantile
       queries on the result are bucket-exact.
       @raise Invalid_argument on an out-of-range index or negative count. *)
-
-  val bucket_mid : int -> float
-  (** The representative value (geometric midpoint) of a bucket index —
-      what {!percentile} reports when that bucket holds the target rank. *)
 end
 
 (** Time-stamped samples. *)

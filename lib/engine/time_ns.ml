@@ -5,7 +5,6 @@ let ns n = n
 let us n = n * 1_000
 let ms n = n * 1_000_000
 let sec n = n * 1_000_000_000
-let of_sec_f s = int_of_float (s *. 1e9 +. 0.5)
 let to_sec_f t = float_of_int t /. 1e9
 let to_us_f t = float_of_int t /. 1e3
 let to_ms_f t = float_of_int t /. 1e6

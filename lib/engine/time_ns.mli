@@ -20,9 +20,6 @@ val ms : int -> t
 val sec : int -> t
 (** [sec n] is [n] seconds. *)
 
-val of_sec_f : float -> t
-(** [of_sec_f s] converts a float second count, rounding to nanoseconds. *)
-
 val to_sec_f : t -> float
 (** [to_sec_f t] is [t] in seconds as a float. *)
 

@@ -171,15 +171,6 @@ let emit_result ?quick fmt e ~timing r =
     with Sys_error msg ->
       Format.fprintf fmt "  # TIMELINE_%s.json not written: %s@." e.id msg
 
-let run_entry ?quick e fmt =
-  let r = run_captured ?quick e in
-  let elapsed = r.elapsed in
-  let timing =
-    timing_json ~elapsed ~jobs:1 ~run_wall:elapsed ~serial_estimate:elapsed
-  in
-  emit_result ?quick fmt e ~timing r;
-  elapsed
-
 let run_selection ?quick entries fmt =
   let entries_arr = Array.of_list entries in
   let pool = Run_opts.pool () in

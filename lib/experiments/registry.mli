@@ -9,11 +9,6 @@ type entry = {
 val all : entry list
 val find : string -> entry option
 
-val run_entry : ?quick:bool -> entry -> Format.formatter -> float
-(** Run one experiment with a structured artifact capture around it, write
-    [BENCH_<id>.json] (into [$TAS_BENCH_DIR], default the current
-    directory), and return the elapsed wall-clock seconds. *)
-
 val run_selection :
   ?quick:bool -> entry list -> Format.formatter -> (entry * Report.gate) list
 (** Run a list of experiments, one [BENCH_<id>.json] each, and return the

@@ -60,7 +60,6 @@ let tap_records ?tuple tap =
   | None -> Tap.records tap
   | Some tu -> Tap.matching_tuple tap tu
 
-let of_tap ?tuple tap = to_bytes (tap_records ?tuple tap)
 let write_tap path ?tuple tap = write_file path (tap_records ?tuple tap)
 
 type parsed = { ts_ns : int; frame : bytes }

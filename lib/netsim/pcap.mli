@@ -12,10 +12,6 @@ val to_bytes : Tap.record list -> bytes
 val write_file : string -> Tap.record list -> unit
 (** [write_file path records] writes the capture to [path]. *)
 
-val of_tap : ?tuple:Tas_proto.Addr.Four_tuple.t -> Tap.t -> bytes
-(** The tap's current capture as a pcap file image; [tuple] keeps only one
-    connection's packets (both directions). *)
-
 val write_tap :
   string -> ?tuple:Tas_proto.Addr.Four_tuple.t -> Tap.t -> unit
 (** [write_tap path tap] = [write_file path] on the tap's (optionally

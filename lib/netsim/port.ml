@@ -127,7 +127,6 @@ let enqueue t pkt =
   end
 
 let queue_len t = Fifo.length t.queue + if t.transmitting then 1 else 0
-let queue_bytes t = t.queued_bytes
 let drops t = t.drops
 let marks t = t.marks
 let tx_packets t = t.tx_packets

@@ -36,7 +36,6 @@ val enqueue : t -> Tas_proto.Packet.t -> unit
 val queue_len : t -> int
 (** Packets currently queued or in serialization. *)
 
-val queue_bytes : t -> int
 val drops : t -> int
 val marks : t -> int
 val tx_packets : t -> int

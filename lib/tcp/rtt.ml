@@ -29,7 +29,6 @@ let sample t rtt_ns =
   t.rto <- clamp_rto (t.srtt + max 1000 (4 * t.rttvar))
 
 let srtt_ns t = t.srtt
-let rttvar_ns t = t.rttvar
 
 let rto_ns t =
   if t.srtt = 0 then clamp_rto (t.initial_rto * t.backoff_factor)

@@ -16,8 +16,6 @@ val sample : t -> int -> unit
 val srtt_ns : t -> int
 (** Smoothed RTT; 0 before the first sample. *)
 
-val rttvar_ns : t -> int
-
 val rto_ns : t -> int
 (** Current retransmission timeout, clamped to [\[min_rto, max_rto\]]. *)
 

@@ -253,18 +253,3 @@ let report_to_json r =
       );
       ("violations", Json.List (List.map violation_to_json r.violations));
     ]
-
-let pp_report fmt r =
-  Format.fprintf fmt "health: %s (%d frames, %d violations)@."
-    (if r.passed then "PASS" else "FAIL")
-    r.frames
-    (List.length r.violations);
-  List.iter
-    (fun (rule, n) ->
-      Format.fprintf fmt "  %-16s %d@." (rule_name rule) n)
-    r.by_rule;
-  List.iter
-    (fun v ->
-      Format.fprintf fmt "  [%d] t=%dns %s: %s@." v.v_seq v.v_ts
-        (rule_name v.v_rule) v.v_detail)
-    r.violations

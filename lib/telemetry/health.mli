@@ -77,4 +77,3 @@ val check : ?thresholds:thresholds -> ?trace:Trace.t -> Timeline.frame list -> r
     (core -1, flow -1). *)
 
 val report_to_json : report -> Json.t
-val pp_report : Format.formatter -> report -> unit
