@@ -422,21 +422,19 @@ let reo_wnd_of flow = Rec.Rack_tlp.reo_wnd_ns ~srtt_ns:(Flow_state.rtt_est flow)
 
 (* Tail-loss probe: one PTO hangs over the connection while data is in
    flight; on expiry the highest unsacked segment is re-sent to
-   manufacture the ACK/SACK feedback RACK needs. Timers are fire-and-
-   forget [Sim.post_int] events carrying the flow's recovery generation at
-   arm time — cumulative progress or an RTO rewind bumps [gen] and the
-   stale timer dissolves without touching the flow. The event's function
-   is the flow's own, made at its first arm, and the arming core's index
-   waits in the recovery state: at most one pending event per timer
-   carries the current generation, and it is the latest arm's. *)
+   manufacture the ACK/SACK feedback RACK needs. Each timer is one
+   [Sim.schedule] handle in the flow's recovery state, [Sim.no_event]
+   while unarmed: cumulative progress, an RTO rewind and teardown cancel
+   it ({!Rec.State.disarm}), and a firing clears it first. The event's
+   action is the flow's own, made at its first arm, and the arming core's
+   index waits in the recovery state. *)
 let rec arm_tlp t flow core =
   let st = Flow_state.recovery flow in
   if
     st.Rec.State.kind = Rec.Policy.Rack_tlp
-    && (not st.Rec.State.tlp_armed)
+    && st.Rec.State.tlp_ev == Sim.no_event
     && Flow_state.tx_sent flow > 0
   then begin
-    st.Rec.State.tlp_armed <- true;
     st.Rec.State.tlp_core <- core_index t core;
     let pto =
       (* Before the first RTT sample the 2*srtt formula would collapse to
@@ -445,17 +443,15 @@ let rec arm_tlp t flow core =
       let srtt = Flow_state.rtt_est flow in
       if srtt = 0 then handshake_rto_ns else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt
     in
-    if st.Rec.State.tlp_timer == Rec.State.no_timer then
-      st.Rec.State.tlp_timer <- tlp_expired t flow st;
-    Sim.post_int t.sim pto st.Rec.State.tlp_timer st.Rec.State.gen
+    if st.Rec.State.tlp_fire == Rec.State.no_action then
+      st.Rec.State.tlp_fire <- (fun () -> tlp_expired t flow st);
+    st.Rec.State.tlp_ev <- Sim.schedule t.sim pto st.Rec.State.tlp_fire
   end
 
-and tlp_expired t flow st gen =
-  if st.Rec.State.gen = gen then begin
-    st.Rec.State.tlp_armed <- false;
-    if Flow_state.tx_sent flow > 0 then
-      fire_tlp t flow t.cores.(st.Rec.State.tlp_core)
-  end
+and tlp_expired t flow st =
+  st.Rec.State.tlp_ev <- Sim.no_event;
+  if Flow_state.tx_sent flow > 0 then
+    fire_tlp t flow t.cores.(st.Rec.State.tlp_core)
 
 and fire_tlp t flow core =
   let st = Flow_state.recovery flow in
@@ -475,37 +471,36 @@ and fire_tlp t flow core =
 (* RACK reordering timer: loss evidence exists (something above the hole
    was sacked) but the reordering window has not elapsed yet; wake up when
    the oldest candidate crosses it and mark whatever still qualifies. *)
-let reo_expired t flow st gen =
-  if st.Rec.State.gen = gen then begin
-    st.Rec.State.reo_armed <- false;
-    let core = t.cores.(st.Rec.State.reo_core) in
-    let n =
-      Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
-        ~reo_wnd:(reo_wnd_of flow) ~srtt_ns:(Flow_state.rtt_est flow)
-    in
-    if n > 0 then begin
-      t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
-      t.rec_stats.rec_lost_marked <- t.rec_stats.rec_lost_marked + n;
-      trace_ev t Trace.Rec_reo_timeout ~core:(Core.id core)
-        ~flow:(Flow_state.opaque flow);
-      retransmit_lost t flow core
-    end
+let reo_expired t flow st =
+  st.Rec.State.reo_ev <- Sim.no_event;
+  let core = t.cores.(st.Rec.State.reo_core) in
+  let n =
+    Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
+      ~reo_wnd:(reo_wnd_of flow) ~srtt_ns:(Flow_state.rtt_est flow)
+  in
+  if n > 0 then begin
+    t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
+    t.rec_stats.rec_lost_marked <- t.rec_stats.rec_lost_marked + n;
+    trace_ev t Trace.Rec_reo_timeout ~core:(Core.id core)
+      ~flow:(Flow_state.opaque flow);
+    retransmit_lost t flow core
   end
 
 let arm_reo t flow core =
   let st = Flow_state.recovery flow in
-  if st.Rec.State.kind = Rec.Policy.Rack_tlp && not st.Rec.State.reo_armed
+  if
+    st.Rec.State.kind = Rec.Policy.Rack_tlp
+    && st.Rec.State.reo_ev == Sim.no_event
   then begin
     let tx = Rec.Scoreboard.oldest_unsacked_tx st.Rec.State.sb in
     if tx >= 0 then begin
-      st.Rec.State.reo_armed <- true;
       st.Rec.State.reo_core <- core_index t core;
       let srtt = max 1 (Flow_state.rtt_est flow) in
       let due = tx + reo_wnd_of flow + srtt in
       let delay = max 1 (due - Sim.now t.sim) in
-      if st.Rec.State.reo_timer == Rec.State.no_timer then
-        st.Rec.State.reo_timer <- reo_expired t flow st;
-      Sim.post_int t.sim delay st.Rec.State.reo_timer st.Rec.State.gen
+      if st.Rec.State.reo_fire == Rec.State.no_action then
+        st.Rec.State.reo_fire <- (fun () -> reo_expired t flow st);
+      st.Rec.State.reo_ev <- Sim.schedule t.sim delay st.Rec.State.reo_fire
     end
   end
 
@@ -552,7 +547,7 @@ let run_rto_cmd t core flow =
   (match Flow_state.recovery_kind flow with
   | Rec.Policy.Reno -> ()
   | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-    Rec.State.reset (Flow_state.recovery flow));
+    Rec.State.reset t.sim (Flow_state.recovery flow));
   (* Reset sender state as if the unacked segments were never sent. *)
   Flow_state.set_seq flow (Flow_state.snd_una flow);
   Flow_state.set_tx_sent flow 0;
@@ -619,10 +614,10 @@ let process_ack t flow pkt core =
       (match Flow_state.recovery_kind flow with
       | Rec.Policy.Reno -> Flow_state.set_in_recovery flow false
       | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-        (* Cumulative progress restarts the probe/reorder clocks: disarm
+        (* Cumulative progress restarts the probe/reorder clocks: cancel
            the pending timers, then re-arm below. *)
         let st = Flow_state.recovery flow in
-        Rec.State.disarm st;
+        Rec.State.disarm t.sim st;
         recovery_on_ack t flow core ~una:tcp.Tcp_header.ack ~sack:tcp
           ~dup_acks:0);
       if Flow_state.tx_interest flow then begin

@@ -53,7 +53,8 @@ val create :
     interval set (default 1, the paper's single interval; 0 is the
     go-back-N receiver). *)
 
-val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
+val release :
+  sim:Tas_engine.Sim.t -> pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
 (** Teardown:
     - both payload rings are given to [pool], and
       {!rx_buf} and {!tx_buf} read {!Tas_buffers.Ring_buffer.closed} from
@@ -64,9 +65,9 @@ val release : pool:Tas_buffers.Ring_buffer.Pool.t -> t -> unit
       ({!Flow_arena.detach}) and the shared slot is freed. The handle
       keeps reading and writing that copy; a flow later allocated into
       the same slot never sees those writes;
-    - the recovery generation is bumped and [tlp_armed] / [reo_armed]
-      cleared, so a pending tail-loss probe or RACK reordering timer of a
-      flow torn down with data in flight dissolves instead of re-arming.
+    - a pending tail-loss probe or RACK reordering timer is cancelled on
+      [sim] ({!Tas_recovery.State.disarm}), so a flow torn down with data
+      in flight stops probing.
 
     A second [release] is harmless: the closed rings are never pooled and
     the private copy is never freed. *)

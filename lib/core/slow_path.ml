@@ -533,7 +533,7 @@ let remove t c =
     (* Recycle the flow's payload rings and return its arena slot; stale
        handles (sockets, queued context events, pacing timers) keep a
        private copy of the final state and read closed rings. *)
-    Flow_state.release ~pool:t.rings c.flow
+    Flow_state.release ~sim:t.sim ~pool:t.rings c.flow
   end
 
 (* --- Teardown ----------------------------------------------------------- *)
@@ -1076,7 +1076,7 @@ let create sim ~fast_path ~core ~config =
     | Some fixed -> max fixed 10_000
     | None -> config.Config.control_interval_min_ns
   in
-  ignore (Sim.periodic sim tick_interval (fun () -> control_tick t));
+  Sim.periodic sim tick_interval (fun () -> control_tick t);
   (match config.Config.autoscale with
   | None -> ()
   | Some { Config.policy; check_interval_ns } ->
@@ -1091,9 +1091,8 @@ let create sim ~fast_path ~core ~config =
         ()
     in
     t.controller <- Some ctl;
-    ignore
-      (Sim.periodic sim check_interval_ns (fun () ->
-           scale_tick t ctl ~window:check_interval_ns)));
+    Sim.periodic sim check_interval_ns (fun () ->
+        scale_tick t ctl ~window:check_interval_ns));
   t
 
 let listen t ~port accept_fn = Hashtbl.replace t.listeners port accept_fn

@@ -101,9 +101,8 @@ let create sim ~nic ~config ?(span = Span.disabled ()) () =
       let arena = Slow_path.arena sp in
       Timeline.set_arena_probe tl (fun () ->
           Some (Flow_arena.live arena, Flow_arena.capacity arena));
-      ignore
-        (Tas_engine.Sim.periodic sim interval_ns (fun () ->
-             Timeline.capture tl ~ts:(Tas_engine.Sim.now sim)));
+      Tas_engine.Sim.periodic sim interval_ns (fun () ->
+          Timeline.capture tl ~ts:(Tas_engine.Sim.now sim));
       Some tl
     end
   in

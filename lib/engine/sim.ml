@@ -13,11 +13,7 @@
    handle packs the slot with the slot's generation, which is bumped on
    every recycle, so cancelling a fired or recycled handle is a no-op.
    Cancellation is lazy: it disarms the slot, and the heap drops the event
-   when it reaches the root.
-
-   An int-argument event ([post_int]) stores the marker [int_event] as its
-   action and keeps its function and argument in two more slot tables, so
-   a persistent [int -> unit] is posted without building a closure. *)
+   when it reaches the root. *)
 
 type event = int
 
@@ -36,8 +32,6 @@ type t = {
   mutable slots : int array;
   (* The slot table, by slot. *)
   mutable actions : (unit -> unit) array;
-  mutable int_actions : (int -> unit) array;
-  mutable int_args : int array;
   mutable gens : int array;
   mutable armed : bool array;  (* queued and neither fired nor cancelled *)
   mutable free : int array;  (* stack of unused slots *)
@@ -66,8 +60,6 @@ let create () =
     seqs = Array.make cap 0;
     slots = Array.make cap 0;
     actions = Array.make cap ignore;
-    int_actions = Array.make cap ignore;
-    int_args = Array.make cap 0;
     gens = Array.make cap 0;
     armed = Array.make cap false;
     free;
@@ -93,8 +85,6 @@ let grow t =
   t.seqs <- extend t.seqs 0;
   t.slots <- extend t.slots 0;
   t.actions <- extend t.actions ignore;
-  t.int_actions <- extend t.int_actions ignore;
-  t.int_args <- extend t.int_args 0;
   t.gens <- extend t.gens 0;
   t.armed <- extend t.armed false;
   t.free <- Array.make (2 * cap) 0;
@@ -180,15 +170,6 @@ let post t dt action =
   if dt < 0 then invalid_arg "Sim.post: negative delay";
   post_at t (t.clock + dt) action
 
-(* Never called: compared by identity in [pop]. *)
-let int_event () = ()
-
-let post_int t dt f arg =
-  if dt < 0 then invalid_arg "Sim.post_int: negative delay";
-  let slot = insert t (t.clock + dt) int_event in
-  t.int_actions.(slot) <- f;
-  t.int_args.(slot) <- arg
-
 let cancel t ev =
   let slot = ev land slot_mask in
   if slot < Array.length t.gens && t.armed.(slot) && ev = handle t slot
@@ -217,12 +198,7 @@ let pop t =
     t.live <- t.live - 1;
     t.clock <- time;
     t.fired <- t.fired + 1;
-    if action == int_event then begin
-      let f = t.int_actions.(slot) in
-      t.int_actions.(slot) <- ignore;
-      f t.int_args.(slot)
-    end
-    else action ();
+    action ();
     true
   end
   else false
@@ -238,12 +214,9 @@ let run ?until t =
     done;
     t.clock <- max t.clock limit
 
-let periodic t ?start interval f =
-  let first = match start with Some s -> s | None -> interval in
-  let handle = ref no_event in
+let periodic t interval f =
   let rec occurrence () =
     f ();
-    handle := schedule t interval occurrence
+    post t interval occurrence
   in
-  handle := schedule t first occurrence;
-  handle
+  post t interval occurrence

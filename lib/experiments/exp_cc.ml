@@ -196,10 +196,9 @@ let single_link stack ?(duration_ms = 200) () =
   arrival ();
   (* Queue sampling at the bottleneck. *)
   let queue = Stats.Summary.create () in
-  ignore
-    (Sim.periodic sim (Time_ns.us 10) (fun () ->
-         Stats.Summary.add queue
-           (float_of_int (Port.queue_len net.Topology.a.Topology.uplink))));
+  Sim.periodic sim (Time_ns.us 10) (fun () ->
+      Stats.Summary.add queue
+        (float_of_int (Port.queue_len net.Topology.a.Topology.uplink)));
   Sim.run ~until:(Time_ns.ms duration_ms) sim;
   {
     avg_fct_ms = Stats.Summary.mean fct;

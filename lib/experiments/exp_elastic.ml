@@ -187,10 +187,9 @@ let run_one ~interval_ns ~seed:_ ~policy ?(conns_extra = 0) sched =
   Controller.set_p99_probe ctl (make_windowed_p99 stats);
   let p99_probe = make_windowed_p99 stats in
   let p99_series = ref [] in
-  ignore
-    (Sim.periodic sim 1_000_000 (fun () ->
-         let p = p99_probe () in
-         if p >= 0.0 then p99_series := (Sim.now sim, p) :: !p99_series));
+  Sim.periodic sim 1_000_000 (fun () ->
+      let p = p99_probe () in
+      if p >= 0.0 then p99_series := (Sim.now sim, p) :: !p99_series);
   let group ~n ~start_at ~stop_at ~pipeline ~think_ns =
     if n > 0 then
       Rpc_echo.closed_loop_clients sim client ~n ~dst_ip ~dst_port:7 ~msg_size

@@ -66,33 +66,32 @@ let run_trace ?(phases = 5) () =
   let last_completed = ref 0 in
   let last_lat_count = ref 0 and last_lat_total = ref 0.0 in
   let sample_interval_ms = 10 in
-  ignore
-    (Sim.periodic sim (Time_ns.ms sample_interval_ms) (fun () ->
-         let completed = Stats.Counter.value stats.Rpc_echo.completed in
-         let delta = completed - !last_completed in
-         last_completed := completed;
-         (* Windowed mean latency from histogram deltas. *)
-         let h = stats.Rpc_echo.latency_us in
-         let count = Stats.Hist.count h in
-         let total = Stats.Hist.mean h *. float_of_int count in
-         let lat =
-           if count > !last_lat_count then
-             (total -. !last_lat_total) /. float_of_int (count - !last_lat_count)
-           else 0.0
-         in
-         last_lat_count := count;
-         last_lat_total := total;
-         samples :=
-           {
-             t_ms = Time_ns.to_ms_f (Sim.now sim);
-             cores = Tas_core.Fast_path.active_cores (Tas.fast_path tas);
-             mops =
-               float_of_int delta
-               /. (float_of_int sample_interval_ms /. 1000.0)
-               /. 1e6;
-             latency_us = lat;
-           }
-           :: !samples));
+  Sim.periodic sim (Time_ns.ms sample_interval_ms) (fun () ->
+      let completed = Stats.Counter.value stats.Rpc_echo.completed in
+      let delta = completed - !last_completed in
+      last_completed := completed;
+      (* Windowed mean latency from histogram deltas. *)
+      let h = stats.Rpc_echo.latency_us in
+      let count = Stats.Hist.count h in
+      let total = Stats.Hist.mean h *. float_of_int count in
+      let lat =
+        if count > !last_lat_count then
+          (total -. !last_lat_total) /. float_of_int (count - !last_lat_count)
+        else 0.0
+      in
+      last_lat_count := count;
+      last_lat_total := total;
+      samples :=
+        {
+          t_ms = Time_ns.to_ms_f (Sim.now sim);
+          cores = Tas_core.Fast_path.active_cores (Tas.fast_path tas);
+          mops =
+            float_of_int delta
+            /. (float_of_int sample_interval_ms /. 1000.0)
+            /. 1e6;
+          latency_us = lat;
+        }
+        :: !samples);
   Sim.run ~until:(Time_ns.ms (((2 * phases) + 2) * phase_ms)) sim;
   List.rev !samples
 

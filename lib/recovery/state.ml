@@ -1,4 +1,5 @@
 module J = Tas_telemetry.Json
+module Sim = Tas_engine.Sim
 
 type t = {
   kind : Policy.kind;
@@ -6,11 +7,10 @@ type t = {
   mutable recovery_point : Tas_proto.Seq32.t;
   mutable in_rec : bool;
   mutable rack_ts : int;
-  mutable reo_armed : bool;
-  mutable tlp_armed : bool;
-  mutable gen : int;
-  mutable tlp_timer : int -> unit;
-  mutable reo_timer : int -> unit;
+  mutable tlp_ev : Sim.event;
+  mutable reo_ev : Sim.event;
+  mutable tlp_fire : unit -> unit;
+  mutable reo_fire : unit -> unit;
   mutable tlp_core : int;
   mutable reo_core : int;
   mutable newly_sacked : int;
@@ -20,7 +20,9 @@ type t = {
   mutable exited : bool;
 }
 
-let no_timer (_ : int) = ()
+(* Compared by identity: [Stdlib.ignore] is a primitive, and each use of it
+   as a value is a fresh closure. *)
+let no_action () = ()
 
 let make kind =
   {
@@ -29,11 +31,10 @@ let make kind =
     recovery_point = 0;
     in_rec = false;
     rack_ts = -1;
-    reo_armed = false;
-    tlp_armed = false;
-    gen = 0;
-    tlp_timer = no_timer;
-    reo_timer = no_timer;
+    tlp_ev = Sim.no_event;
+    reo_ev = Sim.no_event;
+    tlp_fire = no_action;
+    reo_fire = no_action;
     tlp_core = 0;
     reo_core = 0;
     newly_sacked = 0;
@@ -47,16 +48,17 @@ let reno = make Policy.Reno
 
 let create = function Policy.Reno -> reno | kind -> make kind
 
-let disarm t =
-  t.gen <- t.gen + 1;
-  t.tlp_armed <- false;
-  t.reo_armed <- false
+let disarm sim t =
+  Sim.cancel sim t.tlp_ev;
+  t.tlp_ev <- Sim.no_event;
+  Sim.cancel sim t.reo_ev;
+  t.reo_ev <- Sim.no_event
 
-let reset t =
+let reset sim t =
   Scoreboard.reset t.sb;
   t.in_rec <- false;
   t.rack_ts <- -1;
-  disarm t
+  disarm sim t
 
 let to_json t =
   J.Obj

@@ -18,16 +18,14 @@ type t = {
   mutable rack_ts : int;
       (** transmit timestamp of the most recently delivered
           never-retransmitted segment (Karn-filtered); [-1] before any *)
-  mutable reo_armed : bool;  (** a RACK reordering timer is pending *)
-  mutable tlp_armed : bool;  (** a tail-loss-probe timer is pending *)
-  mutable gen : int;
-      (** timer generation, bumped by {!disarm}: a pending timer whose
-          generation is older dissolves when it fires *)
-  mutable tlp_timer : int -> unit;
-  mutable reo_timer : int -> unit;
-      (** the flow's timer events, made by the fast path at each timer's
-          first arm ({!no_timer} until then) and posted with the
-          generation of every later arm as their argument *)
+  mutable tlp_ev : Tas_engine.Sim.event;
+  mutable reo_ev : Tas_engine.Sim.event;
+      (** the pending tail-loss probe and RACK reordering timer;
+          [Sim.no_event] while unarmed *)
+  mutable tlp_fire : unit -> unit;
+  mutable reo_fire : unit -> unit;
+      (** the timers' actions, made by the fast path at each timer's first
+          arm ({!no_action} until then) and scheduled by every later one *)
   mutable tlp_core : int;
   mutable reo_core : int;
       (** index of the fast-path core the pending timer was armed on *)
@@ -41,19 +39,18 @@ type t = {
   mutable exited : bool;  (** the previous episode completed *)
 }
 
-val no_timer : int -> unit
-(** The timer fields' value before the fast path installs a timer. *)
+val no_action : unit -> unit
+(** The action fields' value before the fast path installs a timer. *)
 
 val create : Policy.kind -> t
 (** A fresh state; for [Reno], the one shared state (never written). *)
 
-val disarm : t -> unit
-(** Invalidate the pending tail-loss-probe and reordering timers: bump the
-    generation, so their events dissolve when they fire, and mark both
-    unarmed, so the next arm posts a fresh event. Cumulative progress,
+val disarm : Tas_engine.Sim.t -> t -> unit
+(** Cancel the pending tail-loss-probe and reordering timers and mark both
+    unarmed, so the next arm schedules a fresh event. Cumulative progress,
     an RTO rewind and teardown all disarm. *)
 
-val reset : t -> unit
+val reset : Tas_engine.Sim.t -> t -> unit
 (** RTO rewind: clear the scoreboard and the episode, and {!disarm}.
     Cumulative counters survive (they feed telemetry). *)
 

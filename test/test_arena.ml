@@ -598,7 +598,7 @@ let test_flow_state_exhaustion () =
      ignore (mk 3);
      Alcotest.fail "third create should raise Arena_exhausted"
    with Flow_state.Arena_exhausted -> ());
-  Flow_state.release ~pool f1;
+  Flow_state.release ~sim ~pool f1;
   Alcotest.(check (option int)) "released handle has no slot" None
     (Flow_state.slot f1);
   Alcotest.(check int) "slot returned" 1 (Flow_arena.available arena);
@@ -618,7 +618,7 @@ let test_stale_handle_isolation () =
   let pool = Ring.Pool.create () in
   let f1 = mk_flow sim ~arena ~pool 1 in
   Flow_state.set_seq f1 1111;
-  Flow_state.release ~pool f1;
+  Flow_state.release ~sim ~pool f1;
   let f4 = mk_flow sim ~arena ~pool 4 in
   Alcotest.(check (option int)) "f4 reuses f1's slot" (Some 0)
     (Flow_state.slot f4);
@@ -633,7 +633,7 @@ let test_stale_handle_isolation () =
     [ 1; 4242; 1; 77 ]
     [ Flow_state.opaque f1; Flow_state.seq f1;
       Bool.to_int (Flow_state.fin_sent f1); Flow_state.tx_span f1 ];
-  Flow_state.release ~pool f1;
+  Flow_state.release ~sim ~pool f1;
   Alcotest.(check (option int)) "second release leaves f4 live" (Some 0)
     (Flow_state.slot f4);
   Alcotest.(check int) "arena still full" 0 (Flow_arena.available arena)
@@ -646,10 +646,10 @@ let test_release_allocation () =
   let sim = Sim.create () in
   let arena = Flow_arena.create ~capacity:1 () in
   let pool = Ring.Pool.create () in
-  Flow_state.release ~pool (mk_flow sim ~arena ~pool 1);
+  Flow_state.release ~sim ~pool (mk_flow sim ~arena ~pool 1);
   let f = mk_flow sim ~arena ~pool 2 in
   let w0 = Gc.minor_words () in
-  Flow_state.release ~pool f;
+  Flow_state.release ~sim ~pool f;
   let words = int_of_float (Gc.minor_words () -. w0) in
   Alcotest.(check int) "minor words per release" 15 words;
   Alcotest.(check bool) "no more than the boxed record alone (21)" true
@@ -745,7 +745,7 @@ let prop_sharded_migration =
             | None -> ()
             | Some f ->
               Fast_path.remove_flow fp ~tuple:(tuple i);
-              Flow_state.release ~pool f;
+              Flow_state.release ~sim ~pool f;
               Hashtbl.remove model i
           end
           | `Lookup i ->

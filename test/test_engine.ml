@@ -28,52 +28,6 @@ let test_same_time_fifo () =
     [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
     (List.rev !order)
 
-(* Int-argument events share the plain events' clock and sequence order,
-   count as fired, and hand each event its own argument, also when the
-   event recycles its slot by posting again. *)
-let test_post_int () =
-  let sim = Sim.create () in
-  let order = ref [] in
-  let note tag x = order := (tag, x, Sim.now sim) :: !order in
-  let rec chain x =
-    note "int" x;
-    if x < 3 then Sim.post_int sim 0 chain (x + 1)
-  in
-  let f = note "f" in
-  Sim.post_int sim 20 f 7;
-  Sim.post sim 10 (fun () -> note "unit" 0);
-  Sim.post_int sim 10 chain 1;
-  Sim.post_int sim 10 f 8;
-  Sim.run sim;
-  Alcotest.(check (list (triple string int int)))
-    "time, then posting order"
-    [ ("unit", 0, 10); ("int", 1, 10); ("f", 8, 10); ("int", 2, 10);
-      ("int", 3, 10); ("f", 7, 20) ]
-    (List.rev !order);
-  Alcotest.(check int) "every event counted" 6 (Sim.events_fired sim);
-  Alcotest.check_raises "negative delay"
-    (Invalid_argument "Sim.post_int: negative delay") (fun () ->
-      Sim.post_int sim (-1) f 0)
-
-(* A persistent function posted with a fresh argument each time allocates
-   nothing once the event table has grown. *)
-let test_post_int_allocation () =
-  let sim = Sim.create () in
-  let sum = ref 0 in
-  let f x = sum := !sum + x in
-  let burst () =
-    for i = 1 to 1_000 do
-      Sim.post_int sim (i land 63) f i
-    done;
-    Sim.run sim
-  in
-  burst ();
-  let w0 = Gc.minor_words () in
-  burst ();
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check int) "arguments delivered" (2 * 500_500) !sum;
-  Alcotest.(check (float 0.)) "0 words per event" 0. words
-
 (* 32 chains of fire-and-forget [post] events, each re-posting one
    persistent closure: the shape of the per-packet event storm
    (serialization, propagation, core dispatch, pacing). Once the event
@@ -146,13 +100,17 @@ let test_nested_scheduling () =
   Alcotest.(check int) "100 nested events" 100 !depth;
   Alcotest.(check int) "clock advanced 100 steps" 1000 (Sim.now sim)
 
+(* A series fires one interval in, then every interval, and always keeps
+   its next occurrence queued. *)
 let test_periodic () =
   let sim = Sim.create () in
-  let fires = ref 0 in
-  let handle = Sim.periodic sim 100 (fun () -> incr fires) in
-  ignore (Sim.schedule sim 1050 (fun () -> Sim.cancel sim !handle));
-  Sim.run sim;
-  Alcotest.(check int) "10 periodic fires before cancel" 10 !fires
+  let fires = ref [] in
+  Sim.periodic sim 100 (fun () -> fires := Sim.now sim :: !fires);
+  Sim.run ~until:1050 sim;
+  Alcotest.(check (list int)) "10 periodic fires by 1050"
+    [ 100; 200; 300; 400; 500; 600; 700; 800; 900; 1000 ]
+    (List.rev !fires);
+  Alcotest.(check int) "next occurrence queued" 1 (Sim.pending sim)
 
 let test_negative_delay_rejected () =
   let sim = Sim.create () in
@@ -667,9 +625,6 @@ let suite =
   [
     Alcotest.test_case "event ordering" `Quick test_event_ordering;
     Alcotest.test_case "same-time FIFO" `Quick test_same_time_fifo;
-    Alcotest.test_case "int-argument events" `Quick test_post_int;
-    Alcotest.test_case "int-argument events allocate nothing" `Quick
-      test_post_int_allocation;
     Alcotest.test_case "posted event chains allocate nothing" `Quick
       test_post_chain_allocation;
     Alcotest.test_case "cancel" `Quick test_cancel;

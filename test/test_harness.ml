@@ -45,7 +45,7 @@ let test_report_table_renders () =
 let test_measure_rate () =
   let sim = Sim.create () in
   let count = ref 0 in
-  ignore (Sim.periodic sim 1000 (fun () -> incr count));
+  Sim.periodic sim 1000 (fun () -> incr count);
   (* 1 event per us -> 1e6 events/sec. *)
   let rate =
     Scenario.measure_rate sim ~warmup:100_000 ~measure:1_000_000 (fun () ->

@@ -476,7 +476,7 @@ let test_churn_bound () =
             :: !violations)
       hosts
   in
-  ignore (Sim.periodic sim (Time_ns.us 20) sample);
+  Sim.periodic sim (Time_ns.us 20) sample;
   Sim.run ~until:(Time_ns.ms 100) sim;
   Alcotest.(check (list string)) "pool accounting holds throughout" []
     (List.rev !violations);
