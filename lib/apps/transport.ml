@@ -69,6 +69,7 @@ let of_engine engine =
       on_receive = (fun _ data -> h.on_data c data);
       on_sendable = (fun _ _ -> h.on_sendable c);
       on_closed = (fun _ -> h.on_peer_closed c);
+      on_connect_failed = (fun _ -> h.on_closed c);
     }
   in
   over_engine engine attach
@@ -129,6 +130,8 @@ let of_server_model sm =
             SM.deliver_to_app sm econn sendable
           end);
       on_closed = (fun _ -> SM.deliver_to_app sm econn peer_closed);
+      on_connect_failed =
+        (fun _ -> SM.deliver_to_app sm econn (fun () -> h.on_closed c));
     }
   in
   over_engine (SM.engine sm) attach

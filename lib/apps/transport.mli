@@ -26,11 +26,12 @@ type handlers = {
       arriving before this side closed, or a reset of an open connection;
       a FIN after this side's {!close} fires nothing. On TAS, the EOF once
       every byte was delivered, whether or not this side closed first.
-    - [on_closed]: only on TAS, once the connection is gone. A failed
-      connect arrives as [on_closed]; a reset fires nothing itself and is
-      folded into the [on_closed] that follows. The engine and the server
-      model never fire it, and a connect they do not complete fires
-      nothing. *)
+    - [on_closed]: on every stack, a failed connect: the peer refused it
+      with an RST or never answered (the engine and the server model give
+      up after 6 SYN retransmissions, TAS after its handshake retries).
+      On TAS also once an open connection is gone; a reset fires nothing
+      itself and is folded into the [on_closed] that follows. The engine
+      and the server model fire it for nothing else. *)
 
 val null_handlers : handlers
 

@@ -58,6 +58,7 @@ type conn = {
       (* the RTO, or TIME_WAIT's end; [Sim.no_event] while unarmed *)
   mutable fire : unit -> unit;
       (* set once, by [new_conn]: a [let rec] record is allocated twice *)
+  mutable syn_retx : int;  (* SYN or SYN-ACK retransmissions so far *)
   mutable dupacks : int;
   mutable in_recovery : bool;
   mutable recover_seq : Seq32.t;
@@ -79,6 +80,7 @@ and callbacks = {
   on_receive : conn -> bytes -> unit;
   on_sendable : conn -> int -> unit;
   on_closed : conn -> unit;
+  on_connect_failed : conn -> unit;
 }
 
 and t = {
@@ -99,6 +101,7 @@ let null_callbacks =
     on_receive = (fun _ _ -> ());
     on_sendable = (fun _ _ -> ());
     on_closed = (fun _ -> ());
+    on_connect_failed = (fun _ -> ());
   }
 
 let create sim nic config =
@@ -207,6 +210,17 @@ let remove_conn c =
   Ring.reset c.rx;
   Tbl.remove c.stack.conns c.tuple
 
+(* SYN or SYN-ACK retransmissions before the handshake is given up:
+   Linux's [tcp_syn_retries]. *)
+let syn_retries = 6
+
+(* A connect the peer refused or never answered fails; a passive
+   handshake that ran out of retries goes silently. *)
+let fail_handshake c =
+  let connecting = c.state = Syn_sent in
+  remove_conn c;
+  if connecting then c.cb.on_connect_failed c
+
 let rec arm_rto c = arm c (Rtt.rto_ns c.rtt)
 
 and rto_fire c =
@@ -215,9 +229,13 @@ and rto_fire c =
   | Closed -> ()
   | Time_wait -> remove_conn c
   | Syn_sent | Syn_received ->
-    Rtt.backoff c.rtt;
-    send_syn c;
-    arm_rto c
+    if c.syn_retx >= syn_retries then fail_handshake c
+    else begin
+      c.syn_retx <- c.syn_retx + 1;
+      Rtt.backoff c.rtt;
+      send_syn c;
+      arm_rto c
+    end
   | _ ->
     if Seq32.lt c.snd_una c.snd_nxt then begin
       (* Timeout: collapse to go-back-N from snd_una. *)
@@ -453,6 +471,7 @@ let new_conn t tuple ~cb ~state ~snd_wnd ~rcv_nxt ~ts_recent ~peer_wscale =
       rtt = Rtt.create ~initial_rto_ns:t.config.initial_rto_ns ();
       timer = Sim.no_event;
       fire = ignore;
+      syn_retx = 0;
       dupacks = 0;
       in_recovery = false;
       recover_seq = iss;
@@ -476,9 +495,15 @@ let dispatch t pkt =
   | c -> begin
     let flags = tcp.Tcp_header.flags in
     if flags.Tcp_header.rst then begin
-      let was_established = c.state = Established || c.state = Close_wait in
-      remove_conn c;
-      if was_established then c.cb.on_closed c
+      match c.state with
+      | Syn_sent ->
+        (* Only a reset that answers the SYN refuses the connect. *)
+        if flags.Tcp_header.ack && tcp.Tcp_header.ack = Seq32.add c.iss 1
+        then fail_handshake c
+      | Established | Close_wait ->
+        remove_conn c;
+        c.cb.on_closed c
+      | _ -> remove_conn c
     end
     else begin
       match c.state with

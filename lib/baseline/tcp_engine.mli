@@ -54,6 +54,11 @@ type callbacks = {
   on_sendable : conn -> int -> unit;
       (** [n] more transmit-buffer bytes were freed by ACKs. *)
   on_closed : conn -> unit;  (** Peer closed or connection reset. *)
+  on_connect_failed : conn -> unit;
+      (** A {!connect} failed: the peer answered the SYN with an RST, or
+          6 SYN retransmissions (Linux's [tcp_syn_retries]) went
+          unanswered. The connection is gone. A passive handshake that
+          runs out of retries is removed without a callback. *)
 }
 
 val null_callbacks : callbacks

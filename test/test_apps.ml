@@ -327,6 +327,32 @@ let run_echo ~client ~server ~reply_close =
 
 let all_stacks = [ Engine; Sm_inline; Sm_split; Libtas ]
 
+(* A [client]-stack connect to a [server]-stack host with no listener: an
+   engine host drops the SYN, a TAS host answers it with an RST. Returns
+   the client's handler sequence and when its last handler fired. *)
+let run_refused ~client ~server =
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim ~queues_per_nic:2 () in
+  ignore (transport_of sim net.Topology.a.Topology.nic server);
+  let client_t = transport_of sim net.Topology.b.Topology.nic client in
+  let log = ref [] and at = ref 0 in
+  let note s _ =
+    log := s :: !log;
+    at := Sim.now sim
+  in
+  Transport.connect client_t
+    ~dst_ip:(Tas_netsim.Nic.ip net.Topology.a.Topology.nic) ~dst_port:7
+    (fun _ ->
+      {
+        Transport.on_connected = note "connected";
+        on_data = (fun c _ -> note "data" c);
+        on_sendable = note "sendable";
+        on_peer_closed = note "peer_closed";
+        on_closed = note "closed";
+      });
+  Sim.run ~until:(Time_ns.sec 3) sim;
+  (List.rev !log, !at)
+
 (* Which handler fires when, on each stack, as transport.mli states it. The
    client closes first, once its echo is back; the server closes on its EOF.
    The engine fires [on_sendable] on every ACK that frees transmit space,
@@ -360,7 +386,20 @@ let test_handler_contract () =
       (* ...and accepts from one. *)
       let c, s, _ = run_echo ~client:Engine ~server:stack ~reply_close:false in
       check (stack_name stack ^ " listening") (expected_log ~side:`Server stack) s;
-      check (stack_name stack ^ "'s engine client") (expected_log ~side:`Client Engine) c)
+      check (stack_name stack ^ "'s engine client") (expected_log ~side:`Client Engine) c;
+      (* A failed connect is one [on_closed], to an unanswering host after
+         the SYN retries and to a refusing one at once. *)
+      let log, at = run_refused ~client:stack ~server:Engine in
+      check (stack_name stack ^ " to a silent host") [ "closed" ] log;
+      (* The engine's SYN retries at the 10 ms initial RTO end 1270 ms
+         in; TAS retries on its own, shorter schedule. *)
+      Alcotest.(check bool) (stack_name stack ^ " retried the SYN first") true
+        (at >= if stack = Libtas then Time_ns.ms 10 else Time_ns.ms 1270);
+      let log, at = run_refused ~client:stack ~server:Libtas in
+      check (stack_name stack ^ " to a refusing host") [ "closed" ] log;
+      Alcotest.(check bool) (stack_name stack ^ " refused without retrying")
+        true
+        (at < Time_ns.ms 10))
     all_stacks
 
 (* A reply followed by [close] in the same handler reaches the client on
