@@ -16,7 +16,8 @@
     flows instead advertise SACK blocks on their ACKs, feed a sender
     scoreboard ({!Tas_recovery.Scoreboard}) and repair losses selectively
     — plus, for [Rack_tlp], time-based loss marking and tail-loss probes
-    on fire-and-forget simulator timers. *)
+    on cancellable simulator timers ({!Tas_engine.Sim.schedule} handles
+    in the flow's {!Tas_recovery.State}). *)
 
 type t
 
