@@ -1,15 +1,16 @@
 (* Timeline flight recorder (tl): drive a ramp + flash-crowd + trough RPC
    schedule against a TAS server, record 1 ms telemetry frames, and check
-   the three properties the observability layer promises:
+   two properties the observability layer promises:
 
-   1. Determinism — the timeline JSON is byte-identical across two
-      same-seed runs, and merging per-member timelines from a parallel
-      batch ([-j N]) reproduces the serial merge byte-for-byte.
-   2. Watchdog — the health rules stay silent on the clean baseline and
+   1. Watchdog — the health rules stay silent on the clean baseline and
       detect an injected retransmit storm (bursty loss + a mid-flash-crowd
       link blackout) on the chaos variant.
-   3. Signal — per-core utilization visibly tracks the load shape: the
-      flash-crowd window runs hotter than the early ramp. *)
+   2. Signal — per-core utilization visibly tracks the load shape: the
+      flash-crowd window runs hotter than the early ramp.
+
+   The baseline and chaos runs are independent simulations mapped over the
+   run's domain pool; that their timelines do not depend on -j is checked
+   for the whole suite and by the registry's -j 1 vs -j 4 test. *)
 
 module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
@@ -92,10 +93,9 @@ type outcome = {
   completed : int;
 }
 
-(* One run of the schedule. [conns_extra] perturbs the workload size (the
-   parallel-batch members must be distinguishable); [chaos] adds the seeded
-   fault stage on both link directions. *)
-let run_one ~interval_ns ~seed ~chaos ?(conns_extra = 0) sched =
+(* One run of the schedule. [chaos] adds the seeded fault stage on both link
+   directions. *)
+let run_one ~interval_ns ~seed ~chaos sched =
   let sim = Sim.create () in
   let link = Topology.link_10g ~ecn_threshold:65 () in
   let net =
@@ -122,8 +122,8 @@ let run_one ~interval_ns ~seed ~chaos ?(conns_extra = 0) sched =
       Rpc_echo.closed_loop_clients sim client ~n ~dst_ip ~dst_port:7 ~msg_size
         ~pipeline ~stagger_ns:50_000 ~start_at ~stop_at ~think_ns ~stats ()
   in
-  group ~n:(sched.a_conns + conns_extra) ~start_at:1 ~stop_at:sched.groups_stop
-    ~pipeline:2 ~think_ns:20_000;
+  group ~n:sched.a_conns ~start_at:1 ~stop_at:sched.groups_stop ~pipeline:2
+    ~think_ns:20_000;
   group ~n:sched.b_conns ~start_at:sched.b_start ~stop_at:sched.groups_stop
     ~pipeline:2 ~think_ns:20_000;
   group ~n:sched.flash_conns ~start_at:sched.flash_start
@@ -161,9 +161,6 @@ let mean_util frames ~from_ts ~to_ts =
     List.fold_left (fun acc f -> acc +. fp_util f) 0.0 window
     /. float_of_int (List.length window)
 
-let frames_json frames =
-  J.to_string (J.List (List.map Timeline.frame_to_json frames))
-
 (* --- The experiment -------------------------------------------------------- *)
 
 let run ?(quick = false) fmt =
@@ -180,33 +177,15 @@ let run ?(quick = false) fmt =
        (sched.flash_start / 1_000_000)
        (sched.flash_stop / 1_000_000)
        (sched.t_end / 1_000_000) (interval_ns / 1000));
-  (* Baseline twice with the same seed: byte-identical timelines. *)
-  let base = run_one ~interval_ns ~seed:42 ~chaos:false sched in
-  let base2 = run_one ~interval_ns ~seed:42 ~chaos:false sched in
-  let base_bytes = J.to_string base.tl_json in
-  let same_seed_ok = String.equal base_bytes (J.to_string base2.tl_json) in
-  (* Chaos variant: seeded bursty loss + a blackout under the flash crowd. *)
-  let chaos = run_one ~interval_ns ~seed:42 ~chaos:true sched in
-  (* Serial vs parallel member batch, merged in submission order. *)
-  let member i =
-    (run_one ~interval_ns ~seed:(100 + i) ~chaos:false ~conns_extra:(2 * i)
-       quick_schedule)
-      .frames
+  (* The clean baseline and the chaos variant (seeded bursty loss + a
+     blackout under the flash crowd), in submission order; all reporting
+     below happens on this domain (the artifact is domain-local). *)
+  let runs =
+    Tas_parallel.Domain_pool.map (Run_opts.pool ())
+      ~f:(fun chaos -> run_one ~interval_ns ~seed:42 ~chaos sched)
+      [| false; true |]
   in
-  let idx = Array.init 3 (fun i -> i) in
-  let serial_members = Array.map member idx in
-  (* A private two-participant pool, not the run's: the pass is truly
-     parallel even at -j 1, and the body reads the same for every -j. *)
-  let jobs = 2 in
-  let par_members =
-    Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-        Tas_parallel.Domain_pool.map pool ~f:member idx)
-  in
-  let serial_merged = Timeline.merge (Array.to_list serial_members) in
-  let par_merged = Timeline.merge (Array.to_list par_members) in
-  let parallel_ok =
-    String.equal (frames_json serial_merged) (frames_json par_merged)
-  in
+  let base = runs.(0) and chaos = runs.(1) in
   (* Watchdog: silent on baseline, retransmit storm detected under chaos. *)
   let base_health = Health.check base.frames in
   let chaos_health = Health.check chaos.frames in
@@ -241,13 +220,6 @@ let run ?(quick = false) fmt =
   Report.kv fmt "frames captured (baseline)"
     (string_of_int (List.length base.frames));
   Report.kv fmt "rpcs completed (baseline)" (string_of_int base.completed);
-  Report.gate fmt ~name:"same_seed_identical" ~ok:same_seed_ok
-    ~observed:(if same_seed_ok then "identical" else "differs")
-    ~expected:"same-seed timeline byte-identical";
-  Report.gate fmt ~name:"parallel_identical" ~ok:parallel_ok
-    ~observed:(if parallel_ok then "identical" else "differs")
-    ~expected:
-      (Printf.sprintf "serial vs -j%d merged timeline byte-identical" jobs);
   Report.kv fmt "baseline watchdog"
     (Printf.sprintf "%s (%d violations in %d frames)"
        (if base_health.Health.passed then "PASS" else "FAIL")
@@ -276,9 +248,6 @@ let run ?(quick = false) fmt =
        [
          ("interval_ns", J.Int interval_ns);
          ("frames", J.Int (List.length base.frames));
-         ("same_seed_identical", J.Bool same_seed_ok);
-         ("parallel_identical", J.Bool parallel_ok);
-         ("parallel_jobs", J.Int jobs);
          ("baseline_violations", J.Int base_violations);
          ("chaos_rexmit_storm_frames", J.Int storm_frames);
          ("chaos_health", Health.report_to_json chaos_health);

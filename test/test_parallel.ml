@@ -156,9 +156,10 @@ let with_run_pool ~jobs f =
       Fun.protect ~finally:(fun () -> Run_opts.set_pool prev) f)
 
 (* Cheap experiments keep the test fast; the contract is the same for all.
-   [ch] fans its schedules out on the run's pool from inside its own job,
-   so the nested path is covered too. *)
-let determinism_ids = [ "dg"; "x3"; "ch" ]
+   [ch] and [tl] fan their runs out on the run's pool from inside their own
+   jobs, so the nested path is covered too, and [tl]'s timelines must merge
+   in submission order. *)
+let determinism_ids = [ "dg"; "x3"; "ch"; "tl" ]
 
 let run_into_dir ~jobs dir =
   let entries =
@@ -227,9 +228,12 @@ let test_parallel_output_matches_serial () =
         (Printf.sprintf "%s: artifact identical before timing" name)
         (stable_prefix a1) (stable_prefix a4))
     determinism_ids;
-  Alcotest.(check string) "TIMELINE_dg.json identical"
-    (read_file (Filename.concat dir1 "TIMELINE_dg.json"))
-    (read_file (Filename.concat dir4 "TIMELINE_dg.json"));
+  List.iter
+    (fun name ->
+      Alcotest.(check string) (name ^ " identical")
+        (read_file (Filename.concat dir1 name))
+        (read_file (Filename.concat dir4 name)))
+    [ "TIMELINE_dg.json"; "TIMELINE_tl.json" ];
   List.iter
     (fun d ->
       Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d);
