@@ -3,11 +3,11 @@
     corruption, duplication + reordering, link flaps, and everything at
     once) and asserts hardening invariants — fault-stage packet
     conservation, corruption drops reconciling exactly against NIC/fast-path
-    validation counters, every connection completing or failing cleanly, no
-    leaked flow-table entries, and bit-identical counters across two
-    same-seed runs. Violations are reported (and counted in the artifact),
-    never raised; a run over all schedules ends with the [violations]
-    gate, which fails when the count is nonzero.
+    validation counters, every connection completing or failing cleanly,
+    and no leaked flow-table entries. Each schedule runs once. Violations
+    are reported (and counted in the artifact), never raised; a run over
+    all schedules ends with the [violations] gate, which fails when the
+    count is nonzero.
 
     Schedules are independent seeded simulations; they run on
     {!Run_opts.pool} (in parallel when it has more than one participant)
