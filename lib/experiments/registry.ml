@@ -146,15 +146,12 @@ let run_captured ?quick e =
   let timelines = Report.Artifact.take_timelines () in
   { text = Buffer.contents buf; body; timelines; failed; elapsed }
 
-let timing_json ~elapsed ~jobs ~run_wall ~serial_estimate =
-  let speedup = if run_wall > 0.0 then serial_estimate /. run_wall else 1.0 in
+let timing_json ~elapsed ~jobs ~run_wall =
   J.Obj
     [
       ("elapsed_s", J.Float elapsed);
       ("jobs", J.Int jobs);
       ("run_wall_s", J.Float run_wall);
-      ("serial_estimate_s", J.Float serial_estimate);
-      ("speedup", J.Float speedup);
     ]
 
 let emit_result ?quick fmt e ~timing r =
@@ -180,24 +177,19 @@ let run_selection ?quick entries fmt =
     Tas_parallel.Domain_pool.map pool ~f:(run_captured ?quick) entries_arr
   in
   let run_wall = Unix.gettimeofday () -. t0 in
-  let serial_estimate =
-    Array.fold_left (fun acc r -> acc +. r.elapsed) 0.0 results
-  in
   (* Deterministic merge: emit in submission order regardless of which
      domain finished first. *)
   Array.iteri
     (fun i e ->
       let r = results.(i) in
-      let timing =
-        timing_json ~elapsed:r.elapsed ~jobs ~run_wall ~serial_estimate
-      in
-      emit_result ?quick fmt e ~timing r;
+      emit_result ?quick fmt e
+        ~timing:(timing_json ~elapsed:r.elapsed ~jobs ~run_wall)
+        r;
       Format.fprintf fmt "  (%.1fs)@." r.elapsed)
     entries_arr;
   if Array.length entries_arr > 1 then
-    Format.fprintf fmt "Ran %d experiments in %.1fs (jobs=%d, serial estimate %.1fs, speedup %.2fx)@."
-      (Array.length entries_arr) run_wall jobs serial_estimate
-      (if run_wall > 0.0 then serial_estimate /. run_wall else 1.0);
+    Format.fprintf fmt "Ran %d experiments in %.1fs (jobs=%d)@."
+      (Array.length entries_arr) run_wall jobs;
   List.concat
     (List.mapi
        (fun i e -> List.map (fun g -> (e, g)) results.(i).failed)

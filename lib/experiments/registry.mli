@@ -17,9 +17,10 @@ val run_selection :
     installed); outputs and artifacts are merged in submission order, so
     everything except each artifact's trailing ["timing"] object is
     byte-identical to a serial run. Each artifact's ["timing"] records the
-    job's own wall-clock ([elapsed_s]) and the batch's [jobs],
-    [run_wall_s], [serial_estimate_s] (sum of per-job wall-clocks) and
-    [speedup]. *)
+    job's own wall-clock ([elapsed_s]) and the batch's [jobs] and
+    [run_wall_s]. A per-job wall-clock includes contention with the jobs
+    that ran beside it, so only a [-j 1] run's [run_wall_s] measures the
+    serial time. *)
 
 val run_all :
   ?quick:bool -> Format.formatter -> (entry * Report.gate) list
