@@ -62,11 +62,18 @@ module Hist = struct
     counts : int array;
     mutable n : int;
     mutable sum : float;
+    mutable min_v : float;  (* infinity while empty *)
     mutable max_v : float;
   }
 
   let create () =
-    { counts = Array.make bucket_count 0; n = 0; sum = 0.0; max_v = 0.0 }
+    {
+      counts = Array.make bucket_count 0;
+      n = 0;
+      sum = 0.0;
+      min_v = infinity;
+      max_v = 0.0;
+    }
 
   let bucket_of x =
     if x < 1.0 then 0
@@ -84,10 +91,12 @@ module Hist = struct
     t.counts.(bucket_of x) <- t.counts.(bucket_of x) + 1;
     t.n <- t.n + 1;
     t.sum <- t.sum +. x;
+    if x < t.min_v then t.min_v <- x;
     if x > t.max_v then t.max_v <- x
 
   let count t = t.n
   let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
+  let min_v t = if t.n = 0 then 0.0 else t.min_v
   let max_v t = t.max_v
 
   let merge a b =
@@ -95,6 +104,7 @@ module Hist = struct
       counts = Array.init bucket_count (fun i -> a.counts.(i) + b.counts.(i));
       n = a.n + b.n;
       sum = a.sum +. b.sum;
+      min_v = Float.min a.min_v b.min_v;
       max_v = Float.max a.max_v b.max_v;
     }
 
@@ -110,7 +120,9 @@ module Hist = struct
         if !acc >= target then found := !b;
         incr b
       done;
-      if !found < 0 then t.max_v else value_of_bucket !found
+      (* A bucket's midpoint can lie outside the samples it holds. *)
+      if !found < 0 then t.max_v
+      else Float.min t.max_v (Float.max t.min_v (value_of_bucket !found))
     end
 
   let buckets t =
@@ -120,7 +132,7 @@ module Hist = struct
     done;
     !out
 
-  let of_buckets ?sum ?max_v pairs =
+  let of_buckets ?sum ?min_v ?max_v pairs =
     let t = create () in
     List.iter
       (fun (b, c) ->
@@ -130,11 +142,14 @@ module Hist = struct
           invalid_arg (Printf.sprintf "Hist.of_buckets: negative count in bucket %d" b);
         t.counts.(b) <- t.counts.(b) + c;
         t.n <- t.n + c;
-        t.sum <- t.sum +. (float_of_int c *. value_of_bucket b);
-        let top = value_of_bucket b in
-        if top > t.max_v then t.max_v <- top)
+        let mid = value_of_bucket b in
+        t.sum <- t.sum +. (float_of_int c *. mid);
+        if c > 0 && mid < t.min_v then t.min_v <- mid;
+        if mid > t.max_v then t.max_v <- mid)
       pairs;
     (match sum with Some s -> t.sum <- s | None -> ());
+    (* An empty histogram's min reads 0; it must not lower a merge's min. *)
+    (match min_v with Some m when t.n > 0 -> t.min_v <- m | _ -> ());
     (match max_v with Some m -> t.max_v <- m | None -> ());
     t
 

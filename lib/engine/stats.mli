@@ -34,9 +34,14 @@ module Hist : sig
   val add : t -> float -> unit
   val count : t -> int
   val percentile : t -> float -> float
-  (** [percentile h p] for [p] in [0,100]; 0 when empty. *)
+  (** [percentile h p] for [p] in [0,100]; 0 when empty. The rank's bucket
+      midpoint, clamped to [[min_v h, max_v h]]. *)
 
   val mean : t -> float
+
+  val min_v : t -> float
+  (** Smallest sample; 0 when empty. *)
+
   val max_v : t -> float
 
   val merge : t -> t -> t
@@ -49,10 +54,12 @@ module Hist : sig
       so merged quantiles computed from summed buckets are exactly what one
       histogram over all samples would report. *)
 
-  val of_buckets : ?sum:float -> ?max_v:float -> (int * int) list -> t
+  val of_buckets :
+    ?sum:float -> ?min_v:float -> ?max_v:float -> (int * int) list -> t
   (** Reconstruct a histogram from sparse buckets (as {!buckets} emits).
-      [sum] restores the exact mean, [max_v] the exact maximum; quantile
-      queries on the result are bucket-exact.
+      [sum] restores the exact mean, [min_v] and [max_v] the exact minimum
+      and maximum (default: the lowest and highest bucket midpoints);
+      quantile queries on the result are bucket-exact.
       @raise Invalid_argument on an out-of-range index or negative count. *)
 end
 

@@ -79,6 +79,7 @@ let hist t ?(labels = []) ?(help = "") name =
 type hist_summary = {
   count : int;
   mean : float;
+  min_v : float;
   max_v : float;
   quantiles : (float * float) list;
   buckets : (int * int) list;
@@ -87,7 +88,7 @@ type hist_summary = {
 let hist_of_summary h =
   Stats.Hist.of_buckets
     ~sum:(h.mean *. float_of_int h.count)
-    ~max_v:h.max_v h.buckets
+    ~min_v:h.min_v ~max_v:h.max_v h.buckets
 
 let quantile h p =
   match List.assoc_opt p h.quantiles with
@@ -110,6 +111,7 @@ let summarize ~points h =
   {
     count = Stats.Hist.count h;
     mean = Stats.Hist.mean h;
+    min_v = Stats.Hist.min_v h;
     max_v = Stats.Hist.max_v h;
     quantiles = List.map (fun p -> (p, Stats.Hist.percentile h p)) points;
     buckets = Stats.Hist.buckets h;

@@ -47,6 +47,7 @@ val hist : t -> ?labels:labels -> ?help:string -> string -> Tas_engine.Stats.His
 type hist_summary = {
   count : int;
   mean : float;
+  min_v : float;  (** 0 when empty, like [max_v] *)
   max_v : float;
   quantiles : (float * float) list;
       (** [(percentile point, value)] pairs in the registry's quantile

@@ -51,10 +51,12 @@ let test_hist_mean_max =
       let h = hist_of values in
       let n = List.length values in
       let sum = List.fold_left ( +. ) 0.0 values in
+      let mn = List.fold_left Float.min infinity values in
       let mx = List.fold_left Float.max neg_infinity values in
       Stats.Hist.count h = n
       && abs_float (Stats.Hist.mean h -. (sum /. float_of_int n))
          <= 1e-9 *. abs_float sum
+      && Stats.Hist.min_v h = mn
       && Stats.Hist.max_v h = mx)
 
 let pair_arb = QCheck.pair samples_arb samples_arb
@@ -70,7 +72,34 @@ let test_hist_merge =
              Stats.Hist.percentile merged p = Stats.Hist.percentile direct p)
            [ 1.0; 25.0; 50.0; 75.0; 90.0; 99.0 ]
       && abs_float (Stats.Hist.mean merged -. Stats.Hist.mean direct) <= 1e-9
+      && Stats.Hist.min_v merged = Stats.Hist.min_v direct
       && Stats.Hist.max_v merged = Stats.Hist.max_v direct)
+
+(* Samples from 1/16 up: those below 1 share bucket 0, whose midpoint lies
+   above all of them, and a lone sample sits below its bucket's midpoint
+   half the time. *)
+let wide_samples_arb =
+  QCheck.make
+    ~print:(fun l ->
+      String.concat ";" (List.map (Printf.sprintf "%.5f") l))
+    QCheck.Gen.(
+      list_size (int_range 1 200)
+        (map (fun e -> 2.0 ** e) (float_range (-4.0) 20.0)))
+
+let test_percentile_within_range =
+  QCheck.Test.make ~name:"hist percentile monotone and within [min, max]"
+    ~count:300 wide_samples_arb (fun values ->
+      let h = hist_of values in
+      let ps = [ 0.0; 1.0; 10.0; 50.0; 90.0; 99.0; 99.9; 100.0 ] in
+      let vs = List.map (Stats.Hist.percentile h) ps in
+      let rec monotone = function
+        | a :: (b :: _ as rest) -> a <= b && monotone rest
+        | _ -> true
+      in
+      monotone vs
+      && List.for_all
+           (fun v -> Stats.Hist.min_v h <= v && v <= Stats.Hist.max_v h)
+           vs)
 
 let summary_of values =
   let s = Stats.Summary.create () in
@@ -120,6 +149,7 @@ let suite =
       test_quantile_accuracy;
       test_hist_mean_max;
       test_hist_merge;
+      test_percentile_within_range;
       test_summary_merge;
       test_summary_merge_empty;
     ]
